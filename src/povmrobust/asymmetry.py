@@ -3,11 +3,14 @@
 A state is symmetric under a finite unitary group when it equals its own
 group average (twirl).  The robustness of asymmetry is the least noise
 weight whose admixture makes a state symmetric; it is computed here as a
-dominance program over the twirl-invariant operator subspace, and cross
-checked by two independent identities: the optimal advantage in the
+dominance program over the twirl-invariant operator subspace, whose
+interior-point solve returns a strictly dominating symmetric operator.
+It is cross checked by two identities: the optimal advantage in the
 group-orbit discrimination game, and the accessible min-information of
-the orbit ensemble.  Coherence is the special case of the dephasing
-group, where the symmetric operators are the diagonal ones.
+the orbit ensemble.  Both come from one guessing-value solve of the
+orbit, independent of the robustness solve.  Coherence is the special
+case of the dephasing group, where the symmetric operators are the
+diagonal ones.
 """
 
 from __future__ import annotations
@@ -18,13 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrimination import Ensemble, check_density_matrix
-from .errors import DimensionMismatch, InfeasibleSubspace, InvalidGroup, SolverFailure
-from .info import acc_min_info_ensemble
+from .errors import DimensionMismatch, InfeasibleSubspace, InvalidGroup
 from .numerics import as_complex_matrix, hermitian_basis
 from .solvers import (
     DominanceProgram,
     INFEASIBLE,
-    OPTIMAL,
     min_error_guess_value,
     solve_dominating,
 )
@@ -166,24 +167,16 @@ def roa(rho, g: GroupRepresentation) -> AsymmetryReport:
     robustness through its own identity.
     """
     g = _require_group(g)
-    rho = check_density_matrix(rho)
-    if rho.shape[0] != g.dimension:
-        raise DimensionMismatch(
-            f"state dimension {rho.shape[0]} vs group dimension {g.dimension}"
-        )
+    orbit = orbit_ensemble(rho, g)  # validates the state and its dimension
     basis = symmetric_subspace_basis(g)
-    solution = solve_dominating(DominanceProgram(g.dimension, basis, rho[None]))
+    solution = solve_dominating(DominanceProgram(g.dimension, basis, as_complex_matrix(rho)[None]))
     if solution.status == INFEASIBLE:
         raise InfeasibleSubspace("no symmetric operator dominates the state")
-    if solution.status != OPTIMAL:
-        raise SolverFailure(f"asymmetry solve returned {solution.status}")
-    lift = max(0.0, -solution.min_slack)
-    dominating = solution.y + lift * np.eye(g.dimension)
-    value = float(np.trace(dominating).real - 1.0)
-    orbit = orbit_ensemble(rho, g)
-    game_advantage = g.order * min_error_guess_value(orbit)
-    min_info = acc_min_info_ensemble(orbit)
-    return AsymmetryReport(value, dominating, float(game_advantage), float(min_info))
+    # The orbit is uniform, so its blind guessing probability is 1/|G| and
+    # the one orbit solve gives both the advantage and the min-information.
+    p_guess = min_error_guess_value(orbit)
+    return AsymmetryReport(solution.value - 1.0, solution.y, g.order * p_guess,
+                           math.log2(g.order * p_guess))
 
 
 def roc(rho) -> AsymmetryReport:

@@ -32,59 +32,37 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load(path: str):
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _load(path: str, decoder):
+    """Read one JSON file and decode it, naming the file in any ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            obj = json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         raise ParseError(path, str(exc)) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed text, or NaN/Infinity
         raise ParseError(path, f"invalid JSON: {exc}") from exc
-
-
-def _rereference(path: str, exc: ParseError) -> ParseError:
-    return ParseError(path, exc.detail)
-
-
-def _load_povm(path: str):
     try:
-        return jsonio.povm_from_json(_load(path))
+        return decoder(obj)
     except ParseError as exc:
-        raise _rereference(path, exc) from exc
-
-
-def _load_ensemble(path: str):
-    try:
-        return jsonio.ensemble_from_json(_load(path))
-    except ParseError as exc:
-        raise _rereference(path, exc) from exc
-
-
-def _load_state(path: str):
-    try:
-        return jsonio.state_from_json(_load(path))
-    except ParseError as exc:
-        raise _rereference(path, exc) from exc
-
-
-def _load_group(path: str):
-    try:
-        return jsonio.group_from_json(_load(path))
-    except ParseError as exc:
-        raise _rereference(path, exc) from exc
+        raise ParseError(path, exc.detail) from exc
 
 
 def _cmd_rom(args):
-    return {"rom": rom(_load_povm(args.povm))}
+    return {"rom": rom(_load(args.povm, jsonio.povm_from_json))}
 
 
 def _cmd_rom_report(args):
-    return jsonio.robustness_report_to_json(rom_report(_load_povm(args.povm)))
+    report = rom_report(_load(args.povm, jsonio.povm_from_json))
+    return jsonio.robustness_report_to_json(report)
 
 
 def _cmd_discriminate(args):
-    ensemble = _load_ensemble(args.ensemble)
-    povm = _load_povm(args.povm)
+    ensemble = _load(args.ensemble, jsonio.ensemble_from_json)
+    povm = _load(args.povm, jsonio.povm_from_json)
     return {
         "p_guess_classical": p_guess_classical(ensemble),
         "p_guess_quantum": p_guess_with_measurement(ensemble, povm),
@@ -93,30 +71,32 @@ def _cmd_discriminate(args):
 
 
 def _cmd_optimal_ensemble(args):
-    return jsonio.ensemble_to_json(optimal_ensemble(_load_povm(args.povm)))
+    return jsonio.ensemble_to_json(optimal_ensemble(_load(args.povm, jsonio.povm_from_json)))
 
 
 def _cmd_accinfo_measurement(args):
-    bits, witness = acc_min_info_measurement(_load_povm(args.povm))
+    bits, witness = acc_min_info_measurement(_load(args.povm, jsonio.povm_from_json))
     return {"bits": bits, "witness": jsonio.ensemble_to_json(witness)}
 
 
 def _cmd_accinfo_ensemble(args):
-    return {"bits": acc_min_info_ensemble(_load_ensemble(args.ensemble))}
+    return {"bits": acc_min_info_ensemble(_load(args.ensemble, jsonio.ensemble_from_json))}
 
 
 def _cmd_simulable(args):
-    result = is_simulable(_load_povm(args.source), _load_povm(args.target))
+    result = is_simulable(_load(args.source, jsonio.povm_from_json),
+                          _load(args.target, jsonio.povm_from_json))
     return jsonio.simulability_result_to_json(result)
 
 
 def _cmd_roa(args):
-    report = roa(_load_state(args.state), _load_group(args.group))
+    report = roa(_load(args.state, jsonio.state_from_json),
+                 _load(args.group, jsonio.group_from_json))
     return jsonio.asymmetry_report_to_json(report)
 
 
 def _cmd_roc(args):
-    return jsonio.asymmetry_report_to_json(roc(_load_state(args.state)))
+    return jsonio.asymmetry_report_to_json(roc(_load(args.state, jsonio.state_from_json)))
 
 
 def _cmd_random_povm(args):

@@ -63,7 +63,7 @@ def check_density_matrix(rho, tol: float | None = None) -> np.ndarray:
         raise InvalidState(f"state has eigenvalue {smallest:.3e} below -{tol:.1e}")
     trace = np.trace(m).real
     if abs(trace - 1.0) > tol:
-        raise InvalidState(f"state trace is {trace!r}, not 1")
+        raise InvalidState(f"state trace is {float(trace)}, not 1")
     return m
 
 
@@ -75,7 +75,7 @@ def validate_ensemble(states, priors) -> Ensemble:
     if priors.min() < -resolve(PRIOR_TOL):
         raise InvalidEnsemble(f"negative prior {priors.min():.3e}")
     if abs(priors.sum() - 1.0) > resolve(PRIOR_TOL):
-        raise InvalidEnsemble(f"priors sum to {priors.sum()!r}, not 1")
+        raise InvalidEnsemble(f"priors sum to {float(priors.sum())}, not 1")
     try:
         checked = [check_density_matrix(s) for s in states]
     except InvalidState as exc:

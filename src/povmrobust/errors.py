@@ -80,6 +80,11 @@ class InvalidGroup(PovmRobustError):
     pass
 
 
+class InvalidArgument(PovmRobustError, ValueError):
+    """An argument outside its domain: a matrix entry that is not finite,
+    a size below one, a negative seed."""
+
+
 class SolverFailure(PovmRobustError):
     pass
 

@@ -46,7 +46,7 @@ class JointDistribution:
         if p.min() < -tol:
             raise InvalidJoint(f"negative joint probability {p.min():.3e}")
         if abs(p.sum() - 1.0) > tol:
-            raise InvalidJoint(f"joint probabilities sum to {p.sum()!r}, not 1")
+            raise InvalidJoint(f"joint probabilities sum to {float(p.sum())}, not 1")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 
@@ -69,7 +69,7 @@ def h_min(p) -> float:
     if p.min() < -tol:
         raise InvalidDistribution(f"negative probability {p.min():.3e}")
     if abs(p.sum() - 1.0) > tol:
-        raise InvalidDistribution(f"probabilities sum to {p.sum()!r}, not 1")
+        raise InvalidDistribution(f"probabilities sum to {float(p.sum())}, not 1")
     return -math.log2(p.max())
 
 

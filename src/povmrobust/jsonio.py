@@ -69,6 +69,14 @@ def _require(obj, key, kind):
     return obj[key]
 
 
+def _dimension(obj, kind):
+    d = _require(obj, "dimension", kind)
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise ParseError("<data>",
+                         f"{kind} dimension must be an integer, got {json.dumps(d)}")
+    return d
+
+
 def povm_to_json(m: Povm) -> dict:
     return {
         "dimension": m.dimension,
@@ -77,7 +85,7 @@ def povm_to_json(m: Povm) -> dict:
 
 
 def povm_from_json(obj) -> Povm:
-    d = _require(obj, "dimension", "POVM")
+    d = _dimension(obj, "POVM")
     elements = [matrix_from_json(el) for el in _require(obj, "elements", "POVM")]
     povm = validate_povm(elements)
     if povm.dimension != d:
@@ -109,7 +117,7 @@ def ensemble_to_json(e: Ensemble) -> dict:
 
 
 def ensemble_from_json(obj) -> Ensemble:
-    d = _require(obj, "dimension", "ensemble")
+    d = _dimension(obj, "ensemble")
     states = [matrix_from_json(s) for s in _require(obj, "states", "ensemble")]
     ensemble = validate_ensemble(states, _require(obj, "priors", "ensemble"))
     if ensemble.dimension != d:
@@ -124,7 +132,7 @@ def state_to_json(rho) -> dict:
 
 def state_from_json(obj) -> np.ndarray:
     rho = matrix_from_json(_require(obj, "state", "state"))
-    if rho.shape[0] != _require(obj, "dimension", "state"):
+    if rho.shape[0] != _dimension(obj, "state"):
         raise ParseError("<data>", "declared dimension disagrees with the state matrix")
     return rho
 
@@ -139,7 +147,7 @@ def group_to_json(g: GroupRepresentation) -> dict:
 def group_from_json(obj) -> GroupRepresentation:
     unitaries = [matrix_from_json(u) for u in _require(obj, "unitaries", "group")]
     group = validate_group(unitaries)
-    if group.dimension != _require(obj, "dimension", "group"):
+    if group.dimension != _dimension(obj, "group"):
         raise ParseError("<data>", "declared dimension disagrees with the unitaries")
     return group
 

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     CompletenessViolation,
     EtaOutOfRange,
+    InvalidArgument,
     InvalidDistribution,
     InvalidPovm,
     NotOrthonormal,
@@ -111,7 +112,7 @@ def _check_distribution(q, tol: float | None = None) -> np.ndarray:
     if q.min() < -tol:
         raise InvalidDistribution(f"negative probability {q.min():.3e}")
     if abs(q.sum() - 1.0) > tol:
-        raise InvalidDistribution(f"probabilities sum to {q.sum()!r}, not 1")
+        raise InvalidDistribution(f"probabilities sum to {float(q.sum())}, not 1")
     return q
 
 
@@ -214,8 +215,9 @@ def random_povm(d: int, o: int, seed: int) -> Povm:
     Wishart blocks ``W_a = G_a G_a^dag`` are normalized by the inverse
     square root of their sum, which is complete by construction.
     """
-    if d < 1 or o < 1:
-        raise ValueError("dimension and outcome count must be at least 1")
+    if d < 1 or o < 1 or seed < 0:
+        raise InvalidArgument("dimension and outcome count must be at least 1 and the seed "
+                              f"nonnegative, got {d}, {o} and {seed}")
     rng = np.random.default_rng(seed)
     g = (rng.standard_normal((o, d, d)) + 1j * rng.standard_normal((o, d, d))) / math.sqrt(2.0)
     w = np.einsum("aij,akj->aik", g, g.conj())

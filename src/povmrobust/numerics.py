@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotSquare
+from .errors import InvalidArgument, NotHermitian, NotSquare
 from .tolerances import resolve
 
 HERMITIAN_TOL = 1e-10
@@ -29,7 +29,7 @@ def as_complex_matrix(a) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquare(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError("matrix entries must be finite")
+        raise InvalidArgument("matrix entries must be finite")
     return m
 
 
@@ -149,7 +149,7 @@ def haar_random_unitary(d: int, seed: int) -> np.ndarray:
     R diagonal folded into Q so the distribution is exactly Haar.
     """
     if d < 1:
-        raise ValueError(f"dimension must be at least 1, got {d}")
+        raise InvalidArgument(f"dimension must be at least 1, got {d}")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -165,7 +165,7 @@ def hermitian_basis(d: int) -> np.ndarray:
     Orthonormality is under the Hilbert-Schmidt inner product.
     """
     if d < 1:
-        raise ValueError(f"dimension must be at least 1, got {d}")
+        raise InvalidArgument(f"dimension must be at least 1, got {d}")
     mats = [np.eye(d, dtype=np.complex128) / math.sqrt(d)]
     for j in range(d):
         for k in range(j + 1, d):

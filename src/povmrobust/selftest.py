@@ -20,6 +20,7 @@ from .discrimination import (
     Ensemble,
     advantage,
     optimal_ensemble,
+    random_density_matrix,
     random_ensemble,
 )
 from .errors import PovmRobustError
@@ -86,8 +87,8 @@ def criterion_closed_form_vs_sdp(quick: bool = False) -> CriterionResult:
     for m in _suite(n, 11000):
         worst = max(worst, abs(rom(m) - rom_via_sdp(m)))
     return CriterionResult(
-        1, "closed form vs SDP", worst <= 1e-6,
-        f"max |closed - sdp| = {worst:.3e} over {n} POVMs (tol 1e-6)",
+        1, "closed form vs SDP", worst <= 1e-9,
+        f"max |closed - sdp| = {worst:.3e} over {n} POVMs (tol 1e-9)",
     )
 
 
@@ -279,30 +280,26 @@ def criterion_roa_roc(quick: bool = False) -> CriterionResult:
     for d, count, seed_base in cases:
         group = dephasing_group(d)
         for i in range(count):
-            rng = np.random.default_rng(seed_base + i)
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            state = g @ g.conj().T
-            state /= np.trace(state).real
-            report = roa(state, group)
+            report = roa(random_density_matrix(d, np.random.default_rng(seed_base + i)), group)
             worst_game = max(worst_game, abs(report.game_advantage - (1.0 + report.value)))
             worst_info = max(worst_info, abs(report.min_info - math.log2(1.0 + report.value)))
-    if worst_game > 1e-5:
-        problems.append(f"game identity off by {worst_game:.3e} (tol 1e-5)")
-    if worst_info > 1e-5:
-        problems.append(f"min-information identity off by {worst_info:.3e} (tol 1e-5)")
+    if worst_game > 1e-9:
+        problems.append(f"game identity off by {worst_game:.3e} (tol 1e-9)")
+    if worst_info > 1e-9:
+        problems.append(f"min-information identity off by {worst_info:.3e} (tol 1e-9)")
 
     plus = np.full((2, 2), 0.5, dtype=complex)
     plus_value = roc(plus).value
-    if abs(plus_value - 1.0) > 1e-6:
-        problems.append(f"qubit maximal coherence gave {plus_value!r} (tol 1e-6)")
+    if abs(plus_value - 1.0) > 1e-9:
+        problems.append(f"qubit maximal coherence gave {plus_value!r} (tol 1e-9)")
     qutrit = np.full((3, 3), 1.0 / 3.0, dtype=complex)
     qutrit_value = roc(qutrit).value
-    if abs(qutrit_value - 2.0) > 1e-5:
-        problems.append(f"qutrit maximal coherence gave {qutrit_value!r} (tol 1e-5)")
+    if abs(qutrit_value - 2.0) > 1e-9:
+        problems.append(f"qutrit maximal coherence gave {qutrit_value!r} (tol 1e-9)")
 
     detail = "; ".join(problems) if problems else (
         f"identities within {max(worst_game, worst_info):.3e}; "
-        f"maximal coherence values {plus_value:.9f} / {qutrit_value:.9f}"
+        f"maximal coherence values {plus_value:.12f} / {qutrit_value:.12f}"
     )
     return CriterionResult(8, "asymmetry and coherence identities", not problems, detail)
 
@@ -312,11 +309,7 @@ def criterion_helstrom(quick: bool = False) -> CriterionResult:
     worst = 0.0
     for i in range(n):
         rng = np.random.default_rng(72000 + i)
-        states = []
-        for _ in range(2):
-            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            w = g @ g.conj().T
-            states.append(w / np.trace(w).real)
+        states = [random_density_matrix(2, rng) for _ in range(2)]
         p0 = rng.random()
         priors = np.array([p0, 1.0 - p0])
         ensemble = Ensemble(np.stack(states), priors)
@@ -326,8 +319,8 @@ def criterion_helstrom(quick: bool = False) -> CriterionResult:
         worst = max(worst, abs(min_error_guess_value(ensemble) - helstrom))
     return CriterionResult(
         9, "binary discrimination against the trace-norm formula",
-        worst <= 1e-6,
-        f"max |solver - formula| = {worst:.3e} over {n} ensembles (tol 1e-6)",
+        worst <= 1e-9,
+        f"max |solver - formula| = {worst:.3e} over {n} ensembles (tol 1e-9)",
     )
 
 

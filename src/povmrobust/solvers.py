@@ -4,22 +4,25 @@ Two solvers live here.  ``solve_lp`` is a dense two-phase simplex with
 Bland's anti-cycling rule, adequate up to a few hundred constraints.
 ``solve_dominating`` minimizes the trace of an operator ranging over a
 real-linear span of Hermitian matrices subject to dominating a list of
-Hermitian constraints; the positive-semidefinite conditions are enforced
-through eigenvector cuts fed to a master LP.  On top of these, the module
-instantiates the robustness program of a measurement and the optimal
-guessing probability of a state ensemble.
+Hermitian constraints, by a primal-dual interior-point method (HKM
+direction, Mehrotra predictor-corrector; Helmberg, Rendl, Vanderbei and
+Wolkowicz, SIAM J. Optim. 6 (1996); Vandenberghe and Boyd, SIAM Rev. 38
+(1996)) that returns a strictly feasible point together with a certified
+lower bound.  On top of these, the module instantiates the robustness
+program of a measurement and the optimal guessing probability of a state
+ensemble.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import InfeasibleSubspace, InvalidEnsemble, SolverFailure
 from .measurement import Povm, _require_povm
-from .numerics import check_hermitian, eig_hermitian, hermitian_basis
+from .numerics import check_hermitian, hermitian_basis
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -28,10 +31,12 @@ ITERATION_LIMIT = "iteration_limit"
 
 PIVOT_TOL = 1e-10
 FEASIBILITY_TOL = 1e-9
-SLACK_TOL = 1e-7
-VALUE_TOL = 1e-9
-MAX_CUTS = 10000
 BASIS_INDEPENDENCE_TOL = 1e-9
+GAP_TOL = 1e-11          # relative width of the returned dominance bracket
+IDENTITY_TOL = 1e-12     # the identity counts as lying in the span below this
+MAX_ITERATIONS = 100
+MAX_HALVINGS = 60
+STEP_FRACTION = 0.95     # share of the distance to the cone boundary stepped
 
 
 @dataclass(frozen=True)
@@ -259,176 +264,193 @@ class DominanceProgram:
 
 @dataclass(frozen=True)
 class SdpSolution:
+    """A dominance solve; when optimal, ``lower <= optimum <= value``.
+
+    ``y`` is strictly feasible (``min_slack``, the smallest eigenvalue of
+    any ``y - K_i``, is positive) and ``value`` is its trace.  ``duals``
+    holds positive semidefinite ``Z_i`` with ``sum_i tr[B_j Z_i] = tr B_j``
+    (for a span that is a *-algebra, ``sum_i Z_i`` projects onto the
+    identity), and ``lower = sum_i tr[K_i Z_i]``.
+    """
+
     status: str
     y: np.ndarray | None
     value: float
-    cuts: int
+    lower: float
+    duals: np.ndarray | None
     min_slack: float
+    # perfbench/tracing.py reads this counter; an interior-point solve makes no cuts.
+    cuts: int = 0
 
 
 def _validate_program(program: DominanceProgram):
     basis = np.stack([check_hermitian(b) for b in program.basis])
     constraints = np.stack([check_hermitian(k) for k in program.constraints])
-    d = program.dimension
-    if basis.shape[1] != d or constraints.shape[1] != d:
+    if basis.shape[1] != program.dimension or constraints.shape[1] != program.dimension:
         raise ValueError("basis and constraint dimensions must match the program")
     gram = np.einsum("aij,bji->ab", basis, basis).real
-    smallest = eig_hermitian(gram).eigenvalues[0]
+    smallest = np.linalg.eigvalsh(gram)[0]
     if smallest < BASIS_INDEPENDENCE_TOL:
         raise ValueError(
             f"subspace basis is numerically dependent (Gram eigenvalue {smallest:.3e})"
         )
-    return basis, constraints
+    return basis, constraints, gram
 
 
-class _MasterLp:
-    """The cutting-plane master ``min c.x`` s.t. ``alpha_j . x >= rhs_j``
-    over free coordinates ``x``.
+def _max_step(inv_chol, direction) -> float:
+    """Largest ``alpha`` keeping ``A + alpha dA`` positive semidefinite,
+    given ``L^-1`` for the Cholesky factor ``A = L L^+`` (batched)."""
+    scaled = inv_chol @ direction @ inv_chol.conj().swapaxes(-1, -2)
+    smallest = np.linalg.eigvalsh(scaled)[..., 0].min()
+    return np.inf if smallest >= 0.0 else -1.0 / smallest
 
-    Solved through its LP dual, where every cut is one nonnegative
-    variable and the row count stays at the subspace dimension however
-    many cuts accumulate.  A new cut parallel to a stored one only
-    updates the right-hand side (keeping the tighter bound), which both
-    caps the column count and preserves monotonicity of the master
-    values.  The primal point is read off the equality duals; master
-    infeasibility surfaces as an unbounded dual.
+
+def _central_path(basis, constraints, c, x, z):
+    """Iterates ``(x, s, z)`` of a primal-dual path-following method for
+    ``min c.x`` subject to ``S_i = sum_j x_j B_j - K_i >= 0``, whose dual
+    is ``max sum_i tr[K_i Z_i]`` subject to ``sum_i tr[B_j Z_i] = c_j``
+    and ``Z_i >= 0``.
+
+    The start ``x`` must be strictly feasible and ``z`` positive definite;
+    every iterate stays so.  Each step is the HKM direction with
+    Mehrotra's predictor-corrector: one ``k x k`` Schur complement
+    ``H_jl = sum_i Re tr[B_j S_i^-1 B_l Z_i]`` serves both solves, and all
+    the matrix work is batched over the constraint stack.  A dual residual
+    in the start shrinks with every dual step.
     """
-
-    def __init__(self, objective: np.ndarray):
-        self.objective = objective
-        self.alphas: list[np.ndarray] = []
-        self.rhs: list[float] = []
-
-    def add_cut(self, alpha: np.ndarray, rhs: float) -> None:
-        for j, stored in enumerate(self.alphas):
-            if np.abs(stored - alpha).max() < 1e-9:
-                self.rhs[j] = max(self.rhs[j], rhs)
-                return
-        self.alphas.append(alpha)
-        self.rhs.append(rhs)
-
-    def solve(self):
-        """Return ``(status, x, value)`` for the current cut set."""
-        dual = LpProblem(
-            -np.asarray(self.rhs),
-            a_eq=np.array(self.alphas).T,
-            b_eq=self.objective,
-            nonneg=True,
-        )
-        sol = solve_lp(dual)
-        if sol.status == UNBOUNDED:
-            return INFEASIBLE, None, np.nan
-        if sol.status == INFEASIBLE:
-            raise SolverFailure("master LP is unbounded; warm-start cuts missing")
-        if sol.status != OPTIMAL:
-            raise SolverFailure(f"master LP returned {sol.status}")
-        x = -sol.duals_eq
-        return OPTIMAL, x, float(self.objective @ x)
-
-
-def solve_dominating(program: DominanceProgram, *, slack_tol: float = SLACK_TOL,
-                     value_tol: float = VALUE_TOL, max_cuts: int = MAX_CUTS,
-                     trace=None) -> SdpSolution:
-    """Cutting-plane minimization of ``tr Y`` under dominance constraints.
-
-    Each round, the eigenvectors of ``Y - K_i`` with eigenvalue below
-    ``-slack_tol`` yield cuts ``v+ Y v >= v+ K_i v``.  The master LP is
-    warm-started with cuts from the full eigenbasis of every ``K_i``,
-    which keeps it bounded from the first round.  The master values form
-    a nondecreasing sequence of lower bounds; convergence is declared
-    once every slack eigenvalue is above ``-slack_tol``, at which point
-    no new cut exists and the value can no longer move by more than
-    ``value_tol``.
-
-    ``trace``, when given, receives one JSON line per round with the
-    iteration number, master value and worst slack.
-    """
-    basis, constraints = _validate_program(program)
-    objective = np.einsum("jii->j", basis).real
-    master = _MasterLp(objective)
-    n_cuts = 0
-
-    def add_cut(v, k):
-        nonlocal n_cuts
-        alpha = np.einsum("i,kij,j->k", v.conj(), basis, v).real
-        master.add_cut(alpha, float((v.conj() @ k @ v).real))
-        n_cuts += 1
-
-    for k in constraints:
-        dec = eig_hermitian(k)
-        for idx in range(program.dimension):
-            add_cut(dec.eigenvectors[:, idx], k)
-
-    rounds = 0
-    previous_value = None
+    m, d = constraints.shape[0], constraints.shape[1]
+    s = np.einsum("j,jab->ab", x, basis) - constraints
+    s_chol = np.linalg.cholesky(s)
+    z_chol = np.linalg.cholesky(z)
     while True:
-        status, x, value = master.solve()
-        if status == INFEASIBLE:
-            return SdpSolution(INFEASIBLE, None, np.nan, n_cuts, np.nan)
-        y = np.tensordot(x, basis, axes=1)
-        min_slack = np.inf
-        violations = []
-        for k in constraints:
-            dec = eig_hermitian(y - k)
-            min_slack = min(min_slack, float(dec.eigenvalues[0]))
-            for idx in np.flatnonzero(dec.eigenvalues < -slack_tol):
-                violations.append((dec.eigenvectors[:, idx], k))
-        rounds += 1
-        if trace is not None:
-            trace.write(json.dumps({
-                "iteration": rounds, "value": value, "worst_slack": min_slack,
-            }) + "\n")
-        if not violations:
-            return SdpSolution(OPTIMAL, y, value, n_cuts, min_slack)
-        if (previous_value is not None and min_slack > -5e-2
-                and abs(value - previous_value) < max(value_tol, value_tol * abs(value))):
-            polished = _polish_active_set(basis, constraints, y, value, slack_tol)
-            if polished is not None:
-                y_ref, value_ref, slack_ref = polished
-                return SdpSolution(OPTIMAL, y_ref, value_ref, n_cuts, slack_ref)
-        if n_cuts + len(violations) > max_cuts:
-            return SdpSolution(ITERATION_LIMIT, y, value, n_cuts, min_slack)
-        for v, k in violations:
-            add_cut(v, k)
-        previous_value = value
+        yield x, s, z
+        s_inv_chol = np.linalg.inv(s_chol)
+        s_inv = s_inv_chol.conj().swapaxes(-1, -2) @ s_inv_chol
+        z_inv_chol = np.linalg.inv(z_chol)
+        mu = np.einsum("iab,iba->", s, z).real / (m * d)
+        # sum_i S_i^-1 B_l Z_i, stacked over l
+        weighted = (s_inv[:, None] @ basis[None] @ z[:, None]).sum(axis=0)
+        schur = np.einsum("jba,lab->jl", basis, weighted).real
+
+        def direction(target):
+            s_inv_target = s_inv @ target
+            rhs = np.einsum("jba,ab->j", basis, s_inv_target.sum(axis=0)).real - c
+            dx = np.linalg.solve(schur, rhs)
+            ds = np.einsum("j,jab->ab", dx, basis)
+            dz = s_inv_target - z - s_inv @ ds @ z
+            return dx, ds, 0.5 * (dz + dz.conj().swapaxes(-1, -2))
+
+        dx, ds, dz = direction(np.zeros_like(z))
+        alpha_p = min(1.0, _max_step(s_inv_chol, ds))
+        alpha_d = min(1.0, _max_step(z_inv_chol, dz))
+        mu_affine = np.einsum("iab,iba->", s + alpha_p * ds, z + alpha_d * dz).real / (m * d)
+        sigma = (mu_affine / mu) ** 3
+        dx, ds, dz = direction(sigma * mu * np.eye(d) - ds @ dz)
+        alpha_p = min(1.0, STEP_FRACTION * _max_step(s_inv_chol, ds))
+        alpha_d = min(1.0, STEP_FRACTION * _max_step(z_inv_chol, dz))
+        x, s, s_chol = _positive_step(
+            x, dx, alpha_p, lambda v: np.einsum("j,jab->ab", v, basis) - constraints)
+        z, _, z_chol = _positive_step(z, dz, alpha_d, lambda v: v)
 
 
-def _polish_active_set(basis, constraints, y, value, slack_tol):
-    """Terminal refinement for the degenerate tail of the cutting plane.
+def _positive_step(point, direction, alpha, matrices):
+    """Step along ``direction``, halving ``alpha`` until the new matrices have
+    a Cholesky factor: rounding can undo a step computed near the boundary."""
+    for _ in range(MAX_HALVINGS):
+        new = point + alpha * direction
+        mats = matrices(new)
+        try:
+            return new, mats, np.linalg.cholesky(mats)
+        except np.linalg.LinAlgError:
+            alpha *= 0.5
+    raise SolverFailure("interior-point step cannot stay positive definite")
 
-    Eigenvector cuts pin a contact face one direction per round, which
-    crawls when the optimal slack operator has a multidimensional kernel.
-    Once the master value has stabilized, the kernel is read off the
-    near-contact eigenvectors and the face equations ``(Y - K_i) v = 0``
-    are solved directly by least squares, with the trace pinned to the
-    stabilized value.  The candidate counts only if an eigenvalue check
-    confirms dominance and its trace stays within the certified bracket,
-    so a wrong active-set guess is discarded, never returned.
+
+def _dual_residual(basis, c, z) -> float:
+    """Worst violation of ``sum_i tr[B_j Z_i] = c_j``."""
+    return float(np.abs(c - np.einsum("jba,iab->j", basis, z).real).max())
+
+
+def _certified_lower(basis, gram, constraints, c, z):
+    """A dual objective that bounds the optimum from below, with its duals.
+
+    The duals are ``S^-1/2 Z_i S^-1/2`` with ``S = P(sum_i Z_i)``, the
+    projection onto the span.  When the span is a *-algebra containing the
+    identity (every program this package builds), the projection commutes
+    with the congruence, so they sum to a matrix projecting onto the
+    identity and are exactly feasible.  For any other span the iterates
+    themselves are kept: they start dual feasible and every step
+    preserves that, up to rounding.
     """
-    k_dim = basis.shape[0]
+    coords = np.linalg.solve(gram, np.einsum("jab,iba->j", basis, z).real)
+    w, v = np.linalg.eigh(np.einsum("j,jab->ab", coords, basis))
+    if w[0] > 0.0:
+        root = (v / np.sqrt(w)) @ v.conj().T
+        congruent = root @ z @ root
+        if _dual_residual(basis, c, congruent) <= _dual_residual(basis, c, z):
+            z = congruent
+    return float(np.einsum("iab,iba->", constraints, z).real), z
+
+
+def _strictly_feasible_start(basis, gram, constraints):
+    """A point with every ``Y - K_i`` positive definite, or ``None`` when the
+    program is infeasible.
+
+    When the identity lies in the span, ``lambda I`` above every
+    ``lambda_max(K_i)`` is one.  Otherwise a phase one minimizes ``t``
+    over ``Y + t I >= K_i`` until ``t`` turns negative, or until its dual
+    proves ``t`` positive at every point.
+    """
     d = basis.shape[1]
-    rows = [np.zeros((1, k_dim))]
-    rhs = [np.zeros(1)]
-    min_slack = min(float(eig_hermitian(y - k).eigenvalues[0]) for k in constraints)
-    active_tol = max(1e-5, 3.0 * abs(min_slack))
-    for k in constraints:
-        dec = eig_hermitian(y - k)
-        for idx in np.flatnonzero(dec.eigenvalues < active_tol):
-            v = dec.eigenvectors[:, idx]
-            coeff = np.einsum("jab,b->ja", basis, v)       # (k, d): B_j v
-            target = k @ v
-            rows.append(np.concatenate([coeff.real.T, coeff.imag.T], axis=0))
-            rhs.append(np.concatenate([target.real, target.imag]))
-    weight = 1e3
-    rows.append(weight * np.einsum("jii->j", basis).real[None, :])
-    rhs.append(np.array([weight * value]))
-    solution, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)
-    y_ref = np.tensordot(solution, basis, axes=1)
-    slack_ref = min(float(eig_hermitian(y_ref - k).eigenvalues[0]) for k in constraints)
-    value_ref = float(np.trace(y_ref).real)
-    if slack_ref >= -slack_tol and value_ref - value <= 2e-7 * max(1.0, abs(value)):
-        return y_ref, value_ref, slack_ref
-    return None
+    eye = np.eye(d)
+    lam = np.linalg.eigvalsh(constraints)[:, -1].max()
+    lam += max(1.0, abs(lam))
+    coords = np.linalg.solve(gram, np.einsum("jii->j", basis).real)
+    if np.abs(np.einsum("j,jab->ab", coords, basis) - eye).max() <= IDENTITY_TOL:
+        return lam * coords
+    augmented = np.concatenate([basis, eye[None]])
+    c = np.eye(augmented.shape[0])[-1]
+    z = np.broadcast_to(eye / constraints.shape[0], constraints.shape)
+    for x, _, z in islice(_central_path(augmented, constraints, c, lam * c, z), MAX_ITERATIONS):
+        if x[-1] < 0.0:
+            return x[:-1]
+        if _dual_residual(augmented, c, z) <= GAP_TOL:
+            lower = np.einsum("iab,iba->", constraints, z).real
+            if lower > GAP_TOL:
+                return None
+            if x[-1] - lower <= GAP_TOL:
+                break
+    raise SolverFailure("the dominance program has no strictly feasible point")
+
+
+def solve_dominating(program: DominanceProgram) -> SdpSolution:
+    """Primal-dual interior-point minimization of ``tr Y`` under dominance
+    constraints.
+
+    The path following (HKM direction, Mehrotra predictor-corrector)
+    starts from a strictly feasible ``Y`` and from ``Z_i = I / m``, which
+    is dual feasible because ``tr B_j = tr[B_j I]``.  After each step the
+    trace of the current ``Y`` is an upper bound and the congruence in
+    ``_certified_lower`` gives a lower one; the solve stops once they are
+    within ``GAP_TOL`` (relative to ``max(1, |value|)``) and raises
+    ``SolverFailure`` if that takes more than ``MAX_ITERATIONS`` steps.
+    """
+    basis, constraints, gram = _validate_program(program)
+    x = _strictly_feasible_start(basis, gram, constraints)
+    if x is None:
+        return SdpSolution(INFEASIBLE, None, np.nan, np.nan, None, np.nan)
+    c = np.einsum("jii->j", basis).real
+    z = np.broadcast_to(np.eye(program.dimension) / constraints.shape[0], constraints.shape)
+    for x, s, z in islice(_central_path(basis, constraints, c, x, z), MAX_ITERATIONS):
+        value = float(c @ x)
+        lower, duals = _certified_lower(basis, gram, constraints, c, z)
+        if value - lower <= GAP_TOL * max(1.0, abs(value)):
+            min_slack = float(np.linalg.eigvalsh(s)[:, 0].min())
+            y = np.einsum("j,jab->ab", x, basis)
+            return SdpSolution(OPTIMAL, y, value, lower, duals, min_slack)
+    raise SolverFailure(
+        f"dominance solve left a gap of {value - lower:.3e} after {MAX_ITERATIONS} iterations"
+    )
 
 
 def rom_via_sdp(m: Povm) -> float:
@@ -436,9 +458,8 @@ def rom_via_sdp(m: Povm) -> float:
 
     One scalar block per outcome: minimize ``sum_a q~(a)`` subject to
     ``q~(a) I >= M_a``.  The blocks decouple, so each is solved as its own
-    single-constraint program; each block value is lifted to a certified
-    dominating point before summing, making the result an upper bound
-    within the solver slack.
+    single-constraint program; each block value comes from a strictly
+    dominating point, so the sum is an upper bound within the solver gap.
     """
     m = _require_povm(m)
     d = m.dimension
@@ -448,9 +469,7 @@ def rom_via_sdp(m: Povm) -> float:
         sol = solve_dominating(DominanceProgram(d, eye, element[None]))
         if sol.status == INFEASIBLE:
             raise InfeasibleSubspace("no scalar multiple of the identity dominates")
-        if sol.status != OPTIMAL:
-            raise SolverFailure(f"robustness block solve returned {sol.status}")
-        total += sol.value / d + max(0.0, -sol.min_slack)
+        total += sol.value / d
     return total - 1.0
 
 
@@ -459,9 +478,9 @@ def min_error_guess_value(ensemble) -> float:
     over all measurements and relabelings.
 
     Dual dominance form: ``min tr Y`` over Hermitian ``Y`` with
-    ``Y >= p(x) sigma_x`` for every member.  The returned value comes from
-    the certified dominating point ``Y + delta I``, so it is never below
-    the guessing probability achievable with any fixed measurement.
+    ``Y >= p(x) sigma_x`` for every member.  The returned value is the
+    trace of a strictly dominating ``Y``, so it is never below the
+    guessing probability achievable with any fixed measurement.
     """
     from .discrimination import Ensemble
     if not isinstance(ensemble, Ensemble):
@@ -471,6 +490,4 @@ def min_error_guess_value(ensemble) -> float:
     sol = solve_dominating(DominanceProgram(d, hermitian_basis(d), constraints))
     if sol.status == INFEASIBLE:
         raise InfeasibleSubspace("no Hermitian operator dominates the ensemble")
-    if sol.status != OPTIMAL:
-        raise SolverFailure(f"guessing-value solve returned {sol.status}")
-    return sol.value + d * max(0.0, -sol.min_slack)
+    return sol.value

@@ -174,3 +174,62 @@ class TestRoc:
         for i, d in enumerate((2, 3)):
             value = roc(random_state(d, np.random.default_rng(19 + i))).value
             assert -1e-6 <= value <= d - 1 + 1e-6
+
+
+def _pure_state(d, rng):
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    return v, np.outer(v, v.conj())
+
+
+def _l1_coherence(rho):
+    return np.abs(rho).sum() - np.abs(np.diag(rho)).sum()
+
+
+def _assert_identities(report, tol):
+    assert abs(report.game_advantage - (1.0 + report.value)) <= tol
+    assert abs(report.min_info - math.log2(1.0 + report.value)) <= tol
+
+
+class TestRocOracles:
+    """Closed forms of the robustness of coherence (Piani et al., PRA 93,
+    042107 (2016); Napoli et al., PRL 116, 150502 (2016))."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_pure_state(self, d):
+        rng = np.random.default_rng(300 + d)
+        for _ in range(3):
+            psi, rho = _pure_state(d, rng)
+            report = roc(rho)
+            assert abs(report.value - (np.abs(psi).sum() ** 2 - 1.0)) <= 1e-9
+            _assert_identities(report, 1e-9)
+
+    def test_qubit_is_twice_the_coherence(self):
+        rng = np.random.default_rng(310)
+        for _ in range(10):
+            rho = random_state(2, rng)
+            assert abs(roc(rho).value - 2.0 * abs(rho[0, 1])) <= 1e-9
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_maximally_coherent(self, d):
+        report = roc(np.full((d, d), 1.0 / d, dtype=complex))
+        assert abs(report.value - (d - 1)) <= 1e-9
+        _assert_identities(report, 1e-9)
+
+
+class TestRocRegressions:
+    """Inputs on which the earlier cutting-plane solver gave up."""
+
+    def test_pure_d4_rng102(self):
+        psi, rho = _pure_state(4, np.random.default_rng(102))
+        report = roc(rho)
+        assert abs(report.value - (np.abs(psi).sum() ** 2 - 1.0)) <= 1e-9
+        _assert_identities(report, 1e-9)
+
+    def test_mixed_d8_rng8(self):
+        d = 8
+        rho = random_state(d, np.random.default_rng(8))
+        report = roc(rho)
+        c_l1 = _l1_coherence(rho)
+        assert c_l1 / (d - 1) - 1e-9 <= report.value <= c_l1 + 1e-9
+        _assert_identities(report, 1e-9)

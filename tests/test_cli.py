@@ -144,3 +144,60 @@ def test_selftest_quick_exits_zero(capsys):
     assert run(["selftest", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "9/9 criteria passed" in out
+
+
+def _assert_error_contract(capsys, code):
+    assert code != 0
+    payload = _json_out(capsys)
+    assert set(payload) == {"error", "detail"}
+    return payload
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_is_an_error(tmp_path, capsys, constant):
+    path = tmp_path / "nan.json"
+    path.write_text('{"dimension": 2, "elements": [[[[1, 0], [0, 0]], [[0, 0], [%s, 0]]],'
+                    ' [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]}' % constant)
+    payload = _assert_error_contract(capsys, run(["rom", str(path)]))
+    assert payload["error"] == "ParseError"
+    assert constant.lstrip("-") in payload["detail"]
+
+
+def test_overflowing_number_is_an_error(tmp_path, capsys):
+    # 1e999 is valid JSON but parses to infinity
+    path = tmp_path / "inf.json"
+    path.write_text('{"dimension": 2, "elements": [[[[1e999, 0], [0, 0]], [[0, 0], [0, 0]]],'
+                    ' [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]}')
+    payload = _assert_error_contract(capsys, run(["rom", str(path)]))
+    assert payload["error"] == "InvalidArgument"
+
+
+@pytest.mark.parametrize("dim, outcomes", [("0", "2"), ("2", "0")])
+def test_random_povm_rejects_empty_sizes(capsys, dim, outcomes):
+    code = run(["random-povm", "--dim", dim, "--outcomes", outcomes, "--seed", "1"])
+    assert _assert_error_contract(capsys, code)["error"] == "InvalidArgument"
+
+
+def test_random_povm_rejects_negative_seed(capsys):
+    code = run(["random-povm", "--dim", "2", "--outcomes", "2", "--seed", "-1"])
+    payload = _assert_error_contract(capsys, code)
+    assert payload["error"] == "InvalidArgument"
+    assert "seed" in payload["detail"]
+
+
+def test_error_detail_has_no_numpy_repr(tmp_path, capsys):
+    path = tmp_path / "heavy.json"
+    path.write_text(jsonio.dumps(jsonio.state_to_json(np.diag([2.0, 0.5]))))
+    payload = _assert_error_contract(capsys, run(["roc", "--state", str(path)]))
+    assert payload == {"error": "InvalidState", "detail": "state trace is 2.5, not 1"}
+
+
+def test_string_dimension_is_a_parse_error(z_file, tmp_path, capsys):
+    with open(z_file, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    payload["dimension"] = "2"
+    path = tmp_path / "string_dim.json"
+    path.write_text(json.dumps(payload))
+    payload = _assert_error_contract(capsys, run(["rom", str(path)]))
+    assert payload["error"] == "ParseError"
+    assert "dimension must be an integer" in payload["detail"]

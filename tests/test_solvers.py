@@ -1,13 +1,11 @@
-import io
 import itertools
-import json
 import math
 
 import numpy as np
 import pytest
 
 from povmrobust.discrimination import Ensemble, random_ensemble, validate_ensemble
-from povmrobust.errors import InvalidEnsemble
+from povmrobust.errors import InvalidEnsemble, SolverFailure
 from povmrobust.measurement import random_povm, trivial_povm
 from povmrobust.numerics import eig_hermitian, hermitian_basis
 from povmrobust.rom import rom
@@ -129,16 +127,44 @@ class TestSolveDominating:
         for k in constraints:
             assert eig_hermitian(sol.y - k).eigenvalues[0] >= -1e-7
 
-    def test_value_sequence_nondecreasing(self):
+    def test_bracket_contains_helstrom_value(self):
+        # Two weighted states: the optimum is the Helstrom value, which the
+        # returned bracket must contain and pin to within 1e-9; the duals
+        # certifying the lower end are exactly feasible.
         rng = np.random.default_rng(92)
-        constraints = np.stack([0.4 * random_state(3, rng) for _ in range(3)])
-        trace = io.StringIO()
-        solve_dominating(DominanceProgram(3, hermitian_basis(3), constraints),
-                         trace=trace)
-        records = [json.loads(line) for line in trace.getvalue().splitlines()]
-        values = [r["value"] for r in records]
-        assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
-        assert records[-1]["worst_slack"] >= -1e-7
+        states = [random_state(3, rng) for _ in range(2)]
+        constraints = np.stack([0.4 * states[0], 0.6 * states[1]])
+        sol = solve_dominating(DominanceProgram(3, hermitian_basis(3), constraints))
+        oracle = 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(constraints[0] - constraints[1])).sum())
+        assert sol.status == OPTIMAL
+        assert sol.lower <= oracle + 1e-12
+        assert oracle <= sol.value + 1e-12
+        assert sol.value - sol.lower <= 1e-9
+        assert sol.value == pytest.approx(np.trace(sol.y).real, abs=1e-12)
+        assert sol.min_slack > 0.0
+        np.testing.assert_allclose(sol.duals.sum(axis=0), np.eye(3), atol=1e-12)
+        assert np.linalg.eigvalsh(sol.duals)[:, 0].min() >= -1e-12
+        assert sol.lower == pytest.approx(
+            np.einsum("iab,iba->", constraints, sol.duals).real, abs=1e-12)
+
+    def test_span_without_identity(self):
+        # min tr(x diag(1, 2)) = 3x with x diag(1, 2) >= I/2: x = 1/2,
+        # reached through the phase one
+        program = DominanceProgram(
+            2, np.diag([1.0, 2.0]).astype(complex)[None], 0.5 * np.eye(2, dtype=complex)[None]
+        )
+        sol = solve_dominating(program)
+        assert sol.status == OPTIMAL
+        assert sol.lower - 1e-12 <= 1.5 <= sol.value + 1e-12
+        assert sol.value - sol.lower <= 1e-9
+
+    def test_no_strictly_feasible_point(self):
+        # x diag(1, 0) >= diag(1/2, 0) holds for x >= 1/2, never strictly
+        program = DominanceProgram(
+            2, np.diag([1.0, 0.0]).astype(complex)[None], np.diag([0.5, 0.0]).astype(complex)[None]
+        )
+        with pytest.raises(SolverFailure):
+            solve_dominating(program)
 
     def test_infeasible_subspace(self):
         # traceless subspace direction cannot dominate a positive operator
@@ -205,6 +231,15 @@ class TestMinErrorGuessValue:
             )
             assert (min_error_guess_value(merged)
                     >= min_error_guess_value(e) - 1e-8)
+
+    def test_full_rank_d6_rng7(self):
+        # the earlier cutting-plane solver gave up on this pair
+        rng = np.random.default_rng(7)
+        states = np.stack([random_state(6, rng) for _ in range(2)])
+        priors = np.array([0.4, 0.6])
+        helstrom = 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(
+            priors[0] * states[0] - priors[1] * states[1])).sum())
+        assert abs(min_error_guess_value(Ensemble(states, priors)) - helstrom) <= 1e-9
 
     def test_rejects_non_ensemble(self):
         with pytest.raises(InvalidEnsemble):
