@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidEnsemble, InvalidState
-from .measurement import Povm, _require_povm
+from .measurement import Povm, _check_distribution, _require_povm
 from .numerics import check_hermitian, eig_hermitian
 from .rom import rom_report
 from .tolerances import resolve
@@ -69,13 +69,7 @@ def check_density_matrix(rho, tol: float | None = None) -> np.ndarray:
 
 def validate_ensemble(states, priors) -> Ensemble:
     """Check every member state and the prior distribution, then wrap."""
-    priors = np.asarray(priors, dtype=float)
-    if priors.ndim != 1 or priors.size == 0:
-        raise InvalidEnsemble("priors must form a nonempty vector")
-    if priors.min() < -resolve(PRIOR_TOL):
-        raise InvalidEnsemble(f"negative prior {priors.min():.3e}")
-    if abs(priors.sum() - 1.0) > resolve(PRIOR_TOL):
-        raise InvalidEnsemble(f"priors sum to {float(priors.sum())}, not 1")
+    priors = _check_distribution(priors, InvalidEnsemble, PRIOR_TOL)
     try:
         checked = [check_density_matrix(s) for s in states]
     except InvalidState as exc:

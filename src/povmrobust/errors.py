@@ -93,10 +93,6 @@ class InfeasibleSubspace(PovmRobustError):
     pass
 
 
-class WitnessSearchExhausted(PovmRobustError):
-    pass
-
-
 class UsageError(PovmRobustError):
     pass
 

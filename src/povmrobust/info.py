@@ -22,11 +22,10 @@ from .discrimination import (
     optimal_ensemble,
     p_guess_classical,
 )
-from .errors import DimensionMismatch, InvalidDistribution, InvalidJoint
-from .measurement import Povm, _require_povm
+from .errors import DimensionMismatch, InvalidJoint
+from .measurement import Povm, _check_distribution, _require_povm
 from .rom import rom
 from .solvers import min_error_guess_value
-from .tolerances import resolve
 
 JOINT_TOL = 1e-10
 
@@ -39,14 +38,7 @@ class JointDistribution:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.ascontiguousarray(np.asarray(self.p, dtype=float))
-        if p.ndim != 2 or p.size == 0:
-            raise InvalidJoint(f"expected a nonempty matrix, got shape {p.shape}")
-        tol = resolve(JOINT_TOL)
-        if p.min() < -tol:
-            raise InvalidJoint(f"negative joint probability {p.min():.3e}")
-        if abs(p.sum() - 1.0) > tol:
-            raise InvalidJoint(f"joint probabilities sum to {float(p.sum())}, not 1")
+        p = np.ascontiguousarray(_check_distribution(self.p, InvalidJoint, JOINT_TOL, ndim=2))
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 
@@ -62,15 +54,7 @@ def _require_joint(j) -> JointDistribution:
 
 def h_min(p) -> float:
     """Min-entropy ``-log2 max_x p(x)`` in bits."""
-    p = np.asarray(p, dtype=float)
-    tol = resolve(JOINT_TOL)
-    if p.ndim != 1 or p.size == 0:
-        raise InvalidDistribution("expected a nonempty probability vector")
-    if p.min() < -tol:
-        raise InvalidDistribution(f"negative probability {p.min():.3e}")
-    if abs(p.sum() - 1.0) > tol:
-        raise InvalidDistribution(f"probabilities sum to {float(p.sum())}, not 1")
-    return -math.log2(p.max())
+    return -math.log2(_check_distribution(p, tol=JOINT_TOL).max())
 
 
 def h_min_cond(j: JointDistribution) -> float:

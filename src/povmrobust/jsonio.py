@@ -1,9 +1,10 @@
 """JSON encodings for every value the package exchanges with files.
 
 A complex scalar is a two-element array ``[re, im]``; a matrix is a
-row-major array of rows of such pairs.  Serialized reals are rounded to
-15 significant digits and objects are emitted with alphabetically sorted
-keys, so identical inputs produce byte-identical output.
+row-major array of rows of such pairs.  The encoders return plain
+Python values at full precision; ``dumps`` alone rounds reals to 15
+significant digits and sorts object keys, so identical inputs produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,19 +22,13 @@ from .rom import RobustnessReport
 from .simulability import SimulabilityResult
 
 
-def _round15(value: float) -> float:
-    return float(f"{value:.15g}")
-
-
 def _jsonable(obj):
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
-    if isinstance(obj, float):
-        return _round15(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(f"{obj:.15g}")
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.floating):
-        return _round15(float(obj))
     if isinstance(obj, dict):
         return {key: _jsonable(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -50,7 +45,7 @@ def dumps(payload) -> str:
 
 def matrix_to_json(m) -> list:
     m = np.asarray(m, dtype=np.complex128)
-    return [[[_round15(z.real), _round15(z.imag)] for z in row] for row in m.tolist()]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -97,7 +92,7 @@ def stochastic_map_to_json(s: StochasticMap) -> dict:
     return {
         "rows": s.n_inputs,
         "cols": s.n_outputs,
-        "p": [[_round15(v) for v in row] for row in s.probabilities.tolist()],
+        "p": s.probabilities.tolist(),
     }
 
 
@@ -111,7 +106,7 @@ def stochastic_map_from_json(obj) -> StochasticMap:
 def ensemble_to_json(e: Ensemble) -> dict:
     return {
         "dimension": e.dimension,
-        "priors": [_round15(p) for p in e.priors.tolist()],
+        "priors": e.priors.tolist(),
         "states": [matrix_to_json(s) for s in e.states],
     }
 
@@ -153,7 +148,7 @@ def group_from_json(obj) -> GroupRepresentation:
 
 
 def joint_to_json(j: JointDistribution) -> dict:
-    return {"p": [[_round15(v) for v in row] for row in j.p.tolist()]}
+    return {"p": j.p.tolist()}
 
 
 def joint_from_json(obj) -> JointDistribution:
@@ -164,13 +159,13 @@ def robustness_report_to_json(report: RobustnessReport) -> dict:
     mixture = None
     if report.pseudo_mixture is not None:
         mixture = {
-            "r": _round15(report.pseudo_mixture.r),
-            "q": [_round15(v) for v in report.pseudo_mixture.q.tolist()],
+            "r": report.pseudo_mixture.r,
+            "q": report.pseudo_mixture.q.tolist(),
             "noise": povm_to_json(report.pseudo_mixture.noise),
         }
     return {
-        "rom": _round15(report.value),
-        "primal_weights": [_round15(v) for v in report.primal_weights.tolist()],
+        "rom": report.value,
+        "primal_weights": report.primal_weights.tolist(),
         "dual_states": [matrix_to_json(s) for s in report.dual_states],
         "pseudo_mixture": mixture,
     }
@@ -181,14 +176,14 @@ def simulability_result_to_json(result: SimulabilityResult) -> dict:
         "verdict": result.verdict,
         "map": None if result.map is None else stochastic_map_to_json(result.map),
         "witness": None if result.witness is None else ensemble_to_json(result.witness),
-        "gap": None if result.gap is None else _round15(result.gap),
+        "gap": result.gap,
     }
 
 
 def asymmetry_report_to_json(report: AsymmetryReport) -> dict:
     return {
-        "value": _round15(report.value),
+        "value": report.value,
         "dominating_operator": matrix_to_json(report.dominating),
-        "game_advantage": _round15(report.game_advantage),
-        "min_info": _round15(report.min_info),
+        "game_advantage": report.game_advantage,
+        "min_info": report.min_info,
     }

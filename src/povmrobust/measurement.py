@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatch,
     SizeMismatch,
 )
-from .numerics import check_hermitian, eig_hermitian
+from .numerics import as_complex_matrix, eig_hermitian
 from .tolerances import resolve
 
 PSD_TOL = 1e-9
@@ -83,6 +83,8 @@ class StochasticMap:
         p = np.asarray(self.probabilities, dtype=float)
         if p.ndim != 2:
             raise ShapeMismatch(f"expected a 2-D array, got shape {p.shape}")
+        if not np.isfinite(p).all():
+            raise InvalidDistribution("conditional probabilities must be finite")
         tol = resolve(DISTRIBUTION_TOL)
         if p.min(initial=0.0) < -tol:
             raise InvalidDistribution("negative conditional probability")
@@ -104,16 +106,21 @@ class StochasticMap:
         return self.probabilities.shape[1]
 
 
-def _check_distribution(q, tol: float | None = None) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    tol = resolve(DISTRIBUTION_TOL) if tol is None else tol
-    if q.ndim != 1 or q.size == 0:
-        raise InvalidDistribution("expected a nonempty probability vector")
-    if q.min() < -tol:
-        raise InvalidDistribution(f"negative probability {q.min():.3e}")
-    if abs(q.sum() - 1.0) > tol:
-        raise InvalidDistribution(f"probabilities sum to {float(q.sum())}, not 1")
-    return q
+def _check_distribution(p, error=InvalidDistribution, tol: float = DISTRIBUTION_TOL,
+                        ndim: int = 1) -> np.ndarray:
+    """Probabilities as a nonempty float array with ``ndim`` axes, finite,
+    nonnegative and summing to 1 within ``tol``; raises ``error`` otherwise."""
+    p = np.asarray(p, dtype=float)
+    tol = resolve(tol)
+    if p.ndim != ndim or p.size == 0:
+        raise error(f"expected a nonempty {ndim}-D array of probabilities, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise error("probabilities must be finite")
+    if p.min() < -tol:
+        raise error(f"negative probability {p.min():.3e}")
+    if abs(p.sum() - 1.0) > tol:
+        raise error(f"probabilities sum to {float(p.sum())}, not 1")
+    return p
 
 
 def validate_povm(candidate, tol: float | None = None,
@@ -126,24 +133,26 @@ def validate_povm(candidate, tol: float | None = None,
     """
     tol = resolve(PSD_TOL) if tol is None else tol
     completeness_tol = resolve(COMPLETENESS_TOL) if completeness_tol is None else completeness_tol
-    mats = [check_hermitian(m) for m in candidate]
+    mats = [as_complex_matrix(m) for m in candidate]
     if not mats:
         raise ShapeMismatch("a POVM needs at least one element")
     d = mats[0].shape[0]
     if any(m.shape[0] != d for m in mats):
         raise ShapeMismatch("POVM elements must share one dimension")
-    for a, m in enumerate(mats):
-        smallest = eig_hermitian(m).eigenvalues[0]
-        if smallest < -tol:
-            raise NotPsd(
-                f"element {a} has eigenvalue {smallest:.3e} below -{tol:.1e}", index=a
-            )
-    deviation = np.abs(sum(mats) - np.eye(d)).max()
+    elements = np.stack(mats)
+    smallest = eig_hermitian(elements).eigenvalues[:, 0]
+    bad = np.flatnonzero(smallest < -tol)
+    if bad.size:
+        a = int(bad[0])
+        raise NotPsd(
+            f"element {a} has eigenvalue {smallest[a]:.3e} below -{tol:.1e}", index=a
+        )
+    deviation = np.abs(elements.sum(axis=0) - np.eye(d)).max()
     if deviation > completeness_tol:
         raise CompletenessViolation(
             f"elements sum to identity only within {deviation:.3e}", deviation=deviation
         )
-    return Povm(np.stack(mats))
+    return Povm(elements)
 
 
 def trivial_povm(q, d: int) -> Povm:

@@ -2,9 +2,9 @@
 
 Hermitian eigendecomposition, operator norms, positivity checks and
 Haar-random unitaries, all on plain ``numpy`` arrays of ``complex128``.
-Matrices here are small (dimension a few dozen at most), so the
-eigensolver is a cyclic Jacobi iteration with complex Givens rotations:
-dependency-free, deterministic, and accurate at this scale.
+Eigendecompositions are LAPACK's, through ``np.linalg.eigh``, and take a
+single matrix or a whole stack ``(..., d, d)`` (the elements of a POVM,
+say) in one call.
 """
 
 from __future__ import annotations
@@ -19,26 +19,36 @@ from .tolerances import resolve
 
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-9
-JACOBI_OFF_TOL = 1e-12
-_MAX_SWEEPS = 60
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a square complex128 matrix, rejecting NaN/Inf entries."""
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _complex_stack(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise NotSquare(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if not np.isfinite(m).all():
         raise InvalidArgument("matrix entries must be finite")
     return m
 
 
+def as_complex_matrix(a) -> np.ndarray:
+    """Coerce to a square complex128 matrix, rejecting NaN/Inf entries."""
+    m = _complex_stack(a)
+    if m.ndim != 2:
+        raise NotSquare(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
 def check_hermitian(a, tol: float | None = None) -> np.ndarray:
-    """Validate Hermiticity (max entrywise deviation from the conjugate
-    transpose) and return the matrix as complex128."""
-    m = as_complex_matrix(a)
+    """Validate Hermiticity of a matrix or a stack ``(..., d, d)`` (max
+    entrywise deviation from the conjugate transpose) and return it as
+    complex128."""
+    m = _complex_stack(a)
     tol = resolve(HERMITIAN_TOL) if tol is None else tol
-    deviation = np.abs(m - m.conj().T).max() if m.size else 0.0
+    deviation = np.abs(m - _dagger(m)).max() if m.size else 0.0
     if deviation > tol:
         raise NotHermitian(
             f"matrix deviates from Hermitian symmetry by {deviation:.3e} (tol {tol:.1e})"
@@ -48,85 +58,23 @@ def check_hermitian(a, tol: float | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues in ascending order with matching orthonormal columns."""
+    """Eigenvalues in ascending order with matching orthonormal columns;
+    for a stack, one row of eigenvalues and one column matrix per member."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ _dagger(v)
 
 
 def eig_hermitian(h, tol: float | None = None) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix.
-
-    Uses cyclic Jacobi sweeps: each off-diagonal entry is phased to a real
-    number and annihilated by a plane rotation, until the off-diagonal
-    Frobenius mass falls below ``JACOBI_OFF_TOL`` times the matrix norm.
-    """
+    """Full eigendecomposition of a Hermitian matrix or of each matrix in a
+    stack ``(..., d, d)``, by ``np.linalg.eigh`` on the Hermitian part."""
     a = check_hermitian(h, tol)
-    a = 0.5 * (a + a.conj().T)
-    d = a.shape[0]
-    v = np.eye(d, dtype=np.complex128)
-    if d == 1:
-        return EigenDecomposition(np.array([a[0, 0].real]), v)
-    _jacobi(a, v)
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return EigenDecomposition(w[order], np.ascontiguousarray(v[:, order]))
-
-
-def _jacobi(a: np.ndarray, v: np.ndarray) -> None:
-    d = a.shape[0]
-    fro = np.linalg.norm(a)
-    if fro == 0.0:
-        return
-    stop = JACOBI_OFF_TOL * fro
-    element_floor = stop / d
-    upper = np.triu(np.ones((d, d), dtype=bool), k=1)
-    for _ in range(_MAX_SWEEPS):
-        off = math.sqrt(2.0) * np.linalg.norm(a[upper])
-        if off <= stop:
-            return
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                if abs(a[p, q]) > element_floor:
-                    _rotate(a, v, p, q)
-    raise ArithmeticError("Jacobi iteration failed to converge")
-
-
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    apq = a[p, q]
-    r = abs(apq)
-    phase = apq / r
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    sp = s * phase
-    spc = s * phase.conjugate()
-
-    cp = a[:, p].copy()
-    cq = a[:, q].copy()
-    a[:, p] = c * cp - spc * cq
-    a[:, q] = s * cp + c * phase.conjugate() * cq
-    rp = a[p, :].copy()
-    rq = a[q, :].copy()
-    a[p, :] = c * rp - sp * rq
-    a[q, :] = s * rp + c * phase * rq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - spc * vq
-    v[:, q] = s * vp + c * phase.conjugate() * vq
+    w, v = np.linalg.eigh(0.5 * (a + _dagger(a)))
+    return EigenDecomposition(w, v)
 
 
 def operator_norm(h, tol: float | None = None) -> float:

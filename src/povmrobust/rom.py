@@ -53,8 +53,7 @@ class RobustnessReport:
 def rom(m: Povm) -> float:
     """Robustness of measurement, ``sum_a ||M_a||_inf - 1``."""
     m = _require_povm(m)
-    norms = [eig_hermitian(element).eigenvalues[-1] for element in m]
-    return float(sum(norms) - 1.0)
+    return float(eig_hermitian(m.elements).eigenvalues[:, -1].sum() - 1.0)
 
 
 def rom_report(m: Povm) -> RobustnessReport:
@@ -67,16 +66,12 @@ def rom_report(m: Povm) -> RobustnessReport:
     """
     m = _require_povm(m)
     d = m.dimension
-    weights = np.empty(m.outcomes)
-    duals = np.empty_like(m.elements)
-    for a, element in enumerate(m):
-        dec = eig_hermitian(element)
-        top = dec.eigenvalues[-1]
-        weights[a] = top
-        cutoff = top - _DEGENERACY_TOL * max(1.0, abs(top))
-        first = int(np.searchsorted(dec.eigenvalues, cutoff, side="left"))
-        v = dec.eigenvectors[:, first]
-        duals[a] = np.outer(v, v.conj())
+    dec = eig_hermitian(m.elements)
+    weights = dec.eigenvalues[:, -1]
+    cutoff = weights - _DEGENERACY_TOL * np.maximum(1.0, np.abs(weights))
+    first = (dec.eigenvalues < cutoff[:, None]).sum(axis=1)
+    v = dec.eigenvectors[np.arange(m.outcomes), :, first]
+    duals = np.einsum("ai,aj->aij", v, v.conj())
     value = float(weights.sum() - 1.0)
     if value <= TRIVIAL_TOL:
         return RobustnessReport(value, weights, duals, None)

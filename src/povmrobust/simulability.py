@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrimination import Ensemble, p_guess_with_measurement, random_ensemble
-from .errors import DimensionMismatch, SolverFailure, WitnessSearchExhausted
+from .errors import DimensionMismatch, SolverFailure
 from .measurement import Povm, StochasticMap, _require_povm, post_process
 from .numerics import eig_hermitian, hermitian_basis
 from .solvers import INFEASIBLE, LpProblem, OPTIMAL, solve_lp
@@ -25,7 +25,6 @@ NOT_SIMULABLE = "NotSimulable"
 
 EQUALITY_TOL = 1e-9
 WITNESS_GAP_TOL = 1e-9
-WITNESS_MAX_TRIALS = 10000
 
 
 @dataclass(frozen=True)
@@ -55,12 +54,8 @@ class SimulabilityResult:
         return self.verdict == SIMULABLE
 
 
-def _coordinates(basis, operator) -> np.ndarray:
-    return np.einsum("kij,ji->k", basis, operator).real
-
-
-def is_simulable(m: Povm, target: Povm, *, eq_tol: float = EQUALITY_TOL,
-                 seed: int = 0) -> SimulabilityResult:
+def is_simulable(m: Povm, target: Povm, *,
+                 eq_tol: float = EQUALITY_TOL) -> SimulabilityResult:
     """Decide whether ``target`` is a post-processing of ``m``.
 
     Feasibility of ``sum_a p(b|a) M_a = M'_b`` with stochastic ``p`` is
@@ -79,8 +74,8 @@ def is_simulable(m: Povm, target: Povm, *, eq_tol: float = EQUALITY_TOL,
     d = m.dimension
     o, o_target = m.outcomes, target.outcomes
     basis = hermitian_basis(d)
-    source_coords = np.stack([_coordinates(basis, el) for el in m])        # (o, d*d)
-    target_coords = np.stack([_coordinates(basis, el) for el in target])   # (o', d*d)
+    source_coords = np.einsum("kij,aji->ak", basis, m.elements).real       # (o, d*d)
+    target_coords = np.einsum("kij,aji->ak", basis, target.elements).real  # (o', d*d)
 
     n_vars = o * o_target  # column a * o_target + b
     n_op_rows = o_target * d * d
@@ -111,38 +106,36 @@ def is_simulable(m: Povm, target: Povm, *, eq_tol: float = EQUALITY_TOL,
     scalars = y[n_op_rows:]
     scale = max(np.abs(operators).max(), np.abs(scalars).max(initial=0.0), 1e-300)
     certificate = SimulabilityCertificate(operators / scale, scalars / scale)
-    witness = witness_from_certificate(m, target, certificate, seed=seed)
+    witness = witness_from_certificate(m, target, certificate)
     gap = p_guess_with_measurement(witness, target) - p_guess_with_measurement(witness, m)
     return SimulabilityResult(NOT_SIMULABLE, certificate=certificate,
                               witness=witness, gap=float(gap))
 
 
 def witness_from_certificate(m: Povm, target: Povm,
-                             certificate: SimulabilityCertificate, *,
-                             gap_tol: float = WITNESS_GAP_TOL,
-                             max_trials: int = WITNESS_MAX_TRIALS,
-                             seed: int = 0) -> Ensemble:
+                             certificate: SimulabilityCertificate) -> Ensemble:
     """Turn a separating functional into a discrimination game the target
-    wins by at least ``gap_tol``.
+    wins by at least ``WITNESS_GAP_TOL``.
 
     The certificate operators are shifted by a common multiple of the
     identity until all are positive semidefinite, then normalized: traces
     become priors, the shifted operators become states.  The gap of this
-    ensemble is checked numerically; if the check fails, a randomized
-    search seeded by the certificate eigenvectors runs until a verified
-    witness appears or the trial budget is spent.
+    ensemble is checked numerically; in exact arithmetic it is at least
+    the certificate's Farkas value over the total trace, so a gap below
+    the tolerance means the certificate itself did not verify, and
+    ``SolverFailure`` is raised.
     """
     m = _require_povm(m)
     target = _require_povm(target)
     d = m.dimension
     z_ops = np.asarray(certificate.operators, dtype=np.complex128)
-    decompositions = [eig_hermitian(z) for z in z_ops]
-    shift = max(0.0, -min(dec.eigenvalues[0] for dec in decompositions))
+    shift = max(0.0, -eig_hermitian(z_ops).eigenvalues[:, 0].min())
     eye = np.eye(d, dtype=np.complex128)
 
     shifted = z_ops + shift * eye
     weights = np.einsum("bii->b", shifted).real
     total = weights.sum()
+    gap = 0.0
     if total > 1e-12:
         states = np.where(
             (weights > 1e-12 * max(1.0, total))[:, None, None],
@@ -152,29 +145,11 @@ def witness_from_certificate(m: Povm, target: Povm,
         candidate = Ensemble(states, weights / total)
         gap = (p_guess_with_measurement(candidate, target)
                - p_guess_with_measurement(candidate, m))
-        if gap >= gap_tol:
+        if gap >= WITNESS_GAP_TOL:
             return candidate
-
-    pool = [np.outer(dec.eigenvectors[:, i], dec.eigenvectors[:, i].conj())
-            for dec in decompositions for i in range(d)]
-    rng = np.random.default_rng(seed)
-    for trial in range(max_trials):
-        size = int(rng.integers(2, max(3, target.outcomes + 1)))
-        states = []
-        for _ in range(size):
-            if pool and rng.random() < 0.7:
-                states.append(pool[int(rng.integers(len(pool)))])
-            else:
-                g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                w = g @ g.conj().T
-                states.append(w / np.trace(w).real)
-        candidate = Ensemble(np.stack(states), rng.dirichlet(np.ones(size)))
-        gap = (p_guess_with_measurement(candidate, target)
-               - p_guess_with_measurement(candidate, m))
-        if gap >= gap_tol:
-            return candidate
-    raise WitnessSearchExhausted(
-        f"no witness with gap >= {gap_tol:.1e} found in {max_trials} trials"
+    raise SolverFailure(
+        "the LP's infeasibility certificate did not verify: its witness game "
+        f"has gap {gap:.3e}, below {WITNESS_GAP_TOL:.1e}"
     )
 
 

@@ -284,10 +284,12 @@ class SdpSolution:
 
 
 def _validate_program(program: DominanceProgram):
-    basis = np.stack([check_hermitian(b) for b in program.basis])
-    constraints = np.stack([check_hermitian(k) for k in program.constraints])
-    if basis.shape[1] != program.dimension or constraints.shape[1] != program.dimension:
-        raise ValueError("basis and constraint dimensions must match the program")
+    basis = check_hermitian(program.basis)
+    constraints = check_hermitian(program.constraints)
+    shape = (program.dimension, program.dimension)
+    if (not len(basis) or not len(constraints)
+            or basis.shape[1:] != shape or constraints.shape[1:] != shape):
+        raise ValueError("need nonempty basis and constraint stacks of the program's dimension")
     gram = np.einsum("aij,bji->ab", basis, basis).real
     smallest = np.linalg.eigvalsh(gram)[0]
     if smallest < BASIS_INDEPENDENCE_TOL:

@@ -30,9 +30,3 @@ def sic():
 def random_hermitian(d, rng):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return g + g.conj().T
-
-
-def random_state(d, rng):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    w = g @ g.conj().T
-    return w / np.trace(w).real

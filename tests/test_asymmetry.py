@@ -13,12 +13,12 @@ from povmrobust.asymmetry import (
     twirl,
     validate_group,
 )
+from povmrobust.discrimination import random_density_matrix
 from povmrobust.errors import DimensionMismatch, InvalidGroup
 from povmrobust.info import acc_min_info_ensemble
 from povmrobust.numerics import haar_random_unitary
 from povmrobust.solvers import min_error_guess_value
 
-from conftest import random_state
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 
@@ -60,7 +60,7 @@ class TestTwirl:
 
     def test_idempotent(self):
         g = dephasing_group(3)
-        rho = random_state(3, np.random.default_rng(15))
+        rho = random_density_matrix(3, np.random.default_rng(15))
         once = twirl(rho, g)
         np.testing.assert_allclose(twirl(once, g), once, atol=1e-10)
 
@@ -107,7 +107,7 @@ class TestOrbitEnsemble:
         from povmrobust.discrimination import validate_ensemble
 
         g = dephasing_group(3)
-        rho = random_state(3, np.random.default_rng(20))
+        rho = random_density_matrix(3, np.random.default_rng(20))
         e = orbit_ensemble(rho, g)
         assert e.size == g.order
         validate_ensemble(list(e.states), e.priors)
@@ -127,7 +127,7 @@ class TestRoa:
 
     def test_report_internal_consistency(self):
         g = dephasing_group(2)
-        rho = random_state(2, np.random.default_rng(16))
+        rho = random_density_matrix(2, np.random.default_rng(16))
         report = roa(rho, g)
         # dominating operator: symmetric, dominates the state, trace = 1 + value
         assert np.abs(report.dominating - twirl(report.dominating, g)).max() <= 1e-7
@@ -143,12 +143,12 @@ class TestRoa:
 
     def test_twirled_state_has_no_asymmetry(self):
         g = dephasing_group(3)
-        rho = random_state(3, np.random.default_rng(17))
+        rho = random_density_matrix(3, np.random.default_rng(17))
         assert roa(twirl(rho, g), g).value <= 1e-6
 
     def test_game_identity_via_independent_solves(self):
         g = dephasing_group(2)
-        rho = random_state(2, np.random.default_rng(18))
+        rho = random_density_matrix(2, np.random.default_rng(18))
         report = roa(rho, g)
         orbit = orbit_ensemble(rho, g)
         assert g.order * min_error_guess_value(orbit) == pytest.approx(
@@ -172,7 +172,7 @@ class TestRoc:
 
     def test_bounded_by_dimension(self):
         for i, d in enumerate((2, 3)):
-            value = roc(random_state(d, np.random.default_rng(19 + i))).value
+            value = roc(random_density_matrix(d, np.random.default_rng(19 + i))).value
             assert -1e-6 <= value <= d - 1 + 1e-6
 
 
@@ -207,7 +207,7 @@ class TestRocOracles:
     def test_qubit_is_twice_the_coherence(self):
         rng = np.random.default_rng(310)
         for _ in range(10):
-            rho = random_state(2, rng)
+            rho = random_density_matrix(2, rng)
             assert abs(roc(rho).value - 2.0 * abs(rho[0, 1])) <= 1e-9
 
     @pytest.mark.parametrize("d", [3, 4])
@@ -228,7 +228,7 @@ class TestRocRegressions:
 
     def test_mixed_d8_rng8(self):
         d = 8
-        rho = random_state(d, np.random.default_rng(8))
+        rho = random_density_matrix(d, np.random.default_rng(8))
         report = roc(rho)
         c_l1 = _l1_coherence(rho)
         assert c_l1 / (d - 1) - 1e-9 <= report.value <= c_l1 + 1e-9

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,10 @@ def test_selftest_quick_exits_zero(capsys):
     assert run(["selftest", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "9/9 criteria passed" in out
+    criterion_lines = out.splitlines()[:-1]
+    assert len(criterion_lines) == 9
+    for line in criterion_lines:
+        assert re.search(r"PASS +\d+\.\d{2} s ", line), line
 
 
 def _assert_error_contract(capsys, code):

@@ -97,6 +97,20 @@ def test_dumps_sorts_keys_and_rounds():
     assert text.index('"a"') < text.index('"b"')
     assert json.loads(text)["b"] == float(f"{1/3:.15g}")
 
+    # encoders keep full precision; dumps rounds every real exactly once
+    m = np.array([[1.0 / 3.0, 2.0j / 3.0], [-2.0j / 3.0, 1.0 / 7.0]])
+    assert jsonio.matrix_to_json(m)[0][1] == [0.0, 2.0 / 3.0]
+    reparsed = json.loads(jsonio.dumps({"m": jsonio.matrix_to_json(m)}))["m"]
+    assert reparsed[0][1] == [0.0, float(f"{2/3:.15g}")]
+    assert reparsed[1][1] == [float(f"{1/7:.15g}"), 0.0]
+
+    report = rom_report(random_povm(2, 3, 104))
+    payload = jsonio.robustness_report_to_json(report)
+    assert payload["rom"] == report.value
+    reparsed = json.loads(jsonio.dumps(payload))
+    assert reparsed["rom"] == float(f"{report.value:.15g}")
+    assert reparsed["primal_weights"] == [float(f"{v:.15g}") for v in report.primal_weights]
+
 
 def test_dumps_is_deterministic():
     payload = jsonio.povm_to_json(random_povm(3, 3, 107))

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from povmrobust.discrimination import validate_ensemble
 from povmrobust.errors import (
     CompletenessViolation,
     EtaOutOfRange,
     InvalidDistribution,
+    InvalidEnsemble,
+    InvalidJoint,
     NotOrthonormal,
     NotPsd,
     SizeMismatch,
 )
+from povmrobust.info import JointDistribution, h_min
 from povmrobust.measurement import (
     Povm,
     StochasticMap,
@@ -228,3 +232,17 @@ def test_povm_iteration_preserves_order():
 def test_direct_povm_shape_check():
     with pytest.raises(Exception):
         Povm(np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: validate_ensemble([np.eye(2) / 2, np.eye(2) / 2], [np.nan, 0.5]),
+     InvalidEnsemble),
+    (lambda: JointDistribution([[np.nan, 0.5]]), InvalidJoint),
+    (lambda: h_min([np.nan, 1.0]), InvalidDistribution),
+    (lambda: trivial_povm([np.nan, 1.0], 2), InvalidDistribution),
+    (lambda: StochasticMap([[np.nan, 1.0]]), InvalidDistribution),
+], ids=["validate_ensemble", "JointDistribution", "h_min", "trivial_povm", "StochasticMap"])
+def test_non_finite_probabilities_rejected(build, error):
+    # every other check is a comparison, which NaN passes
+    with pytest.raises(error):
+        build()

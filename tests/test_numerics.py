@@ -43,6 +43,24 @@ class TestEigHermitian:
                 eig_hermitian(h).eigenvalues, np.linalg.eigvalsh(h), atol=1e-10
             )
 
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(21)
+        stack = np.stack([random_hermitian(3, rng) for _ in range(5)])
+        dec = eig_hermitian(stack)
+        assert dec.eigenvalues.shape == (5, 3) and dec.eigenvectors.shape == (5, 3, 3)
+        for h, w, v in zip(stack, dec.eigenvalues, dec.eigenvectors):
+            single = eig_hermitian(h)
+            np.testing.assert_allclose(w, single.eigenvalues, atol=1e-12)
+            # columns agree up to phase for these nondegenerate spectra
+            overlaps = np.abs(np.einsum("ik,ik->k", v.conj(), single.eigenvectors))
+            np.testing.assert_allclose(overlaps, 1.0, atol=1e-10)
+        np.testing.assert_allclose(dec.reconstruct(), stack, atol=1e-10)
+
+    def test_stack_rejects_one_non_hermitian_member(self):
+        stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+        with pytest.raises(NotHermitian):
+            eig_hermitian(stack)
+
     def test_rejects_non_square(self):
         with pytest.raises(NotSquare):
             eig_hermitian(np.ones((2, 3)))

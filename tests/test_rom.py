@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from povmrobust.errors import DimensionOne, InvalidPovm, ShapeMismatch
+from povmrobust.errors import DimensionOne, InvalidPovm, NotHermitian, ShapeMismatch
 from povmrobust.measurement import (
     Povm,
     depolarize_povm,
@@ -11,6 +11,7 @@ from povmrobust.measurement import (
     random_stochastic_map,
     trivial_povm,
 )
+from povmrobust.numerics import eig_hermitian, haar_random_unitary
 from povmrobust.rom import rom, rom_report, uniform_noise_mixture, verify_pseudo_mixture
 
 
@@ -38,6 +39,13 @@ class TestRom:
     def test_rejects_non_povm(self):
         with pytest.raises(InvalidPovm):
             rom([np.eye(2)])
+
+    @pytest.mark.parametrize("evaluate", [rom, rom_report])
+    def test_rejects_hand_built_non_hermitian_element(self, evaluate):
+        # Povm() does not validate; the stacked eigensolver still checks
+        m = Povm(np.stack([np.diag([1.0, 0.0]), np.array([[0.0, 0.5], [0.0, 1.0]])]))
+        with pytest.raises(NotHermitian):
+            evaluate(m)
 
 
 class TestRomReport:
@@ -84,6 +92,19 @@ class TestRomReport:
         report = rom_report(m)
         # first vector among the maximal ones, in ascending order
         np.testing.assert_allclose(report.dual_states[0], np.diag([1.0, 0.0]), atol=1e-12)
+
+        # stacked, with a degenerate top in one element only: matches the
+        # rule applied element by element
+        u = haar_random_unitary(3, 5)
+        diagonals = [[0.5, 0.5, 0.0], [0.5, 0.1, 0.4], [0.0, 0.4, 0.6]]
+        m = Povm(np.stack([u @ np.diag(w) @ u.conj().T for w in diagonals]))
+        report = rom_report(m)
+        for element, dual in zip(m.elements, report.dual_states):
+            dec = eig_hermitian(element)
+            top = dec.eigenvalues[-1]
+            first = np.searchsorted(dec.eigenvalues, top - 1e-10 * max(1.0, abs(top)))
+            v = dec.eigenvectors[:, first]
+            np.testing.assert_allclose(dual, np.outer(v, v.conj()), atol=1e-12)
 
 
 class TestUniformNoiseMixture:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from povmrobust.discrimination import p_guess_with_measurement, random_ensemble
-from povmrobust.errors import DimensionMismatch
+from povmrobust.errors import DimensionMismatch, SolverFailure
 from povmrobust.info import h_min_cond, joint_from_game
 from povmrobust.measurement import (
     Povm,
@@ -16,8 +16,10 @@ from povmrobust.rom import rom
 from povmrobust.simulability import (
     NOT_SIMULABLE,
     SIMULABLE,
+    SimulabilityCertificate,
     is_simulable,
     monotone_suite,
+    witness_from_certificate,
 )
 
 
@@ -85,6 +87,12 @@ class TestCertificate:
             for z_op, el in zip(cert.operators, qubit_x.elements)
         )
         assert total + cert.scalars.sum() > 1e-9
+
+    def test_unverified_certificate_is_a_solver_failure(self, qubit_z, qubit_x):
+        # an all-zero functional separates nothing; no witness is searched for
+        blank = SimulabilityCertificate(np.zeros((2, 2, 2), dtype=complex), np.zeros(2))
+        with pytest.raises(SolverFailure, match="did not verify"):
+            witness_from_certificate(qubit_z, qubit_x, blank)
 
 
 class TestInvariants:

@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from povmrobust.discrimination import Ensemble, random_ensemble, validate_ensemble
+from povmrobust.discrimination import (
+    Ensemble,
+    random_density_matrix,
+    random_ensemble,
+    validate_ensemble,
+)
 from povmrobust.errors import InvalidEnsemble, SolverFailure
 from povmrobust.measurement import random_povm, trivial_povm
 from povmrobust.numerics import eig_hermitian, hermitian_basis
@@ -20,8 +25,6 @@ from povmrobust.solvers import (
     solve_dominating,
     solve_lp,
 )
-
-from conftest import random_state
 
 
 def enumerate_vertices(c, a, b):
@@ -120,7 +123,7 @@ class TestSolveDominating:
 
     def test_solution_respects_constraints(self):
         rng = np.random.default_rng(91)
-        constraints = np.stack([0.5 * random_state(3, rng) for _ in range(3)])
+        constraints = np.stack([0.5 * random_density_matrix(3, rng) for _ in range(3)])
         sol = solve_dominating(DominanceProgram(3, hermitian_basis(3), constraints))
         assert sol.status == OPTIMAL
         assert sol.min_slack >= -1e-7
@@ -132,7 +135,7 @@ class TestSolveDominating:
         # returned bracket must contain and pin to within 1e-9; the duals
         # certifying the lower end are exactly feasible.
         rng = np.random.default_rng(92)
-        states = [random_state(3, rng) for _ in range(2)]
+        states = [random_density_matrix(3, rng) for _ in range(2)]
         constraints = np.stack([0.4 * states[0], 0.6 * states[1]])
         sol = solve_dominating(DominanceProgram(3, hermitian_basis(3), constraints))
         oracle = 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(constraints[0] - constraints[1])).sum())
@@ -235,7 +238,7 @@ class TestMinErrorGuessValue:
     def test_full_rank_d6_rng7(self):
         # the earlier cutting-plane solver gave up on this pair
         rng = np.random.default_rng(7)
-        states = np.stack([random_state(6, rng) for _ in range(2)])
+        states = np.stack([random_density_matrix(6, rng) for _ in range(2)])
         priors = np.array([0.4, 0.6])
         helstrom = 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(
             priors[0] * states[0] - priors[1] * states[1])).sum())
