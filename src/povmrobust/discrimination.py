@@ -89,7 +89,11 @@ def random_ensemble(d: int, size: int, seed: int) -> Ensemble:
     """Random full-rank states with flat-Dirichlet priors, deterministic in
     the seed.  Valid by construction."""
     rng = np.random.default_rng(seed)
-    states = np.stack([random_density_matrix(d, rng) for _ in range(size)])
+    # the draws of ``random_density_matrix`` state by state, in one call
+    g = rng.standard_normal((size, 2, d, d))
+    w = g[:, 0] + 1j * g[:, 1]
+    w = w @ w.conj().swapaxes(-1, -2)
+    states = w / np.einsum("xii->x", w).real[:, None, None]
     priors = rng.dirichlet(np.ones(size))
     return Ensemble(states, priors)
 

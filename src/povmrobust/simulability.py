@@ -2,10 +2,12 @@
 
 One measurement simulates another when the target elements are mixtures
 of the source elements under a stochastic relabeling of outcomes.  That
-is a linear feasibility problem; on failure, LP duality produces a
-separating functional which is converted into an explicit discrimination
-game the target wins strictly.  Every negative verdict therefore ships a
-numerically verified witness, never just an infeasibility flag.
+is a linear feasibility problem in the span of the source elements; on
+failure, LP duality (or the part of the target outside that span)
+produces a separating functional which is converted into an explicit
+discrimination game the target wins strictly.  Every negative verdict
+therefore ships a numerically verified witness, never just an
+infeasibility flag.
 """
 
 from __future__ import annotations
@@ -59,11 +61,14 @@ def is_simulable(m: Povm, target: Povm, *,
     """Decide whether ``target`` is a post-processing of ``m``.
 
     Feasibility of ``sum_a p(b|a) M_a = M'_b`` with stochastic ``p`` is
-    checked as an LP, with the operator equalities expanded over an
-    orthonormal Hermitian basis (``d*d`` real rows per target outcome).
-    A positive verdict carries the stochastic map and its reconstruction
-    residual; a negative one carries the dual certificate plus a verified
-    witness ensemble on which the target strictly outperforms ``m``.
+    checked in an orthonormal frame of the span of the source elements
+    (one SVD, rank ``r <= min(o, d*d)``): target elements outside it by
+    more than ``eq_tol`` give the certificate directly; otherwise an LP
+    with ``r`` rows per target outcome decides, and its Farkas vector is
+    lifted back through the frame.  A positive verdict carries the
+    stochastic map and its reconstruction residual; a negative one carries
+    the dual certificate plus a verified witness ensemble on which the
+    target strictly outperforms ``m``.
     """
     m = _require_povm(m)
     target = _require_povm(target)
@@ -76,40 +81,43 @@ def is_simulable(m: Povm, target: Povm, *,
     basis = hermitian_basis(d)
     source_coords = np.einsum("kij,aji->ak", basis, m.elements).real       # (o, d*d)
     target_coords = np.einsum("kij,aji->ak", basis, target.elements).real  # (o', d*d)
+    _, sing, vt = np.linalg.svd(source_coords, full_matrices=False)
+    frame = vt[sing > sing[0] * max(o, d * d) * np.finfo(float).eps]      # (r, d*d)
+    outside = target_coords - target_coords @ frame.T @ frame
 
-    n_vars = o * o_target  # column a * o_target + b
-    n_op_rows = o_target * d * d
-    a_eq = np.zeros((n_op_rows + o, n_vars))
-    b_eq = np.zeros(n_op_rows + o)
-    for b in range(o_target):
-        for k in range(d * d):
-            row = b * d * d + k
-            a_eq[row, b::o_target] = source_coords[:, k]
-            b_eq[row] = target_coords[b, k]
-    for a in range(o):
-        a_eq[n_op_rows + a, a * o_target:(a + 1) * o_target] = 1.0
-        b_eq[n_op_rows + a] = 1.0
+    if np.abs(outside).max() > eq_tol:
+        # Z_b = the part of M'_b outside the span: tr[Z_b M_a] = 0 for every
+        # a, while the target scores sum_b |Z_b|^2 > 0.
+        coords, scalars = outside, np.zeros(o)
+    else:
+        r = frame.shape[0]
+        n_vars = o * o_target  # column a * o_target + b
+        a_eq = np.concatenate([
+            np.einsum("ak,bc->bkac", source_coords @ frame.T, np.eye(o_target))
+            .reshape(o_target * r, n_vars),
+            np.kron(np.eye(o), np.ones(o_target)),
+        ])
+        b_eq = np.concatenate([(target_coords @ frame.T).ravel(), np.ones(o)])
+        lp = LpProblem(np.zeros(n_vars), a_eq=a_eq, b_eq=b_eq, nonneg=True)
+        sol = solve_lp(lp, feas_tol=eq_tol)
+        if sol.status == OPTIMAL:
+            p = np.clip(sol.x.reshape(o, o_target), 0.0, None)
+            p /= p.sum(axis=1, keepdims=True)
+            simulation = StochasticMap(p)
+            residual = float(np.abs(post_process(m, simulation).elements
+                                    - target.elements).max())
+            return SimulabilityResult(SIMULABLE, map=simulation, residual=residual)
+        if sol.status != INFEASIBLE:
+            raise SolverFailure(f"simulability LP returned {sol.status}")
+        y = sol.farkas_eq
+        coords, scalars = y[:o_target * r].reshape(o_target, r) @ frame, y[o_target * r:]
 
-    lp = LpProblem(np.zeros(n_vars), a_eq=a_eq, b_eq=b_eq, nonneg=True)
-    sol = solve_lp(lp, feas_tol=eq_tol)
-    if sol.status == OPTIMAL:
-        p = np.clip(sol.x.reshape(o, o_target), 0.0, None)
-        p /= p.sum(axis=1, keepdims=True)
-        simulation = StochasticMap(p)
-        residual = float(np.abs(post_process(m, simulation).elements - target.elements).max())
-        return SimulabilityResult(SIMULABLE, map=simulation, residual=residual)
-    if sol.status != INFEASIBLE:
-        raise SolverFailure(f"simulability LP returned {sol.status}")
-
-    y = sol.farkas_eq
-    operators = np.tensordot(y[:n_op_rows].reshape(o_target, d * d), basis, axes=1)
-    scalars = y[n_op_rows:]
+    operators = np.tensordot(coords, basis, axes=1)
     scale = max(np.abs(operators).max(), np.abs(scalars).max(initial=0.0), 1e-300)
     certificate = SimulabilityCertificate(operators / scale, scalars / scale)
-    witness = witness_from_certificate(m, target, certificate)
-    gap = p_guess_with_measurement(witness, target) - p_guess_with_measurement(witness, m)
+    witness, gap = _witness(m, target, certificate)
     return SimulabilityResult(NOT_SIMULABLE, certificate=certificate,
-                              witness=witness, gap=float(gap))
+                              witness=witness, gap=gap)
 
 
 def witness_from_certificate(m: Povm, target: Povm,
@@ -125,8 +133,12 @@ def witness_from_certificate(m: Povm, target: Povm,
     the tolerance means the certificate itself did not verify, and
     ``SolverFailure`` is raised.
     """
-    m = _require_povm(m)
-    target = _require_povm(target)
+    return _witness(_require_povm(m), _require_povm(target), certificate)[0]
+
+
+def _witness(m: Povm, target: Povm,
+             certificate: SimulabilityCertificate) -> tuple[Ensemble, float]:
+    """``witness_from_certificate`` together with the verified gap."""
     d = m.dimension
     z_ops = np.asarray(certificate.operators, dtype=np.complex128)
     shift = max(0.0, -eig_hermitian(z_ops).eigenvalues[:, 0].min())
@@ -146,7 +158,7 @@ def witness_from_certificate(m: Povm, target: Povm,
         gap = (p_guess_with_measurement(candidate, target)
                - p_guess_with_measurement(candidate, m))
         if gap >= WITNESS_GAP_TOL:
-            return candidate
+            return candidate, float(gap)
     raise SolverFailure(
         "the LP's infeasibility certificate did not verify: its witness game "
         f"has gap {gap:.3e}, below {WITNESS_GAP_TOL:.1e}"

@@ -1,7 +1,8 @@
 """Dense linear and operator-dominance programming.
 
 Two solvers live here.  ``solve_lp`` is a dense two-phase simplex with
-Bland's anti-cycling rule, adequate up to a few hundred constraints.
+Bland's anti-cycling rule (Bland, Math. Oper. Res. 2 (1977)), each pivot
+a few whole-tableau numpy operations, adequate up to a few hundred rows.
 ``solve_dominating`` minimizes the trace of an operator ranging over a
 real-linear span of Hermitian matrices subject to dominating a list of
 Hermitian constraints, by a primal-dual interior-point method (HKM
@@ -73,9 +74,7 @@ class _Tableau:
     def __init__(self, a_std, b_std, n_art):
         m, n = a_std.shape
         self.t = np.hstack([a_std, b_std[:, None]])
-        self.n_cols = n
-        self.art0 = n - n_art
-        self.basis = list(range(self.art0, n))
+        self.basis = np.arange(n - n_art, n)
         self.rows_kept = list(range(m))
 
     def pivot(self, row, col, z):
@@ -89,7 +88,9 @@ class _Tableau:
         self.basis[row] = col
 
     def run(self, z, allowed, max_iterations, pivot_tol):
-        """Bland-rule simplex on the current tableau; mutates z in place."""
+        """Bland-rule simplex on the current tableau; mutates z in place.
+        The leaving row has the least ratio over rows with ``coeff >
+        pivot_tol``, ties going to the lowest basis index."""
         t = self.t
         iterations = 0
         while iterations < max_iterations:
@@ -97,15 +98,12 @@ class _Tableau:
             if candidates.size == 0:
                 return OPTIMAL, iterations
             col = int(candidates[0])
-            ratios = []
-            for r in range(t.shape[0]):
-                coeff = t[r, col]
-                if coeff > pivot_tol:
-                    ratios.append((max(t[r, -1], 0.0) / coeff, self.basis[r], r))
-            if not ratios:
+            rows = np.flatnonzero(t[:, col] > pivot_tol)
+            if rows.size == 0:
                 return UNBOUNDED, iterations
-            ratios.sort()
-            self.pivot(ratios[0][2], col, z)
+            ratios = np.maximum(t[rows, -1], 0.0) / t[rows, col]
+            tied = rows[ratios == ratios.min()]
+            self.pivot(int(tied[np.argmin(self.basis[tied])]), col, z)
             iterations += 1
         return ITERATION_LIMIT, iterations
 
@@ -204,16 +202,14 @@ def solve_lp(problem: LpProblem, *, max_iterations: int = 50000,
         return LpSolution(status, None, np.nan, it1 + it2)
 
     x_std = np.zeros(n_total)
-    for r, b in enumerate(tableau.basis):
-        x_std[b] = tableau.t[r, -1]
+    x_std[tableau.basis] = tableau.t[:, -1]
     x = np.zeros(n)
     for j, (i, sign) in enumerate(cols):
         x[i] += sign * x_std[j]
     value = float(c @ x)
     y = _basis_duals(a_original[tableau.rows_kept], c_phase2, tableau.basis)
     y_full = np.zeros(m)
-    for pos, r in enumerate(tableau.rows_kept):
-        y_full[r] = y[pos]
+    y_full[tableau.rows_kept] = y
     y_full *= flip
     return LpSolution(
         OPTIMAL, x, value, it1 + it2,
@@ -224,7 +220,7 @@ def solve_lp(problem: LpProblem, *, max_iterations: int = 50000,
 
 def _basis_duals(a_original, costs, basis):
     b_mat = a_original[:, basis]
-    cb = costs[list(basis)]
+    cb = costs[basis]
     try:
         return np.linalg.solve(b_mat.T, cb)
     except np.linalg.LinAlgError:
@@ -245,7 +241,7 @@ def _drive_out_artificials(tableau, z, art0, pivot_tol):
     if drop:
         keep = [r for r in range(len(tableau.basis)) if r not in drop]
         tableau.t = tableau.t[keep]
-        tableau.basis = [tableau.basis[r] for r in keep]
+        tableau.basis = tableau.basis[keep]
         tableau.rows_kept = [tableau.rows_kept[r] for r in keep]
 
 

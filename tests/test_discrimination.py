@@ -7,6 +7,7 @@ from povmrobust.discrimination import (
     optimal_ensemble,
     p_guess_classical,
     p_guess_with_measurement,
+    random_density_matrix,
     random_ensemble,
     validate_ensemble,
 )
@@ -38,6 +39,16 @@ class TestValidateEnsemble:
         for i in range(5):
             e = random_ensemble(3, 4, 880 + i)
             validate_ensemble(list(e.states), e.priors)
+
+    def test_random_ensemble_draws_match_per_state_draws(self):
+        # one batched draw reproduces random_density_matrix called per state
+        for i in range(200):
+            d, size = 2 + i % 5, 1 + i % 6
+            e = random_ensemble(d, size, 890 + i)
+            rng = np.random.default_rng(890 + i)
+            states = np.stack([random_density_matrix(d, rng) for _ in range(size)])
+            assert np.abs(e.states - states).max() <= 1e-15
+            np.testing.assert_array_equal(e.priors, rng.dirichlet(np.ones(size)))
 
 
 class TestPGuessClassical:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from povmrobust.discrimination import p_guess_with_measurement, random_ensemble
 from povmrobust.errors import DimensionMismatch, SolverFailure
@@ -7,6 +11,7 @@ from povmrobust.info import h_min_cond, joint_from_game
 from povmrobust.measurement import (
     Povm,
     StochasticMap,
+    depolarize_povm,
     post_process,
     random_povm,
     random_stochastic_map,
@@ -74,19 +79,64 @@ class TestSimulableVerdicts:
             is_simulable(qubit_z, random_povm(3, 2, 1))
 
 
+def wishart_post_processed_pair(k, d, o, o_target):
+    """A Wishart POVM with ``o`` outcomes and a Dirichlet post-processing of
+    it to ``o_target`` outcomes, both drawn from ``default_rng(k)``."""
+    rng = np.random.default_rng(k)
+    g = (rng.standard_normal((o, d, d)) + 1j * rng.standard_normal((o, d, d))) / math.sqrt(2.0)
+    w = g @ np.conj(np.swapaxes(g, 1, 2))
+    vals, vecs = np.linalg.eigh(w.sum(axis=0))
+    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    elements = inv_sqrt @ w @ inv_sqrt
+    source = Povm(0.5 * (elements + np.conj(np.swapaxes(elements, 1, 2))))
+    return source, post_process(source, StochasticMap(rng.dirichlet(np.ones(o_target), size=o)))
+
+
+class TestSimulableRegressions:
+    # The LP over d*d rows per target outcome called the d=7 pairs
+    # infeasible (an unverifiable certificate) and stopped the d=8 pairs at
+    # its iteration limit (68: an unverifiable certificate after 2.9 s).
+    @pytest.mark.parametrize("d, o, o_target, k", [
+        (7, 4, 5, 669), (7, 4, 5, 795), (7, 4, 5, 1266),
+        (8, 6, 6, 68), (8, 6, 6, 116), (8, 6, 6, 124), (8, 6, 6, 136), (8, 6, 6, 187),
+    ])
+    def test_post_processing_is_simulable(self, d, o, o_target, k):
+        source, target = wishart_post_processed_pair(k, d, o, o_target)
+        result = is_simulable(source, target)
+        assert result.verdict == SIMULABLE
+        rebuilt = post_process(source, result.map)
+        assert np.abs(rebuilt.elements - target.elements).max() <= 1e-7
+        assert result.residual <= 1e-7
+
+
+def assert_certificate_separates(cert, m, target):
+    # validity: tr[Z_b M_a] + z_a <= 0 while the target scores > 0
+    for a, element in enumerate(m):
+        for z_op in cert.operators:
+            assert np.einsum("ij,ji->", z_op, element).real + cert.scalars[a] <= 1e-9
+    total = sum(
+        np.einsum("ij,ji->", z_op, el).real
+        for z_op, el in zip(cert.operators, target.elements)
+    )
+    assert total + cert.scalars.sum() > 1e-9
+
+
 class TestCertificate:
     def test_certificate_separates(self, qubit_z, qubit_x):
+        # X lies outside the span of Z's elements
         result = is_simulable(qubit_z, qubit_x)
-        cert = result.certificate
-        # validity: tr[Z_b M_a] + z_a <= 0 while the target scores > 0
-        for a, element in enumerate(qubit_z):
-            for z_op in cert.operators:
-                assert np.einsum("ij,ji->", z_op, element).real + cert.scalars[a] <= 1e-9
-        total = sum(
-            np.einsum("ij,ji->", z_op, el).real
-            for z_op, el in zip(cert.operators, qubit_x.elements)
-        )
-        assert total + cert.scalars.sum() > 1e-9
+        assert_certificate_separates(result.certificate, qubit_z, qubit_x)
+
+    def test_in_span_certificate_separates(self):
+        # A depolarized copy spans the original, so the certificate is the
+        # LP's Farkas vector lifted out of the frame of that span; its
+        # scalars are nonzero, unlike those of an out-of-span certificate.
+        target = random_povm(3, 4, 31)
+        source = depolarize_povm(target, 0.3)
+        result = is_simulable(source, target)
+        assert result.verdict == NOT_SIMULABLE
+        assert np.abs(result.certificate.scalars).max() > 0.0
+        assert_certificate_separates(result.certificate, source, target)
 
     def test_unverified_certificate_is_a_solver_failure(self, qubit_z, qubit_x):
         # an all-zero functional separates nothing; no witness is searched for
@@ -137,3 +187,18 @@ class TestInvariants:
             result = is_simulable(m, target)
             verdicts.append(result.simulable and result.residual <= 1e-7)
         assert all(verdicts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 8), st.integers(2, 6), st.integers(1, 6), st.integers(0, 10**9),
+       st.floats(0.05, 0.5))
+def test_post_processings_simulable_and_depolarized_copies_not(d, o, o_target, seed, eta):
+    m = random_povm(d, o, seed)
+    target = post_process(m, random_stochastic_map(o, o_target, seed + 1))
+    result = is_simulable(m, target)
+    assert result.simulable and result.residual <= 1e-7
+    result = is_simulable(depolarize_povm(m, eta), m)
+    assert result.verdict == NOT_SIMULABLE
+    gap = (p_guess_with_measurement(result.witness, m)
+           - p_guess_with_measurement(result.witness, depolarize_povm(m, eta)))
+    assert gap == result.gap > 0.0

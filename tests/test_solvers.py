@@ -17,9 +17,12 @@ from povmrobust.rom import rom
 from povmrobust.solvers import (
     INFEASIBLE,
     OPTIMAL,
+    PIVOT_TOL,
     UNBOUNDED,
     DominanceProgram,
     LpProblem,
+    _objective_row,
+    _Tableau,
     min_error_guess_value,
     rom_via_sdp,
     solve_dominating,
@@ -108,6 +111,50 @@ class TestSolveLp:
         sol = solve_lp(LpProblem(np.array([1.0]), a_ineq=np.array([[1.0]]),
                                  b_ineq=np.array([3.0])))
         np.testing.assert_allclose(sol.duals_ineq, [1.0], atol=1e-9)
+
+
+def run_from_last_columns(a, b, c):
+    """Bland-rule simplex on ``min c.x, a x = b, x >= 0`` started from the
+    basis of the last ``len(b)`` columns; returns status, pivots, final
+    basis and value."""
+    tableau = _Tableau(a.copy(), b.copy(), b.size)
+    z = _objective_row(c, tableau)
+    status, iterations = tableau.run(z, np.ones(c.size, dtype=bool), 100, PIVOT_TOL)
+    return status, iterations, tableau.basis.tolist(), -z[-1]
+
+
+class TestBlandRule:
+    # Beale's LP, columns x4..x7 then the slacks x1..x3 (Bertsimas and
+    # Tsitsiklis, Example 3.6): from the slack basis the largest-coefficient
+    # rule with lowest-row ties returns to that basis after six pivots.
+    BEALE_A = np.array([[0.25, -8.0, -1.0, 9.0, 1.0, 0.0, 0.0],
+                        [0.5, -12.0, -0.5, 3.0, 0.0, 1.0, 0.0],
+                        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]])
+    BEALE_B = np.array([0.0, 0.0, 1.0])
+    BEALE_C = np.array([-0.75, 20.0, -0.5, 6.0, 0.0, 0.0, 0.0])
+
+    def test_beale_terminates_at_its_optimum(self):
+        status, iterations, basis, value = run_from_last_columns(
+            self.BEALE_A, self.BEALE_B, self.BEALE_C)
+        assert status == OPTIMAL
+        assert value == pytest.approx(-1.25, abs=1e-12)
+        assert (iterations, basis) == (6, [2, 4, 0])
+        sol = solve_lp(LpProblem(self.BEALE_C, a_eq=self.BEALE_A, b_eq=self.BEALE_B,
+                                 nonneg=True))
+        assert sol.status == OPTIMAL
+        assert sol.value == pytest.approx(-1.25, abs=1e-12)
+        np.testing.assert_allclose(sol.x, [1.0, 0.0, 1.0, 0.0, 0.75, 0.0, 0.0], atol=1e-12)
+
+    def test_tied_ratios_leave_by_lowest_basis_index(self):
+        # The second pivot (column 1) ties rows 0 and 2 at ratio 1; row 2
+        # holds x0, row 0 the slack x3, so x0 leaves although its row is later.
+        a = np.array([[0.0, 1.0, 0.0, 1.0, 0.0, 0.0],
+                      [1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
+                      [1.0, 1.0, 0.0, 0.0, 0.0, 1.0]])
+        status, iterations, basis, value = run_from_last_columns(
+            a, np.array([1.0, 5.0, 1.0]), np.array([-1.0, -2.0, 0.0, 0.0, 0.0, 0.0]))
+        assert (status, iterations, basis) == (OPTIMAL, 2, [3, 4, 1])
+        assert value == -2.0
 
 
 class TestSolveDominating:
