@@ -80,7 +80,6 @@ from .simulability import (
 )
 from .solvers import (
     DominanceProgram,
-    LpProblem,
     LpSolution,
     SdpSolution,
     min_error_guess_value,

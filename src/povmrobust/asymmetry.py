@@ -67,26 +67,31 @@ def validate_group(unitaries, *, unitary_tol: float = UNITARY_TOL,
                    closure_tol: float = CLOSURE_TOL) -> GroupRepresentation:
     """Check unitarity, closure up to global phase, and the presence of the
     identity, then wrap the list."""
-    mats = np.stack([as_complex_matrix(u) for u in unitaries])
-    n, d = mats.shape[0], mats.shape[1]
+    mats = [as_complex_matrix(u) for u in unitaries]
+    if not mats:
+        raise InvalidGroup("a group needs at least one element")
+    shapes = sorted({u.shape for u in mats})
+    if len(shapes) > 1:
+        raise InvalidGroup(f"need unitaries of one dimension, got shapes {shapes}")
+    mats = np.stack(mats)
+    d = mats.shape[1]
     eye = np.eye(d)
-    for i, u in enumerate(mats):
-        deviation = np.abs(u.conj().T @ u - eye).max()
-        if deviation > unitary_tol:
-            raise InvalidGroup(f"element {i} fails unitarity by {deviation:.3e}")
+    deviations = np.abs(mats.conj().swapaxes(1, 2) @ mats - eye).max(axis=(1, 2))
+    bad = np.flatnonzero(deviations > unitary_tol)
+    if bad.size:
+        raise InvalidGroup(f"element {bad[0]} fails unitarity by {deviations[bad[0]]:.3e}")
     # Phase-insensitive matching: |tr(U_k^dag W)| = d iff W = phase * U_k.
     overlaps = np.abs(np.einsum("kji,ij->k", mats.conj(), eye))
     identity_index = int(np.argmax(overlaps))
     if overlaps[identity_index] < d - closure_tol:
         raise InvalidGroup("the group list does not contain the identity")
-    for i in range(n):
-        for j in range(n):
-            product = mats[i] @ mats[j]
-            matches = np.abs(np.einsum("kji,ij->k", mats.conj(), product))
-            if matches.max() < d - closure_tol:
-                raise InvalidGroup(
-                    f"product of elements {i} and {j} matches no listed element"
-                )
+    for i, u in enumerate(mats):
+        # best match of U_i U_j over the listed elements, for every j
+        matches = np.abs(np.einsum("kba,jab->jk", mats.conj(), u @ mats)).max(axis=1)
+        missing = np.flatnonzero(matches < d - closure_tol)
+        if missing.size:
+            raise InvalidGroup(
+                f"product of elements {i} and {missing[0]} matches no listed element")
     return GroupRepresentation(mats, identity_index)
 
 

@@ -18,7 +18,6 @@ from .errors import DimensionMismatch, InvalidEnsemble, InvalidState
 from .measurement import Povm, _check_distribution, _require_povm
 from .numerics import check_hermitian, eig_hermitian
 from .rom import rom_report
-from .tolerances import resolve
 
 STATE_TOL = 1e-9
 PRIOR_TOL = 1e-10
@@ -56,7 +55,7 @@ class Ensemble:
 def check_density_matrix(rho, tol: float | None = None) -> np.ndarray:
     """Validate a density matrix: Hermitian, positive semidefinite within
     ``tol``, unit trace within ``tol``."""
-    tol = resolve(STATE_TOL) if tol is None else tol
+    tol = STATE_TOL if tol is None else tol
     m = check_hermitian(rho)
     smallest = eig_hermitian(m).eigenvalues[0]
     if smallest < -tol:
@@ -76,6 +75,9 @@ def validate_ensemble(states, priors) -> Ensemble:
         raise InvalidEnsemble(str(exc)) from exc
     if len(checked) != priors.size:
         raise InvalidEnsemble("need exactly one prior per state")
+    shapes = sorted({s.shape for s in checked})
+    if len(shapes) > 1:
+        raise InvalidEnsemble(f"need states of one dimension, got shapes {shapes}")
     return Ensemble(np.stack(checked), priors)
 
 

@@ -24,7 +24,6 @@ from .errors import (
     SizeMismatch,
 )
 from .numerics import as_complex_matrix, eig_hermitian
-from .tolerances import resolve
 
 PSD_TOL = 1e-9
 COMPLETENESS_TOL = 1e-8
@@ -85,11 +84,10 @@ class StochasticMap:
             raise ShapeMismatch(f"expected a 2-D array, got shape {p.shape}")
         if not np.isfinite(p).all():
             raise InvalidDistribution("conditional probabilities must be finite")
-        tol = resolve(DISTRIBUTION_TOL)
-        if p.min(initial=0.0) < -tol:
+        if p.min(initial=0.0) < -DISTRIBUTION_TOL:
             raise InvalidDistribution("negative conditional probability")
         row_dev = np.abs(p.sum(axis=1) - 1.0).max(initial=0.0)
-        if row_dev > tol:
+        if row_dev > DISTRIBUTION_TOL:
             raise InvalidDistribution(
                 f"output distributions must sum to 1, worst deviation {row_dev:.3e}"
             )
@@ -111,7 +109,6 @@ def _check_distribution(p, error=InvalidDistribution, tol: float = DISTRIBUTION_
     """Probabilities as a nonempty float array with ``ndim`` axes, finite,
     nonnegative and summing to 1 within ``tol``; raises ``error`` otherwise."""
     p = np.asarray(p, dtype=float)
-    tol = resolve(tol)
     if p.ndim != ndim or p.size == 0:
         raise error(f"expected a nonempty {ndim}-D array of probabilities, got shape {p.shape}")
     if not np.isfinite(p).all():
@@ -131,8 +128,8 @@ def validate_povm(candidate, tol: float | None = None,
     ``completeness_tol`` the entrywise deviation of the element sum from
     the identity.
     """
-    tol = resolve(PSD_TOL) if tol is None else tol
-    completeness_tol = resolve(COMPLETENESS_TOL) if completeness_tol is None else completeness_tol
+    tol = PSD_TOL if tol is None else tol
+    completeness_tol = COMPLETENESS_TOL if completeness_tol is None else completeness_tol
     mats = [as_complex_matrix(m) for m in candidate]
     if not mats:
         raise ShapeMismatch("a POVM needs at least one element")
@@ -177,7 +174,7 @@ def projective_povm(basis) -> Povm:
         raise NotOrthonormal(f"need {d} vectors for dimension {d}, got {n}")
     gram = vecs.conj() @ vecs.T
     deviation = np.abs(gram - np.eye(n)).max()
-    if deviation > resolve(ORTHONORMAL_TOL):
+    if deviation > ORTHONORMAL_TOL:
         raise NotOrthonormal(f"basis fails orthonormality by {deviation:.3e}")
     return Povm(np.stack([np.outer(v, v.conj()) for v in vecs]))
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, NotHermitian, NotSquare
-from .tolerances import resolve
 
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-9
@@ -47,7 +46,7 @@ def check_hermitian(a, tol: float | None = None) -> np.ndarray:
     entrywise deviation from the conjugate transpose) and return it as
     complex128."""
     m = _complex_stack(a)
-    tol = resolve(HERMITIAN_TOL) if tol is None else tol
+    tol = HERMITIAN_TOL if tol is None else tol
     deviation = np.abs(m - _dagger(m)).max() if m.size else 0.0
     if deviation > tol:
         raise NotHermitian(
@@ -85,7 +84,7 @@ def operator_norm(h, tol: float | None = None) -> float:
 
 def is_psd(h, tol: float | None = None) -> bool:
     """True when the smallest eigenvalue is above ``-tol``."""
-    tol = resolve(PSD_TOL) if tol is None else tol
+    tol = PSD_TOL if tol is None else tol
     dec = eig_hermitian(h)
     return bool(dec.eigenvalues[0] >= -tol)
 

@@ -20,7 +20,7 @@ from .discrimination import Ensemble, p_guess_with_measurement, random_ensemble
 from .errors import DimensionMismatch, SolverFailure
 from .measurement import Povm, StochasticMap, _require_povm, post_process
 from .numerics import eig_hermitian, hermitian_basis
-from .solvers import INFEASIBLE, LpProblem, OPTIMAL, solve_lp
+from .solvers import INFEASIBLE, OPTIMAL, solve_lp
 
 SIMULABLE = "Simulable"
 NOT_SIMULABLE = "NotSimulable"
@@ -98,8 +98,7 @@ def is_simulable(m: Povm, target: Povm, *,
             np.kron(np.eye(o), np.ones(o_target)),
         ])
         b_eq = np.concatenate([(target_coords @ frame.T).ravel(), np.ones(o)])
-        lp = LpProblem(np.zeros(n_vars), a_eq=a_eq, b_eq=b_eq, nonneg=True)
-        sol = solve_lp(lp, feas_tol=eq_tol)
+        sol = solve_lp(a_eq, b_eq, feas_tol=eq_tol)
         if sol.status == OPTIMAL:
             p = np.clip(sol.x.reshape(o, o_target), 0.0, None)
             p /= p.sum(axis=1, keepdims=True)
@@ -109,7 +108,7 @@ def is_simulable(m: Povm, target: Povm, *,
             return SimulabilityResult(SIMULABLE, map=simulation, residual=residual)
         if sol.status != INFEASIBLE:
             raise SolverFailure(f"simulability LP returned {sol.status}")
-        y = sol.farkas_eq
+        y = sol.farkas
         coords, scalars = y[:o_target * r].reshape(o_target, r) @ frame, y[o_target * r:]
 
     operators = np.tensordot(coords, basis, axes=1)

@@ -1,8 +1,9 @@
 """Dense linear and operator-dominance programming.
 
-Two solvers live here.  ``solve_lp`` is a dense two-phase simplex with
-Bland's anti-cycling rule (Bland, Math. Oper. Res. 2 (1977)), each pivot
-a few whole-tableau numpy operations, adequate up to a few hundred rows.
+Two solvers live here.  ``solve_lp`` is a dense phase-one simplex
+deciding feasibility of ``a x = b, x >= 0``, with Bland's anti-cycling
+rule (Bland, Math. Oper. Res. 2 (1977)), each pivot a few whole-tableau
+numpy operations, adequate up to a few hundred rows.
 ``solve_dominating`` minimizes the trace of an operator ranging over a
 real-linear span of Hermitian matrices subject to dominating a list of
 Hermitian constraints, by a primal-dual interior-point method (HKM
@@ -32,6 +33,7 @@ ITERATION_LIMIT = "iteration_limit"
 
 PIVOT_TOL = 1e-10
 FEASIBILITY_TOL = 1e-9
+MAX_PIVOTS = 50_000
 BASIS_INDEPENDENCE_TOL = 1e-9
 GAP_TOL = 1e-11          # relative width of the returned dominance bracket
 IDENTITY_TOL = 1e-12     # the identity counts as lying in the span below this
@@ -41,208 +43,80 @@ STEP_FRACTION = 0.95     # share of the distance to the cone boundary stepped
 
 
 @dataclass(frozen=True)
-class LpProblem:
-    """``min c.x`` subject to ``a_ineq x >= b_ineq`` and ``a_eq x = b_eq``.
-
-    ``nonneg`` restricts all variables to be nonnegative; otherwise they
-    are free (handled internally by sign splitting).
-    """
-
-    c: np.ndarray
-    a_ineq: np.ndarray | None = None
-    b_ineq: np.ndarray | None = None
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    nonneg: bool = False
-
-
-@dataclass(frozen=True)
 class LpSolution:
+    """Outcome of ``solve_lp``: a point ``x`` when feasible, otherwise a
+    Farkas vector ``farkas``."""
+
     status: str
     x: np.ndarray | None
-    value: float
     iterations: int
-    duals_ineq: np.ndarray | None = None
-    duals_eq: np.ndarray | None = None
-    farkas_ineq: np.ndarray | None = None
-    farkas_eq: np.ndarray | None = None
+    farkas: np.ndarray | None = None
 
 
-class _Tableau:
-    """Standard-form simplex state: A x = b with x >= 0 and b >= 0."""
+def _bland(t, z, basis):
+    """Bland-rule simplex on the tableau ``t`` (right-hand side last) with
+    reduced-cost row ``z``; updates all three in place.
 
-    def __init__(self, a_std, b_std, n_art):
-        m, n = a_std.shape
-        self.t = np.hstack([a_std, b_std[:, None]])
-        self.basis = np.arange(n - n_art, n)
-        self.rows_kept = list(range(m))
-
-    def pivot(self, row, col, z):
-        t = self.t
-        piv = t[row, col]
-        t[row] = t[row] / piv
+    The entering column is the lowest-index one with negative reduced
+    cost; the leaving row has the least ratio over rows with ``coeff >
+    PIVOT_TOL``, ties going to the lowest basis index.  Returns the status
+    and the number of pivots.
+    """
+    for pivots in range(MAX_PIVOTS):
+        candidates = np.flatnonzero(z[:-1] < -PIVOT_TOL)
+        if candidates.size == 0:
+            return OPTIMAL, pivots
+        col = int(candidates[0])
+        rows = np.flatnonzero(t[:, col] > PIVOT_TOL)
+        if rows.size == 0:  # cannot happen in phase one, barring rounding
+            return UNBOUNDED, pivots
+        ratios = np.maximum(t[rows, -1], 0.0) / t[rows, col]
+        tied = rows[ratios == ratios.min()]
+        row = int(tied[np.argmin(basis[tied])])
+        t[row] = t[row] / t[row, col]
         column = t[:, col].copy()
         column[row] = 0.0
         t -= np.outer(column, t[row])
         z -= z[col] * t[row]
-        self.basis[row] = col
-
-    def run(self, z, allowed, max_iterations, pivot_tol):
-        """Bland-rule simplex on the current tableau; mutates z in place.
-        The leaving row has the least ratio over rows with ``coeff >
-        pivot_tol``, ties going to the lowest basis index."""
-        t = self.t
-        iterations = 0
-        while iterations < max_iterations:
-            candidates = np.flatnonzero(allowed & (z[:-1] < -pivot_tol))
-            if candidates.size == 0:
-                return OPTIMAL, iterations
-            col = int(candidates[0])
-            rows = np.flatnonzero(t[:, col] > pivot_tol)
-            if rows.size == 0:
-                return UNBOUNDED, iterations
-            ratios = np.maximum(t[rows, -1], 0.0) / t[rows, col]
-            tied = rows[ratios == ratios.min()]
-            self.pivot(int(tied[np.argmin(self.basis[tied])]), col, z)
-            iterations += 1
-        return ITERATION_LIMIT, iterations
+        basis[row] = col
+    return ITERATION_LIMIT, MAX_PIVOTS
 
 
-def _objective_row(c_std, tableau):
-    z = np.concatenate([c_std, [0.0]])
-    for r, b in enumerate(tableau.basis):
-        cb = c_std[b]
-        if cb != 0.0:
-            z -= cb * tableau.t[r]
-    return z
+def solve_lp(a, b, *, feas_tol: float = FEASIBILITY_TOL) -> LpSolution:
+    """Decide whether ``a x = b, x >= 0`` is feasible, by a phase-one
+    simplex with Bland's rule.
 
-
-def solve_lp(problem: LpProblem, *, max_iterations: int = 50000,
-             pivot_tol: float = PIVOT_TOL, feas_tol: float = FEASIBILITY_TOL) -> LpSolution:
-    """Two-phase dense simplex with Bland's anti-cycling rule.
-
-    On infeasible problems the phase-one duals are returned as a Farkas
-    certificate: ``y`` with ``y . rows <= 0`` componentwise on the columns
-    and ``y . b > 0`` (inequality-row components nonnegative).
+    The start is one artificial column per row, with rows flipped so that
+    ``b >= 0``; the program minimizes the artificial total.  If at most
+    ``feas_tol`` of it is left, the basic point without the artificials is
+    returned.  Otherwise the phase-one duals of the final basis are a
+    Farkas certificate: ``y`` with ``y . a <= 0`` on every column and
+    ``y . b > 0``.
     """
-    c = np.atleast_1d(np.asarray(problem.c, dtype=float))
-    n = c.size
-
-    blocks = []
-    kinds = []
-    for a, b, kind in ((problem.a_ineq, problem.b_ineq, "ineq"),
-                       (problem.a_eq, problem.b_eq, "eq")):
-        if a is None:
-            continue
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        if a.shape != (b.size, n):
-            raise ValueError(f"constraint block has shape {a.shape}, expected ({b.size}, {n})")
-        blocks.append((a, b))
-        kinds.extend([kind] * b.size)
-    if not blocks:
-        raise ValueError("problem has no constraints")
-    a_full = np.vstack([blk[0] for blk in blocks])
-    b_full = np.concatenate([blk[1] for blk in blocks])
-    m = b_full.size
-    n_ineq = kinds.count("ineq")
-
-    # Column layout: split variables, then surplus columns, then artificials.
-    cols = []
-    for i in range(n):
-        cols.append((i, 1.0))
-        if not problem.nonneg:
-            cols.append((i, -1.0))
-    n_x = len(cols)
-    n_total = n_x + n_ineq + m
-    a_std = np.zeros((m, n_total))
-    for j, (i, sign) in enumerate(cols):
-        a_std[:, j] = sign * a_full[:, i]
-    surplus_row = 0
-    for r, kind in enumerate(kinds):
-        if kind == "ineq":
-            a_std[r, n_x + surplus_row] = -1.0
-            surplus_row += 1
-    flip = np.where(b_full < 0.0, -1.0, 1.0)
-    a_std *= flip[:, None]
-    b_std = b_full * flip
-    art0 = n_x + n_ineq
-    a_std[:, art0:] = np.eye(m)
-
-    tableau = _Tableau(a_std, b_std, m)
-    a_original = a_std.copy()
-
-    c_phase1 = np.zeros(n_total)
-    c_phase1[art0:] = 1.0
-    z = _objective_row(c_phase1, tableau)
-    allowed = np.ones(n_total, dtype=bool)
-    status, it1 = tableau.run(z, allowed, max_iterations, pivot_tol)
-    if status == ITERATION_LIMIT:
-        return LpSolution(ITERATION_LIMIT, None, np.nan, it1)
-    phase1_value = -z[-1]
-    if phase1_value > feas_tol:
-        y = _basis_duals(a_original, c_phase1, tableau.basis)
-        y_orig = y * flip
-        return LpSolution(
-            INFEASIBLE, None, np.nan, it1,
-            farkas_ineq=y_orig[:n_ineq] if n_ineq else None,
-            farkas_eq=y_orig[n_ineq:] if m > n_ineq else None,
-        )
-
-    _drive_out_artificials(tableau, z, art0, pivot_tol)
-
-    c_phase2 = np.zeros(n_total)
-    for j, (i, sign) in enumerate(cols):
-        c_phase2[j] = sign * c[i]
-    z = _objective_row(c_phase2, tableau)
-    allowed = np.ones(n_total, dtype=bool)
-    allowed[art0:] = False
-    status, it2 = tableau.run(z, allowed, max_iterations - it1, pivot_tol)
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    m, n = a.shape
+    if b.shape != (m,):
+        raise ValueError(f"constraint matrix has shape {a.shape}, right-hand side {b.shape}")
+    flip = np.where(b < 0.0, -1.0, 1.0)
+    a_std = np.hstack([a * flip[:, None], np.eye(m)])
+    cost = np.concatenate([np.zeros(n), np.ones(m)])
+    t = np.hstack([a_std, (b * flip)[:, None]])
+    z = np.concatenate([cost, [0.0]]) - t.sum(axis=0)
+    basis = np.arange(n, n + m)
+    status, pivots = _bland(t, z, basis)
     if status != OPTIMAL:
-        return LpSolution(status, None, np.nan, it1 + it2)
-
-    x_std = np.zeros(n_total)
-    x_std[tableau.basis] = tableau.t[:, -1]
-    x = np.zeros(n)
-    for j, (i, sign) in enumerate(cols):
-        x[i] += sign * x_std[j]
-    value = float(c @ x)
-    y = _basis_duals(a_original[tableau.rows_kept], c_phase2, tableau.basis)
-    y_full = np.zeros(m)
-    y_full[tableau.rows_kept] = y
-    y_full *= flip
-    return LpSolution(
-        OPTIMAL, x, value, it1 + it2,
-        duals_ineq=y_full[:n_ineq] if n_ineq else None,
-        duals_eq=y_full[n_ineq:] if m > n_ineq else None,
-    )
-
-
-def _basis_duals(a_original, costs, basis):
-    b_mat = a_original[:, basis]
-    cb = costs[basis]
-    try:
-        return np.linalg.solve(b_mat.T, cb)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(b_mat.T, cb, rcond=None)[0]
-
-
-def _drive_out_artificials(tableau, z, art0, pivot_tol):
-    drop = []
-    for r in range(len(tableau.basis)):
-        if tableau.basis[r] < art0:
-            continue
-        row = tableau.t[r, :art0]
-        eligible = np.flatnonzero(np.abs(row) > pivot_tol)
-        if eligible.size:
-            tableau.pivot(r, int(eligible[0]), z)
-        else:
-            drop.append(r)
-    if drop:
-        keep = [r for r in range(len(tableau.basis)) if r not in drop]
-        tableau.t = tableau.t[keep]
-        tableau.basis = tableau.basis[keep]
-        tableau.rows_kept = [tableau.rows_kept[r] for r in keep]
+        return LpSolution(status, None, pivots)
+    if -z[-1] > feas_tol:
+        b_mat = a_std[:, basis]
+        try:
+            y = np.linalg.solve(b_mat.T, cost[basis])
+        except np.linalg.LinAlgError:
+            y = np.linalg.lstsq(b_mat.T, cost[basis], rcond=None)[0]
+        return LpSolution(INFEASIBLE, None, pivots, farkas=y * flip)
+    x = np.zeros(n + m)
+    x[basis] = t[:, -1]
+    return LpSolution(OPTIMAL, x[:n], pivots)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,20 @@ class TestValidateGroup:
         checked = validate_group(elements)
         assert checked.order == 4
 
+    def test_names_first_failing_pair_in_row_major_order(self):
+        # diag(1, i) diag(1, -1) = diag(1, -i) is missing; pair (1, 2) fails first
+        with pytest.raises(InvalidGroup, match="elements 1 and 2 matches"):
+            validate_group([np.eye(2), np.diag([1.0, 1j]), np.diag([1.0, -1.0])])
+
+    def test_names_first_non_unitary_element(self):
+        with pytest.raises(InvalidGroup, match="element 1 fails unitarity"):
+            validate_group([np.eye(2), 2 * np.eye(2), 3 * np.eye(2)])
+
+    @pytest.mark.parametrize("unitaries", [[], [np.eye(2), np.eye(3)]])
+    def test_rejects_empty_or_mixed_dimensions(self, unitaries):
+        with pytest.raises(InvalidGroup):
+            validate_group(unitaries)
+
 
 class TestTwirl:
     def test_symmetric_input_unchanged(self):

@@ -206,3 +206,28 @@ def test_string_dimension_is_a_parse_error(z_file, tmp_path, capsys):
     payload = _assert_error_contract(capsys, run(["rom", str(path)]))
     assert payload["error"] == "ParseError"
     assert "dimension must be an integer" in payload["detail"]
+
+
+def _write_json(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("unitaries", [[np.eye(2), np.eye(3)], []])
+def test_malformed_group_is_an_error(tmp_path, capsys, unitaries):
+    state = _write_json(tmp_path, "plus.json", jsonio.state_to_json(np.full((2, 2), 0.5)))
+    group = _write_json(tmp_path, "group.json", {
+        "dimension": 2, "unitaries": [jsonio.matrix_to_json(u) for u in unitaries]})
+    payload = _assert_error_contract(capsys, run(["roa", "--state", state, "--group", group]))
+    assert payload["error"] == "InvalidGroup"
+
+
+@pytest.mark.parametrize("command", [["accinfo-ensemble"], ["discriminate", "--ensemble"]])
+def test_ensemble_of_mixed_dimensions_is_an_error(z_file, tmp_path, capsys, command):
+    ensemble = _write_json(tmp_path, "mixed.json", {
+        "dimension": 2, "priors": [0.5, 0.5],
+        "states": [jsonio.matrix_to_json(np.eye(2) / 2), jsonio.matrix_to_json(np.eye(3) / 3)]})
+    argv = command + [ensemble] + (["--povm", z_file] if command[0] == "discriminate" else [])
+    payload = _assert_error_contract(capsys, run(argv))
+    assert payload["error"] == "InvalidEnsemble"

@@ -35,6 +35,10 @@ class TestValidateEnsemble:
         with pytest.raises(InvalidEnsemble):
             validate_ensemble([np.diag([2.0, -1.0])], [1.0])
 
+    def test_rejects_mixed_dimensions(self):
+        with pytest.raises(InvalidEnsemble):
+            validate_ensemble([np.eye(2) / 2, np.eye(3) / 3], [0.5, 0.5])
+
     def test_random_ensembles_are_valid(self):
         for i in range(5):
             e = random_ensemble(3, 4, 880 + i)

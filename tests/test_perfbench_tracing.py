@@ -1,0 +1,33 @@
+"""The benchmark's tracer still fits the package: every traced function
+exists and the solver counters it reads off results are filled."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import povmrobust.cli  # noqa: F401  (the tracer patches modules already imported)
+from povmrobust.asymmetry import roc
+from povmrobust.measurement import post_process, random_povm, random_stochastic_map
+from povmrobust.simulability import is_simulable
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import tracing  # noqa: E402
+
+
+def test_every_traced_name_resolves():
+    for module, function, _ in tracing.TRACED:
+        assert callable(getattr(importlib.import_module(f"povmrobust.{module}"), function))
+
+
+def test_solver_counters_under_the_tracer():
+    m = random_povm(3, 4, 17)
+    target = post_process(m, random_stochastic_map(4, 3, 18))
+    with tracing.Tracer() as tracer:
+        assert is_simulable(m, target).simulable
+        roc(np.full((2, 2), 0.5))
+    assert tracer.counters["solvers.solve_lp.pivots"] >= 1
+    assert tracer.counters["solvers.solve_dominating.calls"] >= 1
+    assert tracer.counters["solvers.solve_lp.failures"] == 0

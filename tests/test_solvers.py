@@ -17,12 +17,9 @@ from povmrobust.rom import rom
 from povmrobust.solvers import (
     INFEASIBLE,
     OPTIMAL,
-    PIVOT_TOL,
     UNBOUNDED,
     DominanceProgram,
-    LpProblem,
-    _objective_row,
-    _Tableau,
+    _bland,
     min_error_guess_value,
     rom_via_sdp,
     solve_dominating,
@@ -30,97 +27,110 @@ from povmrobust.solvers import (
 )
 
 
-def enumerate_vertices(c, a, b):
-    """Brute-force LP oracle: check every basic point of
-    ``min c.x, a x >= b, x >= 0`` and return the best objective."""
-    n = c.size
-    rows = np.vstack([a, np.eye(n)])
-    rhs = np.concatenate([b, np.zeros(n)])
-    best = None
-    for subset in itertools.combinations(range(rows.shape[0]), n):
-        sub = rows[list(subset)]
-        if abs(np.linalg.det(sub)) < 1e-12:
-            continue
-        x = np.linalg.solve(sub, rhs[list(subset)])
-        if (rows @ x - rhs).min() >= -1e-9:
-            value = c @ x
-            if best is None or value < best:
-                best = value
-    return best
+def has_basic_feasible_point(a, b):
+    """Brute-force oracle for ``a x = b, x >= 0`` with ``a`` of full row
+    rank: feasible iff some basis of ``a`` gives a nonnegative point."""
+    m, n = a.shape
+    for subset in itertools.combinations(range(n), m):
+        sub = a[:, list(subset)]
+        if abs(np.linalg.det(sub)) > 1e-12 and np.linalg.solve(sub, b).min() >= -1e-9:
+            return True
+    return False
+
+
+def assert_farkas(y, a, b):
+    """``y`` certifies that ``a x = b, x >= 0`` has no solution."""
+    assert (y @ a).max() <= 1e-9
+    assert y @ b > 1e-9
 
 
 class TestSolveLp:
-    def test_single_bound(self):
-        sol = solve_lp(LpProblem(np.array([1.0]), a_ineq=np.array([[1.0]]),
-                                 b_ineq=np.array([3.0])))
-        assert sol.status == OPTIMAL
-        assert sol.value == pytest.approx(3.0, abs=1e-9)
-        np.testing.assert_allclose(sol.x, [3.0], atol=1e-9)
-
-    def test_combined_cut_is_tight(self):
-        sol = solve_lp(LpProblem(
-            np.array([1.0, 1.0]),
-            a_ineq=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
-            b_ineq=np.array([1.0, 2.0, 4.0]),
-        ))
-        assert sol.status == OPTIMAL
-        assert sol.value == pytest.approx(4.0, abs=1e-9)
-
-    def test_random_against_vertex_enumeration(self):
+    def test_feasible_random_systems(self):
         rng = np.random.default_rng(90)
         for _ in range(25):
-            n = int(rng.integers(2, 5))
-            m = int(rng.integers(2, 6))
+            m = int(rng.integers(1, 6))
+            n = int(rng.integers(m, 9))
             a = rng.standard_normal((m, n))
-            x0 = rng.random(n) + 0.1
-            b = a @ x0 - rng.random(m)  # feasible by construction
-            c = rng.random(n) + 0.05    # bounded: positive costs, x >= 0
-            sol = solve_lp(LpProblem(c, a_ineq=a, b_ineq=b, nonneg=True))
+            x0 = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
+            b = a @ x0
+            sol = solve_lp(a, b)
             assert sol.status == OPTIMAL
-            expected = enumerate_vertices(c, a, b)
-            assert sol.value == pytest.approx(expected, abs=1e-8)
+            assert sol.x.shape == (n,) and sol.x.min() >= 0.0
+            assert np.abs(a @ sol.x - b).max() <= 1e-9
+
+    def test_infeasible_random_systems(self):
+        # Reflecting every column with y . a_j > 0 through the plane
+        # orthogonal to y makes y a separating vector once y . b > 0.
+        rng = np.random.default_rng(93)
+        for _ in range(25):
+            m = int(rng.integers(1, 6))
+            n = int(rng.integers(1, 9))
+            y = rng.standard_normal(m)
+            a = rng.standard_normal((m, n))
+            a -= np.outer(y, 2.0 * np.maximum(y @ a, 0.0) / (y @ y))
+            b = rng.standard_normal(m)
+            b -= y * (b @ y - abs(b @ y) - 0.1) / (y @ y)
+            sol = solve_lp(a, b)
+            assert sol.status == INFEASIBLE and sol.x is None
+            assert_farkas(sol.farkas, a, b)
+
+    def test_random_against_vertex_enumeration(self):
+        rng = np.random.default_rng(94)
+        verdicts = set()
+        for _ in range(40):
+            m = int(rng.integers(1, 4))
+            n = int(rng.integers(m, 6))
+            a = rng.standard_normal((m, n))
+            b = rng.standard_normal(m)
+            feasible = has_basic_feasible_point(a, b)
+            verdicts.add(feasible)
+            sol = solve_lp(a, b)
+            assert sol.status == (OPTIMAL if feasible else INFEASIBLE)
+            if feasible:
+                assert np.abs(a @ sol.x - b).max() <= 1e-9
+            else:
+                assert_farkas(sol.farkas, a, b)
+        assert verdicts == {True, False}
+
+    def test_single_bound(self):
+        # x >= 3 as -x + s = -3: the row is flipped to make b nonnegative
+        sol = solve_lp(np.array([[-1.0, 1.0]]), np.array([-3.0]))
+        assert sol.status == OPTIMAL
+        np.testing.assert_allclose(sol.x, [3.0, 0.0], atol=1e-12)
 
     def test_infeasible_with_farkas(self):
-        sol = solve_lp(LpProblem(np.array([1.0]),
-                                 a_ineq=np.array([[1.0], [-1.0]]),
-                                 b_ineq=np.array([3.0, -1.0])))
+        # x >= 3 and x <= 1, as x - s1 = 3 and x + s2 = 1
+        a = np.array([[1.0, -1.0, 0.0], [1.0, 0.0, 1.0]])
+        b = np.array([3.0, 1.0])
+        sol = solve_lp(a, b)
         assert sol.status == INFEASIBLE
-        y = sol.farkas_ineq
-        assert y is not None and y.min() >= -1e-12
-        # y certifies: y . A <= 0 on every column while y . b > 0
-        a = np.array([[1.0], [-1.0]])
-        assert (y @ a).max() <= 1e-9
-        assert y @ np.array([3.0, -1.0]) > 1e-9
-
-    def test_unbounded(self):
-        sol = solve_lp(LpProblem(np.array([-1.0]), a_ineq=np.array([[1.0]]),
-                                 b_ineq=np.array([0.0]), nonneg=True))
-        assert sol.status == UNBOUNDED
+        assert_farkas(sol.farkas, a, b)
 
     def test_equality_constraints(self):
-        sol = solve_lp(LpProblem(
-            np.array([1.0, 2.0]),
-            a_eq=np.array([[1.0, 1.0]]),
-            b_eq=np.array([1.0]),
-            nonneg=True,
-        ))
+        sol = solve_lp(np.array([[1.0, 1.0]]), np.array([1.0]))
         assert sol.status == OPTIMAL
-        np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-12)
 
-    def test_duals_on_tight_bound(self):
-        sol = solve_lp(LpProblem(np.array([1.0]), a_ineq=np.array([[1.0]]),
-                                 b_ineq=np.array([3.0])))
-        np.testing.assert_allclose(sol.duals_ineq, [1.0], atol=1e-9)
+    def test_unbounded(self):
+        # the entering column has no positive entry: the guard stops the run
+        t = np.array([[-1.0, 1.0, 1.0]])
+        z = np.array([-1.0, 0.0, 0.0])
+        assert _bland(t, z, np.array([1])) == (UNBOUNDED, 0)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            solve_lp(np.ones((2, 3)), np.ones(3))
 
 
 def run_from_last_columns(a, b, c):
     """Bland-rule simplex on ``min c.x, a x = b, x >= 0`` started from the
-    basis of the last ``len(b)`` columns; returns status, pivots, final
-    basis and value."""
-    tableau = _Tableau(a.copy(), b.copy(), b.size)
-    z = _objective_row(c, tableau)
-    status, iterations = tableau.run(z, np.ones(c.size, dtype=bool), 100, PIVOT_TOL)
-    return status, iterations, tableau.basis.tolist(), -z[-1]
+    basis of the last ``len(b)`` columns, whose costs are zero; returns
+    status, pivots, final basis and value."""
+    t = np.hstack([a, b[:, None]])
+    z = np.concatenate([c, [0.0]])
+    basis = np.arange(c.size - b.size, c.size)
+    status, pivots = _bland(t, z, basis)
+    return status, pivots, basis.tolist(), -z[-1]
 
 
 class TestBlandRule:
@@ -139,11 +149,9 @@ class TestBlandRule:
         assert status == OPTIMAL
         assert value == pytest.approx(-1.25, abs=1e-12)
         assert (iterations, basis) == (6, [2, 4, 0])
-        sol = solve_lp(LpProblem(self.BEALE_C, a_eq=self.BEALE_A, b_eq=self.BEALE_B,
-                                 nonneg=True))
-        assert sol.status == OPTIMAL
-        assert sol.value == pytest.approx(-1.25, abs=1e-12)
-        np.testing.assert_allclose(sol.x, [1.0, 0.0, 1.0, 0.0, 0.75, 0.0, 0.0], atol=1e-12)
+        sol = solve_lp(self.BEALE_A, self.BEALE_B)
+        assert sol.status == OPTIMAL and sol.x.min() >= 0.0
+        assert np.abs(self.BEALE_A @ sol.x - self.BEALE_B).max() <= 1e-12
 
     def test_tied_ratios_leave_by_lowest_basis_index(self):
         # The second pivot (column 1) ties rows 0 and 2 at ratio 1; row 2
