@@ -32,6 +32,7 @@ print("  its twirl:\n", np.round(twirl(plus, group).real, 3))
 report = roa(plus, group)
 print(f"  robustness of asymmetry  : {report.value:.6f}")
 print(f"  orbit game advantage     : {report.game_advantage:.6f}  (= 1 + value)")
+print(f"  reached by the witness   : {1 + report.lower:.6f}  ({report.witness.outcomes} outcomes)")
 print(f"  accessible min-info      : {report.min_info:.6f} bits (= log2(1 + value))")
 print()
 

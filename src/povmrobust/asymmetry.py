@@ -4,13 +4,16 @@ A state is symmetric under a finite unitary group when it equals its own
 group average (twirl).  The robustness of asymmetry is the least noise
 weight whose admixture makes a state symmetric; it is computed here as a
 dominance program over the twirl-invariant operator subspace, whose
-interior-point solve returns a strictly dominating symmetric operator.
-It is cross checked by two identities: the optimal advantage in the
-group-orbit discrimination game, and the accessible min-information of
-the orbit ensemble.  Both come from one guessing-value solve of the
-orbit, independent of the robustness solve.  Coherence is the special
-case of the dephasing group, where the symmetric operators are the
-diagonal ones.
+interior-point solve returns a strictly dominating symmetric operator
+and a dual operator.  The same solve settles the group-orbit
+discrimination game (Takagi and Regula, PRX 9, 031053 (2019)): the
+dominating operator bounds every strategy's score from above, and the
+dual, rotated over the group, is a measurement whose score bounds it
+from below.  Both certificates are checked with plain numpy before a
+report is returned, so the orbit-game advantage and the accessible
+min-information of the orbit come with a verified bracket and no second
+solve.  Coherence is the special case of the dephasing group, where the
+symmetric operators are the diagonal ones.
 """
 
 from __future__ import annotations
@@ -20,19 +23,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import Ensemble, check_density_matrix
-from .errors import DimensionMismatch, InfeasibleSubspace, InvalidGroup
-from .numerics import as_complex_matrix, hermitian_basis
-from .solvers import (
-    DominanceProgram,
-    INFEASIBLE,
-    min_error_guess_value,
-    solve_dominating,
+from .discrimination import Ensemble, check_density_matrix, p_guess_with_measurement
+from .errors import (
+    DimensionMismatch,
+    InfeasibleSubspace,
+    InvalidGroup,
+    PovmRobustError,
+    SolverFailure,
 )
+from .measurement import Povm, validate_povm
+from .numerics import as_complex_matrix, hermitian_basis
+from .solvers import DominanceProgram, INFEASIBLE, solve_dominating
 
 UNITARY_TOL = 1e-9
 CLOSURE_TOL = 1e-8
-GRAM_SCHMIDT_DROP_TOL = 1e-9
+SUBSPACE_DROP_TOL = 1e-9
+CERTIFICATE_TOL = 1e-10  # slack of either orbit-game certificate, relative to max(1, value)
 
 
 @dataclass(frozen=True)
@@ -55,12 +61,21 @@ class GroupRepresentation:
 @dataclass(frozen=True)
 class AsymmetryReport:
     """Robustness value with its optimal dominating symmetric operator and
-    the two operational cross-checks."""
+    the orbit game it certifies.
+
+    ``game_advantage`` (``tr`` of ``dominating``, so ``1 + value``) bounds
+    the orbit-game advantage of every measurement from above; ``witness``
+    is a measurement verified to reach ``1 + lower`` in that game, so the
+    optimal advantage lies in ``[1 + lower, game_advantage]``.
+    ``min_info`` is ``log2(game_advantage)``.
+    """
 
     value: float
     dominating: np.ndarray
     game_advantage: float
     min_info: float
+    lower: float
+    witness: Povm
 
 
 def validate_group(unitaries, *, unitary_tol: float = UNITARY_TOL,
@@ -108,6 +123,12 @@ def _require_group(g) -> GroupRepresentation:
     return g
 
 
+def _conjugates(x, g: GroupRepresentation) -> np.ndarray:
+    """The stack ``U_h x U_h^dag`` over the group."""
+    u = g.unitaries
+    return u @ x @ u.conj().swapaxes(1, 2)
+
+
 def twirl(rho, g: GroupRepresentation) -> np.ndarray:
     """Group average ``(1/|H|) sum_h U_h rho U_h^dag``; idempotent, and the
     identity map exactly on symmetric inputs."""
@@ -117,8 +138,7 @@ def twirl(rho, g: GroupRepresentation) -> np.ndarray:
         raise DimensionMismatch(
             f"state dimension {rho.shape[0]} vs group dimension {g.dimension}"
         )
-    u = g.unitaries
-    return np.einsum("hij,jk,hlk->il", u, rho, u.conj()) / g.order
+    return _conjugates(rho, g).mean(axis=0)
 
 
 def is_symmetric(rho, g: GroupRepresentation, tol: float = 1e-8) -> bool:
@@ -130,23 +150,29 @@ def is_symmetric(rho, g: GroupRepresentation, tol: float = 1e-8) -> bool:
 def symmetric_subspace_basis(g: GroupRepresentation) -> np.ndarray:
     """Orthonormal Hermitian basis of the twirl-invariant operators.
 
-    Twirling projects onto its own fixed subspace, so twirling a full
-    operator basis and orthogonalizing (dropping numerically null
-    directions) spans exactly the symmetric operators of any finite
-    group, with no representation theory required.
+    Twirling projects onto its own fixed subspace, so the twirled Hermitian
+    operator basis spans exactly the symmetric operators of any finite
+    group, with no representation theory required.  The whole basis is
+    twirled in one product with the twirl's superoperator.  Read as real
+    vectors of real and imaginary parts, whose dot product is the
+    Hilbert-Schmidt inner product of Hermitian matrices, the twirled
+    matrices have one SVD; its right-singular directions above the drop
+    tolerance are an orthonormal Hermitian basis of their span.
     """
     g = _require_group(g)
     d = g.dimension
-    accepted: list[np.ndarray] = []
-    for candidate in hermitian_basis(d):
-        t = twirl(candidate, g)
-        t = 0.5 * (t + t.conj().T)
-        for q in accepted:
-            t = t - np.einsum("ij,ji->", q, t).real * q
-        norm = math.sqrt(abs(np.einsum("ij,ji->", t, t).real))
-        if norm > GRAM_SCHMIDT_DROP_TOL:
-            accepted.append(t / norm)
-    return np.stack(accepted)
+    flat = g.unitaries.reshape(g.order, d * d)
+    # vec(U X U^dag) = (U kron conj U) vec(X) in row-major order: the twirl
+    # has entries mean_h U_ij conj(U_kl) at row (i, k) and column (j, l)
+    superop = (flat.T @ flat.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3) / g.order
+    twirled = hermitian_basis(d).reshape(d * d, d * d) @ superop.reshape(d * d, d * d).T
+    rows = np.hstack([twirled.real, twirled.imag])
+    # rows the twirl annihilates (all off-diagonal ones under dephasing)
+    # add nothing to the span, and dropping them shrinks the SVD
+    rows = rows[np.linalg.norm(rows, axis=1) > SUBSPACE_DROP_TOL]
+    _, singular, directions = np.linalg.svd(rows, full_matrices=False)
+    kept = directions[singular > SUBSPACE_DROP_TOL]
+    return (kept[:, :d * d] + 1j * kept[:, d * d:]).reshape(-1, d, d)
 
 
 def orbit_ensemble(rho, g: GroupRepresentation) -> Ensemble:
@@ -157,31 +183,53 @@ def orbit_ensemble(rho, g: GroupRepresentation) -> Ensemble:
         raise DimensionMismatch(
             f"state dimension {rho.shape[0]} vs group dimension {g.dimension}"
         )
-    u = g.unitaries
-    states = np.einsum("hij,jk,hlk->hil", u, rho, u.conj())
-    return Ensemble(states, np.full(g.order, 1.0 / g.order))
+    return Ensemble(_conjugates(rho, g), np.full(g.order, 1.0 / g.order))
 
 
 def roa(rho, g: GroupRepresentation) -> AsymmetryReport:
-    """Robustness of asymmetry with operational cross-checks.
+    """Robustness of asymmetry with its orbit game, from one certified solve.
 
     Solves ``min tr(sigma) - 1`` over symmetric ``sigma`` dominating the
-    state; the report also carries the orbit-game advantage (the group
-    order times the optimal guessing probability) and the accessible
-    min-information of the orbit, each of which must reproduce the
-    robustness through its own identity.
+    state.  Its solution also brackets the optimal guessing probability of
+    the orbit game (each ``U_g rho U_g^dag`` with probability ``1/|G|``):
+
+    * ``sigma`` symmetric with ``sigma >= rho`` dominates every orbit
+      member, so no measurement guesses right with probability above
+      ``tr(sigma) / |G|``;
+    * the dual ``Z`` has ``twirl(Z) = I``, so ``M_g = U_g Z U_g^dag / |G|``
+      is a measurement guessing right with probability at least
+      ``tr[rho Z] / |G|``, the solve's certified lower bound.
+
+    Both are checked before the report is returned, and ``SolverFailure``
+    is raised when either fails.  The report's advantage is ``tr(sigma)``
+    (the group order times the guessing probability, as the orbit's blind
+    guess is ``1/|G|``), its min-information the log of that, and
+    ``lower`` the checked score of the witness ``M`` minus one.
     """
     g = _require_group(g)
     orbit = orbit_ensemble(rho, g)  # validates the state and its dimension
+    rho = as_complex_matrix(rho)
     basis = symmetric_subspace_basis(g)
-    solution = solve_dominating(DominanceProgram(g.dimension, basis, as_complex_matrix(rho)[None]))
+    solution = solve_dominating(DominanceProgram(g.dimension, basis, rho[None]))
     if solution.status == INFEASIBLE:
         raise InfeasibleSubspace("no symmetric operator dominates the state")
-    # The orbit is uniform, so its blind guessing probability is 1/|G| and
-    # the one orbit solve gives both the advantage and the min-information.
-    p_guess = min_error_guess_value(orbit)
-    return AsymmetryReport(solution.value - 1.0, solution.y, g.order * p_guess,
-                           math.log2(g.order * p_guess))
+    sigma = solution.y
+    tol = CERTIFICATE_TOL * max(1.0, abs(solution.value))
+    asymmetry = np.abs(twirl(sigma, g) - sigma).max()
+    slack = np.linalg.eigvalsh(sigma - rho)[0]
+    if asymmetry > tol or slack < -tol:
+        raise SolverFailure(f"dominating operator fails its certificate: off symmetric by "
+                            f"{asymmetry:.3e}, smallest slack {slack:.3e} (tol {tol:.1e})")
+    try:
+        witness = validate_povm(_conjugates(solution.duals[0], g) / g.order)
+    except PovmRobustError as exc:
+        raise SolverFailure(f"dual witness is not a measurement: {exc}") from exc
+    score = g.order * p_guess_with_measurement(orbit, witness)
+    if score < solution.lower - tol:
+        raise SolverFailure(f"dual witness scores {score!r}, below the certified lower "
+                            f"bound {solution.lower!r} (tol {tol:.1e})")
+    return AsymmetryReport(solution.value - 1.0, sigma, solution.value,
+                           math.log2(solution.value), score - 1.0, witness)
 
 
 def roc(rho) -> AsymmetryReport:

@@ -48,11 +48,22 @@ def matrix_to_json(m) -> list:
     return np.stack([m.real, m.imag], -1).tolist()
 
 
-def matrix_from_json(obj) -> np.ndarray:
+def _numbers(obj, what) -> np.ndarray:
+    """A JSON array of numbers, or of such arrays to any depth, as a float
+    array; anything else, strings and booleans included, is a ParseError."""
+    if not isinstance(obj, list):
+        raise ParseError("<data>", f"{what} must be an array, got {type(obj).__name__}")
     try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError("<data>", f"malformed matrix: {exc}") from exc
+        arr = np.asarray(obj)
+    except ValueError as exc:  # ragged nesting
+        raise ParseError("<data>", f"malformed {what}: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ParseError("<data>", f"{what} must hold only numbers")
+    return arr.astype(float)
+
+
+def matrix_from_json(obj) -> np.ndarray:
+    arr = _numbers(obj, "matrix")
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ParseError("<data>", f"a matrix is a list of rows of [re, im] pairs, got shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -62,6 +73,13 @@ def _require(obj, key, kind):
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError("<data>", f"{kind} object needs the key {key!r}")
     return obj[key]
+
+
+def _list(obj, key, kind) -> list:
+    items = _require(obj, key, kind)
+    if not isinstance(items, list):
+        raise ParseError("<data>", f"{kind} {key} must be an array, got {type(items).__name__}")
+    return items
 
 
 def _dimension(obj, kind):
@@ -81,7 +99,7 @@ def povm_to_json(m: Povm) -> dict:
 
 def povm_from_json(obj) -> Povm:
     d = _dimension(obj, "POVM")
-    elements = [matrix_from_json(el) for el in _require(obj, "elements", "POVM")]
+    elements = [matrix_from_json(el) for el in _list(obj, "elements", "POVM")]
     povm = validate_povm(elements)
     if povm.dimension != d:
         raise ParseError("<data>", f"declared dimension {d}, elements have {povm.dimension}")
@@ -97,7 +115,7 @@ def stochastic_map_to_json(s: StochasticMap) -> dict:
 
 
 def stochastic_map_from_json(obj) -> StochasticMap:
-    p = np.asarray(_require(obj, "p", "stochastic map"), dtype=float)
+    p = _numbers(_require(obj, "p", "stochastic map"), "stochastic map p")
     if p.shape != (_require(obj, "rows", "stochastic map"), _require(obj, "cols", "stochastic map")):
         raise ParseError("<data>", "stochastic map shape disagrees with rows/cols")
     return StochasticMap(p)
@@ -113,8 +131,9 @@ def ensemble_to_json(e: Ensemble) -> dict:
 
 def ensemble_from_json(obj) -> Ensemble:
     d = _dimension(obj, "ensemble")
-    states = [matrix_from_json(s) for s in _require(obj, "states", "ensemble")]
-    ensemble = validate_ensemble(states, _require(obj, "priors", "ensemble"))
+    states = [matrix_from_json(s) for s in _list(obj, "states", "ensemble")]
+    ensemble = validate_ensemble(states, _numbers(_require(obj, "priors", "ensemble"),
+                                                  "ensemble priors"))
     if ensemble.dimension != d:
         raise ParseError("<data>", f"declared dimension {d}, states have {ensemble.dimension}")
     return ensemble
@@ -140,7 +159,7 @@ def group_to_json(g: GroupRepresentation) -> dict:
 
 
 def group_from_json(obj) -> GroupRepresentation:
-    unitaries = [matrix_from_json(u) for u in _require(obj, "unitaries", "group")]
+    unitaries = [matrix_from_json(u) for u in _list(obj, "unitaries", "group")]
     group = validate_group(unitaries)
     if group.dimension != _dimension(obj, "group"):
         raise ParseError("<data>", "declared dimension disagrees with the unitaries")
@@ -152,7 +171,8 @@ def joint_to_json(j: JointDistribution) -> dict:
 
 
 def joint_from_json(obj) -> JointDistribution:
-    return JointDistribution(np.asarray(_require(obj, "p", "joint distribution"), dtype=float))
+    return JointDistribution(_numbers(_require(obj, "p", "joint distribution"),
+                                      "joint distribution p"))
 
 
 def robustness_report_to_json(report: RobustnessReport) -> dict:
@@ -186,4 +206,6 @@ def asymmetry_report_to_json(report: AsymmetryReport) -> dict:
         "dominating_operator": matrix_to_json(report.dominating),
         "game_advantage": report.game_advantage,
         "min_info": report.min_info,
+        "lower": report.lower,
+        "witness": povm_to_json(report.witness),
     }

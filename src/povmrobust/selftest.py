@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .asymmetry import dephasing_group, roa, roc
+from .asymmetry import dephasing_group, orbit_ensemble, roa, roc
 from .discrimination import (
     Ensemble,
     advantage,
@@ -283,9 +283,12 @@ def criterion_roa_roc(quick: bool = False) -> CriterionResult:
     for d, count, seed_base in cases:
         group = dephasing_group(d)
         for i in range(count):
-            report = roa(random_density_matrix(d, np.random.default_rng(seed_base + i)), group)
-            worst_game = max(worst_game, abs(report.game_advantage - (1.0 + report.value)))
-            worst_info = max(worst_info, abs(report.min_info - math.log2(1.0 + report.value)))
+            rho = random_density_matrix(d, np.random.default_rng(seed_base + i))
+            report = roa(rho, group)
+            # an orbit guessing value solved apart from the robustness
+            game = group.order * min_error_guess_value(orbit_ensemble(rho, group))
+            worst_game = max(worst_game, abs(game - (1.0 + report.value)))
+            worst_info = max(worst_info, abs(math.log2(game) - math.log2(1.0 + report.value)))
     if worst_game > 1e-9:
         problems.append(f"game identity off by {worst_game:.3e} (tol 1e-9)")
     if worst_info > 1e-9:

@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,10 +15,10 @@ from povmrobust.asymmetry import (
     twirl,
     validate_group,
 )
-from povmrobust.discrimination import random_density_matrix
-from povmrobust.errors import DimensionMismatch, InvalidGroup
+from povmrobust.discrimination import p_guess_with_measurement, random_density_matrix
+from povmrobust.errors import DimensionMismatch, InvalidGroup, SolverFailure
 from povmrobust.info import acc_min_info_ensemble
-from povmrobust.numerics import haar_random_unitary
+from povmrobust.numerics import haar_random_unitary, hermitian_basis
 from povmrobust.solvers import min_error_guess_value
 
 
@@ -102,6 +104,27 @@ def test_symmetric_subspace_is_diagonal_for_dephasing():
         assert off_diag <= 1e-10
 
 
+def _permutation_group(d):
+    return validate_group([np.eye(d)[list(p)] for p in itertools.permutations(range(d))])
+
+
+@pytest.mark.parametrize("group, size", [
+    (dephasing_group(5), 5),
+    (_permutation_group(3), 2),  # trivial plus standard representation
+    (validate_group([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])]), 1),
+])
+def test_symmetric_subspace_basis_spans_the_twirled_operators(group, size):
+    d = group.dimension
+    basis = symmetric_subspace_basis(group)
+    assert basis.shape == (size, d, d)
+    flat = basis.reshape(size, -1)
+    np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(size), atol=1e-14)
+    assert np.abs(basis - basis.conj().swapaxes(1, 2)).max() <= 1e-14
+    twirled = np.stack([twirl(b, group) for b in hermitian_basis(d)]).reshape(d * d, -1)
+    residual = twirled - (twirled @ flat.conj().T) @ flat
+    assert np.abs(residual).max() <= 1e-14
+
+
 class TestOrbitEnsemble:
     def test_symmetric_state_gives_copies(self):
         g = dephasing_group(2)
@@ -173,6 +196,46 @@ class TestRoa:
         )
 
 
+class TestOrbitGameCertificates:
+    @pytest.mark.parametrize("d, seed", [(2, 21), (3, 22), (5, 23), (8, 24)])
+    def test_witness_reaches_the_bracket(self, d, seed):
+        g = dephasing_group(d)
+        rho = random_density_matrix(d, np.random.default_rng(seed))
+        report = roa(rho, g)
+        elements = report.witness.elements
+        assert elements.shape == (g.order, d, d)
+        np.testing.assert_allclose(elements.sum(axis=0), np.eye(d), atol=1e-12)
+        assert np.linalg.eigvalsh(elements)[:, 0].min() >= -1e-12
+        score = g.order * p_guess_with_measurement(orbit_ensemble(rho, g), report.witness)
+        assert score >= 1.0 + report.lower - 1e-12
+        assert report.value - report.lower <= 1e-9 * max(1.0, report.value)
+        assert report.game_advantage == pytest.approx(1.0 + report.value, abs=1e-15)
+
+    def test_witness_of_a_cyclic_shift_group(self):
+        shift = np.roll(np.eye(3), 1, axis=0)
+        g = validate_group([np.linalg.matrix_power(shift, k) for k in range(3)])
+        rho = random_density_matrix(3, np.random.default_rng(25))
+        report = roa(rho, g)
+        assert report.value - report.lower <= 1e-9 * max(1.0, report.value)
+        _assert_identities(report, rho, g, 1e-9)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda sol: replace(sol, duals=sol.duals * 1.01),        # not complete
+        lambda sol: replace(sol, duals=np.eye(2)[None]),         # scores too little
+        lambda sol: replace(sol, lower=sol.lower + 1e-6),        # overstated bound
+        lambda sol: replace(sol, y=sol.y - 1e-6 * np.eye(2)),     # fails to dominate
+        lambda sol: replace(sol, y=sol.y + 1e-6 * PLUS),         # not symmetric
+    ])
+    def test_corrupted_solution_is_a_solver_failure(self, monkeypatch, corrupt):
+        import povmrobust.asymmetry as asymmetry
+
+        solve = asymmetry.solve_dominating
+        monkeypatch.setattr(asymmetry, "solve_dominating", lambda p: corrupt(solve(p)))
+        rho = np.array([[0.7, 0.3], [0.3, 0.3]], dtype=complex)
+        with pytest.raises(SolverFailure):
+            roa(rho, dephasing_group(2))
+
+
 class TestRoc:
     def test_diagonal_state(self):
         assert roc(np.diag([0.7, 0.3]).astype(complex)).value <= 1e-6
@@ -200,9 +263,13 @@ def _l1_coherence(rho):
     return np.abs(rho).sum() - np.abs(np.diag(rho)).sum()
 
 
-def _assert_identities(report, tol):
-    assert abs(report.game_advantage - (1.0 + report.value)) <= tol
-    assert abs(report.min_info - math.log2(1.0 + report.value)) <= tol
+def _assert_identities(report, rho, g, tol):
+    """The report against an orbit guessing value solved apart from it."""
+    game = g.order * min_error_guess_value(orbit_ensemble(rho, g))
+    assert abs(game - (1.0 + report.value)) <= tol
+    assert abs(math.log2(game) - math.log2(1.0 + report.value)) <= tol
+    assert abs(report.game_advantage - game) <= tol
+    assert abs(report.min_info - math.log2(game)) <= tol
 
 
 class TestRocOracles:
@@ -216,7 +283,7 @@ class TestRocOracles:
             psi, rho = _pure_state(d, rng)
             report = roc(rho)
             assert abs(report.value - (np.abs(psi).sum() ** 2 - 1.0)) <= 1e-9
-            _assert_identities(report, 1e-9)
+            _assert_identities(report, rho, dephasing_group(d), 1e-9)
 
     def test_qubit_is_twice_the_coherence(self):
         rng = np.random.default_rng(310)
@@ -226,9 +293,10 @@ class TestRocOracles:
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_maximally_coherent(self, d):
-        report = roc(np.full((d, d), 1.0 / d, dtype=complex))
+        rho = np.full((d, d), 1.0 / d, dtype=complex)
+        report = roc(rho)
         assert abs(report.value - (d - 1)) <= 1e-9
-        _assert_identities(report, 1e-9)
+        _assert_identities(report, rho, dephasing_group(d), 1e-9)
 
 
 class TestRocRegressions:
@@ -238,7 +306,7 @@ class TestRocRegressions:
         psi, rho = _pure_state(4, np.random.default_rng(102))
         report = roc(rho)
         assert abs(report.value - (np.abs(psi).sum() ** 2 - 1.0)) <= 1e-9
-        _assert_identities(report, 1e-9)
+        _assert_identities(report, rho, dephasing_group(4), 1e-9)
 
     def test_mixed_d8_rng8(self):
         d = 8
@@ -246,4 +314,4 @@ class TestRocRegressions:
         report = roc(rho)
         c_l1 = _l1_coherence(rho)
         assert c_l1 / (d - 1) - 1e-9 <= report.value <= c_l1 + 1e-9
-        _assert_identities(report, 1e-9)
+        _assert_identities(report, rho, dephasing_group(d), 1e-9)

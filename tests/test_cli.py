@@ -103,7 +103,10 @@ def test_roa_and_roc(tmp_path, capsys):
     assert _json_out(capsys)["value"] == pytest.approx(1.0, abs=1e-6)
 
     assert run(["roc", "--state", str(state_path)]) == 0
-    assert _json_out(capsys)["value"] == pytest.approx(1.0, abs=1e-6)
+    payload = _json_out(capsys)
+    assert payload["value"] == pytest.approx(1.0, abs=1e-6)
+    assert payload["value"] - payload["lower"] <= 1e-9
+    assert jsonio.povm_from_json(payload["witness"]).outcomes == 2
 
 
 def test_random_povm_deterministic_bytes(capsys):
@@ -231,3 +234,27 @@ def test_ensemble_of_mixed_dimensions_is_an_error(z_file, tmp_path, capsys, comm
     argv = command + [ensemble] + (["--povm", z_file] if command[0] == "discriminate" else [])
     payload = _assert_error_contract(capsys, run(argv))
     assert payload["error"] == "InvalidEnsemble"
+
+
+_PLUS_STATE = jsonio.state_to_json(np.full((2, 2), 0.5))
+_HALF = jsonio.matrix_to_json(np.eye(2) / 2)
+
+
+@pytest.mark.parametrize("command, files, detail", [
+    ("rom {0}", [{"dimension": 2, "elements": 5}], "elements must be an array"),
+    ("accinfo-ensemble {0}", [{"dimension": 2, "priors": [1.0], "states": 5}],
+     "states must be an array"),
+    ("accinfo-ensemble {0}", [{"dimension": 2, "priors": "x", "states": [_HALF]}],
+     "priors must be an array"),
+    ("accinfo-ensemble {0}", [{"dimension": 2, "priors": ["1"], "states": [_HALF]}],
+     "priors must hold only numbers"),
+    ("roa --state {0} --group {1}", [_PLUS_STATE, {"dimension": 2, "unitaries": 5}],
+     "unitaries must be an array"),
+    ("roc --state {0}", [{"dimension": 2, "state": [[[0.5, 0], [0.5, 0]], [[0.5, 0], "x"]]}],
+     "malformed matrix"),
+])
+def test_malformed_container_is_a_parse_error(tmp_path, capsys, command, files, detail):
+    paths = [_write_json(tmp_path, f"in{i}.json", obj) for i, obj in enumerate(files)]
+    payload = _assert_error_contract(capsys, run([arg.format(*paths) for arg in command.split()]))
+    assert payload["error"] == "ParseError"
+    assert detail in payload["detail"]

@@ -88,8 +88,27 @@ def test_simulability_result_schema():
 
 def test_asymmetry_report_schema():
     payload = jsonio.asymmetry_report_to_json(roc(np.full((2, 2), 0.5)))
-    assert set(payload) == {"value", "dominating_operator", "game_advantage", "min_info"}
+    assert set(payload) == {"value", "dominating_operator", "game_advantage", "min_info",
+                            "lower", "witness"}
     assert payload["value"] == pytest.approx(1.0, abs=1e-6)
+    assert payload["value"] - payload["lower"] <= 1e-9
+    jsonio.povm_from_json(payload["witness"])
+
+
+@pytest.mark.parametrize("decoder, payload", [
+    (jsonio.stochastic_map_from_json, {"rows": 1, "cols": 1, "p": 5}),
+    (jsonio.stochastic_map_from_json, {"rows": 1, "cols": 2, "p": [["0.5", "0.5"]]}),
+    (jsonio.stochastic_map_from_json, {"rows": 2, "cols": 2, "p": [[1.0, 0.0], [1.0]]}),
+    (jsonio.joint_from_json, {"p": "x"}),
+    (jsonio.joint_from_json, {"p": [[0.5, None], [0.25, 0.25]]}),
+    (jsonio.joint_from_json, {"p": [[True, False]]}),
+    (jsonio.ensemble_from_json, {"dimension": 2, "priors": 1.0, "states": []}),
+    (jsonio.povm_from_json, {"dimension": 2, "elements": {"0": []}}),
+    (jsonio.group_from_json, {"dimension": 2, "unitaries": "I"}),
+])
+def test_decoders_reject_non_arrays_and_non_numbers(decoder, payload):
+    with pytest.raises(ParseError):
+        decoder(payload)
 
 
 def test_dumps_sorts_keys_and_rounds():

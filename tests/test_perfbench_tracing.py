@@ -31,3 +31,11 @@ def test_solver_counters_under_the_tracer():
     assert tracer.counters["solvers.solve_lp.pivots"] >= 1
     assert tracer.counters["solvers.solve_dominating.calls"] >= 1
     assert tracer.counters["solvers.solve_lp.failures"] == 0
+
+
+def test_roc_makes_one_dominance_solve():
+    rho = np.array([[0.6, 0.2 - 0.1j, 0.1], [0.2 + 0.1j, 0.3, 0.0], [0.1, 0.0, 0.1]])
+    with tracing.Tracer() as tracer:
+        roc(rho)
+    assert tracer.counters["solvers.solve_dominating.calls"] == 1
+    assert tracer.counters["solvers.min_error_guess_value.calls"] == 0
