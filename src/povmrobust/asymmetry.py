@@ -67,7 +67,8 @@ class AsymmetryReport:
     the orbit-game advantage of every measurement from above; ``witness``
     is a measurement verified to reach ``1 + lower`` in that game, so the
     optimal advantage lies in ``[1 + lower, game_advantage]``.
-    ``min_info`` is ``log2(game_advantage)``.
+    ``min_info`` is ``log2(game_advantage)``; ``iterations`` counts the
+    interior-point steps of the solve.
     """
 
     value: float
@@ -76,6 +77,7 @@ class AsymmetryReport:
     min_info: float
     lower: float
     witness: Povm
+    iterations: int = 0
 
 
 def validate_group(unitaries, *, unitary_tol: float = UNITARY_TOL,
@@ -207,9 +209,13 @@ def roa(rho, g: GroupRepresentation) -> AsymmetryReport:
     ``lower`` the checked score of the witness ``M`` minus one.
     """
     g = _require_group(g)
+    return _certified_asymmetry(rho, g, symmetric_subspace_basis(g))
+
+
+def _certified_asymmetry(rho, g: GroupRepresentation, basis) -> AsymmetryReport:
+    """``roa`` over ``basis``, a basis of the symmetric operators of ``g``."""
     orbit = orbit_ensemble(rho, g)  # validates the state and its dimension
     rho = as_complex_matrix(rho)
-    basis = symmetric_subspace_basis(g)
     solution = solve_dominating(DominanceProgram(g.dimension, basis, rho[None]))
     if solution.status == INFEASIBLE:
         raise InfeasibleSubspace("no symmetric operator dominates the state")
@@ -229,11 +235,13 @@ def roa(rho, g: GroupRepresentation) -> AsymmetryReport:
         raise SolverFailure(f"dual witness scores {score!r}, below the certified lower "
                             f"bound {solution.lower!r} (tol {tol:.1e})")
     return AsymmetryReport(solution.value - 1.0, sigma, solution.value,
-                           math.log2(solution.value), score - 1.0, witness)
+                           math.log2(solution.value), score - 1.0, witness, solution.iterations)
 
 
 def roc(rho) -> AsymmetryReport:
     """Robustness of coherence: asymmetry under the dephasing group, where
-    the symmetric operators are the diagonal matrices."""
+    the symmetric operators are the diagonal matrices, spanned by the d
+    diagonal matrix units."""
     rho = check_density_matrix(rho)
-    return roa(rho, dephasing_group(rho.shape[0]))
+    d = rho.shape[0]
+    return _certified_asymmetry(rho, dephasing_group(d), np.eye(d)[:, :, None] * np.eye(d))

@@ -108,7 +108,8 @@ def _cmd_selftest(args):
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"{r.index:2d}  {r.name:<{width}}  {status}  {r.seconds:6.2f} s  {r.detail}")
+        steps = "" if r.steps is None else f"{r.steps} IPM steps; "
+        print(f"{r.index:2d}  {r.name:<{width}}  {status}  {r.seconds:6.2f} s  {steps}{r.detail}")
     n_passed = sum(r.passed for r in results)
     print(f"selftest: {n_passed}/{len(results)} criteria passed")
     return 0 if n_passed == len(results) else 1

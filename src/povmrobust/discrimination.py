@@ -87,17 +87,21 @@ def random_density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
     return w / np.trace(w).real
 
 
+def _random_states(rng: np.random.Generator, shape: tuple, d: int) -> np.ndarray:
+    """A stack of ``shape`` random full-rank states: the draws of
+    ``random_density_matrix`` state by state, in one call."""
+    g = rng.standard_normal((*shape, 2, d, d))
+    w = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    w = w @ w.conj().swapaxes(-1, -2)
+    return w / np.einsum("...ii->...", w).real[..., None, None]
+
+
 def random_ensemble(d: int, size: int, seed: int) -> Ensemble:
     """Random full-rank states with flat-Dirichlet priors, deterministic in
     the seed.  Valid by construction."""
     rng = np.random.default_rng(seed)
-    # the draws of ``random_density_matrix`` state by state, in one call
-    g = rng.standard_normal((size, 2, d, d))
-    w = g[:, 0] + 1j * g[:, 1]
-    w = w @ w.conj().swapaxes(-1, -2)
-    states = w / np.einsum("xii->x", w).real[:, None, None]
-    priors = rng.dirichlet(np.ones(size))
-    return Ensemble(states, priors)
+    states = _random_states(rng, (size,), d)
+    return Ensemble(states, rng.dirichlet(np.ones(size)))
 
 
 def _require_ensemble(e) -> Ensemble:

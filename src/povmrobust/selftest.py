@@ -4,8 +4,9 @@ Each criterion below checks one of the identities or properties the
 package is built around, at a fixed tolerance, over deterministic
 pseudo-random instances at desk scale (dimension at most 4, at most 6
 outcomes).  The CLI ``selftest`` subcommand runs them all and prints a
-pass/fail table with each criterion's wall time; the test suite asserts
-them one by one.  ``quick`` mode shrinks the sample counts roughly
+pass/fail table with each criterion's wall time and, where it solves
+dominance programs, their total interior-point steps; the test suite
+asserts them one by one.  ``quick`` mode shrinks the sample counts roughly
 tenfold for smoke testing.
 """
 
@@ -20,6 +21,7 @@ import numpy as np
 from .asymmetry import dephasing_group, orbit_ensemble, roa, roc
 from .discrimination import (
     Ensemble,
+    _random_states,
     advantage,
     optimal_ensemble,
     random_density_matrix,
@@ -39,7 +41,7 @@ from .measurement import (
 )
 from .rom import rom, rom_report
 from .simulability import NOT_SIMULABLE, is_simulable
-from .solvers import min_error_guess_value, rom_via_sdp
+from .solvers import _guess_solution, _rom_via_sdp
 
 GRID = [(d, o) for d in (2, 3, 4) for o in (2, 3, 4, 5, 6)]
 
@@ -51,6 +53,7 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float = 0.0
+    steps: int | None = None  # interior-point steps of the criterion's dominance solves
 
 
 def _suite(n_total: int, seed_base: int) -> list[Povm]:
@@ -87,11 +90,14 @@ def qubit_sic() -> Povm:
 def criterion_closed_form_vs_sdp(quick: bool = False) -> CriterionResult:
     n = 30 if quick else 200
     worst = 0.0
+    steps = 0
     for m in _suite(n, 11000):
-        worst = max(worst, abs(rom(m) - rom_via_sdp(m)))
+        value, iterations = _rom_via_sdp(m)
+        worst = max(worst, abs(rom(m) - value))
+        steps += iterations
     return CriterionResult(
         1, "closed form vs SDP", worst <= 1e-9,
-        f"max |closed - sdp| = {worst:.3e} over {n} POVMs (tol 1e-9)",
+        f"max |closed - sdp| = {worst:.3e} over {n} POVMs (tol 1e-9)", steps=steps,
     )
 
 
@@ -131,16 +137,24 @@ def criterion_exact_values(quick: bool = False) -> CriterionResult:
 def criterion_advantage(quick: bool = False) -> CriterionResult:
     n = 20 if quick else 200
     per_m = 20 if quick else 200
+    suite = _suite(n, 11000)
     worst_identity = 0.0
     worst_excess = -np.inf
-    for i, m in enumerate(_suite(n, 11000)):
-        bound = 1.0 + rom(m)
-        worst_identity = max(
-            worst_identity, abs(advantage(optimal_ensemble(m), m) - bound)
-        )
-        for j in range(per_m):
-            e = random_ensemble(m.dimension, 1 + (i + j) % 6, 40000 + 1000 * i + j)
-            worst_excess = max(worst_excess, advantage(e, m) - bound)
+    for c, (d, _) in enumerate(GRID):
+        # all games of the cell in one draw: six states per game, of which a
+        # game of k members keeps the first k, with flat-Dirichlet priors
+        rng = np.random.default_rng(40000 + c)
+        cell = range(c, n, len(GRID))
+        states = _random_states(rng, (len(cell), per_m, 6), d)
+        weights = rng.exponential(size=(len(cell), per_m, 6))
+        for row, i in enumerate(cell):
+            m = suite[i]
+            bound = 1.0 + rom(m)
+            worst_identity = max(worst_identity, abs(advantage(optimal_ensemble(m), m) - bound))
+            for j in range(per_m):
+                w = weights[row, j, :1 + (i + j) % 6]
+                e = Ensemble(states[row, j, :w.size], w / w.sum())
+                worst_excess = max(worst_excess, advantage(e, m) - bound)
     passed = worst_identity <= 1e-7 and worst_excess <= 1e-8
     return CriterionResult(
         4, "discrimination advantage", passed,
@@ -279,6 +293,7 @@ def criterion_roa_roc(quick: bool = False) -> CriterionResult:
     problems = []
     worst_game = 0.0
     worst_info = 0.0
+    steps = 0
     cases = [(2, 20 if quick else 100, 70000), (3, 10 if quick else 50, 71000)]
     for d, count, seed_base in cases:
         group = dephasing_group(d)
@@ -286,7 +301,9 @@ def criterion_roa_roc(quick: bool = False) -> CriterionResult:
             rho = random_density_matrix(d, np.random.default_rng(seed_base + i))
             report = roa(rho, group)
             # an orbit guessing value solved apart from the robustness
-            game = group.order * min_error_guess_value(orbit_ensemble(rho, group))
+            orbit = _guess_solution(orbit_ensemble(rho, group))
+            game = group.order * orbit.value
+            steps += report.iterations + orbit.iterations
             worst_game = max(worst_game, abs(game - (1.0 + report.value)))
             worst_info = max(worst_info, abs(math.log2(game) - math.log2(1.0 + report.value)))
     if worst_game > 1e-9:
@@ -294,12 +311,11 @@ def criterion_roa_roc(quick: bool = False) -> CriterionResult:
     if worst_info > 1e-9:
         problems.append(f"min-information identity off by {worst_info:.3e} (tol 1e-9)")
 
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    plus_value = roc(plus).value
+    plus, qutrit = roc(np.full((2, 2), 0.5)), roc(np.full((3, 3), 1.0 / 3.0))
+    plus_value, qutrit_value = plus.value, qutrit.value
+    steps += plus.iterations + qutrit.iterations
     if abs(plus_value - 1.0) > 1e-9:
         problems.append(f"qubit maximal coherence gave {plus_value!r} (tol 1e-9)")
-    qutrit = np.full((3, 3), 1.0 / 3.0, dtype=complex)
-    qutrit_value = roc(qutrit).value
     if abs(qutrit_value - 2.0) > 1e-9:
         problems.append(f"qutrit maximal coherence gave {qutrit_value!r} (tol 1e-9)")
 
@@ -307,12 +323,14 @@ def criterion_roa_roc(quick: bool = False) -> CriterionResult:
         f"identities within {max(worst_game, worst_info):.3e}; "
         f"maximal coherence values {plus_value:.12f} / {qutrit_value:.12f}"
     )
-    return CriterionResult(8, "asymmetry and coherence identities", not problems, detail)
+    return CriterionResult(8, "asymmetry and coherence identities", not problems, detail,
+                           steps=steps)
 
 
 def criterion_helstrom(quick: bool = False) -> CriterionResult:
     n = 20 if quick else 100
     worst = 0.0
+    steps = 0
     for i in range(n):
         rng = np.random.default_rng(72000 + i)
         states = [random_density_matrix(2, rng) for _ in range(2)]
@@ -322,11 +340,13 @@ def criterion_helstrom(quick: bool = False) -> CriterionResult:
         helstrom = 0.5 * (1.0 + np.abs(
             np.linalg.eigvalsh(priors[0] * states[0] - priors[1] * states[1])
         ).sum())
-        worst = max(worst, abs(min_error_guess_value(ensemble) - helstrom))
+        solution = _guess_solution(ensemble)
+        worst = max(worst, abs(solution.value - helstrom))
+        steps += solution.iterations
     return CriterionResult(
         9, "binary discrimination against the trace-norm formula",
         worst <= 1e-9,
-        f"max |solver - formula| = {worst:.3e} over {n} ensembles (tol 1e-9)",
+        f"max |solver - formula| = {worst:.3e} over {n} ensembles (tol 1e-9)", steps=steps,
     )
 
 

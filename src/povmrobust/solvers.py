@@ -10,9 +10,12 @@ Hermitian constraints, by a primal-dual interior-point method (HKM
 direction, Mehrotra predictor-corrector; Helmberg, Rendl, Vanderbei and
 Wolkowicz, SIAM J. Optim. 6 (1996); Vandenberghe and Boyd, SIAM Rev. 38
 (1996)) that returns a strictly feasible point together with a certified
-lower bound.  On top of these, the module instantiates the robustness
-program of a measurement and the optimal guessing probability of a state
-ensemble.
+lower bound.  Its trace pairings are real matrix products of the
+matrices' real and imaginary parts, each predictor or corrector stage
+takes both step lengths from one stacked eigensolve, and the lower bound
+is computed only once the complementarity gap is near the tolerance.
+The module also instantiates the robustness program of a measurement
+and the optimal guessing probability of a state ensemble.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ IDENTITY_TOL = 1e-12     # the identity counts as lying in the span below this
 MAX_ITERATIONS = 100
 MAX_HALVINGS = 60
 STEP_FRACTION = 0.95     # share of the distance to the cone boundary stepped
+CERTIFY_WINDOW = 10.0    # certify once the complementarity gap is this many GAP_TOLs
 
 
 @dataclass(frozen=True)
@@ -151,6 +155,19 @@ class SdpSolution:
     min_slack: float
     # perfbench/tracing.py reads this counter; an interior-point solve makes no cuts.
     cuts: int = 0
+    iterations: int = 0  # interior-point steps on the main path
+
+
+def _rows(mats):
+    """Each matrix as one real row of its interleaved real and imaginary
+    parts (a view): ``Re tr[B M] = _rows(B) . _rows(M)`` for Hermitian B."""
+    mats = np.ascontiguousarray(mats, dtype=np.complex128)
+    return mats.view(np.float64).reshape(*mats.shape[:-2], -1)
+
+
+def _span(x, basis):
+    """``sum_j x_j B_j``, as one matrix product."""
+    return (x @ basis.reshape(len(basis), -1)).reshape(basis.shape[1:])
 
 
 def _validate_program(program: DominanceProgram):
@@ -160,7 +177,7 @@ def _validate_program(program: DominanceProgram):
     if (not len(basis) or not len(constraints)
             or basis.shape[1:] != shape or constraints.shape[1:] != shape):
         raise ValueError("need nonempty basis and constraint stacks of the program's dimension")
-    gram = np.einsum("aij,bji->ab", basis, basis).real
+    gram = _rows(basis) @ _rows(basis).T
     smallest = np.linalg.eigvalsh(gram)[0]
     if smallest < BASIS_INDEPENDENCE_TOL:
         raise ValueError(
@@ -169,12 +186,16 @@ def _validate_program(program: DominanceProgram):
     return basis, constraints, gram
 
 
-def _max_step(inv_chol, direction) -> float:
-    """Largest ``alpha`` keeping ``A + alpha dA`` positive semidefinite,
-    given ``L^-1`` for the Cholesky factor ``A = L L^+`` (batched)."""
-    scaled = inv_chol @ direction @ inv_chol.conj().swapaxes(-1, -2)
-    smallest = np.linalg.eigvalsh(scaled)[..., 0].min()
-    return np.inf if smallest >= 0.0 else -1.0 / smallest
+def _step_lengths(inv_chols, ds, dz, fraction):
+    """Primal and dual step lengths: ``fraction`` of the largest steps that
+    keep ``S + a dS`` and ``Z + a dZ`` positive semidefinite, capped at one.
+    ``inv_chols`` stacks the inverse Cholesky factors of every ``S_i`` over
+    those of every ``Z_i``, so one eigensolve of the ``L^-1 dA L^-+`` gives both."""
+    directions = np.concatenate([np.broadcast_to(ds, dz.shape), dz])
+    scaled = inv_chols @ directions @ inv_chols.conj().swapaxes(-1, -2)
+    smallest = np.linalg.eigvalsh(scaled)[:, 0].reshape(2, -1).min(axis=1)
+    steps = np.divide(-fraction, smallest, out=np.full(2, np.inf), where=smallest < 0.0)
+    return np.minimum(1.0, steps)
 
 
 def _central_path(basis, constraints, c, x, z):
@@ -187,41 +208,40 @@ def _central_path(basis, constraints, c, x, z):
     every iterate stays so.  Each step is the HKM direction with
     Mehrotra's predictor-corrector: one ``k x k`` Schur complement
     ``H_jl = sum_i Re tr[B_j S_i^-1 B_l Z_i]`` serves both solves, and all
-    the matrix work is batched over the constraint stack.  A dual residual
-    in the start shrinks with every dual step.
+    the matrix work is batched over the constraint stack.  Pairings with
+    the basis are real matrix products of ``_rows`` (``H`` is one GEMM),
+    and each stage takes both step lengths from one stacked eigensolve.
+    A dual residual in the start shrinks with every dual step.
     """
     m, d = constraints.shape[0], constraints.shape[1]
-    s = np.einsum("j,jab->ab", x, basis) - constraints
+    rows = _rows(basis)
+    s = _span(x, basis) - constraints
     s_chol = np.linalg.cholesky(s)
     z_chol = np.linalg.cholesky(z)
     while True:
         yield x, s, z
         s_inv_chol = np.linalg.inv(s_chol)
         s_inv = s_inv_chol.conj().swapaxes(-1, -2) @ s_inv_chol
-        z_inv_chol = np.linalg.inv(z_chol)
-        mu = np.einsum("iab,iba->", s, z).real / (m * d)
+        inv_chols = np.concatenate([s_inv_chol, np.linalg.inv(z_chol)])
+        mu = np.vdot(s, z).real / (m * d)
         # sum_i S_i^-1 B_l Z_i, stacked over l
         weighted = (s_inv[:, None] @ basis[None] @ z[:, None]).sum(axis=0)
-        schur = np.einsum("jba,lab->jl", basis, weighted).real
+        schur = rows @ _rows(weighted).T
 
         def direction(target):
             s_inv_target = s_inv @ target
-            rhs = np.einsum("jba,ab->j", basis, s_inv_target.sum(axis=0)).real - c
-            dx = np.linalg.solve(schur, rhs)
-            ds = np.einsum("j,jab->ab", dx, basis)
+            dx = np.linalg.solve(schur, rows @ _rows(s_inv_target.sum(axis=0)) - c)
+            ds = _span(dx, basis)
             dz = s_inv_target - z - s_inv @ ds @ z
             return dx, ds, 0.5 * (dz + dz.conj().swapaxes(-1, -2))
 
         dx, ds, dz = direction(np.zeros_like(z))
-        alpha_p = min(1.0, _max_step(s_inv_chol, ds))
-        alpha_d = min(1.0, _max_step(z_inv_chol, dz))
-        mu_affine = np.einsum("iab,iba->", s + alpha_p * ds, z + alpha_d * dz).real / (m * d)
+        alpha_p, alpha_d = _step_lengths(inv_chols, ds, dz, 1.0)
+        mu_affine = np.vdot(s + alpha_p * ds, z + alpha_d * dz).real / (m * d)
         sigma = (mu_affine / mu) ** 3
         dx, ds, dz = direction(sigma * mu * np.eye(d) - ds @ dz)
-        alpha_p = min(1.0, STEP_FRACTION * _max_step(s_inv_chol, ds))
-        alpha_d = min(1.0, STEP_FRACTION * _max_step(z_inv_chol, dz))
-        x, s, s_chol = _positive_step(
-            x, dx, alpha_p, lambda v: np.einsum("j,jab->ab", v, basis) - constraints)
+        alpha_p, alpha_d = _step_lengths(inv_chols, ds, dz, STEP_FRACTION)
+        x, s, s_chol = _positive_step(x, dx, alpha_p, lambda v: _span(v, basis) - constraints)
         z, _, z_chol = _positive_step(z, dz, alpha_d, lambda v: v)
 
 
@@ -240,7 +260,7 @@ def _positive_step(point, direction, alpha, matrices):
 
 def _dual_residual(basis, c, z) -> float:
     """Worst violation of ``sum_i tr[B_j Z_i] = c_j``."""
-    return float(np.abs(c - np.einsum("jba,iab->j", basis, z).real).max())
+    return float(np.abs(c - _rows(basis) @ _rows(z.sum(axis=0))).max())
 
 
 def _certified_lower(basis, gram, constraints, c, z):
@@ -254,14 +274,14 @@ def _certified_lower(basis, gram, constraints, c, z):
     themselves are kept: they start dual feasible and every step
     preserves that, up to rounding.
     """
-    coords = np.linalg.solve(gram, np.einsum("jab,iba->j", basis, z).real)
-    w, v = np.linalg.eigh(np.einsum("j,jab->ab", coords, basis))
+    coords = np.linalg.solve(gram, _rows(basis) @ _rows(z.sum(axis=0)))
+    w, v = np.linalg.eigh(_span(coords, basis))
     if w[0] > 0.0:
         root = (v / np.sqrt(w)) @ v.conj().T
         congruent = root @ z @ root
         if _dual_residual(basis, c, congruent) <= _dual_residual(basis, c, z):
             z = congruent
-    return float(np.einsum("iab,iba->", constraints, z).real), z
+    return float(np.vdot(constraints, z).real), z
 
 
 def _strictly_feasible_start(basis, gram, constraints):
@@ -277,8 +297,8 @@ def _strictly_feasible_start(basis, gram, constraints):
     eye = np.eye(d)
     lam = np.linalg.eigvalsh(constraints)[:, -1].max()
     lam += max(1.0, abs(lam))
-    coords = np.linalg.solve(gram, np.einsum("jii->j", basis).real)
-    if np.abs(np.einsum("j,jab->ab", coords, basis) - eye).max() <= IDENTITY_TOL:
+    coords = np.linalg.solve(gram, np.trace(basis, axis1=1, axis2=2).real)
+    if np.abs(_span(coords, basis) - eye).max() <= IDENTITY_TOL:
         return lam * coords
     augmented = np.concatenate([basis, eye[None]])
     c = np.eye(augmented.shape[0])[-1]
@@ -287,7 +307,7 @@ def _strictly_feasible_start(basis, gram, constraints):
         if x[-1] < 0.0:
             return x[:-1]
         if _dual_residual(augmented, c, z) <= GAP_TOL:
-            lower = np.einsum("iab,iba->", constraints, z).real
+            lower = np.vdot(constraints, z).real
             if lower > GAP_TOL:
                 return None
             if x[-1] - lower <= GAP_TOL:
@@ -302,26 +322,33 @@ def solve_dominating(program: DominanceProgram) -> SdpSolution:
     The path following (HKM direction, Mehrotra predictor-corrector)
     starts from a strictly feasible ``Y`` and from ``Z_i = I / m``, which
     is dual feasible because ``tr B_j = tr[B_j I]``.  After each step the
-    trace of the current ``Y`` is an upper bound and the congruence in
-    ``_certified_lower`` gives a lower one; the solve stops once they are
-    within ``GAP_TOL`` (relative to ``max(1, |value|)``) and raises
-    ``SolverFailure`` if that takes more than ``MAX_ITERATIONS`` steps.
+    trace of the current ``Y`` is an upper bound.  Once the complementarity
+    gap ``sum_i tr[S_i Z_i]`` is within ``CERTIFY_WINDOW`` times the
+    tolerance, the congruence in ``_certified_lower`` gives a lower bound;
+    the solve stops once the two are within ``GAP_TOL`` (relative to
+    ``max(1, |value|)``) and raises ``SolverFailure``, reporting the gap
+    left, if that takes more than ``MAX_ITERATIONS`` steps.
     """
     basis, constraints, gram = _validate_program(program)
     x = _strictly_feasible_start(basis, gram, constraints)
     if x is None:
         return SdpSolution(INFEASIBLE, None, np.nan, np.nan, None, np.nan)
-    c = np.einsum("jii->j", basis).real
+    c = np.trace(basis, axis1=1, axis2=2).real
     z = np.broadcast_to(np.eye(program.dimension) / constraints.shape[0], constraints.shape)
-    for x, s, z in islice(_central_path(basis, constraints, c, x, z), MAX_ITERATIONS):
+    path = islice(_central_path(basis, constraints, c, x, z), MAX_ITERATIONS)
+    for iterations, (x, s, z) in enumerate(path):
         value = float(c @ x)
-        lower, duals = _certified_lower(basis, gram, constraints, c, z)
-        if value - lower <= GAP_TOL * max(1.0, abs(value)):
+        tol = GAP_TOL * max(1.0, abs(value))
+        gap = np.vdot(s, z).real
+        if gap <= CERTIFY_WINDOW * tol:
+            lower, duals = _certified_lower(basis, gram, constraints, c, z)
+            gap = value - lower
+        if gap <= tol:
             min_slack = float(np.linalg.eigvalsh(s)[:, 0].min())
-            y = np.einsum("j,jab->ab", x, basis)
-            return SdpSolution(OPTIMAL, y, value, lower, duals, min_slack)
+            y = _span(x, basis)
+            return SdpSolution(OPTIMAL, y, value, lower, duals, min_slack, iterations=iterations)
     raise SolverFailure(
-        f"dominance solve left a gap of {value - lower:.3e} after {MAX_ITERATIONS} iterations"
+        f"dominance solve left a gap of {gap:.3e} after {MAX_ITERATIONS} iterations"
     )
 
 
@@ -333,16 +360,22 @@ def rom_via_sdp(m: Povm) -> float:
     single-constraint program; each block value comes from a strictly
     dominating point, so the sum is an upper bound within the solver gap.
     """
+    return _rom_via_sdp(m)[0]
+
+
+def _rom_via_sdp(m: Povm) -> tuple[float, int]:
+    """``rom_via_sdp`` and the interior-point steps of its solves."""
     m = _require_povm(m)
     d = m.dimension
     eye = np.eye(d, dtype=np.complex128)[None]
-    total = 0.0
+    total, steps = 0.0, 0
     for element in m:
         sol = solve_dominating(DominanceProgram(d, eye, element[None]))
         if sol.status == INFEASIBLE:
             raise InfeasibleSubspace("no scalar multiple of the identity dominates")
         total += sol.value / d
-    return total - 1.0
+        steps += sol.iterations
+    return total - 1.0, steps
 
 
 def min_error_guess_value(ensemble) -> float:
@@ -354,6 +387,11 @@ def min_error_guess_value(ensemble) -> float:
     trace of a strictly dominating ``Y``, so it is never below the
     guessing probability achievable with any fixed measurement.
     """
+    return _guess_solution(ensemble).value
+
+
+def _guess_solution(ensemble) -> SdpSolution:
+    """The certified dominance solve behind ``min_error_guess_value``."""
     from .discrimination import Ensemble
     if not isinstance(ensemble, Ensemble):
         raise InvalidEnsemble(f"expected an Ensemble, got {type(ensemble).__name__}")
@@ -362,4 +400,4 @@ def min_error_guess_value(ensemble) -> float:
     sol = solve_dominating(DominanceProgram(d, hermitian_basis(d), constraints))
     if sol.status == INFEASIBLE:
         raise InfeasibleSubspace("no Hermitian operator dominates the ensemble")
-    return sol.value
+    return sol

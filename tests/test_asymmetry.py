@@ -235,6 +235,20 @@ class TestOrbitGameCertificates:
         with pytest.raises(SolverFailure):
             roa(rho, dephasing_group(2))
 
+    def test_corrupted_roc_solution_is_a_solver_failure(self, monkeypatch):
+        # roc shares roa's certificate checks over its own basis
+        import povmrobust.asymmetry as asymmetry
+
+        solve = asymmetry.solve_dominating
+
+        def overstated(program):
+            solution = solve(program)
+            return replace(solution, lower=solution.lower + 1e-6)
+
+        monkeypatch.setattr(asymmetry, "solve_dominating", overstated)
+        with pytest.raises(SolverFailure):
+            roc(np.array([[0.7, 0.3], [0.3, 0.3]], dtype=complex))
+
 
 class TestRoc:
     def test_diagonal_state(self):
@@ -246,6 +260,15 @@ class TestRoc:
     def test_qutrit_maximally_coherent(self):
         rho = np.full((3, 3), 1.0 / 3.0, dtype=complex)
         assert roc(rho).value == pytest.approx(2.0, abs=1e-5)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_matrix_units_match_the_generic_basis(self, d):
+        # roc solves over the diagonal matrix units, roa over the basis it
+        # builds for any group: one span, so the same certified bracket
+        rho = random_density_matrix(d, np.random.default_rng(40 + d))
+        units, generic = roc(rho), roa(rho, dephasing_group(d))
+        assert abs(units.value - generic.value) <= 1e-9
+        assert abs(units.lower - generic.lower) <= 1e-9
 
     def test_bounded_by_dimension(self):
         for i, d in enumerate((2, 3)):

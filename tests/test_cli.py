@@ -152,6 +152,9 @@ def test_selftest_quick_exits_zero(capsys):
     assert len(criterion_lines) == 9
     for line in criterion_lines:
         assert re.search(r"PASS +\d+\.\d{2} s ", line), line
+    # the criteria that solve dominance programs report their interior-point steps
+    for index in (1, 8, 9):
+        assert re.search(r"PASS +\d+\.\d{2} s  [1-9]\d* IPM steps; ", criterion_lines[index - 1])
 
 
 def _assert_error_contract(capsys, code):

@@ -1,17 +1,21 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
+from povmrobust import solvers
+from povmrobust.asymmetry import roc
 from povmrobust.discrimination import (
     Ensemble,
+    p_guess_with_measurement,
     random_density_matrix,
     random_ensemble,
     validate_ensemble,
 )
 from povmrobust.errors import InvalidEnsemble, SolverFailure
-from povmrobust.measurement import random_povm, trivial_povm
+from povmrobust.measurement import Povm, random_povm, trivial_povm
 from povmrobust.numerics import eig_hermitian, hermitian_basis
 from povmrobust.rom import rom
 from povmrobust.solvers import (
@@ -20,6 +24,8 @@ from povmrobust.solvers import (
     UNBOUNDED,
     DominanceProgram,
     _bland,
+    _guess_solution,
+    _rows,
     min_error_guess_value,
     rom_via_sdp,
     solve_dominating,
@@ -165,6 +171,27 @@ class TestBlandRule:
         assert value == -2.0
 
 
+def weighted_pair(d, seed):
+    """Two random states of dimension ``d`` with priors 0.4 and 0.6, as the
+    constraints of their guessing-value program."""
+    rng = np.random.default_rng(seed)
+    states = np.stack([random_density_matrix(d, rng) for _ in range(2)])
+    return np.array([0.4, 0.6])[:, None, None] * states
+
+
+class TestRows:
+    def test_contractions_match_traces(self):
+        rng = np.random.default_rng(95)
+        for d in (1, 2, 3, 5):
+            b = rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
+            b = b + b.conj().swapaxes(1, 2)
+            m = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+            for other in (m, m + m.conj().swapaxes(1, 2)):
+                expected = np.einsum("jab,lba->jl", b, other).real
+                assert np.abs(_rows(b) @ _rows(other).T - expected).max() <= 1e-13
+                assert np.abs(_rows(b) @ _rows(other[0]) - expected[:, 0]).max() <= 1e-13
+
+
 class TestSolveDominating:
     def test_scalar_subspace_closed_form(self):
         # min tr(x I) with x I >= diag(0.75, 0.25): x = 0.75, trace 1.5
@@ -230,6 +257,24 @@ class TestSolveDominating:
         program = DominanceProgram(2, basis, np.eye(2, dtype=complex)[None])
         sol = solve_dominating(program)
         assert sol.status == INFEASIBLE
+
+    def test_step_counts_are_pinned(self):
+        # interior-point steps of three fixed programs; each moved by at most
+        # two when the contractions became matrix products
+        helstrom = solve_dominating(DominanceProgram(3, hermitian_basis(3), weighted_pair(3, 92)))
+        assert abs(helstrom.iterations - 11) <= 2
+        assert abs(roc(np.full((3, 3), 1.0 / 3.0)).iterations - 10) <= 2
+        pair = solve_dominating(DominanceProgram(8, hermitian_basis(8), weighted_pair(8, 1)))
+        assert abs(pair.iterations - 11) <= 2
+
+    def test_iteration_limit_reports_a_finite_gap(self, monkeypatch):
+        # two steps are too few to certify anything: the failure still
+        # reports the complementarity gap left
+        monkeypatch.setattr(solvers, "MAX_ITERATIONS", 2)
+        with pytest.raises(SolverFailure, match="after 2 iterations") as info:
+            solve_dominating(DominanceProgram(3, hermitian_basis(3), weighted_pair(3, 92)))
+        gap = float(re.search(r"gap of (\S+) after", str(info.value)).group(1))
+        assert math.isfinite(gap) and gap > 0.0
 
     def test_rejects_dependent_basis(self):
         basis = np.stack([np.eye(2, dtype=complex), 2.0 * np.eye(2, dtype=complex)])
@@ -298,6 +343,18 @@ class TestMinErrorGuessValue:
         helstrom = 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(
             priors[0] * states[0] - priors[1] * states[1])).sum())
         assert abs(min_error_guess_value(Ensemble(states, priors)) - helstrom) <= 1e-9
+
+    def test_d16_four_states_are_certified(self):
+        rng = np.random.default_rng(8)
+        e = Ensemble(np.stack([random_density_matrix(16, rng) for _ in range(4)]),
+                     np.full(4, 0.25))
+        sol = _guess_solution(e)
+        assert sol.status == OPTIMAL
+        assert sol.value - sol.lower <= 1e-9 * max(1.0, sol.value)
+        assert np.linalg.eigvalsh(sol.duals)[:, 0].min() >= -1e-9
+        assert np.abs(sol.duals.sum(axis=0) - np.eye(16)).max() <= 1e-9
+        assert p_guess_with_measurement(e, Povm(sol.duals)) >= sol.lower - 1e-9
+        assert min_error_guess_value(e) == sol.value
 
     def test_rejects_non_ensemble(self):
         with pytest.raises(InvalidEnsemble):
