@@ -43,7 +43,7 @@ def _load(path: str, decoder):
             obj = json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         raise ParseError(path, str(exc)) from exc
-    except ValueError as exc:  # malformed text, or NaN/Infinity
+    except (ValueError, RecursionError) as exc:  # malformed, NaN/Infinity, or too deep
         raise ParseError(path, f"invalid JSON: {exc}") from exc
     try:
         return decoder(obj)

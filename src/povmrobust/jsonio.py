@@ -1,15 +1,16 @@
 """JSON encodings for every value the package exchanges with files.
 
-A complex scalar is a two-element array ``[re, im]``; a matrix is a
-row-major array of rows of such pairs.  The encoders return plain
-Python values at full precision; ``dumps`` alone rounds reals to 15
-significant digits and sorts object keys, so identical inputs produce
-byte-identical output.
+A complex scalar is a two-element array ``[re, im]``; a matrix is a row-major
+array of rows of such pairs.  The encoders return plain Python values at full
+precision; ``dumps`` alone rounds reals to 15 significant digits and sorts
+object keys, so identical inputs produce byte-identical output: each real
+prints as ``json.dumps`` prints its 15-digit rounding, formatted once.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -22,25 +23,49 @@ from .rom import RobustnessReport
 from .simulability import SimulabilityResult
 
 
-def _jsonable(obj):
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
+def _reals(values) -> list:
+    return [s if "." in (s := f"{v:.15g}") and "e" not in s else json.dumps(float(s))
+            for v in values]
+
+
+def _flat(items):
+    """``items`` in one pass if a rectangular nest of lists of floats, else None."""
+    shape = [len(items)]
+    while (kinds := set(map(type, items))) == {list} and len(widths := set(map(len, items))) == 1:
+        shape.append(widths.pop())
+        items = list(chain.from_iterable(items))
+    if kinds != {float}:
+        return None
+    # the separator after a leaf closes and reopens every level that it ends
+    seps, block = [", "] * len(items), 1
+    for depth, width in enumerate(reversed(shape[1:]), 1):
+        block *= width
+        seps[block - 1::block] = ["]" * depth + ", " + "[" * depth] * (len(seps) // block)
+    seps[-1] = "]" * len(shape)
+    return "[" * len(shape) + "".join(chain.from_iterable(zip(_reals(items), seps)))
+
+
+def _write(obj) -> str:
+    if isinstance(obj, (int, str, np.integer)) or obj is None:
+        return json.dumps(int(obj) if isinstance(obj, np.integer) else obj)
     if isinstance(obj, (float, np.floating)):
-        return float(f"{obj:.15g}")
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {key: _jsonable(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(item) for item in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(item) for item in obj.tolist()]
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return _reals([obj])[0]
+    if isinstance(obj, dict):  # sorted, and non-string keys converted, as json does it
+        return "{" + ", ".join(
+            (json.dumps(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]) + ": " + _write(v)
+            for k, v in sorted(obj.items())) + "}"
+    if not isinstance(obj, (list, tuple, np.ndarray)):
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    obj = list(obj.tolist()) if isinstance(obj, np.ndarray) else obj
+    return _flat(obj) or "[" + ", ".join(map(_write, obj)) + "]"
 
 
 def dumps(payload) -> str:
-    """Deterministic JSON text: sorted keys, 15 significant digits."""
-    return json.dumps(_jsonable(payload), sort_keys=True)
+    """Deterministic JSON text: ``json.dumps(payload, sort_keys=True)`` with reals
+    rounded to 15 significant digits, in one pass that formats each real once.  A
+    rounding with a point and no exponent is already the text json prints (15
+    digits round-trip); the rest take the exact path ``json.dumps(float(rounding))``."""
+    return _write(payload)
 
 
 def matrix_to_json(m) -> list:

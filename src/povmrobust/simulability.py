@@ -19,8 +19,8 @@ import numpy as np
 from .discrimination import Ensemble, p_guess_with_measurement, random_ensemble
 from .errors import DimensionMismatch, SolverFailure
 from .measurement import Povm, StochasticMap, _require_povm, post_process
-from .numerics import eig_hermitian, hermitian_basis
-from .solvers import INFEASIBLE, OPTIMAL, solve_lp
+from .numerics import eig_hermitian
+from .solvers import INFEASIBLE, OPTIMAL, _rows, solve_lp
 
 SIMULABLE = "Simulable"
 NOT_SIMULABLE = "NotSimulable"
@@ -78,11 +78,10 @@ def is_simulable(m: Povm, target: Povm, *,
         )
     d = m.dimension
     o, o_target = m.outcomes, target.outcomes
-    basis = hermitian_basis(d)
-    source_coords = np.einsum("kij,aji->ak", basis, m.elements).real       # (o, d*d)
-    target_coords = np.einsum("kij,aji->ak", basis, target.elements).real  # (o', d*d)
+    source_coords = _rows(m.elements)       # (o, 2*d*d); tr[A B] = _rows(A) . _rows(B)
+    target_coords = _rows(target.elements)  # (o', 2*d*d)
     _, sing, vt = np.linalg.svd(source_coords, full_matrices=False)
-    frame = vt[sing > sing[0] * max(o, d * d) * np.finfo(float).eps]      # (r, d*d)
+    frame = vt[sing > sing[0] * max(o, d * d) * np.finfo(float).eps]      # (r, 2*d*d)
     outside = target_coords - target_coords @ frame.T @ frame
 
     if np.abs(outside).max() > eq_tol:
@@ -111,7 +110,8 @@ def is_simulable(m: Povm, target: Povm, *,
         y = sol.farkas
         coords, scalars = y[:o_target * r].reshape(o_target, r) @ frame, y[o_target * r:]
 
-    operators = np.tensordot(coords, basis, axes=1)
+    operators = np.ascontiguousarray(coords).view(np.complex128).reshape(o_target, d, d)
+    operators = (operators + operators.conj().transpose(0, 2, 1)) / 2
     scale = max(np.abs(operators).max(), np.abs(scalars).max(initial=0.0), 1e-300)
     certificate = SimulabilityCertificate(operators / scale, scalars / scale)
     witness, gap = _witness(m, target, certificate)

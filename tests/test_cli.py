@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -181,6 +184,24 @@ def test_overflowing_number_is_an_error(tmp_path, capsys):
                     ' [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]}')
     payload = _assert_error_contract(capsys, run(["rom", str(path)]))
     assert payload["error"] == "InvalidArgument"
+
+
+@pytest.mark.parametrize("command", ["rom", "accinfo-ensemble"])
+def test_deeply_nested_json_is_a_parse_error(tmp_path, command):
+    # deeper than the JSON decoder recurses; run as its own process so that
+    # stderr is the one a user would see
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 1500 + "]" * 1500)
+    src = os.path.dirname(os.path.dirname(jsonio.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", "from povmrobust.cli import main; main()", command, str(path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    payload = json.loads(proc.stdout)
+    assert set(payload) == {"error", "detail"}
+    assert payload["error"] == "ParseError"
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("dim, outcomes", [("0", "2"), ("2", "0")])

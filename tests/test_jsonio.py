@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from povmrobust import jsonio
 from povmrobust.asymmetry import dephasing_group, roc
@@ -142,3 +145,92 @@ def test_dumps_handles_numpy_scalars():
     text = jsonio.dumps({"x": np.float64(0.1), "n": np.int64(3)})
     data = json.loads(text)
     assert data == {"x": 0.1, "n": 3}
+
+
+def _reference(payload):
+    """The encoder ``dumps`` replaced: round every real to 15 significant
+    digits and parse it back, then let ``json`` print the whole payload."""
+    def jsonable(obj):
+        if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+            return obj
+        if isinstance(obj, (float, np.floating)):
+            return float(f"{obj:.15g}")
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, dict):
+            return {key: jsonable(val) for key, val in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [jsonable(item) for item in obj]
+        if isinstance(obj, np.ndarray):
+            return [jsonable(item) for item in obj.tolist()]
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return json.dumps(jsonable(payload), sort_keys=True)
+
+
+EDGE_REALS = [0.0, -0.0, 1.0, -1.0, 100.0, 1e14, 1e15, 1.5e15, 9.999999999999999e15, 1e16,
+              1e-4, 1e-5, 0.1, 1.0 / 3.0, 0.9999999999999999, 123456789012345.6, 5e-324,
+              1e-310, 2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
+              float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", EDGE_REALS, ids=repr)
+def test_dumps_edge_reals_match_the_reference(value):
+    for payload in (value, np.float64(value), [value, 0.5, value], [[value], [value]],
+                    np.array([[value, 0.25]]), {"x": value}):
+        assert jsonio.dumps(payload) == _reference(payload)
+
+
+def test_dumps_keeps_the_nesting_of_a_tuple_of_array_and_list():
+    payload = (np.zeros((1, 1)), [1.0])
+    assert jsonio.dumps(payload) == _reference(payload) == "[[[0.0]], [1.0]]"
+
+
+@pytest.mark.parametrize("payload", [
+    [[1.0, 2.0], [3.0]],            # ragged
+    [[1.0, 2], [3.0, 4.0]],         # an int among the floats
+    [[1.0, 2.0], (3.0, 4.0)],       # a tuple among the lists
+    [[[1.0]], [2.0]],               # uneven depth
+    [np.float64(1.0), 2.0],         # a numpy scalar among the floats
+    [[], []],
+    np.zeros((2, 0, 3)),
+    np.arange(6.0).reshape(1, 2, 3),
+    {2: 1.0, 0.5: 2.0, True: "x"},  # non-string keys, converted as json converts them
+    {None: [1.5]},
+])
+def test_dumps_of_mixed_nests_matches_the_reference(payload):
+    assert jsonio.dumps(payload) == _reference(payload)
+
+
+def test_dumps_of_an_unknown_type_is_a_type_error():
+    with pytest.raises(TypeError):
+        jsonio.dumps(object())
+    with pytest.raises(TypeError):
+        jsonio.dumps({"a": [1.0, object()]})
+
+
+_reals = st.floats() | st.sampled_from(EDGE_REALS)
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), _reals, st.text(),
+    _reals.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64]),
+               hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=3)),
+    # rectangular float nests as the encoders build them, sometimes with an int inside
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=4, max_side=3),
+               elements=_reals).map(lambda a: a.tolist()),
+    st.lists(_reals | st.integers(), max_size=4),
+    st.lists(st.lists(_reals, max_size=3), max_size=3),
+)
+_payloads = st.recursive(
+    _leaves,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads)
+def test_dumps_matches_the_reference(payload):
+    assert jsonio.dumps(payload) == _reference(payload)
