@@ -24,16 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrimination import Ensemble, check_density_matrix, p_guess_with_measurement
-from .errors import (
-    DimensionMismatch,
-    InfeasibleSubspace,
-    InvalidGroup,
-    PovmRobustError,
-    SolverFailure,
-)
+from .errors import DimensionMismatch, InvalidGroup, PovmRobustError, SolverFailure
 from .measurement import Povm, validate_povm
 from .numerics import as_complex_matrix, hermitian_basis
-from .solvers import DominanceProgram, INFEASIBLE, solve_dominating
+from .solvers import DominanceProgram, solve_dominating
 
 UNITARY_TOL = 1e-9
 CLOSURE_TOL = 1e-8
@@ -47,7 +41,6 @@ class GroupRepresentation:
     phase, containing the identity."""
 
     unitaries: np.ndarray
-    identity_index: int
 
     @property
     def order(self) -> int:
@@ -99,8 +92,7 @@ def validate_group(unitaries, *, unitary_tol: float = UNITARY_TOL,
         raise InvalidGroup(f"element {bad[0]} fails unitarity by {deviations[bad[0]]:.3e}")
     # Phase-insensitive matching: |tr(U_k^dag W)| = d iff W = phase * U_k.
     overlaps = np.abs(np.einsum("kji,ij->k", mats.conj(), eye))
-    identity_index = int(np.argmax(overlaps))
-    if overlaps[identity_index] < d - closure_tol:
+    if overlaps.max() < d - closure_tol:
         raise InvalidGroup("the group list does not contain the identity")
     for i, u in enumerate(mats):
         # best match of U_i U_j over the listed elements, for every j
@@ -109,14 +101,14 @@ def validate_group(unitaries, *, unitary_tol: float = UNITARY_TOL,
         if missing.size:
             raise InvalidGroup(
                 f"product of elements {i} and {missing[0]} matches no listed element")
-    return GroupRepresentation(mats, identity_index)
+    return GroupRepresentation(mats)
 
 
 def dephasing_group(d: int) -> GroupRepresentation:
     """Cyclic group of the d diagonal unitaries with d-th root-of-unity
     phases; averaging over it removes every off-diagonal entry."""
     phases = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
-    return GroupRepresentation(np.stack([np.diag(row) for row in phases]), 0)
+    return GroupRepresentation(np.stack([np.diag(row) for row in phases]))
 
 
 def _require_group(g) -> GroupRepresentation:
@@ -216,9 +208,7 @@ def _certified_asymmetry(rho, g: GroupRepresentation, basis) -> AsymmetryReport:
     """``roa`` over ``basis``, a basis of the symmetric operators of ``g``."""
     orbit = orbit_ensemble(rho, g)  # validates the state and its dimension
     rho = as_complex_matrix(rho)
-    solution = solve_dominating(DominanceProgram(g.dimension, basis, rho[None]))
-    if solution.status == INFEASIBLE:
-        raise InfeasibleSubspace("no symmetric operator dominates the state")
+    solution = solve_dominating(DominanceProgram(basis, rho[None]))
     sigma = solution.y
     tol = CERTIFICATE_TOL * max(1.0, abs(solution.value))
     asymmetry = np.abs(twirl(sigma, g) - sigma).max()

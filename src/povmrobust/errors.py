@@ -89,10 +89,6 @@ class SolverFailure(PovmRobustError):
     pass
 
 
-class InfeasibleSubspace(PovmRobustError):
-    pass
-
-
 class UsageError(PovmRobustError):
     pass
 

@@ -82,7 +82,11 @@ def _numbers(obj, what) -> np.ndarray:
         arr = np.asarray(obj)
     except ValueError as exc:  # ragged nesting
         raise ParseError("<data>", f"malformed {what}: {exc}") from exc
-    if arr.dtype.kind not in "iuf":
+    # numpy reads a boolean among numbers as 0 or 1, so the leaves' types are checked
+    leaves = obj
+    for _ in range(arr.ndim - 1):
+        leaves = chain.from_iterable(leaves)
+    if arr.dtype.kind not in "iuf" or bool in set(map(type, leaves)):
         raise ParseError("<data>", f"{what} must hold only numbers")
     return arr.astype(float)
 

@@ -5,8 +5,9 @@ deciding feasibility of ``a x = b, x >= 0``, with Bland's anti-cycling
 rule (Bland, Math. Oper. Res. 2 (1977)), each pivot a few whole-tableau
 numpy operations, adequate up to a few hundred rows.
 ``solve_dominating`` minimizes the trace of an operator ranging over a
-real-linear span of Hermitian matrices subject to dominating a list of
-Hermitian constraints, by a primal-dual interior-point method (HKM
+real-linear span of Hermitian matrices that contains the identity (so
+the program always has a strictly feasible point) subject to dominating a
+list of Hermitian constraints, by a primal-dual interior-point method (HKM
 direction, Mehrotra predictor-corrector; Helmberg, Rendl, Vanderbei and
 Wolkowicz, SIAM J. Optim. 6 (1996); Vandenberghe and Boyd, SIAM Rev. 38
 (1996)) that returns a strictly feasible point together with a certified
@@ -25,7 +26,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import InfeasibleSubspace, InvalidEnsemble, SolverFailure
+from .errors import InvalidEnsemble, SolverFailure
 from .measurement import Povm, _require_povm
 from .numerics import check_hermitian, hermitian_basis
 
@@ -128,30 +129,31 @@ class DominanceProgram:
     """``min tr Y`` over ``Y = sum_j x_j B_j`` subject to ``Y >= K_i``.
 
     ``basis`` holds the Hermitian matrices ``B_j`` (real coefficients,
-    linearly independent), ``constraints`` the Hermitian ``K_i``.
+    linearly independent, their span containing the identity),
+    ``constraints`` the Hermitian ``K_i``, all of one dimension.
     """
 
-    dimension: int
     basis: np.ndarray
     constraints: np.ndarray
 
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """A dominance solve; when optimal, ``lower <= optimum <= value``.
+    """A finished dominance solve (``status`` ``OPTIMAL``, since one that
+    cannot finish raises): ``lower <= optimum <= value``.
 
-    ``y`` is strictly feasible (``min_slack``, the smallest eigenvalue of
-    any ``y - K_i``, is positive) and ``value`` is its trace.  ``duals``
-    holds positive semidefinite ``Z_i`` with ``sum_i tr[B_j Z_i] = tr B_j``
+    ``y`` is strictly feasible (``min_slack``, the smallest eigenvalue of any
+    ``y - K_i``, is positive) and ``value`` is its trace.  ``duals`` holds
+    positive semidefinite ``Z_i`` with ``sum_i tr[B_j Z_i] = tr B_j``
     (for a span that is a *-algebra, ``sum_i Z_i`` projects onto the
     identity), and ``lower = sum_i tr[K_i Z_i]``.
     """
 
     status: str
-    y: np.ndarray | None
+    y: np.ndarray
     value: float
     lower: float
-    duals: np.ndarray | None
+    duals: np.ndarray
     min_slack: float
     # perfbench/tracing.py reads this counter; an interior-point solve makes no cuts.
     cuts: int = 0
@@ -171,19 +173,26 @@ def _span(x, basis):
 
 
 def _validate_program(program: DominanceProgram):
+    """A program's stacks, Gram matrix, costs ``tr B_j`` and identity
+    coordinates; ``ValueError`` unless the basis is independent and spans I."""
     basis = check_hermitian(program.basis)
     constraints = check_hermitian(program.constraints)
-    shape = (program.dimension, program.dimension)
-    if (not len(basis) or not len(constraints)
-            or basis.shape[1:] != shape or constraints.shape[1:] != shape):
-        raise ValueError("need nonempty basis and constraint stacks of the program's dimension")
+    if (basis.ndim != 3 or not len(basis) or not len(constraints)
+            or constraints.shape[1:] != basis.shape[1:]):
+        raise ValueError("need nonempty basis and constraint stacks of one dimension")
     gram = _rows(basis) @ _rows(basis).T
     smallest = np.linalg.eigvalsh(gram)[0]
     if smallest < BASIS_INDEPENDENCE_TOL:
         raise ValueError(
             f"subspace basis is numerically dependent (Gram eigenvalue {smallest:.3e})"
         )
-    return basis, constraints, gram
+    c = np.trace(basis, axis1=1, axis2=2).real
+    # tr B_j = tr[B_j I]: these are the coordinates of the identity's projection
+    identity = np.linalg.solve(gram, c)
+    missing = np.abs(_span(identity, basis) - np.eye(basis.shape[1])).max()
+    if missing > IDENTITY_TOL:
+        raise ValueError(f"the span of the basis misses the identity by {missing:.3e}")
+    return basis, constraints, gram, c, identity
 
 
 def _step_lengths(inv_chols, ds, dz, fraction):
@@ -211,7 +220,6 @@ def _central_path(basis, constraints, c, x, z):
     the matrix work is batched over the constraint stack.  Pairings with
     the basis are real matrix products of ``_rows`` (``H`` is one GEMM),
     and each stage takes both step lengths from one stacked eigensolve.
-    A dual residual in the start shrinks with every dual step.
     """
     m, d = constraints.shape[0], constraints.shape[1]
     rows = _rows(basis)
@@ -267,8 +275,8 @@ def _certified_lower(basis, gram, constraints, c, z):
     """A dual objective that bounds the optimum from below, with its duals.
 
     The duals are ``S^-1/2 Z_i S^-1/2`` with ``S = P(sum_i Z_i)``, the
-    projection onto the span.  When the span is a *-algebra containing the
-    identity (every program this package builds), the projection commutes
+    projection onto the span.  When the span is a *-algebra (every
+    program this package builds), the projection commutes
     with the congruence, so they sum to a matrix projecting onto the
     identity and are exactly feasible.  For any other span the iterates
     themselves are kept: they start dual feasible and every step
@@ -284,57 +292,27 @@ def _certified_lower(basis, gram, constraints, c, z):
     return float(np.vdot(constraints, z).real), z
 
 
-def _strictly_feasible_start(basis, gram, constraints):
-    """A point with every ``Y - K_i`` positive definite, or ``None`` when the
-    program is infeasible.
-
-    When the identity lies in the span, ``lambda I`` above every
-    ``lambda_max(K_i)`` is one.  Otherwise a phase one minimizes ``t``
-    over ``Y + t I >= K_i`` until ``t`` turns negative, or until its dual
-    proves ``t`` positive at every point.
-    """
-    d = basis.shape[1]
-    eye = np.eye(d)
-    lam = np.linalg.eigvalsh(constraints)[:, -1].max()
-    lam += max(1.0, abs(lam))
-    coords = np.linalg.solve(gram, np.trace(basis, axis1=1, axis2=2).real)
-    if np.abs(_span(coords, basis) - eye).max() <= IDENTITY_TOL:
-        return lam * coords
-    augmented = np.concatenate([basis, eye[None]])
-    c = np.eye(augmented.shape[0])[-1]
-    z = np.broadcast_to(eye / constraints.shape[0], constraints.shape)
-    for x, _, z in islice(_central_path(augmented, constraints, c, lam * c, z), MAX_ITERATIONS):
-        if x[-1] < 0.0:
-            return x[:-1]
-        if _dual_residual(augmented, c, z) <= GAP_TOL:
-            lower = np.vdot(constraints, z).real
-            if lower > GAP_TOL:
-                return None
-            if x[-1] - lower <= GAP_TOL:
-                break
-    raise SolverFailure("the dominance program has no strictly feasible point")
-
-
 def solve_dominating(program: DominanceProgram) -> SdpSolution:
     """Primal-dual interior-point minimization of ``tr Y`` under dominance
     constraints.
 
-    The path following (HKM direction, Mehrotra predictor-corrector)
-    starts from a strictly feasible ``Y`` and from ``Z_i = I / m``, which
-    is dual feasible because ``tr B_j = tr[B_j I]``.  After each step the
-    trace of the current ``Y`` is an upper bound.  Once the complementarity
-    gap ``sum_i tr[S_i Z_i]`` is within ``CERTIFY_WINDOW`` times the
-    tolerance, the congruence in ``_certified_lower`` gives a lower bound;
+    The span of the basis must contain the identity (``ValueError``
+    otherwise), so ``lambda I`` with ``lambda`` above every
+    ``lambda_max(K_i)`` is a strictly feasible start.  The path following
+    (HKM direction, Mehrotra predictor-corrector) starts there and from
+    ``Z_i = I / m``, which is dual feasible because ``tr B_j = tr[B_j I]``.
+    After each step the trace of the current ``Y`` is an upper bound.  Once
+    the complementarity gap ``sum_i tr[S_i Z_i]`` is within
+    ``CERTIFY_WINDOW`` times the tolerance, the congruence in
+    ``_certified_lower`` gives a lower bound;
     the solve stops once the two are within ``GAP_TOL`` (relative to
     ``max(1, |value|)``) and raises ``SolverFailure``, reporting the gap
     left, if that takes more than ``MAX_ITERATIONS`` steps.
     """
-    basis, constraints, gram = _validate_program(program)
-    x = _strictly_feasible_start(basis, gram, constraints)
-    if x is None:
-        return SdpSolution(INFEASIBLE, None, np.nan, np.nan, None, np.nan)
-    c = np.trace(basis, axis1=1, axis2=2).real
-    z = np.broadcast_to(np.eye(program.dimension) / constraints.shape[0], constraints.shape)
+    basis, constraints, gram, c, identity = _validate_program(program)
+    lam = np.linalg.eigvalsh(constraints)[:, -1].max()
+    x = (lam + max(1.0, abs(lam))) * identity
+    z = np.broadcast_to(np.eye(basis.shape[1]) / constraints.shape[0], constraints.shape)
     path = islice(_central_path(basis, constraints, c, x, z), MAX_ITERATIONS)
     for iterations, (x, s, z) in enumerate(path):
         value = float(c @ x)
@@ -370,9 +348,7 @@ def _rom_via_sdp(m: Povm) -> tuple[float, int]:
     eye = np.eye(d, dtype=np.complex128)[None]
     total, steps = 0.0, 0
     for element in m:
-        sol = solve_dominating(DominanceProgram(d, eye, element[None]))
-        if sol.status == INFEASIBLE:
-            raise InfeasibleSubspace("no scalar multiple of the identity dominates")
+        sol = solve_dominating(DominanceProgram(eye, element[None]))
         total += sol.value / d
         steps += sol.iterations
     return total - 1.0, steps
@@ -397,7 +373,4 @@ def _guess_solution(ensemble) -> SdpSolution:
         raise InvalidEnsemble(f"expected an Ensemble, got {type(ensemble).__name__}")
     d = ensemble.dimension
     constraints = ensemble.priors[:, None, None] * ensemble.states
-    sol = solve_dominating(DominanceProgram(d, hermitian_basis(d), constraints))
-    if sol.status == INFEASIBLE:
-        raise InfeasibleSubspace("no Hermitian operator dominates the ensemble")
-    return sol
+    return solve_dominating(DominanceProgram(hermitian_basis(d), constraints))

@@ -276,9 +276,15 @@ _HALF = jsonio.matrix_to_json(np.eye(2) / 2)
      "unitaries must be an array"),
     ("roc --state {0}", [{"dimension": 2, "state": [[[0.5, 0], [0.5, 0]], [[0.5, 0], "x"]]}],
      "malformed matrix"),
+    # read as 1, the true would make this the qubit Z measurement
+    ("rom {0}", [{"dimension": 2, "elements": [[[[True, 0], [0, 0]], [[0, 0], [0, 0]]],
+                                               [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]}],
+     "matrix must hold only numbers"),
 ])
 def test_malformed_container_is_a_parse_error(tmp_path, capsys, command, files, detail):
     paths = [_write_json(tmp_path, f"in{i}.json", obj) for i, obj in enumerate(files)]
-    payload = _assert_error_contract(capsys, run([arg.format(*paths) for arg in command.split()]))
+    code = run([arg.format(*paths) for arg in command.split()])
+    payload = _assert_error_contract(capsys, code)
+    assert code == 2
     assert payload["error"] == "ParseError"
     assert detail in payload["detail"]

@@ -108,6 +108,14 @@ def test_asymmetry_report_schema():
     (jsonio.ensemble_from_json, {"dimension": 2, "priors": 1.0, "states": []}),
     (jsonio.povm_from_json, {"dimension": 2, "elements": {"0": []}}),
     (jsonio.group_from_json, {"dimension": 2, "unitaries": "I"}),
+    # numpy would read a boolean among numbers as 1 or 0
+    (jsonio.joint_from_json, {"p": [[True, 0], [0, 0]]}),
+    (jsonio.joint_from_json, {"p": [[0.5, 0.5], [0.0, False]]}),
+    (jsonio.matrix_from_json, [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]),
+    (jsonio.povm_from_json, {"dimension": 2, "elements": [
+        [[[True, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]}),
+    (jsonio.ensemble_from_json, {"dimension": 2, "priors": [0.5, False, 0.5],
+                                 "states": [[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]] * 3}),
 ])
 def test_decoders_reject_non_arrays_and_non_numbers(decoder, payload):
     with pytest.raises(ParseError):

@@ -196,7 +196,7 @@ class TestSolveDominating:
     def test_scalar_subspace_closed_form(self):
         # min tr(x I) with x I >= diag(0.75, 0.25): x = 0.75, trace 1.5
         program = DominanceProgram(
-            2, np.eye(2, dtype=complex)[None], np.diag([0.75, 0.25]).astype(complex)[None]
+            np.eye(2, dtype=complex)[None], np.diag([0.75, 0.25]).astype(complex)[None]
         )
         sol = solve_dominating(program)
         assert sol.status == OPTIMAL
@@ -206,7 +206,7 @@ class TestSolveDominating:
     def test_solution_respects_constraints(self):
         rng = np.random.default_rng(91)
         constraints = np.stack([0.5 * random_density_matrix(3, rng) for _ in range(3)])
-        sol = solve_dominating(DominanceProgram(3, hermitian_basis(3), constraints))
+        sol = solve_dominating(DominanceProgram(hermitian_basis(3), constraints))
         assert sol.status == OPTIMAL
         assert sol.min_slack >= -1e-7
         for k in constraints:
@@ -219,7 +219,7 @@ class TestSolveDominating:
         rng = np.random.default_rng(92)
         states = [random_density_matrix(3, rng) for _ in range(2)]
         constraints = np.stack([0.4 * states[0], 0.6 * states[1]])
-        sol = solve_dominating(DominanceProgram(3, hermitian_basis(3), constraints))
+        sol = solve_dominating(DominanceProgram(hermitian_basis(3), constraints))
         oracle = 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(constraints[0] - constraints[1])).sum())
         assert sol.status == OPTIMAL
         assert sol.lower <= oracle + 1e-12
@@ -232,39 +232,36 @@ class TestSolveDominating:
         assert sol.lower == pytest.approx(
             np.einsum("iab,iba->", constraints, sol.duals).real, abs=1e-12)
 
-    def test_span_without_identity(self):
-        # min tr(x diag(1, 2)) = 3x with x diag(1, 2) >= I/2: x = 1/2,
-        # reached through the phase one
-        program = DominanceProgram(
-            2, np.diag([1.0, 2.0]).astype(complex)[None], 0.5 * np.eye(2, dtype=complex)[None]
-        )
-        sol = solve_dominating(program)
-        assert sol.status == OPTIMAL
-        assert sol.lower - 1e-12 <= 1.5 <= sol.value + 1e-12
+    @pytest.mark.parametrize("basis", [
+        hermitian_basis(2)[1:2],  # a single traceless element
+        np.diag([1.0, 0.0])[None],
+        np.diag([1.0, 2.0])[None],
+    ], ids=["traceless", "diag_1_0", "diag_1_2"])
+    def test_span_without_identity(self, monkeypatch, basis):
+        # the program is rejected before its first interior-point step
+        def no_steps(*args):
+            raise AssertionError("the path was started")
+        monkeypatch.setattr(solvers, "_central_path", no_steps)
+        with pytest.raises(ValueError, match="identity"):
+            solve_dominating(DominanceProgram(basis, 0.5 * np.eye(2, dtype=complex)[None]))
+
+    def test_span_containing_an_unlisted_identity(self):
+        # diag(1, 2) and diag(1, 0) span the diagonal matrices, as the matrix
+        # units of roc do; min tr Y over diagonal Y >= |+><+| is 2, at Y = I
+        basis = np.stack([np.diag([1.0, 2.0]), np.diag([1.0, 0.0])]).astype(complex)
+        sol = solve_dominating(DominanceProgram(basis, np.full((1, 2, 2), 0.5, dtype=complex)))
+        assert sol.lower - 1e-12 <= 2.0 <= sol.value + 1e-12
         assert sol.value - sol.lower <= 1e-9
-
-    def test_no_strictly_feasible_point(self):
-        # x diag(1, 0) >= diag(1/2, 0) holds for x >= 1/2, never strictly
-        program = DominanceProgram(
-            2, np.diag([1.0, 0.0]).astype(complex)[None], np.diag([0.5, 0.0]).astype(complex)[None]
-        )
-        with pytest.raises(SolverFailure):
-            solve_dominating(program)
-
-    def test_infeasible_subspace(self):
-        # traceless subspace direction cannot dominate a positive operator
-        basis = hermitian_basis(2)[1:2]  # a single traceless element
-        program = DominanceProgram(2, basis, np.eye(2, dtype=complex)[None])
-        sol = solve_dominating(program)
-        assert sol.status == INFEASIBLE
+        assert sol.min_slack > 0.0
+        np.testing.assert_allclose(sol.y, np.eye(2), atol=1e-8)
 
     def test_step_counts_are_pinned(self):
         # interior-point steps of three fixed programs; each moved by at most
         # two when the contractions became matrix products
-        helstrom = solve_dominating(DominanceProgram(3, hermitian_basis(3), weighted_pair(3, 92)))
+        helstrom = solve_dominating(DominanceProgram(hermitian_basis(3), weighted_pair(3, 92)))
         assert abs(helstrom.iterations - 11) <= 2
         assert abs(roc(np.full((3, 3), 1.0 / 3.0)).iterations - 10) <= 2
-        pair = solve_dominating(DominanceProgram(8, hermitian_basis(8), weighted_pair(8, 1)))
+        pair = solve_dominating(DominanceProgram(hermitian_basis(8), weighted_pair(8, 1)))
         assert abs(pair.iterations - 11) <= 2
 
     def test_iteration_limit_reports_a_finite_gap(self, monkeypatch):
@@ -272,14 +269,14 @@ class TestSolveDominating:
         # reports the complementarity gap left
         monkeypatch.setattr(solvers, "MAX_ITERATIONS", 2)
         with pytest.raises(SolverFailure, match="after 2 iterations") as info:
-            solve_dominating(DominanceProgram(3, hermitian_basis(3), weighted_pair(3, 92)))
+            solve_dominating(DominanceProgram(hermitian_basis(3), weighted_pair(3, 92)))
         gap = float(re.search(r"gap of (\S+) after", str(info.value)).group(1))
         assert math.isfinite(gap) and gap > 0.0
 
     def test_rejects_dependent_basis(self):
         basis = np.stack([np.eye(2, dtype=complex), 2.0 * np.eye(2, dtype=complex)])
         with pytest.raises(ValueError):
-            solve_dominating(DominanceProgram(2, basis, np.eye(2, dtype=complex)[None]))
+            solve_dominating(DominanceProgram(basis, np.eye(2, dtype=complex)[None]))
 
 
 class TestRomViaSdp:
