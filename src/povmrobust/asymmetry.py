@@ -85,13 +85,12 @@ def validate_group(unitaries, *, unitary_tol: float = UNITARY_TOL,
         raise InvalidGroup(f"need unitaries of one dimension, got shapes {shapes}")
     mats = np.stack(mats)
     d = mats.shape[1]
-    eye = np.eye(d)
-    deviations = np.abs(mats.conj().swapaxes(1, 2) @ mats - eye).max(axis=(1, 2))
+    deviations = np.abs(mats.conj().swapaxes(1, 2) @ mats - np.eye(d)).max(axis=(1, 2))
     bad = np.flatnonzero(deviations > unitary_tol)
     if bad.size:
         raise InvalidGroup(f"element {bad[0]} fails unitarity by {deviations[bad[0]]:.3e}")
     # Phase-insensitive matching: |tr(U_k^dag W)| = d iff W = phase * U_k.
-    overlaps = np.abs(np.einsum("kji,ij->k", mats.conj(), eye))
+    overlaps = np.abs(np.trace(mats, axis1=1, axis2=2))
     if overlaps.max() < d - closure_tol:
         raise InvalidGroup("the group list does not contain the identity")
     for i, u in enumerate(mats):
@@ -146,12 +145,11 @@ def symmetric_subspace_basis(g: GroupRepresentation) -> np.ndarray:
 
     Twirling projects onto its own fixed subspace, so the twirled Hermitian
     operator basis spans exactly the symmetric operators of any finite
-    group, with no representation theory required.  The whole basis is
-    twirled in one product with the twirl's superoperator.  Read as real
-    vectors of real and imaginary parts, whose dot product is the
-    Hilbert-Schmidt inner product of Hermitian matrices, the twirled
-    matrices have one SVD; its right-singular directions above the drop
-    tolerance are an orthonormal Hermitian basis of their span.
+    group.  The whole basis is twirled in one product with the twirl's
+    superoperator.  Read as real vectors of real and imaginary parts, whose
+    dot product is the Hilbert-Schmidt inner product of Hermitian matrices,
+    the twirled matrices less their identity parts have one SVD; its
+    right-singular directions above the drop tolerance follow ``I/sqrt(d)``.
     """
     g = _require_group(g)
     d = g.dimension
@@ -161,11 +159,14 @@ def symmetric_subspace_basis(g: GroupRepresentation) -> np.ndarray:
     superop = (flat.T @ flat.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3) / g.order
     twirled = hermitian_basis(d).reshape(d * d, d * d) @ superop.reshape(d * d, d * d).T
     rows = np.hstack([twirled.real, twirled.imag])
+    # the identity is set apart: the drop tolerance could cut it from near-unitary groups' spans
+    ident = np.concatenate([np.eye(d).ravel(), np.zeros(d * d)]) / np.sqrt(d)
+    rows -= np.outer(rows @ ident, ident)
     # rows the twirl annihilates (all off-diagonal ones under dephasing)
     # add nothing to the span, and dropping them shrinks the SVD
     rows = rows[np.linalg.norm(rows, axis=1) > SUBSPACE_DROP_TOL]
     _, singular, directions = np.linalg.svd(rows, full_matrices=False)
-    kept = directions[singular > SUBSPACE_DROP_TOL]
+    kept = np.vstack([ident, directions[singular > SUBSPACE_DROP_TOL]])
     return (kept[:, :d * d] + 1j * kept[:, d * d:]).reshape(-1, d, d)
 
 

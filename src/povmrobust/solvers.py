@@ -26,7 +26,8 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import InvalidEnsemble, SolverFailure
+from .discrimination import _require_ensemble
+from .errors import SolverFailure
 from .measurement import Povm, _require_povm
 from .numerics import check_hermitian, hermitian_basis
 
@@ -368,9 +369,7 @@ def min_error_guess_value(ensemble) -> float:
 
 def _guess_solution(ensemble) -> SdpSolution:
     """The certified dominance solve behind ``min_error_guess_value``."""
-    from .discrimination import Ensemble
-    if not isinstance(ensemble, Ensemble):
-        raise InvalidEnsemble(f"expected an Ensemble, got {type(ensemble).__name__}")
+    ensemble = _require_ensemble(ensemble)
     d = ensemble.dimension
     constraints = ensemble.priors[:, None, None] * ensemble.states
     return solve_dominating(DominanceProgram(hermitian_basis(d), constraints))

@@ -117,12 +117,36 @@ def test_symmetric_subspace_basis_spans_the_twirled_operators(group, size):
     d = group.dimension
     basis = symmetric_subspace_basis(group)
     assert basis.shape == (size, d, d)
+    np.testing.assert_array_equal(basis[0], np.eye(d) / math.sqrt(d))
     flat = basis.reshape(size, -1)
     np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(size), atol=1e-14)
     assert np.abs(basis - basis.conj().swapaxes(1, 2)).max() <= 1e-14
     twirled = np.stack([twirl(b, group) for b in hermitian_basis(d)]).reshape(d * d, -1)
     residual = twirled - (twirled @ flat.conj().T) @ flat
     assert np.abs(residual).max() <= 1e-14
+
+
+def _near_dephasing_group(eps):
+    """Unitary and closed within validate_group's tolerances; its twirl sends
+    X to (eps/2)(I + Z), below the drop tolerance, and I itself eps/2 away."""
+    return validate_group([np.eye(2), [[1, eps], [0, -1]]])
+
+
+@pytest.mark.parametrize("eps", [5e-10, 1e-11])
+def test_symmetric_subspace_basis_of_a_near_unitary_group_contains_the_identity(eps):
+    basis = symmetric_subspace_basis(_near_dephasing_group(eps))
+    assert basis.shape == (2, 2, 2)
+    np.testing.assert_array_equal(basis[0], np.eye(2) / math.sqrt(2))
+    flat = basis.reshape(2, -1)
+    np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(2), atol=1e-14)
+
+
+def test_roa_of_a_near_unitary_group_is_certified_or_a_solver_failure():
+    plus = np.full((2, 2), 0.5)
+    assert roa(plus, _near_dephasing_group(1e-11)).value == pytest.approx(1.0, abs=1e-9)
+    # I is 2.5e-10 off symmetric under this twirl, beyond the certificate's slack
+    with pytest.raises(SolverFailure, match="off symmetric"):
+        roa(plus, _near_dephasing_group(5e-10))
 
 
 class TestOrbitEnsemble:

@@ -288,3 +288,18 @@ def test_malformed_container_is_a_parse_error(tmp_path, capsys, command, files, 
     assert code == 2
     assert payload["error"] == "ParseError"
     assert detail in payload["detail"]
+
+
+@pytest.mark.parametrize("eps, code", [(1e-11, 0), (5e-10, 1)])
+def test_roa_of_a_near_unitary_group_keeps_the_contract(tmp_path, capsys, eps, code):
+    # a twirl that nearly annihilates X drops it from the symmetric span; the
+    # span must still contain I, or the solve raised a bare ValueError
+    state = _write_json(tmp_path, "plus.json", _PLUS_STATE)
+    group = _write_json(tmp_path, "group.json", {"dimension": 2, "unitaries": [
+        jsonio.matrix_to_json(u) for u in (np.eye(2), np.array([[1, eps], [0, -1]]))]})
+    assert run(["roa", "--state", state, "--group", group]) == code
+    payload = _json_out(capsys)
+    if code:
+        assert set(payload) == {"error", "detail"} and payload["error"] == "SolverFailure"
+    else:
+        assert payload["value"] == pytest.approx(1.0, abs=1e-9)
