@@ -75,7 +75,6 @@ from .simulability import (
     SimulabilityCertificate,
     SimulabilityResult,
     is_simulable,
-    monotone_suite,
     witness_from_certificate,
 )
 from .solvers import (

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import Ensemble, p_guess_with_measurement, random_ensemble
+from .discrimination import Ensemble, p_guess_with_measurement
 from .errors import DimensionMismatch, SolverFailure
 from .measurement import Povm, StochasticMap, _require_povm, post_process
 from .numerics import eig_hermitian
@@ -163,26 +163,3 @@ def _witness(m: Povm, target: Povm,
         f"has gap {gap:.3e}, below {WITNESS_GAP_TOL:.1e}"
     )
 
-
-def monotone_suite(m: Povm, target: Povm, n_ensembles: int, seed: int) -> bool:
-    """Necessary condition for simulability, checked on random games:
-    the target must never outperform the source.
-
-    Sound but not complete at finite sample size; a single violation
-    proves the target is not simulable.
-    """
-    m = _require_povm(m)
-    target = _require_povm(target)
-    if m.dimension != target.dimension:
-        raise DimensionMismatch(
-            f"source dimension {m.dimension} vs target dimension {target.dimension}"
-        )
-    rng = np.random.default_rng(seed)
-    max_size = max(m.outcomes, target.outcomes) + 1
-    for _ in range(n_ensembles):
-        size = int(rng.integers(1, max_size + 1))
-        e = random_ensemble(m.dimension, size, int(rng.integers(2**32)))
-        if (p_guess_with_measurement(e, target)
-                > p_guess_with_measurement(e, m) + 1e-9):
-            return False
-    return True

@@ -1,9 +1,9 @@
 """Dense linear and operator-dominance programming.
 
 Two solvers live here.  ``solve_lp`` is a dense phase-one simplex
-deciding feasibility of ``a x = b, x >= 0``, with Bland's anti-cycling
-rule (Bland, Math. Oper. Res. 2 (1977)), each pivot a few whole-tableau
-numpy operations, adequate up to a few hundred rows.
+deciding feasibility of ``a x = b, x >= 0``: the most negative reduced
+cost enters until the first degenerate pivot, and Bland's anti-cycling
+rule (Bland, Math. Oper. Res. 2 (1977)) finishes from there.
 ``solve_dominating`` minimizes the trace of an operator ranging over a
 real-linear span of Hermitian matrices that contains the identity (so
 the program always has a strictly feasible point) subject to dominating a
@@ -59,38 +59,61 @@ class LpSolution:
     farkas: np.ndarray | None = None
 
 
-def _bland(t, z, basis):
-    """Bland-rule simplex on the tableau ``t`` (right-hand side last) with
-    reduced-cost row ``z``; updates all three in place.
+def _pivot(t, z, basis, col):
+    """Enter column ``col`` into ``basis``, updating ``t`` and ``z`` in place;
+    the leaving row has the least ratio over rows with ``coeff > PIVOT_TOL``
+    (ties: lowest basis index).  Returns that ratio, or None if no row qualifies."""
+    rows = np.flatnonzero(t[:, col] > PIVOT_TOL)
+    if rows.size == 0:  # cannot happen in phase one, barring rounding
+        return None
+    ratios = np.maximum(t[rows, -1], 0.0) / t[rows, col]
+    step = ratios.min()
+    tied = rows[ratios == step]
+    row = int(tied[np.argmin(basis[tied])])
+    t[row] = t[row] / t[row, col]
+    column = t[:, col].copy()
+    column[row] = 0.0
+    t -= np.outer(column, t[row])
+    z -= z[col] * t[row]
+    basis[row] = col
+    return step
 
-    The entering column is the lowest-index one with negative reduced
-    cost; the leaving row has the least ratio over rows with ``coeff >
-    PIVOT_TOL``, ties going to the lowest basis index.  Returns the status
-    and the number of pivots.
+
+def _bland(t, z, basis, max_pivots=MAX_PIVOTS):
+    """Bland-rule simplex on the tableau ``t`` (right-hand side last) with
+    reduced-cost row ``z``, in place: the lowest-index column with negative
+    reduced cost enters, ``_pivot`` picks the leaving row, and no basis
+    recurs.  Returns the status and the number of pivots, at most ``max_pivots``.
     """
-    for pivots in range(MAX_PIVOTS):
+    for pivots in range(max_pivots):
         candidates = np.flatnonzero(z[:-1] < -PIVOT_TOL)
         if candidates.size == 0:
             return OPTIMAL, pivots
-        col = int(candidates[0])
-        rows = np.flatnonzero(t[:, col] > PIVOT_TOL)
-        if rows.size == 0:  # cannot happen in phase one, barring rounding
+        if _pivot(t, z, basis, int(candidates[0])) is None:
             return UNBOUNDED, pivots
-        ratios = np.maximum(t[rows, -1], 0.0) / t[rows, col]
-        tied = rows[ratios == ratios.min()]
-        row = int(tied[np.argmin(basis[tied])])
-        t[row] = t[row] / t[row, col]
-        column = t[:, col].copy()
-        column[row] = 0.0
-        t -= np.outer(column, t[row])
-        z -= z[col] * t[row]
-        basis[row] = col
+    return ITERATION_LIMIT, max_pivots
+
+
+def _simplex(t, z, basis):
+    """``_bland``'s simplex, but the most negative reduced cost enters (Dantzig's
+    rule) until the first degenerate pivot, the only kind that can cycle;
+    ``_bland`` finishes from there.  ``MAX_PIVOTS`` caps both rules together.
+    """
+    for pivots in range(MAX_PIVOTS):
+        col = int(np.argmin(z[:-1]))
+        if z[col] >= -PIVOT_TOL:
+            return OPTIMAL, pivots
+        if (step := _pivot(t, z, basis, col)) is None:
+            return UNBOUNDED, pivots
+        if step == 0.0:
+            status, more = _bland(t, z, basis, MAX_PIVOTS - pivots - 1)
+            return status, pivots + 1 + more
     return ITERATION_LIMIT, MAX_PIVOTS
 
 
 def solve_lp(a, b, *, feas_tol: float = FEASIBILITY_TOL) -> LpSolution:
     """Decide whether ``a x = b, x >= 0`` is feasible, by a phase-one
-    simplex with Bland's rule.
+    simplex (``_simplex``) whose ``iterations`` count every pivot.
 
     The start is one artificial column per row, with rows flipped so that
     ``b >= 0``; the program minimizes the artificial total.  If at most
@@ -110,7 +133,7 @@ def solve_lp(a, b, *, feas_tol: float = FEASIBILITY_TOL) -> LpSolution:
     t = np.hstack([a_std, (b * flip)[:, None]])
     z = np.concatenate([cost, [0.0]]) - t.sum(axis=0)
     basis = np.arange(n, n + m)
-    status, pivots = _bland(t, z, basis)
+    status, pivots = _simplex(t, z, basis)
     if status != OPTIMAL:
         return LpSolution(status, None, pivots)
     if -z[-1] > feas_tol:

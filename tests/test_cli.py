@@ -7,12 +7,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from povmrobust import jsonio
 from povmrobust.asymmetry import dephasing_group
 from povmrobust.cli import run
-from povmrobust.discrimination import validate_ensemble
-from povmrobust.measurement import projective_povm, trivial_povm
+from povmrobust.discrimination import random_density_matrix, random_ensemble, validate_ensemble
+from povmrobust.measurement import projective_povm, random_povm, trivial_povm
 
 
 @pytest.fixture
@@ -303,3 +305,101 @@ def test_roa_of_a_near_unitary_group_keeps_the_contract(tmp_path, capsys, eps, c
         assert set(payload) == {"error", "detail"} and payload["error"] == "SolverFailure"
     else:
         assert payload["value"] == pytest.approx(1.0, abs=1e-9)
+
+
+# ------------------------------------------------ the contract on arbitrary files
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 3)
+            | st.floats(allow_nan=True, allow_infinity=True, width=32) | st.text(max_size=3))
+_JUNK = st.recursive(_SCALARS, lambda inner: (st.lists(inner, max_size=3)
+                                               | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3)),
+                     max_leaves=8)
+_ENTRIES = st.floats(-2.0, 2.0, width=32) | st.sampled_from([0.0, 0.5, 1.0])
+
+
+@st.composite
+def _matrix(draw, d):
+    """A ``d``-by-``d`` matrix of ``[re, im]`` pairs, or a ragged or junk one."""
+    rows = [[[draw(_ENTRIES), draw(_ENTRIES)] for _ in range(d)] for _ in range(d)]
+    return draw(st.sampled_from([rows, rows, rows[:-1], rows[0]]) | _JUNK)
+
+
+def _near(draw, obj, key):
+    """A copy of ``obj`` with one number of ``obj[key]`` nudged by at most 1e-8
+    or replaced by a drawn value."""
+    items = np.array(obj[key], dtype=object)
+    i = draw(st.integers(0, items.size - 1))
+    leaf = items.flat[i]
+    items.flat[i] = draw(st.floats(-1e-8, 1e-8).map(lambda eps: leaf + eps)
+                         | _ENTRIES | _SCALARS)
+    return {**obj, key: items.tolist()}
+
+
+@st.composite
+def _povm_doc(draw):
+    d, o = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    valid = jsonio.povm_to_json(random_povm(d, o, draw(st.integers(0, 50))))
+    return draw(st.sampled_from([valid, _near(draw, valid, "elements")])
+                | st.fixed_dictionaries({"dimension": st.integers(0, 3) | _JUNK,
+                                         "elements": st.lists(_matrix(d), max_size=4) | _JUNK})
+                | _JUNK)
+
+
+@st.composite
+def _ensemble_doc(draw):
+    d, size = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    valid = jsonio.ensemble_to_json(random_ensemble(d, size, draw(st.integers(0, 50))))
+    return draw(st.sampled_from([valid, _near(draw, valid, "states"),
+                                 _near(draw, valid, "priors")])
+                | st.fixed_dictionaries({"dimension": st.integers(0, 3) | _JUNK,
+                                         "priors": st.lists(_ENTRIES, max_size=4) | _JUNK,
+                                         "states": st.lists(_matrix(d), max_size=4) | _JUNK})
+                | _JUNK)
+
+
+@st.composite
+def _state_doc(draw):
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 50)))
+    valid = jsonio.state_to_json(random_density_matrix(d, rng))
+    return draw(st.sampled_from([valid, _near(draw, valid, "state")])
+                | st.fixed_dictionaries({"dimension": st.integers(0, 3) | _JUNK,
+                                         "state": _matrix(d)})
+                | _JUNK)
+
+
+@st.composite
+def _group_doc(draw):
+    d = draw(st.integers(1, 3))
+    valid = jsonio.group_to_json(dephasing_group(d))
+    return draw(st.sampled_from([valid, _near(draw, valid, "unitaries")])
+                | st.fixed_dictionaries({"dimension": st.integers(0, 3) | _JUNK,
+                                         "unitaries": st.lists(_matrix(d), max_size=3) | _JUNK})
+                | _JUNK)
+
+
+_COMMANDS = {
+    "rom": ("rom {0}", [_povm_doc()]),
+    "rom-report": ("rom-report {0}", [_povm_doc()]),
+    "discriminate": ("discriminate --ensemble {0} --povm {1}", [_ensemble_doc(), _povm_doc()]),
+    "simulable": ("simulable --from {0} --to {1}", [_povm_doc(), _povm_doc()]),
+    "roc": ("roc --state {0}", [_state_doc()]),
+    "roa": ("roa --state {0} --group {1}", [_state_doc(), _group_doc()]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_input_keeps_the_contract(tmp_path, capsys, command, data):
+    template, documents = _COMMANDS[command]
+    paths = [_write_json(tmp_path, f"in{i}.json", data.draw(doc, label=f"file {i}"))
+             for i, doc in enumerate(documents)]
+    code = run([arg.format(*paths) for arg in template.split()])
+    payload = _json_out(capsys)
+    if code:
+        assert set(payload) == {"error", "detail"}
+    else:
+        assert "error" not in payload

@@ -20,12 +20,15 @@ from povmrobust.numerics import eig_hermitian, hermitian_basis
 from povmrobust.rom import rom
 from povmrobust.solvers import (
     INFEASIBLE,
+    ITERATION_LIMIT,
     OPTIMAL,
     UNBOUNDED,
     DominanceProgram,
     _bland,
     _guess_solution,
+    _pivot,
     _rows,
+    _simplex,
     min_error_guess_value,
     rom_via_sdp,
     solve_dominating,
@@ -128,14 +131,14 @@ class TestSolveLp:
             solve_lp(np.ones((2, 3)), np.ones(3))
 
 
-def run_from_last_columns(a, b, c):
-    """Bland-rule simplex on ``min c.x, a x = b, x >= 0`` started from the
-    basis of the last ``len(b)`` columns, whose costs are zero; returns
-    status, pivots, final basis and value."""
+def run_from_last_columns(a, b, c, driver=_bland):
+    """``driver`` (Bland's rule by default) on ``min c.x, a x = b, x >= 0``
+    started from the basis of the last ``len(b)`` columns, whose costs are
+    zero; returns status, pivots, final basis and value."""
     t = np.hstack([a, b[:, None]])
     z = np.concatenate([c, [0.0]])
     basis = np.arange(c.size - b.size, c.size)
-    status, pivots = _bland(t, z, basis)
+    status, pivots = driver(t, z, basis)
     return status, pivots, basis.tolist(), -z[-1]
 
 
@@ -169,6 +172,55 @@ class TestBlandRule:
             a, np.array([1.0, 5.0, 1.0]), np.array([-1.0, -2.0, 0.0, 0.0, 0.0, 0.0]))
         assert (status, iterations, basis) == (OPTIMAL, 2, [3, 4, 1])
         assert value == -2.0
+
+
+class TestDantzigHandOff:
+    BEALE = (TestBlandRule.BEALE_A, TestBlandRule.BEALE_B, TestBlandRule.BEALE_C)
+
+    def test_dantzig_alone_cycles_on_beale(self):
+        # most negative reduced cost, every pivot degenerate: back at the
+        # slack basis after six pivots, the value still 0
+        a, b, c = self.BEALE
+        t, z = np.hstack([a, b[:, None]]), np.concatenate([c, [0.0]])
+        basis = np.arange(4, 7)
+        for _ in range(6):
+            assert _pivot(t, z, basis, int(np.argmin(z[:-1]))) == 0.0
+        assert basis.tolist() == [4, 5, 6] and z[-1] == 0.0
+
+    def test_beale_reaches_its_optimum_through_the_hand_off(self, monkeypatch):
+        budgets = []
+        bland = solvers._bland
+
+        def recorded(t, z, basis, max_pivots):
+            budgets.append(max_pivots)
+            return bland(t, z, basis, max_pivots)
+
+        monkeypatch.setattr(solvers, "_bland", recorded)
+        status, iterations, basis, value = run_from_last_columns(*self.BEALE, driver=_simplex)
+        assert status == OPTIMAL
+        assert value == pytest.approx(-1.25, abs=1e-12)
+        # the first pivot is degenerate, so Bland's rule takes over at once
+        assert budgets == [solvers.MAX_PIVOTS - 1]
+        assert (iterations, basis) == (6, [2, 4, 0])
+
+    def test_pivot_cap_counts_both_rules(self, monkeypatch):
+        # one Dantzig pivot and five of Bland's rule finish Beale's LP; a cap
+        # of five per rule would let it finish, a cap on the total does not
+        # (a run that meets the cap stops before it looks for an entering column)
+        monkeypatch.setattr(solvers, "MAX_PIVOTS", 5)
+        assert run_from_last_columns(*self.BEALE, driver=_simplex)[:2] == (ITERATION_LIMIT, 5)
+        monkeypatch.setattr(solvers, "MAX_PIVOTS", 7)
+        assert run_from_last_columns(*self.BEALE, driver=_simplex)[:2] == (OPTIMAL, 6)
+
+    def test_solve_lp_reports_the_capped_total(self, monkeypatch):
+        rng = np.random.default_rng(95)
+        a = rng.random((6, 12))
+        b = a @ rng.random(12)
+        pivots = solve_lp(a, b).iterations
+        assert pivots >= 2
+        monkeypatch.setattr(solvers, "MAX_PIVOTS", pivots - 1)
+        sol = solve_lp(a, b)
+        assert (sol.status, sol.x, sol.iterations) == (ITERATION_LIMIT, None, pivots - 1)
 
 
 def weighted_pair(d, seed):
