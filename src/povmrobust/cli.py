@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import jsonio, selftest
+from . import jsonio
 from .asymmetry import roa, roc
 from .discrimination import (
     advantage,
@@ -104,6 +104,8 @@ def _cmd_random_povm(args):
 
 
 def _cmd_selftest(args):
+    from . import selftest  # only this command needs it; every other command skips compiling it
+
     results = selftest.run_all(quick=args.quick)
     width = max(len(r.name) for r in results)
     for r in results:

@@ -23,9 +23,13 @@ from .rom import RobustnessReport
 from .simulability import SimulabilityResult
 
 
+_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _reals(values) -> list:
-    return [s if "." in (s := f"{v:.15g}") and "e" not in s else json.dumps(float(s))
-            for v in values]
+    # json prints a finite float as its repr; the rounding may overflow to inf
+    return [s if "." in (s := f"{v:.15g}") and "e" not in s
+            else _SPECIAL.get(r := repr(float(s)), r) for v in values]
 
 
 def _flat(items):
@@ -64,7 +68,8 @@ def dumps(payload) -> str:
     """Deterministic JSON text: ``json.dumps(payload, sort_keys=True)`` with reals
     rounded to 15 significant digits, in one pass that formats each real once.  A
     rounding with a point and no exponent is already the text json prints (15
-    digits round-trip); the rest take the exact path ``json.dumps(float(rounding))``."""
+    digits round-trip); the rest print as json prints ``float(rounding)``: its repr,
+    or ``NaN``/``Infinity``/``-Infinity``."""
     return _write(payload)
 
 

@@ -7,6 +7,7 @@ are list indices and are preserved by every operation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ from .errors import (
     ShapeMismatch,
     SizeMismatch,
 )
-from .numerics import as_complex_matrix, eig_hermitian
+from .numerics import EigenDecomposition, as_complex_matrix, eig_hermitian
 
 PSD_TOL = 1e-9
 COMPLETENESS_TOL = 1e-8
@@ -57,6 +58,12 @@ class Povm:
     @property
     def dimension(self) -> int:
         return self.elements.shape[1]
+
+    @functools.cached_property
+    def eig(self) -> EigenDecomposition:
+        """Eigendecomposition of every element, computed on first use and
+        kept: the elements are immutable, so it never goes stale."""
+        return eig_hermitian(self.elements)
 
     def __len__(self) -> int:
         return self.outcomes
@@ -126,7 +133,8 @@ def validate_povm(candidate, tol: float | None = None,
 
     ``tol`` bounds the allowed negativity of element eigenvalues,
     ``completeness_tol`` the entrywise deviation of the element sum from
-    the identity.
+    the identity.  The result keeps, as ``eig``, the decomposition that
+    the positivity check took.
     """
     tol = PSD_TOL if tol is None else tol
     completeness_tol = COMPLETENESS_TOL if completeness_tol is None else completeness_tol
@@ -136,20 +144,20 @@ def validate_povm(candidate, tol: float | None = None,
     d = mats[0].shape[0]
     if any(m.shape[0] != d for m in mats):
         raise ShapeMismatch("POVM elements must share one dimension")
-    elements = np.stack(mats)
-    smallest = eig_hermitian(elements).eigenvalues[:, 0]
+    povm = Povm(np.stack(mats))
+    smallest = povm.eig.eigenvalues[:, 0]
     bad = np.flatnonzero(smallest < -tol)
     if bad.size:
         a = int(bad[0])
         raise NotPsd(
             f"element {a} has eigenvalue {smallest[a]:.3e} below -{tol:.1e}", index=a
         )
-    deviation = np.abs(elements.sum(axis=0) - np.eye(d)).max()
+    deviation = np.abs(povm.elements.sum(axis=0) - np.eye(d)).max()
     if deviation > completeness_tol:
         raise CompletenessViolation(
             f"elements sum to identity only within {deviation:.3e}", deviation=deviation
         )
-    return Povm(elements)
+    return povm
 
 
 def trivial_povm(q, d: int) -> Povm:

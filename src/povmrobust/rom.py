@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import DimensionOne, ShapeMismatch
 from .measurement import Povm, _require_povm
-from .numerics import eig_hermitian
 
 TRIVIAL_TOL = 1e-9
 _DEGENERACY_TOL = 1e-10
@@ -53,7 +52,7 @@ class RobustnessReport:
 def rom(m: Povm) -> float:
     """Robustness of measurement, ``sum_a ||M_a||_inf - 1``."""
     m = _require_povm(m)
-    return float(eig_hermitian(m.elements).eigenvalues[:, -1].sum() - 1.0)
+    return float(m.eig.eigenvalues[:, -1].sum() - 1.0)
 
 
 def rom_report(m: Povm) -> RobustnessReport:
@@ -66,7 +65,7 @@ def rom_report(m: Povm) -> RobustnessReport:
     """
     m = _require_povm(m)
     d = m.dimension
-    dec = eig_hermitian(m.elements)
+    dec = m.eig
     weights = dec.eigenvalues[:, -1]
     cutoff = weights - _DEGENERACY_TOL * np.maximum(1.0, np.abs(weights))
     first = (dec.eigenvalues < cutoff[:, None]).sum(axis=1)

@@ -91,7 +91,7 @@ def _bland(t, z, basis, max_pivots=MAX_PIVOTS):
             return OPTIMAL, pivots
         if _pivot(t, z, basis, int(candidates[0])) is None:
             return UNBOUNDED, pivots
-    return ITERATION_LIMIT, max_pivots
+    return (ITERATION_LIMIT if (z[:-1] < -PIVOT_TOL).any() else OPTIMAL), max_pivots
 
 
 def _simplex(t, z, basis):
@@ -108,7 +108,7 @@ def _simplex(t, z, basis):
         if step == 0.0:
             status, more = _bland(t, z, basis, MAX_PIVOTS - pivots - 1)
             return status, pivots + 1 + more
-    return ITERATION_LIMIT, MAX_PIVOTS
+    return (ITERATION_LIMIT if (z[:-1] < -PIVOT_TOL).any() else OPTIMAL), MAX_PIVOTS
 
 
 def solve_lp(a, b, *, feas_tol: float = FEASIBILITY_TOL) -> LpSolution:

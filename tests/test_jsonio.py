@@ -178,7 +178,8 @@ def _reference(payload):
 EDGE_REALS = [0.0, -0.0, 1.0, -1.0, 100.0, 1e14, 1e15, 1.5e15, 9.999999999999999e15, 1e16,
               1e-4, 1e-5, 0.1, 1.0 / 3.0, 0.9999999999999999, 123456789012345.6, 5e-324,
               1e-310, 2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
-              float("nan"), float("inf"), float("-inf")]
+              float("nan"), float("inf"), float("-inf"), 2.0000000000000004, 123.00000000000001,
+              999999999999999.4, 9.999999999999999e-05, -7e-17]
 
 
 @pytest.mark.parametrize("value", EDGE_REALS, ids=repr)

@@ -2,6 +2,8 @@
 exists and the solver counters it reads off results are filled."""
 
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,3 +41,15 @@ def test_roc_makes_one_dominance_solve():
         roc(rho)
     assert tracer.counters["solvers.solve_dominating.calls"] == 1
     assert tracer.counters["solvers.min_error_guess_value.calls"] == 0
+
+
+def test_the_cli_import_loads_every_traced_module_and_not_selftest():
+    # the tracer looks each traced module up in sys.modules, and the benchmark
+    # imports only povmrobust, povmrobust.cli and povmrobust.jsonio
+    src = Path(povmrobust.cli.__file__).resolve().parents[1]
+    probe = "import sys, povmrobust.cli; print(*sys.modules, sep='\\n')"
+    loaded = set(subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                check=True, cwd=src,
+                                env={**os.environ, "PYTHONPATH": str(src)}).stdout.split())
+    assert {f"povmrobust.{module}" for module, _, _ in tracing.TRACED} <= loaded
+    assert "povmrobust.selftest" not in loaded

@@ -1,7 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
+from povmrobust import numerics
+from povmrobust.discrimination import advantage, optimal_ensemble
 from povmrobust.errors import DimensionOne, InvalidPovm, NotHermitian, ShapeMismatch
+from povmrobust.info import acc_min_info_measurement
 from povmrobust.measurement import (
     Povm,
     depolarize_povm,
@@ -10,6 +15,7 @@ from povmrobust.measurement import (
     random_povm,
     random_stochastic_map,
     trivial_povm,
+    validate_povm,
 )
 from povmrobust.numerics import eig_hermitian, haar_random_unitary
 from povmrobust.rom import rom, rom_report, uniform_noise_mixture, verify_pseudo_mixture
@@ -42,10 +48,50 @@ class TestRom:
 
     @pytest.mark.parametrize("evaluate", [rom, rom_report])
     def test_rejects_hand_built_non_hermitian_element(self, evaluate):
-        # Povm() does not validate; the stacked eigensolver still checks
+        # Povm() does not validate; the stacked eigensolver still checks, and a
+        # failed decomposition is not kept, so a second call raises again
         m = Povm(np.stack([np.diag([1.0, 0.0]), np.array([[0.0, 0.5], [0.0, 1.0]])]))
-        with pytest.raises(NotHermitian):
-            evaluate(m)
+        for _ in range(2):
+            with pytest.raises(NotHermitian):
+                evaluate(m)
+
+
+def count_eig_calls(monkeypatch) -> list:
+    """Replace every ``povmrobust`` module's binding of ``eig_hermitian`` by a
+    wrapper that records its calls; returns the record."""
+    calls, original = [], numerics.eig_hermitian
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "povmrobust":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestEigReuse:
+    def test_closed_form_paths_share_one_decomposition(self, monkeypatch):
+        elements = random_povm(4, 5, 31).elements.copy()
+        calls = count_eig_calls(monkeypatch)
+        m = validate_povm(list(elements))
+        value = rom(m)
+        report = rom_report(m)
+        ensemble = optimal_ensemble(m)
+        assert advantage(ensemble, m) == pytest.approx(1.0 + value, abs=1e-9)
+        assert acc_min_info_measurement(m).bits == pytest.approx(np.log2(1.0 + value), abs=1e-12)
+        assert report.value == value
+        assert len(calls) == 1
+
+    def test_kept_decomposition_is_bitwise_a_fresh_one(self):
+        m = validate_povm(list(random_povm(5, 3, 32).elements))
+        fresh = eig_hermitian(m.elements)
+        assert np.array_equal(m.eig.eigenvalues, fresh.eigenvalues)
+        assert np.array_equal(m.eig.eigenvectors, fresh.eigenvectors)
+        assert m.eig is m.eig
 
 
 class TestRomReport:

@@ -205,10 +205,12 @@ class TestDantzigHandOff:
 
     def test_pivot_cap_counts_both_rules(self, monkeypatch):
         # one Dantzig pivot and five of Bland's rule finish Beale's LP; a cap
-        # of five per rule would let it finish, a cap on the total does not
-        # (a run that meets the cap stops before it looks for an entering column)
+        # of five per rule would let it finish, a cap on the total does not,
+        # and a run whose last allowed pivot reaches the optimum is optimal
         monkeypatch.setattr(solvers, "MAX_PIVOTS", 5)
         assert run_from_last_columns(*self.BEALE, driver=_simplex)[:2] == (ITERATION_LIMIT, 5)
+        monkeypatch.setattr(solvers, "MAX_PIVOTS", 6)
+        assert run_from_last_columns(*self.BEALE, driver=_simplex)[:2] == (OPTIMAL, 6)
         monkeypatch.setattr(solvers, "MAX_PIVOTS", 7)
         assert run_from_last_columns(*self.BEALE, driver=_simplex)[:2] == (OPTIMAL, 6)
 
