@@ -44,4 +44,7 @@ print()
 
 noise, q, r = uniform_noise_mixture(z)
 print(f"The always-available mixture needs r = {r} (never better than d - 1):")
-print("  verified:", verify_pseudo_mixture(z, noise, q, r, tol=1e-9))
+mixed = (z.elements + r * noise.elements) / (1.0 + r)
+deviation = np.abs(mixed - q[:, None, None] * np.eye(2)).max()
+assert deviation <= 1e-9
+print(f"  verified: (M_a + r N_a) / (1 + r) deviates from q(a) I by {deviation:.1e}")

@@ -31,6 +31,7 @@ from .solvers import DominanceProgram, solve_dominating
 
 UNITARY_TOL = 1e-9
 CLOSURE_TOL = 1e-8
+SYMMETRY_TOL = 1e-8
 SUBSPACE_DROP_TOL = 1e-9
 CERTIFICATE_TOL = 1e-10  # slack of either orbit-game certificate, relative to max(1, value)
 
@@ -73,10 +74,10 @@ class AsymmetryReport:
     iterations: int = 0
 
 
-def validate_group(unitaries, *, unitary_tol: float = UNITARY_TOL,
-                   closure_tol: float = CLOSURE_TOL) -> GroupRepresentation:
-    """Check unitarity, closure up to global phase, and the presence of the
-    identity, then wrap the list."""
+def validate_group(unitaries) -> GroupRepresentation:
+    """Check unitarity (within ``UNITARY_TOL``), closure up to global phase
+    and the presence of the identity (both within ``CLOSURE_TOL``), then
+    wrap the list."""
     mats = [as_complex_matrix(u) for u in unitaries]
     if not mats:
         raise InvalidGroup("a group needs at least one element")
@@ -86,17 +87,17 @@ def validate_group(unitaries, *, unitary_tol: float = UNITARY_TOL,
     mats = np.stack(mats)
     d = mats.shape[1]
     deviations = np.abs(mats.conj().swapaxes(1, 2) @ mats - np.eye(d)).max(axis=(1, 2))
-    bad = np.flatnonzero(deviations > unitary_tol)
+    bad = np.flatnonzero(deviations > UNITARY_TOL)
     if bad.size:
         raise InvalidGroup(f"element {bad[0]} fails unitarity by {deviations[bad[0]]:.3e}")
     # Phase-insensitive matching: |tr(U_k^dag W)| = d iff W = phase * U_k.
     overlaps = np.abs(np.trace(mats, axis1=1, axis2=2))
-    if overlaps.max() < d - closure_tol:
+    if overlaps.max() < d - CLOSURE_TOL:
         raise InvalidGroup("the group list does not contain the identity")
     for i, u in enumerate(mats):
         # best match of U_i U_j over the listed elements, for every j
         matches = np.abs(np.einsum("kba,jab->jk", mats.conj(), u @ mats)).max(axis=1)
-        missing = np.flatnonzero(matches < d - closure_tol)
+        missing = np.flatnonzero(matches < d - CLOSURE_TOL)
         if missing.size:
             raise InvalidGroup(
                 f"product of elements {i} and {missing[0]} matches no listed element")
@@ -134,10 +135,10 @@ def twirl(rho, g: GroupRepresentation) -> np.ndarray:
     return _conjugates(rho, g).mean(axis=0)
 
 
-def is_symmetric(rho, g: GroupRepresentation, tol: float = 1e-8) -> bool:
-    """True when the state is entrywise within ``tol`` of its twirl."""
+def is_symmetric(rho, g: GroupRepresentation) -> bool:
+    """True when the state is entrywise within ``SYMMETRY_TOL`` of its twirl."""
     rho = as_complex_matrix(rho)
-    return bool(np.abs(rho - twirl(rho, g)).max() <= tol)
+    return bool(np.abs(rho - twirl(rho, g)).max() <= SYMMETRY_TOL)
 
 
 def symmetric_subspace_basis(g: GroupRepresentation) -> np.ndarray:

@@ -20,7 +20,6 @@ from .numerics import check_hermitian, eig_hermitian
 from .rom import rom_report
 
 STATE_TOL = 1e-9
-PRIOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -52,23 +51,22 @@ class Ensemble:
         return self.states.shape[1]
 
 
-def check_density_matrix(rho, tol: float | None = None) -> np.ndarray:
-    """Validate a density matrix: Hermitian, positive semidefinite within
-    ``tol``, unit trace within ``tol``."""
-    tol = STATE_TOL if tol is None else tol
+def check_density_matrix(rho) -> np.ndarray:
+    """Validate a density matrix: Hermitian, positive semidefinite and of
+    unit trace, both within ``STATE_TOL``."""
     m = check_hermitian(rho)
     smallest = eig_hermitian(m).eigenvalues[0]
-    if smallest < -tol:
-        raise InvalidState(f"state has eigenvalue {smallest:.3e} below -{tol:.1e}")
+    if smallest < -STATE_TOL:
+        raise InvalidState(f"state has eigenvalue {smallest:.3e} below -{STATE_TOL:.1e}")
     trace = np.trace(m).real
-    if abs(trace - 1.0) > tol:
+    if abs(trace - 1.0) > STATE_TOL:
         raise InvalidState(f"state trace is {float(trace)}, not 1")
     return m
 
 
 def validate_ensemble(states, priors) -> Ensemble:
     """Check every member state and the prior distribution, then wrap."""
-    priors = _check_distribution(priors, InvalidEnsemble, PRIOR_TOL)
+    priors = _check_distribution(priors, InvalidEnsemble)
     try:
         checked = [check_density_matrix(s) for s in states]
     except InvalidState as exc:
@@ -116,6 +114,18 @@ def p_guess_classical(e: Ensemble) -> float:
     return float(e.priors.max())
 
 
+def _joint(e: Ensemble, m: Povm) -> np.ndarray:
+    """``p(x) tr[sigma_x M_a]`` for every state label ``x`` and outcome
+    ``a``, as an ``(n, o)`` array, unclipped."""
+    e = _require_ensemble(e)
+    m = _require_povm(m)
+    if e.dimension != m.dimension:
+        raise DimensionMismatch(
+            f"ensemble dimension {e.dimension} vs measurement dimension {m.dimension}"
+        )
+    return np.einsum("x,xij,aji->xa", e.priors, e.states, m.elements).real
+
+
 def p_guess_with_measurement(e: Ensemble, m: Povm) -> float:
     """Best success probability when outcomes of ``m`` may be relabeled
     arbitrarily: ``sum_a max_x p(x) tr[sigma_x M_a]``.
@@ -123,14 +133,7 @@ def p_guess_with_measurement(e: Ensemble, m: Povm) -> float:
     The optimum over stochastic relabelings is attained by the
     deterministic argmax, so this is exact.
     """
-    e = _require_ensemble(e)
-    m = _require_povm(m)
-    if e.dimension != m.dimension:
-        raise DimensionMismatch(
-            f"ensemble dimension {e.dimension} vs measurement dimension {m.dimension}"
-        )
-    joint = np.einsum("x,xij,aji->xa", e.priors, e.states, m.elements).real
-    return float(joint.max(axis=0).sum())
+    return float(_joint(e, m).max(axis=0).sum())
 
 
 def advantage(e: Ensemble, m: Povm) -> float:

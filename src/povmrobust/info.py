@@ -18,16 +18,15 @@ import numpy as np
 
 from .discrimination import (
     Ensemble,
+    _joint,
     _require_ensemble,
     optimal_ensemble,
     p_guess_classical,
 )
-from .errors import DimensionMismatch, InvalidJoint
+from .errors import InvalidJoint
 from .measurement import Povm, _check_distribution, _require_povm
 from .rom import rom
 from .solvers import min_error_guess_value
-
-JOINT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,7 @@ class JointDistribution:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.ascontiguousarray(_check_distribution(self.p, InvalidJoint, JOINT_TOL, ndim=2))
+        p = np.ascontiguousarray(_check_distribution(self.p, InvalidJoint, ndim=2))
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 
@@ -54,7 +53,7 @@ def _require_joint(j) -> JointDistribution:
 
 def h_min(p) -> float:
     """Min-entropy ``-log2 max_x p(x)`` in bits."""
-    return -math.log2(_check_distribution(p, tol=JOINT_TOL).max())
+    return -math.log2(_check_distribution(p).max())
 
 
 def h_min_cond(j: JointDistribution) -> float:
@@ -75,15 +74,8 @@ def i_min(j: JointDistribution) -> float:
 
 def joint_from_game(e: Ensemble, m: Povm) -> JointDistribution:
     """Joint distribution ``p(x, a) = p(x) tr[sigma_x M_a]`` of the state
-    label and the measurement outcome."""
-    e = _require_ensemble(e)
-    m = _require_povm(m)
-    if e.dimension != m.dimension:
-        raise DimensionMismatch(
-            f"ensemble dimension {e.dimension} vs measurement dimension {m.dimension}"
-        )
-    p = np.einsum("x,xij,aji->xa", e.priors, e.states, m.elements).real
-    return JointDistribution(np.clip(p, 0.0, None))
+    label and the measurement outcome, with rounding below zero clipped."""
+    return JointDistribution(np.clip(_joint(e, m), 0.0, None))
 
 
 class AccessibleMinInfo(NamedTuple):

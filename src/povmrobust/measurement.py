@@ -24,9 +24,8 @@ from .errors import (
     ShapeMismatch,
     SizeMismatch,
 )
-from .numerics import EigenDecomposition, as_complex_matrix, eig_hermitian
+from .numerics import PSD_TOL, EigenDecomposition, as_complex_matrix, eig_hermitian
 
-PSD_TOL = 1e-9
 COMPLETENESS_TOL = 1e-8
 DISTRIBUTION_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-9
@@ -111,33 +110,30 @@ class StochasticMap:
         return self.probabilities.shape[1]
 
 
-def _check_distribution(p, error=InvalidDistribution, tol: float = DISTRIBUTION_TOL,
-                        ndim: int = 1) -> np.ndarray:
+def _check_distribution(p, error=InvalidDistribution, ndim: int = 1) -> np.ndarray:
     """Probabilities as a nonempty float array with ``ndim`` axes, finite,
-    nonnegative and summing to 1 within ``tol``; raises ``error`` otherwise."""
+    nonnegative and summing to 1 within ``DISTRIBUTION_TOL``; raises
+    ``error`` otherwise."""
     p = np.asarray(p, dtype=float)
     if p.ndim != ndim or p.size == 0:
         raise error(f"expected a nonempty {ndim}-D array of probabilities, got shape {p.shape}")
     if not np.isfinite(p).all():
         raise error("probabilities must be finite")
-    if p.min() < -tol:
+    if p.min() < -DISTRIBUTION_TOL:
         raise error(f"negative probability {p.min():.3e}")
-    if abs(p.sum() - 1.0) > tol:
+    if abs(p.sum() - 1.0) > DISTRIBUTION_TOL:
         raise error(f"probabilities sum to {float(p.sum())}, not 1")
     return p
 
 
-def validate_povm(candidate, tol: float | None = None,
-                  completeness_tol: float | None = None) -> Povm:
+def validate_povm(candidate) -> Povm:
     """Check a list of matrices for POVM validity and wrap it.
 
-    ``tol`` bounds the allowed negativity of element eigenvalues,
-    ``completeness_tol`` the entrywise deviation of the element sum from
+    ``PSD_TOL`` bounds the allowed negativity of element eigenvalues,
+    ``COMPLETENESS_TOL`` the entrywise deviation of the element sum from
     the identity.  The result keeps, as ``eig``, the decomposition that
     the positivity check took.
     """
-    tol = PSD_TOL if tol is None else tol
-    completeness_tol = COMPLETENESS_TOL if completeness_tol is None else completeness_tol
     mats = [as_complex_matrix(m) for m in candidate]
     if not mats:
         raise ShapeMismatch("a POVM needs at least one element")
@@ -146,14 +142,14 @@ def validate_povm(candidate, tol: float | None = None,
         raise ShapeMismatch("POVM elements must share one dimension")
     povm = Povm(np.stack(mats))
     smallest = povm.eig.eigenvalues[:, 0]
-    bad = np.flatnonzero(smallest < -tol)
+    bad = np.flatnonzero(smallest < -PSD_TOL)
     if bad.size:
         a = int(bad[0])
         raise NotPsd(
-            f"element {a} has eigenvalue {smallest[a]:.3e} below -{tol:.1e}", index=a
+            f"element {a} has eigenvalue {smallest[a]:.3e} below -{PSD_TOL:.1e}", index=a
         )
     deviation = np.abs(povm.elements.sum(axis=0) - np.eye(d)).max()
-    if deviation > completeness_tol:
+    if deviation > COMPLETENESS_TOL:
         raise CompletenessViolation(
             f"elements sum to identity only within {deviation:.3e}", deviation=deviation
         )

@@ -41,17 +41,15 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def check_hermitian(a, tol: float | None = None) -> np.ndarray:
+def check_hermitian(a) -> np.ndarray:
     """Validate Hermiticity of a matrix or a stack ``(..., d, d)`` (max
-    entrywise deviation from the conjugate transpose) and return it as
-    complex128."""
+    entrywise deviation from the conjugate transpose, at most
+    ``HERMITIAN_TOL``) and return it as complex128."""
     m = _complex_stack(a)
-    tol = HERMITIAN_TOL if tol is None else tol
     deviation = np.abs(m - _dagger(m)).max() if m.size else 0.0
-    if deviation > tol:
-        raise NotHermitian(
-            f"matrix deviates from Hermitian symmetry by {deviation:.3e} (tol {tol:.1e})"
-        )
+    if deviation > HERMITIAN_TOL:
+        raise NotHermitian(f"matrix deviates from Hermitian symmetry by {deviation:.3e} "
+                           f"(tol {HERMITIAN_TOL:.1e})")
     return m
 
 
@@ -68,25 +66,22 @@ class EigenDecomposition:
         return (v * self.eigenvalues[..., None, :]) @ _dagger(v)
 
 
-def eig_hermitian(h, tol: float | None = None) -> EigenDecomposition:
+def eig_hermitian(h) -> EigenDecomposition:
     """Full eigendecomposition of a Hermitian matrix or of each matrix in a
     stack ``(..., d, d)``, by ``np.linalg.eigh`` on the Hermitian part."""
-    a = check_hermitian(h, tol)
+    a = check_hermitian(h)
     w, v = np.linalg.eigh(0.5 * (a + _dagger(a)))
     return EigenDecomposition(w, v)
 
 
-def operator_norm(h, tol: float | None = None) -> float:
+def operator_norm(h) -> float:
     """Largest absolute eigenvalue of a Hermitian matrix."""
-    dec = eig_hermitian(h, tol)
-    return float(np.abs(dec.eigenvalues).max())
+    return float(np.abs(eig_hermitian(h).eigenvalues).max())
 
 
-def is_psd(h, tol: float | None = None) -> bool:
-    """True when the smallest eigenvalue is above ``-tol``."""
-    tol = PSD_TOL if tol is None else tol
-    dec = eig_hermitian(h)
-    return bool(dec.eigenvalues[0] >= -tol)
+def is_psd(h) -> bool:
+    """True when the smallest eigenvalue is at least ``-PSD_TOL``."""
+    return bool(eig_hermitian(h).eigenvalues[0] >= -PSD_TOL)
 
 
 def haar_random_unitary(d: int, seed: int) -> np.ndarray:

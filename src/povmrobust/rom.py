@@ -18,6 +18,7 @@ from .errors import DimensionOne, ShapeMismatch
 from .measurement import Povm, _require_povm
 
 TRIVIAL_TOL = 1e-9
+PSEUDO_MIXTURE_TOL = 1e-8
 _DEGENERACY_TOL = 1e-10
 
 
@@ -96,8 +97,9 @@ def uniform_noise_mixture(m: Povm) -> tuple[Povm, np.ndarray, float]:
     return noise, traces / d, float(d - 1)
 
 
-def verify_pseudo_mixture(m: Povm, noise: Povm, q, r: float, tol: float = 1e-8) -> bool:
-    """Check ``(M_a + r N_a) / (1 + r) = q(a) I`` entrywise within ``tol``."""
+def verify_pseudo_mixture(m: Povm, noise: Povm, q, r: float) -> bool:
+    """Check ``(M_a + r N_a) / (1 + r) = q(a) I`` entrywise within
+    ``PSEUDO_MIXTURE_TOL``."""
     m = _require_povm(m)
     noise = _require_povm(noise)
     q = np.asarray(q, dtype=float)
@@ -106,4 +108,4 @@ def verify_pseudo_mixture(m: Povm, noise: Povm, q, r: float, tol: float = 1e-8) 
     eye = np.eye(m.dimension, dtype=np.complex128)
     mixed = (m.elements + r * noise.elements) / (1.0 + r)
     deviation = np.abs(mixed - q[:, None, None] * eye).max()
-    return bool(deviation <= tol)
+    return bool(deviation <= PSEUDO_MIXTURE_TOL)

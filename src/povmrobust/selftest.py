@@ -41,7 +41,7 @@ from .measurement import (
 )
 from .rom import rom, rom_report
 from .simulability import NOT_SIMULABLE, is_simulable
-from .solvers import _guess_solution, _rom_via_sdp
+from .solvers import _guess_solution, _rom_solution
 
 GRID = [(d, o) for d in (2, 3, 4) for o in (2, 3, 4, 5, 6)]
 
@@ -92,9 +92,9 @@ def criterion_closed_form_vs_sdp(quick: bool = False) -> CriterionResult:
     worst = 0.0
     steps = 0
     for m in _suite(n, 11000):
-        value, iterations = _rom_via_sdp(m)
-        worst = max(worst, abs(rom(m) - value))
-        steps += iterations
+        solution = _rom_solution(m)
+        worst = max(worst, abs(rom(m) - (solution.value / m.dimension - 1.0)))
+        steps += solution.iterations
     return CriterionResult(
         1, "closed form vs SDP", worst <= 1e-9,
         f"max |closed - sdp| = {worst:.3e} over {n} POVMs (tol 1e-9)", steps=steps,

@@ -20,12 +20,11 @@ from .discrimination import Ensemble, p_guess_with_measurement
 from .errors import DimensionMismatch, SolverFailure
 from .measurement import Povm, StochasticMap, _require_povm, post_process
 from .numerics import eig_hermitian
-from .solvers import INFEASIBLE, OPTIMAL, _rows, solve_lp
+from .solvers import FEASIBILITY_TOL, INFEASIBLE, OPTIMAL, _rows, solve_lp
 
 SIMULABLE = "Simulable"
 NOT_SIMULABLE = "NotSimulable"
 
-EQUALITY_TOL = 1e-9
 WITNESS_GAP_TOL = 1e-9
 
 
@@ -56,19 +55,18 @@ class SimulabilityResult:
         return self.verdict == SIMULABLE
 
 
-def is_simulable(m: Povm, target: Povm, *,
-                 eq_tol: float = EQUALITY_TOL) -> SimulabilityResult:
+def is_simulable(m: Povm, target: Povm) -> SimulabilityResult:
     """Decide whether ``target`` is a post-processing of ``m``.
 
     Feasibility of ``sum_a p(b|a) M_a = M'_b`` with stochastic ``p`` is
     checked in an orthonormal frame of the span of the source elements
     (one SVD, rank ``r <= min(o, d*d)``): target elements outside it by
-    more than ``eq_tol`` give the certificate directly; otherwise an LP
-    with ``r`` rows per target outcome decides, and its Farkas vector is
-    lifted back through the frame.  A positive verdict carries the
-    stochastic map and its reconstruction residual; a negative one carries
-    the dual certificate plus a verified witness ensemble on which the
-    target strictly outperforms ``m``.
+    more than ``FEASIBILITY_TOL`` give the certificate directly; otherwise
+    an LP with ``r`` rows per target outcome decides at that tolerance,
+    and its Farkas vector is lifted back through the frame.  A positive
+    verdict carries the stochastic map and its reconstruction residual; a
+    negative one carries the dual certificate plus a verified witness
+    ensemble on which the target strictly outperforms ``m``.
     """
     m = _require_povm(m)
     target = _require_povm(target)
@@ -84,7 +82,7 @@ def is_simulable(m: Povm, target: Povm, *,
     frame = vt[sing > sing[0] * max(o, d * d) * np.finfo(float).eps]      # (r, 2*d*d)
     outside = target_coords - target_coords @ frame.T @ frame
 
-    if np.abs(outside).max() > eq_tol:
+    if np.abs(outside).max() > FEASIBILITY_TOL:
         # Z_b = the part of M'_b outside the span: tr[Z_b M_a] = 0 for every
         # a, while the target scores sum_b |Z_b|^2 > 0.
         coords, scalars = outside, np.zeros(o)
@@ -97,7 +95,7 @@ def is_simulable(m: Povm, target: Povm, *,
             np.kron(np.eye(o), np.ones(o_target)),
         ])
         b_eq = np.concatenate([(target_coords @ frame.T).ravel(), np.ones(o)])
-        sol = solve_lp(a_eq, b_eq, feas_tol=eq_tol)
+        sol = solve_lp(a_eq, b_eq)
         if sol.status == OPTIMAL:
             p = np.clip(sol.x.reshape(o, o_target), 0.0, None)
             p /= p.sum(axis=1, keepdims=True)

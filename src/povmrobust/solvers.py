@@ -111,16 +111,16 @@ def _simplex(t, z, basis):
     return (ITERATION_LIMIT if (z[:-1] < -PIVOT_TOL).any() else OPTIMAL), MAX_PIVOTS
 
 
-def solve_lp(a, b, *, feas_tol: float = FEASIBILITY_TOL) -> LpSolution:
+def solve_lp(a, b) -> LpSolution:
     """Decide whether ``a x = b, x >= 0`` is feasible, by a phase-one
     simplex (``_simplex``) whose ``iterations`` count every pivot.
 
     The start is one artificial column per row, with rows flipped so that
     ``b >= 0``; the program minimizes the artificial total.  If at most
-    ``feas_tol`` of it is left, the basic point without the artificials is
-    returned.  Otherwise the phase-one duals of the final basis are a
-    Farkas certificate: ``y`` with ``y . a <= 0`` on every column and
-    ``y . b > 0``.
+    ``FEASIBILITY_TOL`` of it is left, the basic point without the
+    artificials is returned.  Otherwise the phase-one duals of the final
+    basis are a Farkas certificate: ``y`` with ``y . a <= 0`` on every
+    column and ``y . b > 0``.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -136,7 +136,7 @@ def solve_lp(a, b, *, feas_tol: float = FEASIBILITY_TOL) -> LpSolution:
     status, pivots = _simplex(t, z, basis)
     if status != OPTIMAL:
         return LpSolution(status, None, pivots)
-    if -z[-1] > feas_tol:
+    if -z[-1] > FEASIBILITY_TOL:
         b_mat = a_std[:, basis]
         try:
             y = np.linalg.solve(b_mat.T, cost[basis])
@@ -357,25 +357,24 @@ def solve_dominating(program: DominanceProgram) -> SdpSolution:
 def rom_via_sdp(m: Povm) -> float:
     """Robustness of a measurement through its dominance program.
 
-    One scalar block per outcome: minimize ``sum_a q~(a)`` subject to
-    ``q~(a) I >= M_a``.  The blocks decouple, so each is solved as its own
-    single-constraint program; each block value comes from a strictly
-    dominating point, so the sum is an upper bound within the solver gap.
+    Minimize ``sum_a q~(a)`` subject to ``q~(a) I >= M_a``, posed once
+    over the block-diagonal operators ``blockdiag(q~(a) I)``: their span
+    is a *-algebra containing the identity, and the single constraint is
+    ``blockdiag(M_a)``.  The optimal trace is ``d sum_a q~(a)``, taken at a
+    strictly dominating point, so the value is an upper bound within the
+    solver gap.
     """
-    return _rom_via_sdp(m)[0]
+    return _rom_solution(m).value / m.dimension - 1.0
 
 
-def _rom_via_sdp(m: Povm) -> tuple[float, int]:
-    """``rom_via_sdp`` and the interior-point steps of its solves."""
+def _rom_solution(m: Povm) -> SdpSolution:
+    """The certified dominance solve behind ``rom_via_sdp``: the span of
+    ``E_aa (x) I / sqrt(d)``, one element per outcome, over ``blockdiag(M_a)``."""
     m = _require_povm(m)
-    d = m.dimension
-    eye = np.eye(d, dtype=np.complex128)[None]
-    total, steps = 0.0, 0
-    for element in m:
-        sol = solve_dominating(DominanceProgram(eye, element[None]))
-        total += sol.value / d
-        steps += sol.iterations
-    return total - 1.0, steps
+    o, d = m.outcomes, m.dimension
+    basis = np.kron(np.eye(o)[:, :, None] * np.eye(o), np.eye(d) / np.sqrt(d))
+    blocks = np.einsum("ab,aij->aibj", np.eye(o), m.elements).reshape(o * d, o * d)
+    return solve_dominating(DominanceProgram(basis, blocks[None]))
 
 
 def min_error_guess_value(ensemble) -> float:

@@ -85,15 +85,26 @@ class TestTwirl:
             twirl(np.eye(3) / 3, dephasing_group(2))
 
 
+def _asymmetry(rho, g):
+    """Largest entrywise deviation of a state from its twirl."""
+    return np.abs(rho - twirl(rho, g)).max()
+
+
 class TestIsSymmetric:
     def test_maximally_mixed(self):
-        assert is_symmetric(np.eye(2) / 2, dephasing_group(2), tol=1e-10)
+        rho, g = np.eye(2) / 2, dephasing_group(2)
+        assert is_symmetric(rho, g)
+        assert _asymmetry(rho, g) <= 1e-10
 
     def test_plus_is_not(self):
-        assert not is_symmetric(PLUS, dephasing_group(2), tol=1e-6)
+        g = dephasing_group(2)
+        assert not is_symmetric(PLUS, g)
+        assert _asymmetry(PLUS, g) > 1e-6
 
     def test_diagonal_states_are(self):
-        assert is_symmetric(np.diag([0.9, 0.1]), dephasing_group(2), tol=1e-10)
+        rho, g = np.diag([0.9, 0.1]), dephasing_group(2)
+        assert is_symmetric(rho, g)
+        assert _asymmetry(rho, g) <= 1e-10
 
 
 def test_symmetric_subspace_is_diagonal_for_dephasing():

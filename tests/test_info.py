@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from povmrobust.discrimination import random_ensemble, validate_ensemble
+from povmrobust.discrimination import (
+    p_guess_with_measurement,
+    random_ensemble,
+    validate_ensemble,
+)
 from povmrobust.errors import InvalidDistribution, InvalidJoint
 from povmrobust.info import (
     JointDistribution,
@@ -14,7 +18,7 @@ from povmrobust.info import (
     i_min,
     joint_from_game,
 )
-from povmrobust.measurement import projective_povm, random_povm, trivial_povm
+from povmrobust.measurement import projective_povm, random_povm, trivial_povm, validate_povm
 from povmrobust.rom import rom
 
 
@@ -94,6 +98,13 @@ class TestJointFromGame:
         m = random_povm(3, 5, 11)
         joint = joint_from_game(e, m)
         np.testing.assert_allclose(joint.marginal_x(), e.priors, atol=1e-10)
+
+    def test_clips_below_zero_where_the_guess_does_not(self):
+        # element 1 has eigenvalue -5e-11, within the PSD gate: p(0, 1) < 0
+        m = validate_povm([np.diag([1.0 + 5e-11, 0.0]), np.diag([-5e-11, 1.0])])
+        e = validate_ensemble([np.diag([1.0, 0.0])], [1.0])
+        np.testing.assert_array_equal(joint_from_game(e, m).p, [[1.0 + 5e-11, 0.0]])
+        assert abs(p_guess_with_measurement(e, m) - 1.0) <= 1e-15
 
 
 class TestAccMinInfoMeasurement:

@@ -122,6 +122,10 @@ class TestIsPsd:
     def test_clearly_negative(self):
         assert not is_psd(np.diag([1.0, -0.1]))
 
+    def test_gate_at_1e_9(self):
+        assert is_psd(np.diag([1.0, -5e-10]))
+        assert not is_psd(np.diag([1.0, -2e-9]))
+
 
 class TestHaarRandomUnitary:
     def test_scalar_case(self):

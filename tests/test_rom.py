@@ -131,7 +131,7 @@ class TestRomReport:
         assert abs(dual - 1.0 - report.value) <= 1e-8
         # reconstruction
         mix = report.pseudo_mixture
-        assert verify_pseudo_mixture(m, mix.noise, mix.q, mix.r, tol=1e-8)
+        assert verify_pseudo_mixture(m, mix.noise, mix.q, mix.r)
 
     def test_degenerate_top_eigenvalue_deterministic(self):
         m = trivial_povm([0.5, 0.5], 2)
@@ -173,7 +173,9 @@ class TestUniformNoiseMixture:
         noise, q, r = uniform_noise_mixture(m)
         validate_povm(list(noise.elements))
         assert r == pytest.approx(2.0)
-        assert verify_pseudo_mixture(m, noise, q, r, tol=1e-9)
+        assert verify_pseudo_mixture(m, noise, q, r)
+        mixed = (m.elements + r * noise.elements) / (1.0 + r)
+        assert np.abs(mixed - q[:, None, None] * np.eye(3)).max() <= 1e-9
 
     def test_dimension_one(self):
         with pytest.raises(DimensionOne):
@@ -186,7 +188,7 @@ class TestVerifyPseudoMixture:
         mix = report.pseudo_mixture
         q_bad = mix.q.copy()
         q_bad[0] += 0.01
-        assert not verify_pseudo_mixture(qubit_z, mix.noise, q_bad, mix.r, tol=1e-8)
+        assert not verify_pseudo_mixture(qubit_z, mix.noise, q_bad, mix.r)
 
     def test_shape_mismatch(self, qubit_z, trine):
         noise, q, r = uniform_noise_mixture(trine)
