@@ -171,15 +171,24 @@ def symmetric_subspace_basis(g: GroupRepresentation) -> np.ndarray:
     return (kept[:, :d * d] + 1j * kept[:, d * d:]).reshape(-1, d, d)
 
 
-def orbit_ensemble(rho, g: GroupRepresentation) -> Ensemble:
-    """The group orbit of a state, provided uniformly at random."""
-    g = _require_group(g)
+def _checked_state(rho, g: GroupRepresentation) -> np.ndarray:
+    """``rho`` as a checked density matrix of the group's dimension."""
     rho = check_density_matrix(rho)
     if rho.shape[0] != g.dimension:
         raise DimensionMismatch(
             f"state dimension {rho.shape[0]} vs group dimension {g.dimension}"
         )
+    return rho
+
+
+def _orbit(rho, g: GroupRepresentation) -> Ensemble:
     return Ensemble(_conjugates(rho, g), np.full(g.order, 1.0 / g.order))
+
+
+def orbit_ensemble(rho, g: GroupRepresentation) -> Ensemble:
+    """The group orbit of a state, provided uniformly at random."""
+    g = _require_group(g)
+    return _orbit(_checked_state(rho, g), g)
 
 
 def roa(rho, g: GroupRepresentation) -> AsymmetryReport:
@@ -200,16 +209,16 @@ def roa(rho, g: GroupRepresentation) -> AsymmetryReport:
     is raised when either fails.  The report's advantage is ``tr(sigma)``
     (the group order times the guessing probability, as the orbit's blind
     guess is ``1/|G|``), its min-information the log of that, and
-    ``lower`` the checked score of the witness ``M`` minus one.
+    ``lower`` the checked score of the witness ``M`` minus one; a score
+    above ``tr(sigma)`` is an inverted bracket, also a ``SolverFailure``.
     """
     g = _require_group(g)
-    return _certified_asymmetry(rho, g, symmetric_subspace_basis(g))
+    return _certified_asymmetry(_checked_state(rho, g), g, symmetric_subspace_basis(g))
 
 
 def _certified_asymmetry(rho, g: GroupRepresentation, basis) -> AsymmetryReport:
-    """``roa`` over ``basis``, a basis of the symmetric operators of ``g``."""
-    orbit = orbit_ensemble(rho, g)  # validates the state and its dimension
-    rho = as_complex_matrix(rho)
+    """``roa`` of a checked state over ``basis``, a basis of the symmetric
+    operators of ``g``."""
     solution = solve_dominating(DominanceProgram(basis, rho[None]))
     sigma = solution.y
     tol = CERTIFICATE_TOL * max(1.0, abs(solution.value))
@@ -222,12 +231,16 @@ def _certified_asymmetry(rho, g: GroupRepresentation, basis) -> AsymmetryReport:
         witness = validate_povm(_conjugates(solution.duals[0], g) / g.order)
     except PovmRobustError as exc:
         raise SolverFailure(f"dual witness is not a measurement: {exc}") from exc
-    score = g.order * p_guess_with_measurement(orbit, witness)
+    score = g.order * p_guess_with_measurement(_orbit(rho, g), witness)
     if score < solution.lower - tol:
         raise SolverFailure(f"dual witness scores {score!r}, below the certified lower "
                             f"bound {solution.lower!r} (tol {tol:.1e})")
-    return AsymmetryReport(solution.value - 1.0, sigma, solution.value,
-                           math.log2(solution.value), score - 1.0, witness, solution.iterations)
+    value, lower = solution.value - 1.0, score - 1.0
+    if lower > value:
+        raise SolverFailure(f"orbit-game bracket is inverted: the witness reaches "
+                            f"{lower!r}, above the value {value!r}")
+    return AsymmetryReport(value, sigma, solution.value, math.log2(solution.value),
+                           lower, witness, solution.iterations)
 
 
 def roc(rho) -> AsymmetryReport:

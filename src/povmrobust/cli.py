@@ -110,7 +110,8 @@ def _cmd_selftest(args):
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        steps = "" if r.steps is None else f"{r.steps} IPM steps; "
+        steps = "" if r.steps is None else (
+            f"{r.steps} IPM steps; {1e3 * r.seconds / max(r.steps, 1):.2f} ms/step; ")
         print(f"{r.index:2d}  {r.name:<{width}}  {status}  {r.seconds:6.2f} s  {steps}{r.detail}")
     n_passed = sum(r.passed for r in results)
     print(f"selftest: {n_passed}/{len(results)} criteria passed")

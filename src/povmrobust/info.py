@@ -74,8 +74,12 @@ def i_min(j: JointDistribution) -> float:
 
 def joint_from_game(e: Ensemble, m: Povm) -> JointDistribution:
     """Joint distribution ``p(x, a) = p(x) tr[sigma_x M_a]`` of the state
-    label and the measurement outcome, with rounding below zero clipped."""
-    return JointDistribution(np.clip(_joint(e, m), 0.0, None))
+    label and the measurement outcome, with rounding below zero clipped and
+    the table then rescaled to sum to one: an accepted element may have
+    eigenvalues down to ``-PSD_TOL``, so the clip alone can lift the total
+    past ``DISTRIBUTION_TOL``."""
+    p = np.clip(_joint(e, m), 0.0, None)
+    return JointDistribution(p / p.sum())
 
 
 class AccessibleMinInfo(NamedTuple):

@@ -5,9 +5,9 @@ package is built around, at a fixed tolerance, over deterministic
 pseudo-random instances at desk scale (dimension at most 4, at most 6
 outcomes).  The CLI ``selftest`` subcommand runs them all and prints a
 pass/fail table with each criterion's wall time and, where it solves
-dominance programs, their total interior-point steps; the test suite
-asserts them one by one.  ``quick`` mode shrinks the sample counts roughly
-tenfold for smoke testing.
+dominance programs, their total interior-point steps and the criterion's
+milliseconds per step; the test suite asserts them one by one.  ``quick``
+mode shrinks the sample counts roughly tenfold for smoke testing.
 """
 
 from __future__ import annotations

@@ -12,9 +12,11 @@ direction, Mehrotra predictor-corrector; Helmberg, Rendl, Vanderbei and
 Wolkowicz, SIAM J. Optim. 6 (1996); Vandenberghe and Boyd, SIAM Rev. 38
 (1996)) that returns a strictly feasible point together with a certified
 lower bound.  Its trace pairings are real matrix products of the
-matrices' real and imaginary parts, each predictor or corrector stage
-takes both step lengths from one stacked eigensolve, and the lower bound
-is computed only once the complementarity gap is near the tolerance.
+matrices' real and imaginary parts.  Each step factors every primal
+slack and dual matrix with one stacked Cholesky call and inverts those
+factors with one ``inv`` call, each predictor or corrector stage takes
+both step lengths from one stacked eigensolve, and the lower bound is
+computed only once the complementarity gap is near the tolerance.
 The module also instantiates the robustness program of a measurement
 and the optimal guessing probability of a state ensemble.
 """
@@ -219,16 +221,15 @@ def _validate_program(program: DominanceProgram):
     return basis, constraints, gram, c, identity
 
 
-def _step_lengths(inv_chols, ds, dz, fraction):
-    """Primal and dual step lengths: ``fraction`` of the largest steps that
-    keep ``S + a dS`` and ``Z + a dZ`` positive semidefinite, capped at one.
-    ``inv_chols`` stacks the inverse Cholesky factors of every ``S_i`` over
-    those of every ``Z_i``, so one eigensolve of the ``L^-1 dA L^-+`` gives both."""
-    directions = np.concatenate([np.broadcast_to(ds, dz.shape), dz])
-    scaled = inv_chols @ directions @ inv_chols.conj().swapaxes(-1, -2)
+def _step_lengths(inv_chols, inv_chols_h, directions, fraction):
+    """Primal and dual step lengths (floats): ``fraction`` of the largest steps
+    that keep ``S + a dS`` and ``Z + a dZ`` positive semidefinite, capped at
+    one.  ``inv_chols`` (adjoints ``inv_chols_h``) stacks the inverse Cholesky
+    factors of every ``S_i`` over those of every ``Z_i``, and ``directions``
+    ``dS`` (once per ``S_i``) over every ``dZ_i``, so one eigensolve gives both."""
+    scaled = inv_chols @ directions @ inv_chols_h
     smallest = np.linalg.eigvalsh(scaled)[:, 0].reshape(2, -1).min(axis=1)
-    steps = np.divide(-fraction, smallest, out=np.full(2, np.inf), where=smallest < 0.0)
-    return np.minimum(1.0, steps)
+    return tuple(min(1.0, -fraction / v) if v < 0.0 else 1.0 for v in smallest.tolist())
 
 
 def _central_path(basis, constraints, c, x, z):
@@ -242,51 +243,58 @@ def _central_path(basis, constraints, c, x, z):
     Mehrotra's predictor-corrector: one ``k x k`` Schur complement
     ``H_jl = sum_i Re tr[B_j S_i^-1 B_l Z_i]`` serves both solves, and all
     the matrix work is batched over the constraint stack.  Pairings with
-    the basis are real matrix products of ``_rows`` (``H`` is one GEMM),
-    and each stage takes both step lengths from one stacked eigensolve.
+    the basis are real matrix products of ``_rows`` (``H`` is one GEMM), one
+    Cholesky and one ``inv`` call serve the stack of every ``S_i`` over every
+    ``Z_i``, and each stage takes both step lengths from one stacked eigensolve.
     """
     m, d = constraints.shape[0], constraints.shape[1]
     rows = _rows(basis)
-    s = _span(x, basis) - constraints
-    s_chol = np.linalg.cholesky(s)
-    z_chol = np.linalg.cholesky(z)
+    eye = np.eye(d)
+    pair = np.concatenate([_span(x, basis) - constraints, z])  # every S_i over every Z_i
+    chols = np.linalg.cholesky(pair)
+    directions = np.empty(pair.shape, dtype=complex)  # dS (m times) over every dZ_i
     while True:
+        s, z = pair[:m], pair[m:]
         yield x, s, z
-        s_inv_chol = np.linalg.inv(s_chol)
-        s_inv = s_inv_chol.conj().swapaxes(-1, -2) @ s_inv_chol
-        inv_chols = np.concatenate([s_inv_chol, np.linalg.inv(z_chol)])
+        inv_chols = np.linalg.inv(chols)
+        inv_chols_h = inv_chols.conj().swapaxes(-1, -2)
+        s_inv = inv_chols_h[:m] @ inv_chols[:m]
         mu = np.vdot(s, z).real / (m * d)
         # sum_i S_i^-1 B_l Z_i, stacked over l
         weighted = (s_inv[:, None] @ basis[None] @ z[:, None]).sum(axis=0)
         schur = rows @ _rows(weighted).T
 
-        def direction(target):
-            s_inv_target = s_inv @ target
-            dx = np.linalg.solve(schur, rows @ _rows(s_inv_target.sum(axis=0)) - c)
+        def direction(dx, dz_rest):  # dS and the Hermitian dZ, written into directions
             ds = _span(dx, basis)
-            dz = s_inv_target - z - s_inv @ ds @ z
-            return dx, ds, 0.5 * (dz + dz.conj().swapaxes(-1, -2))
+            dz = dz_rest - s_inv @ ds @ z
+            directions[:m] = ds
+            directions[m:] = 0.5 * (dz + dz.conj().swapaxes(-1, -2))
+            return ds, directions[m:]
 
-        dx, ds, dz = direction(np.zeros_like(z))
-        alpha_p, alpha_d = _step_lengths(inv_chols, ds, dz, 1.0)
+        # predictor: the affine direction, whose right-hand side is just -c
+        ds, dz = direction(np.linalg.solve(schur, -c), -z)
+        alpha_p, alpha_d = _step_lengths(inv_chols, inv_chols_h, directions, 1.0)
         mu_affine = np.vdot(s + alpha_p * ds, z + alpha_d * dz).real / (m * d)
         sigma = (mu_affine / mu) ** 3
-        dx, ds, dz = direction(sigma * mu * np.eye(d) - ds @ dz)
-        alpha_p, alpha_d = _step_lengths(inv_chols, ds, dz, STEP_FRACTION)
-        x, s, s_chol = _positive_step(x, dx, alpha_p, lambda v: _span(v, basis) - constraints)
-        z, _, z_chol = _positive_step(z, dz, alpha_d, lambda v: v)
+        # corrector: centring and the second-order term
+        s_inv_target = s_inv @ (sigma * mu * eye - ds @ dz)
+        dx = np.linalg.solve(schur, rows @ _rows(s_inv_target.sum(axis=0)) - c)
+        ds, dz = direction(dx, s_inv_target - z)
+        alpha_p, alpha_d = _step_lengths(inv_chols, inv_chols_h, directions, STEP_FRACTION)
+        x, pair, chols = _positive_step(x, dx, alpha_p, z, dz, alpha_d, basis, constraints)
 
 
-def _positive_step(point, direction, alpha, matrices):
-    """Step along ``direction``, halving ``alpha`` until the new matrices have
-    a Cholesky factor: rounding can undo a step computed near the boundary."""
+def _positive_step(x, dx, alpha_p, z, dz, alpha_d, basis, constraints):
+    """The next ``x`` with the stack of every new ``S_i`` over every new
+    ``Z_i`` and its Cholesky factors, halving both step lengths until the
+    stack has them: rounding can undo a step computed near the boundary."""
     for _ in range(MAX_HALVINGS):
-        new = point + alpha * direction
-        mats = matrices(new)
+        new_x = x + alpha_p * dx
+        pair = np.concatenate([_span(new_x, basis) - constraints, z + alpha_d * dz])
         try:
-            return new, mats, np.linalg.cholesky(mats)
+            return new_x, pair, np.linalg.cholesky(pair)
         except np.linalg.LinAlgError:
-            alpha *= 0.5
+            alpha_p, alpha_d = 0.5 * alpha_p, 0.5 * alpha_d
     raise SolverFailure("interior-point step cannot stay positive definite")
 
 
@@ -331,7 +339,8 @@ def solve_dominating(program: DominanceProgram) -> SdpSolution:
     ``_certified_lower`` gives a lower bound;
     the solve stops once the two are within ``GAP_TOL`` (relative to
     ``max(1, |value|)``) and raises ``SolverFailure``, reporting the gap
-    left, if that takes more than ``MAX_ITERATIONS`` steps.
+    left, if that takes more than ``MAX_ITERATIONS`` steps, or if the lower
+    bound it stops at lies above the value.
     """
     basis, constraints, gram, c, identity = _validate_program(program)
     lam = np.linalg.eigvalsh(constraints)[:, -1].max()
@@ -346,6 +355,9 @@ def solve_dominating(program: DominanceProgram) -> SdpSolution:
             lower, duals = _certified_lower(basis, gram, constraints, c, z)
             gap = value - lower
         if gap <= tol:
+            if lower > value:
+                raise SolverFailure(f"dominance bracket is inverted: lower {lower!r} "
+                                    f"above value {value!r}")
             min_slack = float(np.linalg.eigvalsh(s)[:, 0].min())
             y = _span(x, basis)
             return SdpSolution(OPTIMAL, y, value, lower, duals, min_slack, iterations=iterations)

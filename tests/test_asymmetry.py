@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from povmrobust import discrimination
 from povmrobust.asymmetry import (
     dephasing_group,
     is_symmetric,
@@ -154,10 +155,25 @@ def test_symmetric_subspace_basis_of_a_near_unitary_group_contains_the_identity(
 
 def test_roa_of_a_near_unitary_group_is_certified_or_a_solver_failure():
     plus = np.full((2, 2), 0.5)
-    assert roa(plus, _near_dephasing_group(1e-11)).value == pytest.approx(1.0, abs=1e-9)
+    report = roa(plus, _near_dephasing_group(1e-12))
+    assert report.value == pytest.approx(1.0, abs=1e-9)
+    assert report.lower <= report.value
+    # the orbit "states" of a non-unitary element have trace 1 + eps, and
+    # at 1e-11 that lifts the witness's score above the value
+    with pytest.raises(SolverFailure, match="inverted"):
+        roa(plus, _near_dephasing_group(1e-11))
     # I is 2.5e-10 off symmetric under this twirl, beyond the certificate's slack
     with pytest.raises(SolverFailure, match="off symmetric"):
         roa(plus, _near_dephasing_group(5e-10))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-11, 1e-10, 3e-10, 5e-10, 9e-10])
+def test_roa_brackets_are_ordered_or_a_solver_failure(eps):
+    try:
+        report = roa(np.full((2, 2), 0.5), _near_dephasing_group(eps))
+    except SolverFailure:
+        return
+    assert report.lower <= report.value
 
 
 class TestOrbitEnsemble:
@@ -309,6 +325,14 @@ class TestRoc:
         for i, d in enumerate((2, 3)):
             value = roc(random_density_matrix(d, np.random.default_rng(19 + i))).value
             assert -1e-6 <= value <= d - 1 + 1e-6
+
+    def test_state_is_checked_once(self, count_calls):
+        # the orbit is built from the state roc has already checked
+        calls = count_calls(discrimination.check_density_matrix)
+        assert roc(np.full((3, 3), 1.0 / 3.0)).value == pytest.approx(2.0, abs=1e-9)
+        assert len(calls) == 1
+        roa(PLUS, dephasing_group(2))
+        assert len(calls) == 2
 
 
 def _pure_state(d, rng):

@@ -157,9 +157,11 @@ def test_selftest_quick_exits_zero(capsys):
     assert len(criterion_lines) == 9
     for line in criterion_lines:
         assert re.search(r"PASS +\d+\.\d{2} s ", line), line
-    # the criteria that solve dominance programs report their interior-point steps
+    # the criteria that solve dominance programs report their interior-point
+    # steps and the milliseconds per step
     for index in (1, 8, 9):
-        assert re.search(r"PASS +\d+\.\d{2} s  [1-9]\d* IPM steps; ", criterion_lines[index - 1])
+        assert re.search(r"PASS +\d+\.\d{2} s  [1-9]\d* IPM steps; \d+\.\d{2} ms/step; ",
+                         criterion_lines[index - 1])
 
 
 def _assert_error_contract(capsys, code):
@@ -292,10 +294,11 @@ def test_malformed_container_is_a_parse_error(tmp_path, capsys, command, files, 
     assert detail in payload["detail"]
 
 
-@pytest.mark.parametrize("eps, code", [(1e-11, 0), (5e-10, 1)])
+@pytest.mark.parametrize("eps, code", [(1e-12, 0), (1e-11, 1), (1e-10, 1), (5e-10, 1)])
 def test_roa_of_a_near_unitary_group_keeps_the_contract(tmp_path, capsys, eps, code):
     # a twirl that nearly annihilates X drops it from the symmetric span; the
-    # span must still contain I, or the solve raised a bare ValueError
+    # span must still contain I, or the solve raised a bare ValueError.  From
+    # 1e-11 on the witness scores above the value: an inverted bracket fails
     state = _write_json(tmp_path, "plus.json", _PLUS_STATE)
     group = _write_json(tmp_path, "group.json", {"dimension": 2, "unitaries": [
         jsonio.matrix_to_json(u) for u in (np.eye(2), np.array([[1, eps], [0, -1]]))]})

@@ -100,11 +100,20 @@ class TestJointFromGame:
         np.testing.assert_allclose(joint.marginal_x(), e.priors, atol=1e-10)
 
     def test_clips_below_zero_where_the_guess_does_not(self):
-        # element 1 has eigenvalue -5e-11, within the PSD gate: p(0, 1) < 0
+        # element 1 has eigenvalue -5e-11, within the PSD gate: p(0, 1) < 0,
+        # and the clipped row is rescaled to sum to one
         m = validate_povm([np.diag([1.0 + 5e-11, 0.0]), np.diag([-5e-11, 1.0])])
         e = validate_ensemble([np.diag([1.0, 0.0])], [1.0])
-        np.testing.assert_array_equal(joint_from_game(e, m).p, [[1.0 + 5e-11, 0.0]])
+        np.testing.assert_array_equal(joint_from_game(e, m).p, [[1.0, 0.0]])
         assert abs(p_guess_with_measurement(e, m) - 1.0) <= 1e-15
+
+    def test_accepted_povm_near_the_psd_gate_gives_a_joint(self):
+        # the clip alone would leave a total of 1 + 5e-10, past DISTRIBUTION_TOL
+        m = validate_povm([np.diag([1.0 + 5e-10, 0.0]), np.diag([-5e-10, 1.0])])
+        e = validate_ensemble([np.diag([1.0, 0.0])], [1.0])
+        joint = joint_from_game(e, m)
+        np.testing.assert_array_equal(joint.p, [[1.0, 0.0]])
+        assert i_min(joint) == 0.0
 
 
 class TestAccMinInfoMeasurement:

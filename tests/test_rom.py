@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 
@@ -56,27 +54,10 @@ class TestRom:
                 evaluate(m)
 
 
-def count_eig_calls(monkeypatch) -> list:
-    """Replace every ``povmrobust`` module's binding of ``eig_hermitian`` by a
-    wrapper that records its calls; returns the record."""
-    calls, original = [], numerics.eig_hermitian
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if module is not None and name.split(".")[0] == "povmrobust":
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
-
-
 class TestEigReuse:
-    def test_closed_form_paths_share_one_decomposition(self, monkeypatch):
+    def test_closed_form_paths_share_one_decomposition(self, count_calls):
         elements = random_povm(4, 5, 31).elements.copy()
-        calls = count_eig_calls(monkeypatch)
+        calls = count_calls(numerics.eig_hermitian)
         m = validate_povm(list(elements))
         value = rom(m)
         report = rom_report(m)

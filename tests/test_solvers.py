@@ -333,6 +333,76 @@ class TestSolveDominating:
             solve_dominating(DominanceProgram(basis, np.eye(2, dtype=complex)[None]))
 
 
+class TestStepShape:
+    COUNTED = ("inv", "cholesky", "eigvalsh", "solve")
+
+    def per_step_calls(self, monkeypatch, solve):
+        """``np.linalg`` calls made inside each interior-point step of ``solve()``:
+        the counts are read as the path yields and as it is resumed."""
+        counts = dict.fromkeys(self.COUNTED, 0)
+        for name in self.COUNTED:
+            def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        marks, path = [], solvers._central_path
+
+        def marked(*args):
+            for iterate in path(*args):
+                marks.append(dict(counts))
+                yield iterate
+                marks.append(dict(counts))
+
+        monkeypatch.setattr(solvers, "_central_path", marked)
+        iterations = solve().iterations
+        steps = [{k: after[k] - before[k] for k in self.COUNTED}
+                 for before, after in zip(marks[1::2], marks[2::2])]
+        assert len(steps) == iterations > 0
+        return steps
+
+    @pytest.mark.parametrize("solve", [
+        lambda: roc(np.full((3, 3), 1.0 / 3.0)),
+        lambda: solve_dominating(DominanceProgram(hermitian_basis(3), weighted_pair(3, 92))),
+    ], ids=["roc", "guess_d3"])
+    def test_dispatch_budget(self, monkeypatch, solve):
+        # one stacked factorization and one inverse per step, one step-length
+        # eigensolve per stage, one Schur solve per stage
+        budget = {"inv": 1, "cholesky": 1, "eigvalsh": 2, "solve": 2}
+        for step in self.per_step_calls(monkeypatch, solve):
+            assert step == budget
+
+    def test_failed_factorization_halves_the_step(self, monkeypatch):
+        program = DominanceProgram(hermitian_basis(3), weighted_pair(3, 92))
+        reference = solve_dominating(program)
+        calls, cholesky = [], np.linalg.cholesky
+
+        def fails_once(a):
+            calls.append(a)
+            if len(calls) == 4:  # the first try of the third step
+                raise np.linalg.LinAlgError("forced")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", fails_once)
+        halved = solve_dominating(program)
+        assert len(calls) == halved.iterations + 2
+        # another path to the same optimum: the two brackets overlap
+        assert halved.lower <= reference.value and reference.lower <= halved.value
+        assert abs(halved.value - reference.value) <= solvers.GAP_TOL
+        assert halved.min_slack > 0.0
+
+    def test_inverted_bracket_is_a_solver_failure(self, monkeypatch):
+        certified = solvers._certified_lower
+
+        def overstated(*args):
+            lower, duals = certified(*args)
+            return lower + 1e-6, duals
+
+        monkeypatch.setattr(solvers, "_certified_lower", overstated)
+        with pytest.raises(SolverFailure, match="inverted"):
+            solve_dominating(DominanceProgram(
+                np.eye(2, dtype=complex)[None], np.diag([0.75, 0.25]).astype(complex)[None]))
+
+
 class TestRomViaSdp:
     def test_qubit_z(self, qubit_z):
         assert rom_via_sdp(qubit_z) == pytest.approx(1.0, abs=1e-6)
