@@ -110,9 +110,11 @@ def _cmd_selftest(args):
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        steps = "" if r.steps is None else (
+        solves = "" if r.steps is None else (
             f"{r.steps} IPM steps; {1e3 * r.seconds / max(r.steps, 1):.2f} ms/step; ")
-        print(f"{r.index:2d}  {r.name:<{width}}  {status}  {r.seconds:6.2f} s  {steps}{r.detail}")
+        if r.pivots is not None:
+            solves = f"{r.pivots} pivots; {1e3 * r.seconds / max(r.lps, 1):.2f} ms/LP; "
+        print(f"{r.index:2d}  {r.name:<{width}}  {status}  {r.seconds:6.2f} s  {solves}{r.detail}")
     n_passed = sum(r.passed for r in results)
     print(f"selftest: {n_passed}/{len(results)} criteria passed")
     return 0 if n_passed == len(results) else 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidEnsemble, InvalidState
+from .errors import DimensionMismatch, InvalidEnsemble, InvalidState, NotSquare
 from .measurement import Povm, _check_distribution, _require_povm
 from .numerics import check_hermitian, eig_hermitian
 from .rom import rom_report
@@ -55,6 +55,8 @@ def check_density_matrix(rho) -> np.ndarray:
     """Validate a density matrix: Hermitian, positive semidefinite and of
     unit trace, both within ``STATE_TOL``."""
     m = check_hermitian(rho)
+    if m.ndim != 2:
+        raise NotSquare(f"expected a square matrix, got shape {m.shape}")
     smallest = eig_hermitian(m).eigenvalues[0]
     if smallest < -STATE_TOL:
         raise InvalidState(f"state has eigenvalue {smallest:.3e} below -{STATE_TOL:.1e}")

@@ -6,8 +6,9 @@ pseudo-random instances at desk scale (dimension at most 4, at most 6
 outcomes).  The CLI ``selftest`` subcommand runs them all and prints a
 pass/fail table with each criterion's wall time and, where it solves
 dominance programs, their total interior-point steps and the criterion's
-milliseconds per step; the test suite asserts them one by one.  ``quick``
-mode shrinks the sample counts roughly tenfold for smoke testing.
+milliseconds per step (simulability LPs: their total simplex pivots and
+the milliseconds per LP); the test suite asserts them one by one.
+``quick`` mode shrinks the sample counts roughly tenfold for smoke testing.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ class CriterionResult:
     detail: str
     seconds: float = 0.0
     steps: int | None = None  # interior-point steps of the criterion's dominance solves
+    pivots: int | None = None  # simplex pivots of the criterion's simulability LPs
+    lps: int = 0  # the number of those LPs
 
 
 def _suite(n_total: int, seed_base: int) -> list[Povm]:
@@ -256,6 +259,7 @@ def criterion_accessible_min_info(quick: bool = False) -> CriterionResult:
 def criterion_simulability(quick: bool = False) -> CriterionResult:
     n = 50 if quick else 500
     failures = []
+    results = []
     for i in range(n):
         d = 2 + i % 3
         o = 2 + i % 5
@@ -267,6 +271,7 @@ def criterion_simulability(quick: bool = False) -> CriterionResult:
         except PovmRobustError as exc:
             failures.append(f"case {i}: {type(exc).__name__}")
             continue
+        results.append(result)
         if not result.simulable:
             failures.append(f"case {i}: verdict {result.verdict}")
         elif result.residual > 1e-7:
@@ -276,6 +281,8 @@ def criterion_simulability(quick: bool = False) -> CriterionResult:
     z = projective_povm(np.eye(2))
     x = projective_povm(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
     zx = is_simulable(z, x)
+    results.append(zx)
+    pivots = [r.pivots for r in results if r.pivots is not None]
     zx_ok = (zx.verdict == NOT_SIMULABLE and zx.gap is not None
              and zx.gap >= 0.05 and zx.gap >= 1e-9)
 
@@ -286,6 +293,7 @@ def criterion_simulability(quick: bool = False) -> CriterionResult:
         f"{n - len(failures)}/{n} post-processed targets verified simulable "
         f"(residual tol 1e-7); Z vs X verdict {zx.verdict} with witness gap "
         f"{zx.gap if zx.gap is not None else float('nan'):.3f}{logged}",
+        pivots=sum(pivots), lps=len(pivots),
     )
 
 

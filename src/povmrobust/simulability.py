@@ -49,6 +49,7 @@ class SimulabilityResult:
     certificate: SimulabilityCertificate | None = None
     witness: Ensemble | None = None
     gap: float | None = None
+    pivots: int | None = None  # simplex pivots of the LP; None when the span check decided
 
     @property
     def simulable(self) -> bool:
@@ -85,24 +86,26 @@ def is_simulable(m: Povm, target: Povm) -> SimulabilityResult:
     if np.abs(outside).max() > FEASIBILITY_TOL:
         # Z_b = the part of M'_b outside the span: tr[Z_b M_a] = 0 for every
         # a, while the target scores sum_b |Z_b|^2 > 0.
-        coords, scalars = outside, np.zeros(o)
+        coords, scalars, pivots = outside, np.zeros(o), None
     else:
         r = frame.shape[0]
         n_vars = o * o_target  # column a * o_target + b
         a_eq = np.concatenate([
             np.einsum("ak,bc->bkac", source_coords @ frame.T, np.eye(o_target))
             .reshape(o_target * r, n_vars),
-            np.kron(np.eye(o), np.ones(o_target)),
+            np.repeat(np.eye(o), o_target, axis=1),
         ])
         b_eq = np.concatenate([(target_coords @ frame.T).ravel(), np.ones(o)])
         sol = solve_lp(a_eq, b_eq)
+        pivots = sol.iterations
         if sol.status == OPTIMAL:
             p = np.clip(sol.x.reshape(o, o_target), 0.0, None)
             p /= p.sum(axis=1, keepdims=True)
             simulation = StochasticMap(p)
             residual = float(np.abs(post_process(m, simulation).elements
                                     - target.elements).max())
-            return SimulabilityResult(SIMULABLE, map=simulation, residual=residual)
+            return SimulabilityResult(SIMULABLE, map=simulation, residual=residual,
+                                      pivots=pivots)
         if sol.status != INFEASIBLE:
             raise SolverFailure(f"simulability LP returned {sol.status}")
         y = sol.farkas
@@ -114,7 +117,7 @@ def is_simulable(m: Povm, target: Povm) -> SimulabilityResult:
     certificate = SimulabilityCertificate(operators / scale, scalars / scale)
     witness, gap = _witness(m, target, certificate)
     return SimulabilityResult(NOT_SIMULABLE, certificate=certificate,
-                              witness=witness, gap=gap)
+                              witness=witness, gap=gap, pivots=pivots)
 
 
 def witness_from_certificate(m: Povm, target: Povm,

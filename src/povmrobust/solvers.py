@@ -3,7 +3,10 @@
 Two solvers live here.  ``solve_lp`` is a dense phase-one simplex
 deciding feasibility of ``a x = b, x >= 0``: the most negative reduced
 cost enters until the first degenerate pivot, and Bland's anti-cycling
-rule (Bland, Math. Oper. Res. 2 (1977)) finishes from there.
+rule (Bland, Math. Oper. Res. 2 (1977)) finishes from there.  The
+tableau is built once and updated in place, each pivot by one broadcast
+rank-1 update, since at these sizes numpy's per-call overhead, not the
+arithmetic, sets the cost.
 ``solve_dominating`` minimizes the trace of an operator ranging over a
 real-linear span of Hermitian matrices that contains the identity (so
 the program always has a strictly feasible point) subject to dominating a
@@ -65,17 +68,17 @@ def _pivot(t, z, basis, col):
     """Enter column ``col`` into ``basis``, updating ``t`` and ``z`` in place;
     the leaving row has the least ratio over rows with ``coeff > PIVOT_TOL``
     (ties: lowest basis index).  Returns that ratio, or None if no row qualifies."""
-    rows = np.flatnonzero(t[:, col] > PIVOT_TOL)
+    column = t[:, col].copy()
+    rows = (column > PIVOT_TOL).nonzero()[0]
     if rows.size == 0:  # cannot happen in phase one, barring rounding
         return None
-    ratios = np.maximum(t[rows, -1], 0.0) / t[rows, col]
+    ratios = np.maximum(t[rows, -1], 0.0) / column[rows]
     step = ratios.min()
     tied = rows[ratios == step]
-    row = int(tied[np.argmin(basis[tied])])
-    t[row] = t[row] / t[row, col]
-    column = t[:, col].copy()
+    row = int(tied[basis[tied].argmin()] if tied.size > 1 else tied[0])
+    t[row] /= column[row]
     column[row] = 0.0
-    t -= np.outer(column, t[row])
+    t -= column[:, None] * t[row]
     z -= z[col] * t[row]
     basis[row] = col
     return step
@@ -88,7 +91,7 @@ def _bland(t, z, basis, max_pivots=MAX_PIVOTS):
     recurs.  Returns the status and the number of pivots, at most ``max_pivots``.
     """
     for pivots in range(max_pivots):
-        candidates = np.flatnonzero(z[:-1] < -PIVOT_TOL)
+        candidates = (z[:-1] < -PIVOT_TOL).nonzero()[0]
         if candidates.size == 0:
             return OPTIMAL, pivots
         if _pivot(t, z, basis, int(candidates[0])) is None:
@@ -102,7 +105,7 @@ def _simplex(t, z, basis):
     ``_bland`` finishes from there.  ``MAX_PIVOTS`` caps both rules together.
     """
     for pivots in range(MAX_PIVOTS):
-        col = int(np.argmin(z[:-1]))
+        col = int(z[:-1].argmin())
         if z[col] >= -PIVOT_TOL:
             return OPTIMAL, pivots
         if (step := _pivot(t, z, basis, col)) is None:
@@ -130,20 +133,23 @@ def solve_lp(a, b) -> LpSolution:
     if b.shape != (m,):
         raise ValueError(f"constraint matrix has shape {a.shape}, right-hand side {b.shape}")
     flip = np.where(b < 0.0, -1.0, 1.0)
-    a_std = np.hstack([a * flip[:, None], np.eye(m)])
-    cost = np.concatenate([np.zeros(n), np.ones(m)])
-    t = np.hstack([a_std, (b * flip)[:, None]])
-    z = np.concatenate([cost, [0.0]]) - t.sum(axis=0)
+    t = np.zeros((m, n + m + 1))
+    t[:, :n] = a * flip[:, None]
+    t[:, n:-1].flat[::m + 1] = 1.0
+    t[:, -1] = b * flip
+    z = -t.sum(axis=0)
+    z[n:-1] += 1.0  # the artificials' unit costs
     basis = np.arange(n, n + m)
     status, pivots = _simplex(t, z, basis)
     if status != OPTIMAL:
         return LpSolution(status, None, pivots)
     if -z[-1] > FEASIBILITY_TOL:
-        b_mat = a_std[:, basis]
+        b_mat = np.hstack([a * flip[:, None], np.eye(m)])[:, basis]
+        cost = (basis >= n).astype(float)
         try:
-            y = np.linalg.solve(b_mat.T, cost[basis])
+            y = np.linalg.solve(b_mat.T, cost)
         except np.linalg.LinAlgError:
-            y = np.linalg.lstsq(b_mat.T, cost[basis], rcond=None)[0]
+            y = np.linalg.lstsq(b_mat.T, cost, rcond=None)[0]
         return LpSolution(INFEASIBLE, None, pivots, farkas=y * flip)
     x = np.zeros(n + m)
     x[basis] = t[:, -1]

@@ -17,7 +17,7 @@ from povmrobust.asymmetry import (
     validate_group,
 )
 from povmrobust.discrimination import p_guess_with_measurement, random_density_matrix
-from povmrobust.errors import DimensionMismatch, InvalidGroup, SolverFailure
+from povmrobust.errors import DimensionMismatch, InvalidGroup, PovmRobustError, SolverFailure
 from povmrobust.info import acc_min_info_ensemble
 from povmrobust.numerics import haar_random_unitary, hermitian_basis
 from povmrobust.solvers import min_error_guess_value
@@ -299,6 +299,20 @@ class TestOrbitGameCertificates:
         monkeypatch.setattr(asymmetry, "solve_dominating", overstated)
         with pytest.raises(SolverFailure):
             roc(np.array([[0.7, 0.3], [0.3, 0.3]], dtype=complex))
+
+
+@pytest.mark.parametrize("stack", [np.stack([np.eye(2) / 2] * 2), np.eye(2)[None] / 2],
+                         ids=["two-states", "one-state"])
+@pytest.mark.parametrize("call", [
+    discrimination.check_density_matrix,
+    roc,
+    lambda rho: roa(rho, dephasing_group(2)),
+    lambda rho: orbit_ensemble(rho, dephasing_group(2)),
+], ids=["check_density_matrix", "roc", "roa", "orbit_ensemble"])
+def test_a_stack_of_states_is_a_package_error(call, stack):
+    # a stack passes the Hermiticity check, and its eigenvalues are an array
+    with pytest.raises(PovmRobustError):
+        call(stack)
 
 
 class TestRoc:

@@ -162,6 +162,9 @@ def test_selftest_quick_exits_zero(capsys):
     for index in (1, 8, 9):
         assert re.search(r"PASS +\d+\.\d{2} s  [1-9]\d* IPM steps; \d+\.\d{2} ms/step; ",
                          criterion_lines[index - 1])
+    # and the simulability criterion its simplex pivots and milliseconds per LP
+    assert re.search(r"PASS +\d+\.\d{2} s  [1-9]\d* pivots; \d+\.\d{2} ms/LP; \d+/\d+ ",
+                     criterion_lines[6])
 
 
 def _assert_error_contract(capsys, code):
@@ -386,6 +389,9 @@ _COMMANDS = {
     "rom": ("rom {0}", [_povm_doc()]),
     "rom-report": ("rom-report {0}", [_povm_doc()]),
     "discriminate": ("discriminate --ensemble {0} --povm {1}", [_ensemble_doc(), _povm_doc()]),
+    "optimal-ensemble": ("optimal-ensemble {0}", [_povm_doc()]),
+    "accinfo-measurement": ("accinfo-measurement {0}", [_povm_doc()]),
+    "accinfo-ensemble": ("accinfo-ensemble {0}", [_ensemble_doc()]),
     "simulable": ("simulable --from {0} --to {1}", [_povm_doc(), _povm_doc()]),
     "roc": ("roc --state {0}", [_state_doc()]),
     "roa": ("roa --state {0} --group {1}", [_state_doc(), _group_doc()]),

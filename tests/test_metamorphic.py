@@ -1,14 +1,20 @@
 """Invariances the paper implies, checked on random inputs at d = 2..7.
 
 Each quantity is compared before and after a transformation that must
-leave it unchanged, within 1e-9 relative to ``max(1, value)``.
+leave it unchanged, within 1e-9 relative to ``max(1, value)`` (1e-12 for
+the closed-form ``advantage``).
 """
 
 import numpy as np
 import pytest
 
 from povmrobust.asymmetry import roc
-from povmrobust.discrimination import Ensemble, random_density_matrix, random_ensemble
+from povmrobust.discrimination import (
+    Ensemble,
+    advantage,
+    random_density_matrix,
+    random_ensemble,
+)
 from povmrobust.measurement import depolarize_povm, random_povm, validate_povm
 from povmrobust.numerics import haar_random_unitary
 from povmrobust.rom import rom
@@ -18,8 +24,8 @@ from povmrobust.solvers import min_error_guess_value
 DIMENSIONS = range(2, 8)
 
 
-def assert_invariant(before, after):
-    assert abs(after - before) <= 1e-9 * max(1.0, abs(before))
+def assert_invariant(before, after, tol=1e-9):
+    assert abs(after - before) <= tol * max(1.0, abs(before))
 
 
 def conjugate(u, mats):
@@ -45,6 +51,19 @@ def test_guessing_value_is_invariant_under_a_common_unitary_and_relabeling(d):
     assert_invariant(value, min_error_guess_value(Ensemble(conjugate(u, e.states), e.priors)))
     perm = np.random.default_rng(730 + d).permutation(e.size)
     assert_invariant(value, min_error_guess_value(Ensemble(e.states[perm], e.priors[perm])))
+
+
+@pytest.mark.parametrize("d", DIMENSIONS)
+def test_advantage_is_invariant_under_a_common_unitary_and_joint_relabeling(d):
+    m = random_povm(d, 4, 800 + d)
+    e = random_ensemble(d, 4, 810 + d)
+    value = advantage(e, m)
+    u = haar_random_unitary(d, 820 + d)
+    assert_invariant(value, advantage(Ensemble(conjugate(u, e.states), e.priors),
+                                      validate_povm(conjugate(u, m.elements))), 1e-12)
+    perm = np.random.default_rng(830 + d).permutation(4)
+    assert_invariant(value, advantage(Ensemble(e.states[perm], e.priors[perm]),
+                                      validate_povm(m.elements[perm])), 1e-12)
 
 
 @pytest.mark.parametrize("d", DIMENSIONS)
