@@ -75,9 +75,10 @@ class AsymmetryReport:
 
 
 def validate_group(unitaries) -> GroupRepresentation:
-    """Check unitarity (within ``UNITARY_TOL``), closure up to global phase
-    and the presence of the identity (both within ``CLOSURE_TOL``), then
-    wrap the list."""
+    """Check unitarity (within ``UNITARY_TOL``), replace each element by its
+    nearest unitary (the polar factor ``W V^dag`` of its SVD), check closure
+    up to global phase and the presence of the identity on those (both
+    within ``CLOSURE_TOL``), then wrap them: every twirl is then exact."""
     mats = [as_complex_matrix(u) for u in unitaries]
     if not mats:
         raise InvalidGroup("a group needs at least one element")
@@ -90,6 +91,8 @@ def validate_group(unitaries) -> GroupRepresentation:
     bad = np.flatnonzero(deviations > UNITARY_TOL)
     if bad.size:
         raise InvalidGroup(f"element {bad[0]} fails unitarity by {deviations[bad[0]]:.3e}")
+    w, _, vh = np.linalg.svd(mats)
+    mats = w @ vh
     # Phase-insensitive matching: |tr(U_k^dag W)| = d iff W = phase * U_k.
     overlaps = np.abs(np.trace(mats, axis1=1, axis2=2))
     if overlaps.max() < d - CLOSURE_TOL:
@@ -160,7 +163,7 @@ def symmetric_subspace_basis(g: GroupRepresentation) -> np.ndarray:
     superop = (flat.T @ flat.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3) / g.order
     twirled = hermitian_basis(d).reshape(d * d, d * d) @ superop.reshape(d * d, d * d).T
     rows = np.hstack([twirled.real, twirled.imag])
-    # the identity is set apart: the drop tolerance could cut it from near-unitary groups' spans
+    # the identity is set apart, so the basis starts with exactly I/sqrt(d)
     ident = np.concatenate([np.eye(d).ravel(), np.zeros(d * d)]) / np.sqrt(d)
     rows -= np.outer(rows @ ident, ident)
     # rows the twirl annihilates (all off-diagonal ones under dephasing)

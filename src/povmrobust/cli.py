@@ -20,7 +20,7 @@ from .discrimination import (
     p_guess_classical,
     p_guess_with_measurement,
 )
-from .errors import ParseError, PovmRobustError, UsageError
+from .errors import ParseError, PovmRobustError, ResourceLimit, UsageError
 from .info import acc_min_info_ensemble, acc_min_info_measurement
 from .measurement import random_povm
 from .rom import rom, rom_report
@@ -201,6 +201,9 @@ def run(argv=None) -> int:
         return 2
     except PovmRobustError as exc:
         _emit_error(exc)
+        return 1
+    except MemoryError as exc:
+        _emit_error(ResourceLimit(str(exc) or "out of memory"))
         return 1
     if isinstance(outcome, int):
         return outcome

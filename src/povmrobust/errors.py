@@ -89,6 +89,10 @@ class SolverFailure(PovmRobustError):
     pass
 
 
+class ResourceLimit(PovmRobustError):
+    """A computation that would exceed a memory budget, or ran out of memory."""
+
+
 class UsageError(PovmRobustError):
     pass
 

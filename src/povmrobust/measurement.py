@@ -21,6 +21,7 @@ from .errors import (
     InvalidPovm,
     NotOrthonormal,
     NotPsd,
+    ResourceLimit,
     ShapeMismatch,
     SizeMismatch,
 )
@@ -29,6 +30,7 @@ from .numerics import PSD_TOL, EigenDecomposition, as_complex_matrix, eig_hermit
 COMPLETENESS_TOL = 1e-8
 DISTRIBUTION_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-9
+MAX_STACK_BYTES = 2**28  # one (o, d, d) complex stack that random_povm may draw
 
 
 @dataclass(frozen=True)
@@ -223,11 +225,14 @@ def random_povm(d: int, o: int, seed: int) -> Povm:
     """Full-rank random measurement, deterministic in the seed.
 
     Wishart blocks ``W_a = G_a G_a^dag`` are normalized by the inverse
-    square root of their sum, which is complete by construction.
+    square root of their sum, which is complete by construction.  A complex
+    ``(o, d, d)`` stack above ``MAX_STACK_BYTES`` is a ``ResourceLimit``.
     """
     if d < 1 or o < 1 or seed < 0:
         raise InvalidArgument("dimension and outcome count must be at least 1 and the seed "
                               f"nonnegative, got {d}, {o} and {seed}")
+    if 16 * o * d * d > MAX_STACK_BYTES:
+        raise ResourceLimit(f"{o} outcomes at dimension {d} need over {MAX_STACK_BYTES} bytes")
     rng = np.random.default_rng(seed)
     g = (rng.standard_normal((o, d, d)) + 1j * rng.standard_normal((o, d, d))) / math.sqrt(2.0)
     w = np.einsum("aij,akj->aik", g, g.conj())

@@ -60,11 +60,7 @@ class CriterionResult:
 
 
 def _suite(n_total: int, seed_base: int) -> list[Povm]:
-    povms = []
-    for i in range(n_total):
-        d, o = GRID[i % len(GRID)]
-        povms.append(random_povm(d, o, seed_base + i))
-    return povms
+    return [random_povm(*GRID[i % len(GRID)], seed_base + i) for i in range(n_total)]
 
 
 def _bloch_ket(theta: float, phi: float = 0.0) -> np.ndarray:
@@ -301,6 +297,7 @@ def criterion_roa_roc(quick: bool = False) -> CriterionResult:
     problems = []
     worst_game = 0.0
     worst_info = 0.0
+    worst_overlap = math.inf  # of the two brackets on the game's advantage
     steps = 0
     cases = [(2, 20 if quick else 100, 70000), (3, 10 if quick else 50, 71000)]
     for d, count, seed_base in cases:
@@ -314,22 +311,26 @@ def criterion_roa_roc(quick: bool = False) -> CriterionResult:
             steps += report.iterations + orbit.iterations
             worst_game = max(worst_game, abs(game - (1.0 + report.value)))
             worst_info = max(worst_info, abs(math.log2(game) - math.log2(1.0 + report.value)))
+            worst_overlap = min(worst_overlap, min(game, 1.0 + report.value)
+                                - max(group.order * orbit.lower, 1.0 + report.lower))
+    if worst_overlap < 0.0:
+        problems.append(f"game brackets are disjoint by {-worst_overlap:.3e}")
     if worst_game > 1e-9:
         problems.append(f"game identity off by {worst_game:.3e} (tol 1e-9)")
     if worst_info > 1e-9:
         problems.append(f"min-information identity off by {worst_info:.3e} (tol 1e-9)")
 
     plus, qutrit = roc(np.full((2, 2), 0.5)), roc(np.full((3, 3), 1.0 / 3.0))
-    plus_value, qutrit_value = plus.value, qutrit.value
     steps += plus.iterations + qutrit.iterations
-    if abs(plus_value - 1.0) > 1e-9:
-        problems.append(f"qubit maximal coherence gave {plus_value!r} (tol 1e-9)")
-    if abs(qutrit_value - 2.0) > 1e-9:
-        problems.append(f"qutrit maximal coherence gave {qutrit_value!r} (tol 1e-9)")
+    if abs(plus.value - 1.0) > 1e-9:
+        problems.append(f"qubit maximal coherence gave {plus.value!r} (tol 1e-9)")
+    if abs(qutrit.value - 2.0) > 1e-9:
+        problems.append(f"qutrit maximal coherence gave {qutrit.value!r} (tol 1e-9)")
 
     detail = "; ".join(problems) if problems else (
         f"identities within {max(worst_game, worst_info):.3e}; "
-        f"maximal coherence values {plus_value:.12f} / {qutrit_value:.12f}"
+        f"game brackets overlap by at least {worst_overlap:.3e}; "
+        f"maximal coherence values {plus.value:.12f} / {qutrit.value:.12f}"
     )
     return CriterionResult(8, "asymmetry and coherence identities", not problems, detail,
                            steps=steps)

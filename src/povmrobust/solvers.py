@@ -7,19 +7,19 @@ rule (Bland, Math. Oper. Res. 2 (1977)) finishes from there.  The
 tableau is built once and updated in place, each pivot by one broadcast
 rank-1 update, since at these sizes numpy's per-call overhead, not the
 arithmetic, sets the cost.
-``solve_dominating`` minimizes the trace of an operator ranging over a
-real-linear span of Hermitian matrices that contains the identity (so
-the program always has a strictly feasible point) subject to dominating a
-list of Hermitian constraints, by a primal-dual interior-point method (HKM
-direction, Mehrotra predictor-corrector; Helmberg, Rendl, Vanderbei and
-Wolkowicz, SIAM J. Optim. 6 (1996); Vandenberghe and Boyd, SIAM Rev. 38
-(1996)) that returns a strictly feasible point together with a certified
-lower bound.  Its trace pairings are real matrix products of the
-matrices' real and imaginary parts.  Each step factors every primal
-slack and dual matrix with one stacked Cholesky call and inverts those
-factors with one ``inv`` call, each predictor or corrector stage takes
-both step lengths from one stacked eigensolve, and the lower bound is
-computed only once the complementarity gap is near the tolerance.
+``solve_dominating`` minimizes the trace of an operator ranging over the
+real span of an orthonormal Hermitian basis of a *-algebra containing the
+identity (so the program always has a strictly feasible point) subject to
+dominating a list of Hermitian constraints, by a primal-dual interior-point
+method (HKM direction, Mehrotra predictor-corrector; Helmberg, Rendl,
+Vanderbei and Wolkowicz, SIAM J. Optim. 6 (1996); Vandenberghe and Boyd,
+SIAM Rev. 38 (1996)) that returns a strictly feasible point together with a
+certified lower bound.  Its trace pairings are real matrix products of the
+matrices' real and imaginary parts.  Each step factors every primal slack
+and dual matrix with one stacked Cholesky call and inverts those factors
+with one ``inv`` call, each predictor or corrector stage takes both step
+lengths from one stacked eigensolve, and the lower bound is computed only
+once the complementarity gap is near the tolerance.
 The module also instantiates the robustness program of a measurement
 and the optimal guessing probability of a state ensemble.
 """
@@ -44,7 +44,7 @@ ITERATION_LIMIT = "iteration_limit"
 PIVOT_TOL = 1e-10
 FEASIBILITY_TOL = 1e-9
 MAX_PIVOTS = 50_000
-BASIS_INDEPENDENCE_TOL = 1e-9
+ORTHONORMALITY_TOL = 1e-12  # entrywise: a dominance basis's Gram matrix against I
 GAP_TOL = 1e-11          # relative width of the returned dominance bracket
 IDENTITY_TOL = 1e-12     # the identity counts as lying in the span below this
 MAX_ITERATIONS = 100
@@ -160,9 +160,9 @@ def solve_lp(a, b) -> LpSolution:
 class DominanceProgram:
     """``min tr Y`` over ``Y = sum_j x_j B_j`` subject to ``Y >= K_i``.
 
-    ``basis`` holds the Hermitian matrices ``B_j`` (real coefficients,
-    linearly independent, their span containing the identity),
-    ``constraints`` the Hermitian ``K_i``, all of one dimension.
+    ``basis`` holds Hermitian ``B_j`` (real coefficients), orthonormal in the
+    trace inner product, whose span is a *-algebra containing the identity;
+    ``constraints`` holds the Hermitian ``K_i``, all of one dimension.
     """
 
     basis: np.ndarray
@@ -175,10 +175,9 @@ class SdpSolution:
     cannot finish raises): ``lower <= optimum <= value``.
 
     ``y`` is strictly feasible (``min_slack``, the smallest eigenvalue of any
-    ``y - K_i``, is positive) and ``value`` is its trace.  ``duals`` holds
-    positive semidefinite ``Z_i`` with ``sum_i tr[B_j Z_i] = tr B_j``
-    (for a span that is a *-algebra, ``sum_i Z_i`` projects onto the
-    identity), and ``lower = sum_i tr[K_i Z_i]``.
+    ``y - K_i``, is positive) and ``value`` is its trace.  ``duals`` are the
+    positive definite ``Z_i`` of ``_certified_lower``, whose sum projects onto
+    the identity, and ``lower = sum_i tr[K_i Z_i]``.
     """
 
     status: str
@@ -205,26 +204,21 @@ def _span(x, basis):
 
 
 def _validate_program(program: DominanceProgram):
-    """A program's stacks, Gram matrix, costs ``tr B_j`` and identity
-    coordinates; ``ValueError`` unless the basis is independent and spans I."""
+    """A program's stacks and costs ``tr B_j``, the identity's coordinates;
+    ``ValueError`` unless the basis is orthonormal (so independent) and spans I."""
     basis = check_hermitian(program.basis)
     constraints = check_hermitian(program.constraints)
     if (basis.ndim != 3 or not len(basis) or not len(constraints)
             or constraints.shape[1:] != basis.shape[1:]):
         raise ValueError("need nonempty basis and constraint stacks of one dimension")
-    gram = _rows(basis) @ _rows(basis).T
-    smallest = np.linalg.eigvalsh(gram)[0]
-    if smallest < BASIS_INDEPENDENCE_TOL:
-        raise ValueError(
-            f"subspace basis is numerically dependent (Gram eigenvalue {smallest:.3e})"
-        )
+    off = np.abs(_rows(basis) @ _rows(basis).T - np.eye(len(basis))).max()
+    if off > ORTHONORMALITY_TOL:
+        raise ValueError(f"subspace basis is off orthonormal by {off:.3e}")
     c = np.trace(basis, axis1=1, axis2=2).real
-    # tr B_j = tr[B_j I]: these are the coordinates of the identity's projection
-    identity = np.linalg.solve(gram, c)
-    missing = np.abs(_span(identity, basis) - np.eye(basis.shape[1])).max()
+    missing = np.abs(_span(c, basis) - np.eye(basis.shape[1])).max()
     if missing > IDENTITY_TOL:
         raise ValueError(f"the span of the basis misses the identity by {missing:.3e}")
-    return basis, constraints, gram, c, identity
+    return basis, constraints, c
 
 
 def _step_lengths(inv_chols, inv_chols_h, directions, fraction):
@@ -304,37 +298,25 @@ def _positive_step(x, dx, alpha_p, z, dz, alpha_d, basis, constraints):
     raise SolverFailure("interior-point step cannot stay positive definite")
 
 
-def _dual_residual(basis, c, z) -> float:
-    """Worst violation of ``sum_i tr[B_j Z_i] = c_j``."""
-    return float(np.abs(c - _rows(basis) @ _rows(z.sum(axis=0))).max())
-
-
-def _certified_lower(basis, gram, constraints, c, z):
-    """A dual objective that bounds the optimum from below, with its duals.
-
-    The duals are ``S^-1/2 Z_i S^-1/2`` with ``S = P(sum_i Z_i)``, the
-    projection onto the span.  When the span is a *-algebra (every
-    program this package builds), the projection commutes
-    with the congruence, so they sum to a matrix projecting onto the
-    identity and are exactly feasible.  For any other span the iterates
-    themselves are kept: they start dual feasible and every step
-    preserves that, up to rounding.
-    """
-    coords = np.linalg.solve(gram, _rows(basis) @ _rows(z.sum(axis=0)))
-    w, v = np.linalg.eigh(_span(coords, basis))
-    if w[0] > 0.0:
-        root = (v / np.sqrt(w)) @ v.conj().T
-        congruent = root @ z @ root
-        if _dual_residual(basis, c, congruent) <= _dual_residual(basis, c, z):
-            z = congruent
-    return float(np.vdot(constraints, z).real), z
+def _certified_lower(basis, constraints, z):
+    """A dual objective that bounds the optimum from below, with its duals
+    ``S^-1/2 Z_i S^-1/2``, ``S = P(sum_i Z_i)`` the projection onto the span:
+    over a *-algebra they sum to a projection onto I, so are exactly feasible.
+    A ``S`` that is not positive definite breaks that: ``SolverFailure``."""
+    w, v = np.linalg.eigh(_span(_rows(basis) @ _rows(z.sum(axis=0)), basis))
+    if w[0] <= 0.0:
+        raise SolverFailure(f"projected dual sum is not positive definite "
+                            f"(smallest eigenvalue {w[0]:.3e})")
+    root = (v / np.sqrt(w)) @ v.conj().T
+    duals = root @ z @ root
+    return float(np.vdot(constraints, duals).real), duals
 
 
 def solve_dominating(program: DominanceProgram) -> SdpSolution:
     """Primal-dual interior-point minimization of ``tr Y`` under dominance
     constraints.
 
-    The span of the basis must contain the identity (``ValueError``
+    The basis must keep ``DominanceProgram``'s contract (``ValueError``
     otherwise), so ``lambda I`` with ``lambda`` above every
     ``lambda_max(K_i)`` is a strictly feasible start.  The path following
     (HKM direction, Mehrotra predictor-corrector) starts there and from
@@ -342,15 +324,15 @@ def solve_dominating(program: DominanceProgram) -> SdpSolution:
     After each step the trace of the current ``Y`` is an upper bound.  Once
     the complementarity gap ``sum_i tr[S_i Z_i]`` is within
     ``CERTIFY_WINDOW`` times the tolerance, the congruence in
-    ``_certified_lower`` gives a lower bound;
-    the solve stops once the two are within ``GAP_TOL`` (relative to
-    ``max(1, |value|)``) and raises ``SolverFailure``, reporting the gap
-    left, if that takes more than ``MAX_ITERATIONS`` steps, or if the lower
-    bound it stops at lies above the value.
+    ``_certified_lower`` gives a lower bound; the solve stops once the two
+    are within ``GAP_TOL`` (relative to ``max(1, |value|)``) and raises
+    ``SolverFailure``, reporting the gap left, if that takes more than
+    ``MAX_ITERATIONS`` steps, or if the lower bound it stops at lies above
+    the value.
     """
-    basis, constraints, gram, c, identity = _validate_program(program)
+    basis, constraints, c = _validate_program(program)
     lam = np.linalg.eigvalsh(constraints)[:, -1].max()
-    x = (lam + max(1.0, abs(lam))) * identity
+    x = (lam + max(1.0, abs(lam))) * c
     z = np.broadcast_to(np.eye(basis.shape[1]) / constraints.shape[0], constraints.shape)
     path = islice(_central_path(basis, constraints, c, x, z), MAX_ITERATIONS)
     for iterations, (x, s, z) in enumerate(path):
@@ -358,7 +340,7 @@ def solve_dominating(program: DominanceProgram) -> SdpSolution:
         tol = GAP_TOL * max(1.0, abs(value))
         gap = np.vdot(s, z).real
         if gap <= CERTIFY_WINDOW * tol:
-            lower, duals = _certified_lower(basis, gram, constraints, c, z)
+            lower, duals = _certified_lower(basis, constraints, z)
             gap = value - lower
         if gap <= tol:
             if lower > value:

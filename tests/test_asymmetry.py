@@ -139,8 +139,9 @@ def test_symmetric_subspace_basis_spans_the_twirled_operators(group, size):
 
 
 def _near_dephasing_group(eps):
-    """Unitary and closed within validate_group's tolerances; its twirl sends
-    X to (eps/2)(I + Z), below the drop tolerance, and I itself eps/2 away."""
+    """Unitary and closed within validate_group's tolerances, which snaps
+    the second element onto its nearest unitary, the reflection
+    ``Z + (eps/2) X`` up to rounding; the twirl then sends X to (eps/2) Z."""
     return validate_group([np.eye(2), [[1, eps], [0, -1]]])
 
 
@@ -154,25 +155,23 @@ def test_symmetric_subspace_basis_of_a_near_unitary_group_contains_the_identity(
 
 
 def test_roa_of_a_near_unitary_group_is_certified_or_a_solver_failure():
+    # the accepted elements are snapped onto unitaries, so the twirl is exact
+    # and even at the edge of the unitarity gate the report is certified
     plus = np.full((2, 2), 0.5)
-    report = roa(plus, _near_dephasing_group(1e-12))
-    assert report.value == pytest.approx(1.0, abs=1e-9)
-    assert report.lower <= report.value
-    # the orbit "states" of a non-unitary element have trace 1 + eps, and
-    # at 1e-11 that lifts the witness's score above the value
-    with pytest.raises(SolverFailure, match="inverted"):
-        roa(plus, _near_dephasing_group(1e-11))
-    # I is 2.5e-10 off symmetric under this twirl, beyond the certificate's slack
-    with pytest.raises(SolverFailure, match="off symmetric"):
-        roa(plus, _near_dephasing_group(5e-10))
+    for eps in (1e-12, 1e-11, 5e-10, 9e-10):
+        group = _near_dephasing_group(eps)
+        products = group.unitaries.conj().swapaxes(1, 2) @ group.unitaries
+        assert np.abs(products - np.eye(2)).max() <= 1e-15
+        report = roa(plus, group)
+        assert report.value == pytest.approx(1.0, abs=1e-9)
+        assert report.lower <= report.value
 
 
-@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-11, 1e-10, 3e-10, 5e-10, 9e-10])
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 3e-12, 1e-11, 3e-11, 1e-10, 3e-10, 5e-10, 9e-10])
 def test_roa_brackets_are_ordered_or_a_solver_failure(eps):
-    try:
-        report = roa(np.full((2, 2), 0.5), _near_dephasing_group(eps))
-    except SolverFailure:
-        return
+    # every group validate_group accepts gets an ordered bracket, never a
+    # SolverFailure
+    report = roa(np.full((2, 2), 0.5), _near_dephasing_group(eps))
     assert report.lower <= report.value
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from povmrobust import jsonio
+from povmrobust import cli, jsonio
 from povmrobust.asymmetry import dephasing_group
 from povmrobust.cli import run
 from povmrobust.discrimination import random_density_matrix, random_ensemble, validate_ensemble
@@ -217,6 +217,41 @@ def test_random_povm_rejects_empty_sizes(capsys, dim, outcomes):
     assert _assert_error_contract(capsys, code)["error"] == "InvalidArgument"
 
 
+def test_random_povm_over_the_memory_budget_is_a_resource_limit(capsys, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the generator was reached")
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    code = run(["random-povm", "--dim", "200000", "--outcomes", "2", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    payload = json.loads(captured.out)
+    assert set(payload) == {"error", "detail"} and payload["error"] == "ResourceLimit"
+
+
+def test_memory_error_is_a_resource_limit_and_nothing_else_is_mapped(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 596. GiB")
+    monkeypatch.setattr(cli, "random_povm", exhausted)
+    code = run(["random-povm", "--dim", "2", "--outcomes", "2", "--seed", "1"])
+    payload = _assert_error_contract(capsys, code)
+    assert (code, payload) == (1, {"error": "ResourceLimit",
+                                   "detail": "Unable to allocate 596. GiB"})
+
+    def broken(*args):
+        raise RuntimeError("not a resource limit")
+    monkeypatch.setattr(cli, "random_povm", broken)
+    with pytest.raises(RuntimeError):
+        run(["random-povm", "--dim", "2", "--outcomes", "2", "--seed", "1"])
+
+
+def test_selftest_with_a_bad_flag_is_a_usage_error(capsys):
+    code = run(["selftest", "--no-such-flag"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    payload = json.loads(captured.out)
+    assert set(payload) == {"error", "detail"} and payload["error"] == "UsageError"
+
+
 def test_random_povm_rejects_negative_seed(capsys):
     code = run(["random-povm", "--dim", "2", "--outcomes", "2", "--seed", "-1"])
     payload = _assert_error_contract(capsys, code)
@@ -297,20 +332,15 @@ def test_malformed_container_is_a_parse_error(tmp_path, capsys, command, files, 
     assert detail in payload["detail"]
 
 
-@pytest.mark.parametrize("eps, code", [(1e-12, 0), (1e-11, 1), (1e-10, 1), (5e-10, 1)])
-def test_roa_of_a_near_unitary_group_keeps_the_contract(tmp_path, capsys, eps, code):
-    # a twirl that nearly annihilates X drops it from the symmetric span; the
-    # span must still contain I, or the solve raised a bare ValueError.  From
-    # 1e-11 on the witness scores above the value: an inverted bracket fails
+@pytest.mark.parametrize("eps", [1e-12, 1e-11, 1e-10, 5e-10, 9e-10])
+def test_roa_of_a_near_unitary_group_keeps_the_contract(tmp_path, capsys, eps):
+    # the group is snapped onto its nearest unitaries when it is read, so
+    # every group the unitarity gate accepts gets a certified value
     state = _write_json(tmp_path, "plus.json", _PLUS_STATE)
     group = _write_json(tmp_path, "group.json", {"dimension": 2, "unitaries": [
         jsonio.matrix_to_json(u) for u in (np.eye(2), np.array([[1, eps], [0, -1]]))]})
-    assert run(["roa", "--state", state, "--group", group]) == code
-    payload = _json_out(capsys)
-    if code:
-        assert set(payload) == {"error", "detail"} and payload["error"] == "SolverFailure"
-    else:
-        assert payload["value"] == pytest.approx(1.0, abs=1e-9)
+    assert run(["roa", "--state", state, "--group", group]) == 0
+    assert _json_out(capsys)["value"] == pytest.approx(1.0, abs=1e-9)
 
 
 # ------------------------------------------------ the contract on arbitrary files

@@ -12,9 +12,11 @@ from povmrobust.errors import (
     InvalidJoint,
     NotOrthonormal,
     NotPsd,
+    ResourceLimit,
     SizeMismatch,
 )
 from povmrobust.info import JointDistribution, h_min
+from povmrobust import measurement
 from povmrobust.measurement import (
     Povm,
     StochasticMap,
@@ -207,6 +209,17 @@ class TestRandomPovm:
         np.testing.assert_array_equal(
             random_povm(3, 4, 123).elements, random_povm(3, 4, 123).elements
         )
+
+    def test_a_stack_over_the_budget_is_refused_before_drawing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the generator was reached")
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        d = math.isqrt(measurement.MAX_STACK_BYTES // 32)  # two outcomes: 32 d^2 bytes
+        for dim in (d + 1, 200_000):
+            with pytest.raises(ResourceLimit, match="need over"):
+                random_povm(dim, 2, 1)
+        with pytest.raises(AssertionError, match="generator"):
+            random_povm(d, 2, 1)  # at the budget: it draws
 
 
 class TestStochasticMap:

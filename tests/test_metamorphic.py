@@ -2,13 +2,13 @@
 
 Each quantity is compared before and after a transformation that must
 leave it unchanged, within 1e-9 relative to ``max(1, value)`` (1e-12 for
-the closed-form ``advantage``).
+the closed-form ``advantage``); the two brackets of ``roa`` must overlap.
 """
 
 import numpy as np
 import pytest
 
-from povmrobust.asymmetry import roc
+from povmrobust.asymmetry import dephasing_group, roa, roc, validate_group
 from povmrobust.discrimination import (
     Ensemble,
     advantage,
@@ -87,3 +87,40 @@ def test_simulability_verdict_is_invariant_under_a_common_unitary(d):
     assert verdicts == [NOT_SIMULABLE, SIMULABLE]
     assert [is_simulable(rotated_noisy, rotated).verdict,
             is_simulable(rotated, rotated_noisy).verdict] == verdicts
+
+
+def _cyclic_shift_group(d):
+    """The d powers of the cyclic shift ``|k> -> |k+1>``."""
+    shift = np.roll(np.eye(d), 1, axis=0)
+    return validate_group([np.linalg.matrix_power(shift, k) for k in range(d)])
+
+
+def assert_brackets_overlap(a, b):
+    assert a.lower <= b.value and b.lower <= a.value
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_roa_is_invariant_under_a_unitary_normalizing_the_group(seed):
+    # the clock matrix conjugates the shift to a phase times itself, so it
+    # permutes the group up to phase and leaves the commutant invariant
+    d = 3
+    group = _cyclic_shift_group(d)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    rho = random_density_matrix(d, np.random.default_rng(840 + seed))
+    before, after = roa(rho, group), roa(conjugate(clock, rho), group)
+    assert_brackets_overlap(before, after)
+    assert_invariant(before.value, after.value)
+
+
+@pytest.mark.parametrize("eps", [1e-11, 3e-10, 9e-10])
+def test_roa_of_a_snapped_near_unitary_group_matches_the_exact_group(eps):
+    # validate_group snaps [[1, eps], [0, -1]] onto a reflection whose axis
+    # is eps/2 from Z; for a state on the equator of the Bloch sphere that
+    # moves the value by O(eps^2), far inside the bracket of {I, Z}
+    phase = np.exp(0.7j)
+    rho = np.array([[0.5, 0.4 * phase.conjugate()], [0.4 * phase, 0.5]])
+    exact = roa(rho, dephasing_group(2))
+    assert exact.value == pytest.approx(0.8, abs=1e-9)
+    snapped = roa(rho, validate_group([np.eye(2), [[1.0, eps], [0.0, -1.0]]]))
+    assert_brackets_overlap(exact, snapped)
+    assert_invariant(exact.value, snapped.value, 1e-11)

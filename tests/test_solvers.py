@@ -250,7 +250,8 @@ class TestSolveDominating:
     def test_scalar_subspace_closed_form(self):
         # min tr(x I) with x I >= diag(0.75, 0.25): x = 0.75, trace 1.5
         program = DominanceProgram(
-            np.eye(2, dtype=complex)[None], np.diag([0.75, 0.25]).astype(complex)[None]
+            np.eye(2, dtype=complex)[None] / math.sqrt(2.0),
+            np.diag([0.75, 0.25]).astype(complex)[None]
         )
         sol = solve_dominating(program)
         assert sol.status == OPTIMAL
@@ -289,7 +290,7 @@ class TestSolveDominating:
     @pytest.mark.parametrize("basis", [
         hermitian_basis(2)[1:2],  # a single traceless element
         np.diag([1.0, 0.0])[None],
-        np.diag([1.0, 2.0])[None],
+        np.diag([1.0, 2.0])[None] / math.sqrt(5.0),
     ], ids=["traceless", "diag_1_0", "diag_1_2"])
     def test_span_without_identity(self, monkeypatch, basis):
         # the program is rejected before its first interior-point step
@@ -300,14 +301,26 @@ class TestSolveDominating:
             solve_dominating(DominanceProgram(basis, 0.5 * np.eye(2, dtype=complex)[None]))
 
     def test_span_containing_an_unlisted_identity(self):
-        # diag(1, 2) and diag(1, 0) span the diagonal matrices, as the matrix
-        # units of roc do; min tr Y over diagonal Y >= |+><+| is 2, at Y = I
-        basis = np.stack([np.diag([1.0, 2.0]), np.diag([1.0, 0.0])]).astype(complex)
+        # a rotation of the two matrix units spans the diagonal matrices, as
+        # they do in roc, but lists neither I nor a matrix unit; min tr Y over
+        # diagonal Y >= |+><+| is 2, at Y = I
+        cos, sin = math.cos(math.pi / 8), math.sin(math.pi / 8)
+        basis = np.stack([np.diag([cos, sin]), np.diag([-sin, cos])]).astype(complex)
         sol = solve_dominating(DominanceProgram(basis, np.full((1, 2, 2), 0.5, dtype=complex)))
         assert sol.lower - 1e-12 <= 2.0 <= sol.value + 1e-12
         assert sol.value - sol.lower <= 1e-9
         assert sol.min_slack > 0.0
         np.testing.assert_allclose(sol.y, np.eye(2), atol=1e-8)
+
+    def test_span_without_an_orthonormal_basis(self, monkeypatch):
+        # diag(1, 2) and diag(1, 0) span the diagonal matrices, I included, but
+        # are not orthonormal: rejected before the first interior-point step
+        def no_steps(*args):
+            raise AssertionError("the path was started")
+        monkeypatch.setattr(solvers, "_central_path", no_steps)
+        basis = np.stack([np.diag([1.0, 2.0]), np.diag([1.0, 0.0])]).astype(complex)
+        with pytest.raises(ValueError, match="orthonormal"):
+            solve_dominating(DominanceProgram(basis, np.full((1, 2, 2), 0.5, dtype=complex)))
 
     def test_step_counts_are_pinned(self):
         # interior-point steps of three fixed programs; each moved by at most
@@ -326,6 +339,13 @@ class TestSolveDominating:
             solve_dominating(DominanceProgram(hermitian_basis(3), weighted_pair(3, 92)))
         gap = float(re.search(r"gap of (\S+) after", str(info.value)).group(1))
         assert math.isfinite(gap) and gap > 0.0
+
+    def test_a_dual_sum_projecting_to_no_positive_matrix_is_a_solver_failure(self):
+        # positive definite duals cannot do this over a *-algebra; zero ones do
+        basis = hermitian_basis(2)
+        with pytest.raises(SolverFailure, match="not positive definite"):
+            solvers._certified_lower(basis, np.eye(2, dtype=complex)[None],
+                                     np.zeros((1, 2, 2), dtype=complex))
 
     def test_rejects_dependent_basis(self):
         basis = np.stack([np.eye(2, dtype=complex), 2.0 * np.eye(2, dtype=complex)])
@@ -399,8 +419,8 @@ class TestStepShape:
 
         monkeypatch.setattr(solvers, "_certified_lower", overstated)
         with pytest.raises(SolverFailure, match="inverted"):
-            solve_dominating(DominanceProgram(
-                np.eye(2, dtype=complex)[None], np.diag([0.75, 0.25]).astype(complex)[None]))
+            solve_dominating(DominanceProgram(np.eye(2, dtype=complex)[None] / math.sqrt(2.0),
+                                              np.diag([0.75, 0.25]).astype(complex)[None]))
 
 
 class TestRomViaSdp:

@@ -7,6 +7,7 @@ twice it fails.
 
 import importlib
 import inspect
+import math
 import pkgutil
 
 import numpy as np
@@ -25,6 +26,7 @@ from povmrobust.errors import (
 )
 from povmrobust.info import JointDistribution
 from povmrobust.measurement import validate_povm
+from povmrobust.solvers import DominanceProgram, solve_dominating
 
 
 def _public_signatures():
@@ -65,7 +67,12 @@ def test_no_public_callable_takes_a_tolerance():
     (lambda s: JointDistribution([[0.5, 0.5 + s]]), 1e-10, InvalidJoint),
     # U^dag U - I has largest entry s
     (lambda s: validate_group([np.eye(2), [[1.0, s], [0.0, -1.0]]]), 1e-9, InvalidGroup),
-], ids=["povm-psd", "completeness", "state-trace", "priors", "joint", "unitarity"])
+    # the Gram entry of the second element is 1 + s; I is in the span either way
+    (lambda s: solve_dominating(DominanceProgram(
+        np.stack([np.eye(2), math.sqrt(1.0 + s) * np.diag([1.0, -1.0])]) / math.sqrt(2.0),
+        np.diag([0.75, 0.25])[None])), 1e-12, ValueError),
+], ids=["povm-psd", "completeness", "state-trace", "priors", "joint", "unitarity",
+        "dominance-basis-orthonormality"])
 def test_gate_holds_at_its_fixed_value(check, tol, error):
     check(0.5 * tol)
     with pytest.raises(error):
