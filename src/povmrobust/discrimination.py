@@ -82,14 +82,12 @@ def validate_ensemble(states, priors) -> Ensemble:
 
 
 def random_density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    w = g @ g.conj().T
-    return w / np.trace(w).real
+    return _random_states(rng, (), d)
 
 
 def _random_states(rng: np.random.Generator, shape: tuple, d: int) -> np.ndarray:
-    """A stack of ``shape`` random full-rank states: the draws of
-    ``random_density_matrix`` state by state, in one call."""
+    """A stack of ``shape`` random full-rank Wishart states ``G G^dag / tr``,
+    each ``G`` complex Gaussian with its real part drawn before its imaginary part."""
     g = rng.standard_normal((*shape, 2, d, d))
     w = g[..., 0, :, :] + 1j * g[..., 1, :, :]
     w = w @ w.conj().swapaxes(-1, -2)

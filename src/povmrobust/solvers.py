@@ -1,12 +1,13 @@
 """Dense linear and operator-dominance programming.
 
 Two solvers live here.  ``solve_lp`` is a dense phase-one simplex
-deciding feasibility of ``a x = b, x >= 0``: the most negative reduced
-cost enters until the first degenerate pivot, and Bland's anti-cycling
-rule (Bland, Math. Oper. Res. 2 (1977)) finishes from there.  The
-tableau is built once and updated in place, each pivot by one broadcast
-rank-1 update, since at these sizes numpy's per-call overhead, not the
-arithmetic, sets the cost.
+deciding feasibility of ``a x = b, x >= 0``: one pivot loop in which the
+most negative reduced cost enters until the first degenerate pivot, after
+which the rule switches to Bland's anti-cycling one (Bland, Math. Oper.
+Res. 2 (1977)).  The tableau is built once and updated in place, each
+pivot by one broadcast rank-1 update, since at these sizes numpy's
+per-call overhead, not the arithmetic, sets the cost; an infeasible
+system's Farkas vector is read off the artificial columns' reduced costs.
 ``solve_dominating`` minimizes the trace of an operator ranging over the
 real span of an orthonormal Hermitian basis of a *-algebra containing the
 identity (so the program always has a strictly feasible point) subject to
@@ -84,35 +85,22 @@ def _pivot(t, z, basis, col):
     return step
 
 
-def _bland(t, z, basis, max_pivots=MAX_PIVOTS):
-    """Bland-rule simplex on the tableau ``t`` (right-hand side last) with
-    reduced-cost row ``z``, in place: the lowest-index column with negative
-    reduced cost enters, ``_pivot`` picks the leaving row, and no basis
-    recurs.  Returns the status and the number of pivots, at most ``max_pivots``.
-    """
-    for pivots in range(max_pivots):
-        candidates = (z[:-1] < -PIVOT_TOL).nonzero()[0]
-        if candidates.size == 0:
-            return OPTIMAL, pivots
-        if _pivot(t, z, basis, int(candidates[0])) is None:
-            return UNBOUNDED, pivots
-    return (ITERATION_LIMIT if (z[:-1] < -PIVOT_TOL).any() else OPTIMAL), max_pivots
-
-
 def _simplex(t, z, basis):
-    """``_bland``'s simplex, but the most negative reduced cost enters (Dantzig's
-    rule) until the first degenerate pivot, the only kind that can cycle;
-    ``_bland`` finishes from there.  ``MAX_PIVOTS`` caps both rules together.
+    """Simplex on the tableau ``t`` (right-hand side last) with reduced-cost
+    row ``z``, in place; ``_pivot`` picks the leaving row.  The most negative
+    reduced cost enters (Dantzig's rule) until the first degenerate pivot, the
+    only kind that can cycle; from there the lowest-index column with negative
+    reduced cost enters (Bland's rule), under which no basis recurs.  Returns
+    the status and the number of pivots, at most ``MAX_PIVOTS`` for both rules.
     """
+    bland = False
     for pivots in range(MAX_PIVOTS):
-        col = int(z[:-1].argmin())
+        col = int((z[:-1] < -PIVOT_TOL).argmax() if bland else z[:-1].argmin())
         if z[col] >= -PIVOT_TOL:
             return OPTIMAL, pivots
         if (step := _pivot(t, z, basis, col)) is None:
             return UNBOUNDED, pivots
-        if step == 0.0:
-            status, more = _bland(t, z, basis, MAX_PIVOTS - pivots - 1)
-            return status, pivots + 1 + more
+        bland = bland or step == 0.0
     return (ITERATION_LIMIT if (z[:-1] < -PIVOT_TOL).any() else OPTIMAL), MAX_PIVOTS
 
 
@@ -125,7 +113,10 @@ def solve_lp(a, b) -> LpSolution:
     ``FEASIBILITY_TOL`` of it is left, the basic point without the
     artificials is returned.  Otherwise the phase-one duals of the final
     basis are a Farkas certificate: ``y`` with ``y . a <= 0`` on every
-    column and ``y . b > 0``.
+    column and ``y . b > 0``.  The pivots keep every reduced cost at
+    ``c_j - y . a'_j`` over the flipped columns ``a'``, and the artificial
+    column of row ``i`` is ``e_i`` with cost 1, so ``y_i`` is 1 minus that
+    column's reduced cost, times the row's flip.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -144,13 +135,7 @@ def solve_lp(a, b) -> LpSolution:
     if status != OPTIMAL:
         return LpSolution(status, None, pivots)
     if -z[-1] > FEASIBILITY_TOL:
-        b_mat = np.hstack([a * flip[:, None], np.eye(m)])[:, basis]
-        cost = (basis >= n).astype(float)
-        try:
-            y = np.linalg.solve(b_mat.T, cost)
-        except np.linalg.LinAlgError:
-            y = np.linalg.lstsq(b_mat.T, cost, rcond=None)[0]
-        return LpSolution(INFEASIBLE, None, pivots, farkas=y * flip)
+        return LpSolution(INFEASIBLE, None, pivots, farkas=(1.0 - z[n:-1]) * flip)
     x = np.zeros(n + m)
     x[basis] = t[:, -1]
     return LpSolution(OPTIMAL, x[:n], pivots)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from povmrobust import simulability, solvers
+from povmrobust import simulability
 from povmrobust.discrimination import p_guess_with_measurement, random_ensemble
 from povmrobust.errors import DimensionMismatch, SolverFailure
 from povmrobust.info import h_min_cond, joint_from_game
@@ -155,20 +155,12 @@ class TestDeskScale:
     ("depolarized", 4, 5, 5, NOT_SIMULABLE, 13, False),
     ("post-processed", 6, 4, 4, SIMULABLE, 22, True),  # and ties in the ratio test
 ])
-def test_pivot_counts_are_pinned(monkeypatch, kind, d, o, o_target, verdict, pivots,
+def test_pivot_counts_are_pinned(bland_pivots, kind, d, o, o_target, verdict, pivots,
                                  hand_off):
     # Exact pivot counts on each path through the LP: Dantzig's rule alone to
-    # either verdict, and a hand-off to Bland's rule.  A change to the entering
-    # rules, the hand-off or the ratio test's tie-break that the bounds of
+    # either verdict, and a switch to Bland's rule.  A change to the entering
+    # rules, the switch or the ratio test's tie-break that the bounds of
     # TestDeskScale let through moves at least one of them.
-    bland_runs = []
-    bland = solvers._bland
-
-    def recorded(*args):
-        bland_runs.append(True)
-        return bland(*args)
-
-    monkeypatch.setattr(solvers, "_bland", recorded)
     m = random_povm(d, o, 1)
     if kind == "post-processed":
         source, target = m, post_process(m, random_stochastic_map(o, o_target, 2))
@@ -176,7 +168,7 @@ def test_pivot_counts_are_pinned(monkeypatch, kind, d, o, o_target, verdict, piv
         source, target = depolarize_povm(m, 0.3), m
     result = is_simulable(source, target)
     assert (result.verdict, result.pivots) == (verdict, pivots)
-    assert bool(bland_runs) == hand_off
+    assert (bland_pivots() > 0) == hand_off
 
 
 class TestCertificate:

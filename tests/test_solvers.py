@@ -24,7 +24,6 @@ from povmrobust.solvers import (
     OPTIMAL,
     UNBOUNDED,
     DominanceProgram,
-    _bland,
     _guess_solution,
     _pivot,
     _rows,
@@ -115,6 +114,19 @@ class TestSolveLp:
         assert sol.status == INFEASIBLE
         assert_farkas(sol.farkas, a, b)
 
+    def test_farkas_vector_is_read_off_the_tableau(self, monkeypatch):
+        # the artificials' reduced costs hold the duals, so no linear solve runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_lp ran a dense linear solve")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        a = np.array([[1.0, -1.0, 0.0], [1.0, 0.0, 1.0]])
+        b = np.array([3.0, 1.0])
+        sol = solve_lp(a, b)
+        assert sol.status == INFEASIBLE
+        assert_farkas(sol.farkas, a, b)
+
     def test_equality_constraints(self):
         sol = solve_lp(np.array([[1.0, 1.0]]), np.array([1.0]))
         assert sol.status == OPTIMAL
@@ -124,21 +136,21 @@ class TestSolveLp:
         # the entering column has no positive entry: the guard stops the run
         t = np.array([[-1.0, 1.0, 1.0]])
         z = np.array([-1.0, 0.0, 0.0])
-        assert _bland(t, z, np.array([1])) == (UNBOUNDED, 0)
+        assert _simplex(t, z, np.array([1])) == (UNBOUNDED, 0)
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
             solve_lp(np.ones((2, 3)), np.ones(3))
 
 
-def run_from_last_columns(a, b, c, driver=_bland):
-    """``driver`` (Bland's rule by default) on ``min c.x, a x = b, x >= 0``
-    started from the basis of the last ``len(b)`` columns, whose costs are
-    zero; returns status, pivots, final basis and value."""
+def run_from_last_columns(a, b, c):
+    """``_simplex`` on ``min c.x, a x = b, x >= 0`` started from the basis of
+    the last ``len(b)`` columns, whose costs are zero; returns status, pivots,
+    final basis and value."""
     t = np.hstack([a, b[:, None]])
     z = np.concatenate([c, [0.0]])
     basis = np.arange(c.size - b.size, c.size)
-    status, pivots = driver(t, z, basis)
+    status, pivots = _simplex(t, z, basis)
     return status, pivots, basis.tolist(), -z[-1]
 
 
@@ -163,15 +175,21 @@ class TestBlandRule:
         assert np.abs(self.BEALE_A @ sol.x - self.BEALE_B).max() <= 1e-12
 
     def test_tied_ratios_leave_by_lowest_basis_index(self):
-        # The second pivot (column 1) ties rows 0 and 2 at ratio 1; row 2
-        # holds x0, row 0 the slack x3, so x0 leaves although its row is later.
+        # Bland's rule from the slack basis: column 0 enters at row 2, then
+        # column 1 ties rows 0 and 2 at ratio 1; row 2 holds x0, row 0 the
+        # slack x3, so x0 leaves although its row is later.
         a = np.array([[0.0, 1.0, 0.0, 1.0, 0.0, 0.0],
                       [1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
                       [1.0, 1.0, 0.0, 0.0, 0.0, 1.0]])
-        status, iterations, basis, value = run_from_last_columns(
-            a, np.array([1.0, 5.0, 1.0]), np.array([-1.0, -2.0, 0.0, 0.0, 0.0, 0.0]))
-        assert (status, iterations, basis) == (OPTIMAL, 2, [3, 4, 1])
-        assert value == -2.0
+        b, c = np.array([1.0, 5.0, 1.0]), np.array([-1.0, -2.0, 0.0, 0.0, 0.0, 0.0])
+        t, z = np.hstack([a, b[:, None]]), np.concatenate([c, [0.0]])
+        basis = np.arange(3, 6)
+        assert [_pivot(t, z, basis, col) for col in (0, 1)] == [1.0, 1.0]
+        assert basis.tolist() == [3, 4, 1]
+        assert z[:-1].min() >= 0.0 and -z[-1] == -2.0
+        # Dantzig's rule enters column 1 first and takes another path
+        status, _, basis, value = run_from_last_columns(a, b, c)
+        assert (status, basis, value) == (OPTIMAL, [1, 4, 0], -2.0)
 
 
 class TestDantzigHandOff:
@@ -187,20 +205,12 @@ class TestDantzigHandOff:
             assert _pivot(t, z, basis, int(np.argmin(z[:-1]))) == 0.0
         assert basis.tolist() == [4, 5, 6] and z[-1] == 0.0
 
-    def test_beale_reaches_its_optimum_through_the_hand_off(self, monkeypatch):
-        budgets = []
-        bland = solvers._bland
-
-        def recorded(t, z, basis, max_pivots):
-            budgets.append(max_pivots)
-            return bland(t, z, basis, max_pivots)
-
-        monkeypatch.setattr(solvers, "_bland", recorded)
-        status, iterations, basis, value = run_from_last_columns(*self.BEALE, driver=_simplex)
+    def test_beale_reaches_its_optimum_through_the_hand_off(self, bland_pivots):
+        status, iterations, basis, value = run_from_last_columns(*self.BEALE)
         assert status == OPTIMAL
         assert value == pytest.approx(-1.25, abs=1e-12)
         # the first pivot is degenerate, so Bland's rule takes over at once
-        assert budgets == [solvers.MAX_PIVOTS - 1]
+        assert bland_pivots() == 5
         assert (iterations, basis) == (6, [2, 4, 0])
 
     def test_pivot_cap_counts_both_rules(self, monkeypatch):
@@ -208,11 +218,11 @@ class TestDantzigHandOff:
         # of five per rule would let it finish, a cap on the total does not,
         # and a run whose last allowed pivot reaches the optimum is optimal
         monkeypatch.setattr(solvers, "MAX_PIVOTS", 5)
-        assert run_from_last_columns(*self.BEALE, driver=_simplex)[:2] == (ITERATION_LIMIT, 5)
+        assert run_from_last_columns(*self.BEALE)[:2] == (ITERATION_LIMIT, 5)
         monkeypatch.setattr(solvers, "MAX_PIVOTS", 6)
-        assert run_from_last_columns(*self.BEALE, driver=_simplex)[:2] == (OPTIMAL, 6)
+        assert run_from_last_columns(*self.BEALE)[:2] == (OPTIMAL, 6)
         monkeypatch.setattr(solvers, "MAX_PIVOTS", 7)
-        assert run_from_last_columns(*self.BEALE, driver=_simplex)[:2] == (OPTIMAL, 6)
+        assert run_from_last_columns(*self.BEALE)[:2] == (OPTIMAL, 6)
 
     def test_solve_lp_reports_the_capped_total(self, monkeypatch):
         rng = np.random.default_rng(95)

@@ -25,8 +25,16 @@ from povmrobust.errors import (
     NotPsd,
 )
 from povmrobust.info import JointDistribution
-from povmrobust.measurement import validate_povm
-from povmrobust.solvers import DominanceProgram, solve_dominating
+from povmrobust.measurement import Povm, projective_povm, validate_povm
+from povmrobust.simulability import NOT_SIMULABLE, SIMULABLE, is_simulable
+from povmrobust.solvers import (
+    FEASIBILITY_TOL,
+    INFEASIBLE,
+    OPTIMAL,
+    DominanceProgram,
+    solve_dominating,
+    solve_lp,
+)
 
 
 def _public_signatures():
@@ -77,3 +85,19 @@ def test_gate_holds_at_its_fixed_value(check, tol, error):
     check(0.5 * tol)
     with pytest.raises(error):
         check(2.0 * tol)
+
+
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("decide, inside, outside", [
+    # x = -s with x >= 0: phase one ends with s of the artificial left
+    (lambda s: solve_lp([[1.0]], [-s]).status, OPTIMAL, INFEASIBLE),
+    # the target elements leave the span of the Z basis's elements by s
+    (lambda s: is_simulable(projective_povm(np.eye(2)),
+                            Povm([np.eye(2) / 2 + s * PAULI_X, np.eye(2) / 2 - s * PAULI_X])
+                            ).verdict, SIMULABLE, NOT_SIMULABLE),
+], ids=["lp-feasibility", "simulability-span"])
+def test_feasibility_gate_holds_at_its_fixed_value(decide, inside, outside):
+    assert decide(0.5 * FEASIBILITY_TOL) == inside
+    assert decide(2.0 * FEASIBILITY_TOL) == outside
