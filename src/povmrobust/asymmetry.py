@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrimination import Ensemble, check_density_matrix, p_guess_with_measurement
-from .errors import DimensionMismatch, InvalidGroup, PovmRobustError, SolverFailure
+from .errors import DimensionMismatch, InvalidArgument, InvalidGroup, PovmRobustError, SolverFailure
 from .measurement import Povm, validate_povm
 from .numerics import as_complex_matrix, hermitian_basis
 from .solvers import DominanceProgram, solve_dominating
@@ -110,6 +110,8 @@ def validate_group(unitaries) -> GroupRepresentation:
 def dephasing_group(d: int) -> GroupRepresentation:
     """Cyclic group of the d diagonal unitaries with d-th root-of-unity
     phases; averaging over it removes every off-diagonal entry."""
+    if d < 1:
+        raise InvalidArgument(f"dimension must be at least 1, got {d}")
     phases = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
     return GroupRepresentation(np.stack([np.diag(row) for row in phases]))
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidEnsemble, InvalidState, NotSquare
 from .measurement import Povm, _check_distribution, _require_povm
-from .numerics import check_hermitian, eig_hermitian
+from .numerics import _check_seeded, check_hermitian, eig_hermitian
 from .rom import rom_report
 
 STATE_TOL = 1e-9
@@ -97,6 +97,7 @@ def _random_states(rng: np.random.Generator, shape: tuple, d: int) -> np.ndarray
 def random_ensemble(d: int, size: int, seed: int) -> Ensemble:
     """Random full-rank states with flat-Dirichlet priors, deterministic in
     the seed.  Valid by construction."""
+    _check_seeded(seed, d, size)
     rng = np.random.default_rng(seed)
     states = _random_states(rng, (size,), d)
     return Ensemble(states, rng.dirichlet(np.ones(size)))

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import (
     CompletenessViolation,
     EtaOutOfRange,
-    InvalidArgument,
     InvalidDistribution,
     InvalidPovm,
     NotOrthonormal,
@@ -25,7 +24,7 @@ from .errors import (
     ShapeMismatch,
     SizeMismatch,
 )
-from .numerics import PSD_TOL, EigenDecomposition, as_complex_matrix, eig_hermitian
+from .numerics import PSD_TOL, EigenDecomposition, _check_seeded, as_complex_matrix, eig_hermitian
 
 COMPLETENESS_TOL = 1e-8
 DISTRIBUTION_TOL = 1e-10
@@ -228,9 +227,7 @@ def random_povm(d: int, o: int, seed: int) -> Povm:
     square root of their sum, which is complete by construction.  A complex
     ``(o, d, d)`` stack above ``MAX_STACK_BYTES`` is a ``ResourceLimit``.
     """
-    if d < 1 or o < 1 or seed < 0:
-        raise InvalidArgument("dimension and outcome count must be at least 1 and the seed "
-                              f"nonnegative, got {d}, {o} and {seed}")
+    _check_seeded(seed, d, o)
     if 16 * o * d * d > MAX_STACK_BYTES:
         raise ResourceLimit(f"{o} outcomes at dimension {d} need over {MAX_STACK_BYTES} bytes")
     rng = np.random.default_rng(seed)
@@ -246,6 +243,7 @@ def random_povm(d: int, o: int, seed: int) -> Povm:
 
 def random_stochastic_map(n_in: int, n_out: int, seed: int) -> StochasticMap:
     """Random conditional distribution, rows drawn from a flat Dirichlet."""
+    _check_seeded(seed, n_in, n_out)
     rng = np.random.default_rng(seed)
     return StochasticMap(rng.dirichlet(np.ones(n_out), size=n_in))
 

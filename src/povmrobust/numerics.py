@@ -28,6 +28,8 @@ def _complex_stack(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotSquare(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if m.shape[-1] == 0:
+        raise InvalidArgument(f"matrices must be at least 1 x 1, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise InvalidArgument("matrix entries must be finite")
     return m
@@ -84,14 +86,20 @@ def is_psd(h) -> bool:
     return bool(eig_hermitian(h).eigenvalues[0] >= -PSD_TOL)
 
 
+def _check_seeded(seed: int, *sizes: int) -> None:
+    """``InvalidArgument`` unless each size is at least 1 and the seed nonnegative."""
+    if min(sizes) < 1 or seed < 0:
+        raise InvalidArgument(f"sizes must be at least 1 and the seed nonnegative, "
+                              f"got sizes {sizes} and seed {seed}")
+
+
 def haar_random_unitary(d: int, seed: int) -> np.ndarray:
     """Haar-distributed random unitary, deterministic in the seed.
 
     QR decomposition of a complex Gaussian matrix, with the phases of the
     R diagonal folded into Q so the distribution is exactly Haar.
     """
-    if d < 1:
-        raise InvalidArgument(f"dimension must be at least 1, got {d}")
+    _check_seeded(seed, d)
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)

@@ -2,16 +2,18 @@
 
 One measurement simulates another when the target elements are mixtures
 of the source elements under a stochastic relabeling of outcomes.  That
-is a linear feasibility problem in the span of the source elements; on
-failure, LP duality (or the part of the target outside that span)
-produces a separating functional which is converted into an explicit
-discrimination game the target wins strictly.  Every negative verdict
-therefore ships a numerically verified witness, never just an
-infeasibility flag.
+is a linear feasibility problem in the span of the source elements, a
+sign check on its only solution when they are independent.  On failure,
+a negative entry of that solution, LP duality or the part of the target
+outside that span produces a separating functional which is converted
+into an explicit discrimination game the target wins strictly.  Every
+negative verdict therefore ships a numerically verified witness, never
+just an infeasibility flag.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +51,7 @@ class SimulabilityResult:
     certificate: SimulabilityCertificate | None = None
     witness: Ensemble | None = None
     gap: float | None = None
-    pivots: int | None = None  # simplex pivots of the LP; None when the span check decided
+    pivots: int | None = None  # simplex pivots of the LP; None when no LP ran
 
     @property
     def simulable(self) -> bool:
@@ -62,12 +64,14 @@ def is_simulable(m: Povm, target: Povm) -> SimulabilityResult:
     Feasibility of ``sum_a p(b|a) M_a = M'_b`` with stochastic ``p`` is
     checked in an orthonormal frame of the span of the source elements
     (one SVD, rank ``r <= min(o, d*d)``): target elements outside it by
-    more than ``FEASIBILITY_TOL`` give the certificate directly; otherwise
-    an LP with ``r`` rows per target outcome decides at that tolerance,
-    and its Farkas vector is lifted back through the frame.  A positive
-    verdict carries the stochastic map and its reconstruction residual; a
-    negative one carries the dual certificate plus a verified witness
-    ensemble on which the target strictly outperforms ``m``.
+    more than ``FEASIBILITY_TOL`` give the certificate directly.  With
+    ``r == o`` the solution is unique, and its negative entries give a
+    certificate with zero scalars; otherwise, or if that certificate does
+    not verify, an LP with ``r`` rows per target outcome decides at that
+    tolerance, and its Farkas vector is lifted back through the frame.  A
+    positive verdict carries the stochastic map and its reconstruction
+    residual; a negative one carries the dual certificate plus a verified
+    witness ensemble on which the target strictly outperforms ``m``.
     """
     m = _require_povm(m)
     target = _require_povm(target)
@@ -86,32 +90,48 @@ def is_simulable(m: Povm, target: Povm) -> SimulabilityResult:
     if np.abs(outside).max() > FEASIBILITY_TOL:
         # Z_b = the part of M'_b outside the span: tr[Z_b M_a] = 0 for every
         # a, while the target scores sum_b |Z_b|^2 > 0.
-        coords, scalars, pivots = outside, np.zeros(o), None
-    else:
-        r = frame.shape[0]
-        n_vars = o * o_target  # column a * o_target + b
-        a_eq = np.concatenate([
-            np.einsum("ak,bc->bkac", source_coords @ frame.T, np.eye(o_target))
-            .reshape(o_target * r, n_vars),
-            np.repeat(np.eye(o), o_target, axis=1),
-        ])
-        b_eq = np.concatenate([(target_coords @ frame.T).ravel(), np.ones(o)])
-        sol = solve_lp(a_eq, b_eq)
-        pivots = sol.iterations
-        if sol.status == OPTIMAL:
-            p = np.clip(sol.x.reshape(o, o_target), 0.0, None)
-            p /= p.sum(axis=1, keepdims=True)
-            simulation = StochasticMap(p)
-            residual = float(np.abs(post_process(m, simulation).elements
-                                    - target.elements).max())
-            return SimulabilityResult(SIMULABLE, map=simulation, residual=residual,
-                                      pivots=pivots)
-        if sol.status != INFEASIBLE:
-            raise SolverFailure(f"simulability LP returned {sol.status}")
-        y = sol.farkas
-        coords, scalars = y[:o_target * r].reshape(o_target, r) @ frame, y[o_target * r:]
+        return _refuted(m, target, outside, np.zeros(o), None)
+    r = frame.shape[0]
+    source_in, target_in = source_coords @ frame.T, target_coords @ frame.T  # (o, r), (o', r)
+    if r == o:
+        # Independent elements: q is unique, and the dual frame D = C^-T frame
+        # (C = source_in, tr[D_a M_c] = delta_ac) turns q(b|a) < 0 into Z_b = -D_a.
+        q = np.linalg.solve(source_in.T, target_in.T)  # (o, o')
+        if q.min() >= 0.0 and np.abs(q.sum(axis=1) - 1.0).sum() <= FEASIBILITY_TOL:
+            return _simulable(m, target, q, None)
+        dual = np.linalg.solve(source_in.T, frame)
+        with suppress(SolverFailure):  # a witness below WITNESS_GAP_TOL: the LP decides
+            return _refuted(m, target, (q < 0.0).T @ -dual, np.zeros(o), None)
+    n_vars = o * o_target  # column a * o_target + b
+    a_eq = np.concatenate([
+        np.einsum("ak,bc->bkac", source_in, np.eye(o_target)).reshape(o_target * r, n_vars),
+        np.repeat(np.eye(o), o_target, axis=1),
+    ])
+    b_eq = np.concatenate([target_in.ravel(), np.ones(o)])
+    sol = solve_lp(a_eq, b_eq)
+    if sol.status == OPTIMAL:
+        return _simulable(m, target, sol.x.reshape(o, o_target), sol.iterations)
+    if sol.status != INFEASIBLE:
+        raise SolverFailure(f"simulability LP returned {sol.status}")
+    y = sol.farkas
+    return _refuted(m, target, y[:o_target * r].reshape(o_target, r) @ frame,
+                    y[o_target * r:], sol.iterations)
 
-    operators = np.ascontiguousarray(coords).view(np.complex128).reshape(o_target, d, d)
+
+def _simulable(m: Povm, target: Povm, p: np.ndarray, pivots: int | None) -> SimulabilityResult:
+    """The verdict for a solution ``p``, clipped at 0 and renormalized."""
+    p = np.clip(p, 0.0, None)
+    p /= p.sum(axis=1, keepdims=True)
+    simulation = StochasticMap(p)
+    residual = float(np.abs(post_process(m, simulation).elements - target.elements).max())
+    return SimulabilityResult(SIMULABLE, map=simulation, residual=residual, pivots=pivots)
+
+
+def _refuted(m: Povm, target: Povm, coords: np.ndarray, scalars: np.ndarray,
+             pivots: int | None) -> SimulabilityResult:
+    """The verdict for a functional in ``_rows`` coordinates, if its witness verifies."""
+    d = m.dimension
+    operators = np.ascontiguousarray(coords).view(np.complex128).reshape(-1, d, d)
     operators = (operators + operators.conj().transpose(0, 2, 1)) / 2
     scale = max(np.abs(operators).max(), np.abs(scalars).max(initial=0.0), 1e-300)
     certificate = SimulabilityCertificate(operators / scale, scalars / scale)

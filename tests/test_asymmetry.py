@@ -17,7 +17,13 @@ from povmrobust.asymmetry import (
     validate_group,
 )
 from povmrobust.discrimination import p_guess_with_measurement, random_density_matrix
-from povmrobust.errors import DimensionMismatch, InvalidGroup, PovmRobustError, SolverFailure
+from povmrobust.errors import (
+    DimensionMismatch,
+    InvalidArgument,
+    InvalidGroup,
+    PovmRobustError,
+    SolverFailure,
+)
 from povmrobust.info import acc_min_info_ensemble
 from povmrobust.numerics import haar_random_unitary, hermitian_basis
 from povmrobust.solvers import min_error_guess_value
@@ -32,6 +38,10 @@ class TestValidateGroup:
             g = dephasing_group(d)
             checked = validate_group(g.unitaries)
             assert checked.order == d
+
+    def test_a_dephasing_group_of_dimension_zero_is_an_invalid_argument(self):
+        with pytest.raises(InvalidArgument):
+            dephasing_group(0)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(InvalidGroup):

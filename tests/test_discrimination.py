@@ -11,7 +11,7 @@ from povmrobust.discrimination import (
     random_ensemble,
     validate_ensemble,
 )
-from povmrobust.errors import DimensionMismatch, InvalidEnsemble
+from povmrobust.errors import DimensionMismatch, InvalidArgument, InvalidEnsemble
 from povmrobust.measurement import (
     post_process,
     random_povm,
@@ -146,3 +146,9 @@ class TestOptimalEnsemble:
         m = trivial_povm([0.3, 0.3, 0.4], 2)
         e = optimal_ensemble(m)
         assert advantage(e, m) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("d, size, seed", [(0, 2, 1), (2, 0, 1), (2, 2, -1)])
+def test_random_ensemble_rejects_an_empty_size_or_a_negative_seed(d, size, seed):
+    with pytest.raises(InvalidArgument):
+        random_ensemble(d, size, seed)

@@ -7,6 +7,7 @@ from povmrobust.discrimination import validate_ensemble
 from povmrobust.errors import (
     CompletenessViolation,
     EtaOutOfRange,
+    InvalidArgument,
     InvalidDistribution,
     InvalidEnsemble,
     InvalidJoint,
@@ -236,6 +237,11 @@ class TestStochasticMap:
         b = random_stochastic_map(4, 3, 6)
         np.testing.assert_array_equal(a.probabilities, b.probabilities)
         np.testing.assert_allclose(a.probabilities.sum(axis=1), np.ones(4))
+
+    @pytest.mark.parametrize("n_in, n_out, seed", [(0, 3, 1), (4, 0, 1), (4, 3, -1)])
+    def test_random_rejects_an_empty_size_or_a_negative_seed(self, n_in, n_out, seed):
+        with pytest.raises(InvalidArgument):
+            random_stochastic_map(n_in, n_out, seed)
 
 
 def test_povm_elements_are_readonly(qubit_z):

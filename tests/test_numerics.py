@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from povmrobust.errors import NotHermitian, NotSquare
+from povmrobust.asymmetry import roc
+from povmrobust.errors import InvalidArgument, NotHermitian, NotSquare
+from povmrobust.measurement import validate_povm
 from povmrobust.numerics import (
+    check_hermitian,
     eig_hermitian,
     haar_random_unitary,
     hermitian_basis,
@@ -144,6 +147,20 @@ class TestHaarRandomUnitary:
     def test_rejects_dimension_zero(self):
         with pytest.raises(ValueError):
             haar_random_unitary(0, 1)
+
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(InvalidArgument):
+            haar_random_unitary(2, -1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_hermitian(np.zeros((0, 0))),
+    lambda: roc(np.zeros((0, 0))),
+    lambda: validate_povm([np.zeros((0, 0))]),
+])
+def test_a_zero_size_matrix_is_an_invalid_argument(call):
+    with pytest.raises(InvalidArgument, match="at least 1 x 1"):
+        call()
 
 
 def test_hermitian_basis_orthonormal():

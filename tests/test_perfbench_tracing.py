@@ -25,8 +25,8 @@ def test_every_traced_name_resolves():
 
 
 def test_solver_counters_under_the_tracer():
-    m = random_povm(3, 4, 17)
-    target = post_process(m, random_stochastic_map(4, 3, 18))
+    m = random_povm(2, 6, 17)  # dependent elements at d = 2, so the LP runs
+    target = post_process(m, random_stochastic_map(6, 3, 18))
     with tracing.Tracer() as tracer:
         assert is_simulable(m, target).simulable
         roc(np.full((2, 2), 0.5))

@@ -109,6 +109,21 @@ class TestSimulableRegressions:
         assert result.residual <= 1e-7
 
 
+def split_in_halves(m):
+    """Each element of ``m`` as two equal outcomes: the same span from
+    linearly dependent elements, so ``is_simulable`` decides by its LP."""
+    return Povm(np.repeat(m.elements / 2, 2, axis=0))
+
+
+def band_pair(d, o, eps, seed):
+    """``m = random_povm(d, o, seed)`` and the target ``sum_a (I + eps D)(b|a) M_a``,
+    ``D`` Gaussian with zero row sums: in the span, with map entries ``~ -eps``."""
+    m = random_povm(d, o, seed)
+    delta = np.random.default_rng(seed).standard_normal((o, o))
+    delta -= delta.mean(axis=1, keepdims=True)
+    return m, Povm(np.einsum("ab,aij->bij", np.eye(o) + eps * delta, m.elements))
+
+
 def assert_certificate_separates(cert, m, target):
     # validity: tr[Z_b M_a] + z_a <= 0 while the target scores > 0
     for a, element in enumerate(m):
@@ -123,9 +138,11 @@ def assert_certificate_separates(cert, m, target):
 
 class TestDeskScale:
     # (depolarize_povm(m, 0.3), m) with m = random_povm(d, o, 1): the target
-    # lies in the span of the source, so the LP decides.  The pivot bounds are
-    # twice the counts of most-negative-cost pivots handing over to Bland's
-    # rule (24, 33, 44 and 107); Bland's rule alone took 18 s at 32/20.
+    # lies in the span of the source, whose elements are independent, so the
+    # unique map refutes it and no LP runs.  With the source split in halves
+    # the LP decides in 39, 49, 64 and 145 most-negative-cost pivots; the
+    # bounds, twice the LP's pivots on the unsplit pairs (24, 33, 44 and 107),
+    # hold those too.  Bland's rule alone took 18 s on the unsplit 32/20 pair.
     @pytest.mark.parametrize("d, o, max_pivots", [
         (16, 12, 48), (24, 16, 66), (32, 20, 88), (20, 30, 214),
     ])
@@ -140,35 +157,77 @@ class TestDeskScale:
 
         monkeypatch.setattr(simulability, "solve_lp", counted)
         target = random_povm(d, o, 1)
-        source = depolarize_povm(target, 0.3)
-        result = is_simulable(source, target)
-        assert result.verdict == NOT_SIMULABLE
-        assert_certificate_separates(result.certificate, source, target)
-        gap = (p_guess_with_measurement(result.witness, target)
-               - p_guess_with_measurement(result.witness, source))
-        assert gap == pytest.approx(result.gap, rel=1e-12)
-        assert len(pivots) == 1 and pivots[0] <= max_pivots
+        depolarized = depolarize_povm(target, 0.3)
+        for source, lps in ((depolarized, 0), (split_in_halves(depolarized), 1)):
+            result = is_simulable(source, target)
+            assert result.verdict == NOT_SIMULABLE
+            assert_certificate_separates(result.certificate, source, target)
+            gap = (p_guess_with_measurement(result.witness, target)
+                   - p_guess_with_measurement(result.witness, source))
+            assert gap == pytest.approx(result.gap, rel=1e-12)
+            assert len(pivots) == lps and result.pivots == (pivots[0] if lps else None)
+        assert pivots[0] <= max_pivots
 
 
 @pytest.mark.parametrize("kind, d, o, o_target, verdict, pivots, hand_off", [
-    ("post-processed", 4, 4, 3, SIMULABLE, 16, False),
-    ("depolarized", 4, 5, 5, NOT_SIMULABLE, 13, False),
-    ("post-processed", 6, 4, 4, SIMULABLE, 22, True),  # and ties in the ratio test
+    ("post-processed", 4, 4, 3, SIMULABLE, 30, False),
+    ("depolarized", 4, 5, 5, NOT_SIMULABLE, 25, False),
+    ("post-processed", 3, 5, 4, SIMULABLE, 51, True),
 ])
 def test_pivot_counts_are_pinned(bland_pivots, kind, d, o, o_target, verdict, pivots,
                                  hand_off):
-    # Exact pivot counts on each path through the LP: Dantzig's rule alone to
-    # either verdict, and a switch to Bland's rule.  A change to the entering
-    # rules, the switch or the ratio test's tie-break that the bounds of
-    # TestDeskScale let through moves at least one of them.
+    # Exact pivot counts on each path through the LP, from a source split in
+    # halves: Dantzig's rule alone to either verdict, and a switch to Bland's
+    # rule.  A change to the entering rules or the switch that the bounds of
+    # TestDeskScale let through moves at least one of them; none of these LPs
+    # ties in the ratio test, which test_solvers pins on its own.
     m = random_povm(d, o, 1)
     if kind == "post-processed":
         source, target = m, post_process(m, random_stochastic_map(o, o_target, 2))
     else:
         source, target = depolarize_povm(m, 0.3), m
-    result = is_simulable(source, target)
+    result = is_simulable(split_in_halves(source), target)
     assert (result.verdict, result.pivots) == (verdict, pivots)
     assert (bland_pivots() > 0) == hand_off
+
+
+class TestUniqueMap:
+    # Independent source elements (o <= d*d here): the map is the one
+    # solution of a square system and no LP runs unless its certificate fails.
+    def test_a_positive_map_is_recovered(self):
+        m = random_povm(4, 6, 5)
+        p = random_stochastic_map(6, 3, 6)
+        result = is_simulable(m, post_process(m, p))
+        assert result.simulable and result.pivots is None
+        assert np.abs(result.map.probabilities - p.probabilities).max() <= 1e-12
+
+    def test_negative_entries_certify_with_zero_scalars(self):
+        target = random_povm(3, 4, 31)
+        source = depolarize_povm(target, 0.3)
+        result = is_simulable(source, target)
+        assert result.verdict == NOT_SIMULABLE and result.pivots is None
+        assert not result.certificate.scalars.any()
+        assert_certificate_separates(result.certificate, source, target)
+
+    @pytest.mark.parametrize("d, o, eps, seed, verdict, pivots", [
+        (3, 3, 1e-11, 1, SIMULABLE, 7),
+        (2, 3, 3e-9, 2, NOT_SIMULABLE, 9),
+    ])
+    def test_a_witness_below_the_gap_leaves_the_verdict_to_the_lp(self, d, o, eps, seed,
+                                                                  verdict, pivots):
+        # The negative entries, of order eps, give a witness gap below
+        # WITNESS_GAP_TOL; the LP's verdict and pivots are those it reached
+        # before the unique map existed.
+        source, target = band_pair(d, o, eps, seed)
+        result = is_simulable(source, target)
+        assert (result.verdict, result.pivots) == (verdict, pivots)
+        if verdict == NOT_SIMULABLE:
+            assert_certificate_separates(result.certificate, source, target)
+
+    def test_a_dependent_source_runs_the_lp(self):
+        m = random_povm(2, 6, 1)  # six elements in the 4-dimensional span at d = 2
+        result = is_simulable(m, post_process(m, random_stochastic_map(6, 4, 2)))
+        assert result.simulable and result.pivots == 34
 
 
 class TestCertificate:
@@ -178,11 +237,11 @@ class TestCertificate:
         assert_certificate_separates(result.certificate, qubit_z, qubit_x)
 
     def test_in_span_certificate_separates(self):
-        # A depolarized copy spans the original, so the certificate is the
-        # LP's Farkas vector lifted out of the frame of that span; its
-        # scalars are nonzero, unlike those of an out-of-span certificate.
+        # A depolarized copy spans the original; split in halves its elements
+        # are dependent, so the certificate is the LP's Farkas vector lifted
+        # out of the frame of that span, with nonzero scalars.
         target = random_povm(3, 4, 31)
-        source = depolarize_povm(target, 0.3)
+        source = split_in_halves(depolarize_povm(target, 0.3))
         result = is_simulable(source, target)
         assert result.verdict == NOT_SIMULABLE
         assert np.abs(result.certificate.scalars).max() > 0.0
