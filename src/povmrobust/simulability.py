@@ -20,7 +20,7 @@ import numpy as np
 
 from .discrimination import Ensemble, p_guess_with_measurement
 from .errors import DimensionMismatch, SolverFailure
-from .measurement import Povm, StochasticMap, _require_povm, post_process
+from .measurement import COMPLETENESS_TOL, Povm, StochasticMap, _require_povm, post_process
 from .numerics import eig_hermitian
 from .solvers import FEASIBILITY_TOL, INFEASIBLE, OPTIMAL, _rows, solve_lp
 
@@ -65,13 +65,13 @@ def is_simulable(m: Povm, target: Povm) -> SimulabilityResult:
     checked in an orthonormal frame of the span of the source elements
     (one SVD, rank ``r <= min(o, d*d)``): target elements outside it by
     more than ``FEASIBILITY_TOL`` give the certificate directly.  With
-    ``r == o`` the solution is unique, and its negative entries give a
-    certificate with zero scalars; otherwise, or if that certificate does
-    not verify, an LP with ``r`` rows per target outcome decides at that
-    tolerance, and its Farkas vector is lifted back through the frame.  A
-    positive verdict carries the stochastic map and its reconstruction
-    residual; a negative one carries the dual certificate plus a verified
-    witness ensemble on which the target strictly outperforms ``m``.
+    ``r == o`` the solution is unique: a map unless an entry is below minus
+    that tolerance, when its negative entries give a certificate with zero
+    scalars; otherwise, or if that certificate fails, an LP with ``r`` rows
+    per target outcome decides at that tolerance, its Farkas vector lifted
+    back through the frame.  A positive verdict carries the map and its
+    residual, at most ``COMPLETENESS_TOL``; a negative one the dual
+    certificate plus a verified witness ensemble on which the target beats ``m``.
     """
     m = _require_povm(m)
     target = _require_povm(target)
@@ -97,7 +97,7 @@ def is_simulable(m: Povm, target: Povm) -> SimulabilityResult:
         # Independent elements: q is unique, and the dual frame D = C^-T frame
         # (C = source_in, tr[D_a M_c] = delta_ac) turns q(b|a) < 0 into Z_b = -D_a.
         q = np.linalg.solve(source_in.T, target_in.T)  # (o, o')
-        if q.min() >= 0.0 and np.abs(q.sum(axis=1) - 1.0).sum() <= FEASIBILITY_TOL:
+        if q.min() >= -FEASIBILITY_TOL and np.abs(q.sum(axis=1) - 1.0).sum() <= FEASIBILITY_TOL:
             return _simulable(m, target, q, None)
         dual = np.linalg.solve(source_in.T, frame)
         with suppress(SolverFailure):  # a witness below WITNESS_GAP_TOL: the LP decides
@@ -119,11 +119,16 @@ def is_simulable(m: Povm, target: Povm) -> SimulabilityResult:
 
 
 def _simulable(m: Povm, target: Povm, p: np.ndarray, pivots: int | None) -> SimulabilityResult:
-    """The verdict for a solution ``p``, clipped at 0 and renormalized."""
+    """The verdict for a solution ``p``, clipped at 0 and renormalized, if it
+    reproduces the target within ``COMPLETENESS_TOL`` entrywise."""
     p = np.clip(p, 0.0, None)
-    p /= p.sum(axis=1, keepdims=True)
-    simulation = StochasticMap(p)
+    sums = p.sum(axis=1, keepdims=True)
+    if not sums.min() > 0.0:
+        raise SolverFailure(f"the simulating map has a row summing to {sums.min():.3e}")
+    simulation = StochasticMap(p / sums)
     residual = float(np.abs(post_process(m, simulation).elements - target.elements).max())
+    if not residual <= COMPLETENESS_TOL:
+        raise SolverFailure(f"the simulating map misses the target by {residual:.3e}")
     return SimulabilityResult(SIMULABLE, map=simulation, residual=residual, pivots=pivots)
 
 

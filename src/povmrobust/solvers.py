@@ -1,13 +1,13 @@
 """Dense linear and operator-dominance programming.
 
 Two solvers live here.  ``solve_lp`` is a dense phase-one simplex
-deciding feasibility of ``a x = b, x >= 0``: one pivot loop in which the
-most negative reduced cost enters until the first degenerate pivot, after
-which the rule switches to Bland's anti-cycling one (Bland, Math. Oper.
-Res. 2 (1977)).  The tableau is built once and updated in place, each
-pivot by one broadcast rank-1 update, since at these sizes numpy's
-per-call overhead, not the arithmetic, sets the cost; an infeasible
-system's Farkas vector is read off the artificial columns' reduced costs.
+deciding feasibility of ``a x = b, x >= 0``: the most negative reduced
+cost enters, and a lexicographic ratio test (Dantzig, Orden and Wolfe,
+Pacific J. Math. 5 (1955)) picks the leaving row, so no basis recurs.
+The tableau is built once and updated in place, each pivot by one
+broadcast rank-1 update, since at these sizes numpy's per-call overhead,
+not the arithmetic, sets the cost; an infeasible system's Farkas vector
+is read off the artificial columns' reduced costs.
 ``solve_dominating`` minimizes the trace of an operator ranging over the
 real span of an orthonormal Hermitian basis of a *-algebra containing the
 identity (so the program always has a strictly feasible point) subject to
@@ -66,42 +66,42 @@ class LpSolution:
 
 
 def _pivot(t, z, basis, col):
-    """Enter column ``col`` into ``basis``, updating ``t`` and ``z`` in place;
-    the leaving row has the least ratio over rows with ``coeff > PIVOT_TOL``
-    (ties: lowest basis index).  Returns that ratio, or None if no row qualifies."""
+    """Enter column ``col`` into ``basis``, updating ``t`` and ``z`` in place.
+    Over rows with ``coeff > PIVOT_TOL`` the leaving row has the least ratio
+    ``max(rhs, 0) / coeff``, ties going on to the row's last ``m`` entries before
+    ``rhs`` (``B^-1`` in phase one) over ``coeff``.  Returns whether a row qualifies."""
     column = t[:, col].copy()
     rows = (column > PIVOT_TOL).nonzero()[0]
     if rows.size == 0:  # cannot happen in phase one, barring rounding
-        return None
+        return False
     ratios = np.maximum(t[rows, -1], 0.0) / column[rows]
-    step = ratios.min()
-    tied = rows[ratios == step]
-    row = int(tied[basis[tied].argmin()] if tied.size > 1 else tied[0])
+    rows = rows[ratios == ratios.min()]
+    for j in range(-len(t) - 1, -1):
+        if rows.size == 1:
+            break
+        keys = t[rows, j] / column[rows]
+        rows = rows[keys == keys.min()]
+    row = int(rows[0])
     t[row] /= column[row]
     column[row] = 0.0
     t -= column[:, None] * t[row]
     z -= z[col] * t[row]
     basis[row] = col
-    return step
+    return True
 
 
 def _simplex(t, z, basis):
     """Simplex on the tableau ``t`` (right-hand side last) with reduced-cost
-    row ``z``, in place; ``_pivot`` picks the leaving row.  The most negative
-    reduced cost enters (Dantzig's rule) until the first degenerate pivot, the
-    only kind that can cycle; from there the lowest-index column with negative
-    reduced cost enters (Bland's rule), under which no basis recurs.  Returns
-    the status and the number of pivots, at most ``MAX_PIVOTS`` for both rules.
-    """
-    bland = False
+    row ``z``, in place: the most negative reduced cost enters (Dantzig's
+    rule) and ``_pivot`` picks the leaving row.  Returns the status and the
+    number of pivots, at most ``MAX_PIVOTS``."""
     for pivots in range(MAX_PIVOTS):
-        col = int((z[:-1] < -PIVOT_TOL).argmax() if bland else z[:-1].argmin())
+        col = int(z[:-1].argmin())
         if z[col] >= -PIVOT_TOL:
             return OPTIMAL, pivots
-        if (step := _pivot(t, z, basis, col)) is None:
+        if not _pivot(t, z, basis, col):
             return UNBOUNDED, pivots
-        bland = bland or step == 0.0
-    return (ITERATION_LIMIT if (z[:-1] < -PIVOT_TOL).any() else OPTIMAL), MAX_PIVOTS
+    return (ITERATION_LIMIT if z[:-1].min() < -PIVOT_TOL else OPTIMAL), MAX_PIVOTS
 
 
 def solve_lp(a, b) -> LpSolution:

@@ -4,7 +4,6 @@ import sys
 import numpy as np
 import pytest
 
-from povmrobust import solvers
 from povmrobust.measurement import projective_povm
 from povmrobust.selftest import qubit_sic, qubit_trine
 
@@ -52,32 +51,5 @@ def count_calls(monkeypatch):
                     if value is original:
                         monkeypatch.setattr(module, attr, counted)
         return calls
-
-    return count
-
-
-@pytest.fixture
-def bland_pivots(monkeypatch):
-    """Spy on ``solvers._pivot``.  Calling the returned function checks that
-    the pivots so far entered at the most negative reduced cost up to the
-    first zero-ratio pivot and at the lowest-index negative one after it,
-    and returns how many came after that switch to Bland's rule."""
-    log = []
-    pivot = solvers._pivot
-
-    def recorded(t, z, basis, col):
-        lowest = col == (z[:-1] < -solvers.PIVOT_TOL).argmax()
-        most_negative = col == z[:-1].argmin()
-        log.append((lowest, most_negative, pivot(t, z, basis, col)))
-        return log[-1][2]
-
-    monkeypatch.setattr(solvers, "_pivot", recorded)
-
-    def count() -> int:
-        steps = [step for _, _, step in log]
-        switch = steps.index(0.0) + 1 if 0.0 in steps else len(log)
-        assert all(most_negative for _, most_negative, _ in log[:switch])
-        assert all(lowest for lowest, _, _ in log[switch:])
-        return len(log) - switch
 
     return count

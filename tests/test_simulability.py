@@ -169,18 +169,17 @@ class TestDeskScale:
         assert pivots[0] <= max_pivots
 
 
-@pytest.mark.parametrize("kind, d, o, o_target, verdict, pivots, hand_off", [
-    ("post-processed", 4, 4, 3, SIMULABLE, 30, False),
-    ("depolarized", 4, 5, 5, NOT_SIMULABLE, 25, False),
-    ("post-processed", 3, 5, 4, SIMULABLE, 51, True),
+@pytest.mark.parametrize("kind, d, o, o_target, verdict, pivots", [
+    ("post-processed", 4, 4, 3, SIMULABLE, 30),
+    ("depolarized", 4, 5, 5, NOT_SIMULABLE, 25),
+    ("post-processed", 3, 5, 4, SIMULABLE, 59),
 ])
-def test_pivot_counts_are_pinned(bland_pivots, kind, d, o, o_target, verdict, pivots,
-                                 hand_off):
+def test_pivot_counts_are_pinned(kind, d, o, o_target, verdict, pivots):
     # Exact pivot counts on each path through the LP, from a source split in
-    # halves: Dantzig's rule alone to either verdict, and a switch to Bland's
-    # rule.  A change to the entering rules or the switch that the bounds of
-    # TestDeskScale let through moves at least one of them; none of these LPs
-    # ties in the ratio test, which test_solvers pins on its own.
+    # halves, to either verdict.  A change to the entering rule or the ratio
+    # test that the bounds of TestDeskScale let through moves at least one of
+    # them.  None of these LPs ties in the ratio test; the first makes one
+    # degenerate pivot and the third two.
     m = random_povm(d, o, 1)
     if kind == "post-processed":
         source, target = m, post_process(m, random_stochastic_map(o, o_target, 2))
@@ -188,7 +187,62 @@ def test_pivot_counts_are_pinned(bland_pivots, kind, d, o, o_target, verdict, pi
         source, target = depolarize_povm(m, 0.3), m
     result = is_simulable(split_in_halves(source), target)
     assert (result.verdict, result.pivots) == (verdict, pivots)
-    assert (bland_pivots() > 0) == hand_off
+
+
+def relabeled(m, labels, o_target):
+    """``m`` coarse-grained by the deterministic map ``a -> labels[a]``."""
+    return post_process(m, StochasticMap(np.eye(o_target)[labels]))
+
+
+class TestRelabelings:
+    @pytest.mark.parametrize("seed", [29, 83, 92, 95])
+    def test_a_dependent_source_reaches_its_relabeling(self, seed):
+        # 19 elements at d = 4, relabeled into 4 outcomes: degenerate LPs on
+        # which the hand-off to Bland's rule hit MAX_PIVOTS (29, 92), returned
+        # a point 0.35 off the target (83) or one with a zero row (95).
+        m = random_povm(4, 19, 7000 + seed)
+        labels = np.random.default_rng(seed).integers(0, 4, 19)
+        labels[:4] = np.arange(4)
+        result = is_simulable(m, relabeled(m, labels, 4))
+        assert result.simulable and result.pivots is not None
+        assert result.residual <= 1e-12
+
+    def test_a_split_desk_source_reaches_its_relabeling(self):
+        # 16 elements at d = 24 split into 32 dependent ones, the target 8
+        # outcomes; the hand-off to Bland's rule ended at MAX_PIVOTS after 6 s
+        m = random_povm(24, 16, 1)
+        labels = np.random.default_rng(2).integers(0, 8, 16)
+        result = is_simulable(split_in_halves(m), relabeled(m, labels, 8))
+        assert result.simulable and result.pivots is not None
+        assert result.residual <= 1e-12
+
+    @pytest.mark.parametrize("d, o", [(16, 12), (24, 16), (32, 20), (20, 30)])
+    def test_independent_elements_are_relabeled_without_the_lp(self, d, o):
+        # the unique map's zero entries land at about +-1e-17, inside
+        # FEASIBILITY_TOL, so the sign check decides
+        m = random_povm(d, o, 1)
+        labels = np.random.default_rng(2).integers(0, o // 2, o)
+        result = is_simulable(m, relabeled(m, labels, o // 2))
+        assert result.simulable and result.pivots is None
+        assert np.abs(result.map.probabilities - np.eye(o // 2)[labels]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("wrong", [np.ones_like, np.zeros_like,
+                                   lambda x: np.full_like(x, np.nan)],
+                         ids=["off-target", "zero-rows", "nan"])
+def test_a_simulable_verdict_is_checked_before_it_is_returned(monkeypatch, wrong):
+    # an LP point that does not reproduce the target is a SolverFailure,
+    # never a Simulable verdict or a bare InvalidDistribution
+    solve_lp = simulability.solve_lp
+
+    def corrupted(*args):
+        sol = solve_lp(*args)
+        return type(sol)(sol.status, wrong(sol.x), sol.iterations)
+
+    monkeypatch.setattr(simulability, "solve_lp", corrupted)
+    m = random_povm(2, 6, 1)
+    with pytest.raises(SolverFailure, match="simulating map"):
+        is_simulable(m, post_process(m, random_stochastic_map(6, 4, 2)))
 
 
 class TestUniqueMap:
@@ -210,7 +264,7 @@ class TestUniqueMap:
         assert_certificate_separates(result.certificate, source, target)
 
     @pytest.mark.parametrize("d, o, eps, seed, verdict, pivots", [
-        (3, 3, 1e-11, 1, SIMULABLE, 7),
+        (3, 3, 3e-9, 13, NOT_SIMULABLE, 7),
         (2, 3, 3e-9, 2, NOT_SIMULABLE, 9),
     ])
     def test_a_witness_below_the_gap_leaves_the_verdict_to_the_lp(self, d, o, eps, seed,
@@ -227,7 +281,7 @@ class TestUniqueMap:
     def test_a_dependent_source_runs_the_lp(self):
         m = random_povm(2, 6, 1)  # six elements in the 4-dimensional span at d = 2
         result = is_simulable(m, post_process(m, random_stochastic_map(6, 4, 2)))
-        assert result.simulable and result.pivots == 34
+        assert result.simulable and result.pivots == 35
 
 
 class TestCertificate:

@@ -154,7 +154,7 @@ def run_from_last_columns(a, b, c):
     return status, pivots, basis.tolist(), -z[-1]
 
 
-class TestBlandRule:
+class TestLexicographicRule:
     # Beale's LP, columns x4..x7 then the slacks x1..x3 (Bertsimas and
     # Tsitsiklis, Example 3.6): from the slack basis the largest-coefficient
     # rule with lowest-row ties returns to that basis after six pivots.
@@ -163,66 +163,66 @@ class TestBlandRule:
                         [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]])
     BEALE_B = np.array([0.0, 0.0, 1.0])
     BEALE_C = np.array([-0.75, 20.0, -0.5, 6.0, 0.0, 0.0, 0.0])
+    BEALE = (BEALE_A, BEALE_B, BEALE_C)
 
     def test_beale_terminates_at_its_optimum(self):
-        status, iterations, basis, value = run_from_last_columns(
-            self.BEALE_A, self.BEALE_B, self.BEALE_C)
+        # the first pivot ties rows 0 and 1 at ratio 0; the slack columns
+        # (B^-1 = I) send row 1 out, and the second pivot is optimal
+        status, iterations, basis, value = run_from_last_columns(*self.BEALE)
         assert status == OPTIMAL
         assert value == pytest.approx(-1.25, abs=1e-12)
-        assert (iterations, basis) == (6, [2, 4, 0])
+        assert (iterations, basis) == (2, [4, 0, 2])
         sol = solve_lp(self.BEALE_A, self.BEALE_B)
         assert sol.status == OPTIMAL and sol.x.min() >= 0.0
         assert np.abs(self.BEALE_A @ sol.x - self.BEALE_B).max() <= 1e-12
 
-    def test_tied_ratios_leave_by_lowest_basis_index(self):
-        # Bland's rule from the slack basis: column 0 enters at row 2, then
-        # column 1 ties rows 0 and 2 at ratio 1; row 2 holds x0, row 0 the
-        # slack x3, so x0 leaves although its row is later.
-        a = np.array([[0.0, 1.0, 0.0, 1.0, 0.0, 0.0],
-                      [1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
-                      [1.0, 1.0, 0.0, 0.0, 0.0, 1.0]])
-        b, c = np.array([1.0, 5.0, 1.0]), np.array([-1.0, -2.0, 0.0, 0.0, 0.0, 0.0])
-        t, z = np.hstack([a, b[:, None]]), np.concatenate([c, [0.0]])
-        basis = np.arange(3, 6)
-        assert [_pivot(t, z, basis, col) for col in (0, 1)] == [1.0, 1.0]
-        assert basis.tolist() == [3, 4, 1]
-        assert z[:-1].min() >= 0.0 and -z[-1] == -2.0
-        # Dantzig's rule enters column 1 first and takes another path
-        status, _, basis, value = run_from_last_columns(a, b, c)
-        assert (status, basis, value) == (OPTIMAL, [1, 4, 0], -2.0)
-
-
-class TestDantzigHandOff:
-    BEALE = (TestBlandRule.BEALE_A, TestBlandRule.BEALE_B, TestBlandRule.BEALE_C)
-
-    def test_dantzig_alone_cycles_on_beale(self):
-        # most negative reduced cost, every pivot degenerate: back at the
-        # slack basis after six pivots, the value still 0
+    def test_lowest_row_ties_cycle_where_the_lexicographic_test_does_not(self):
+        # the same entering columns with ties left to the lowest row: every
+        # pivot degenerate and back at the slack basis after six, the value 0
         a, b, c = self.BEALE
         t, z = np.hstack([a, b[:, None]]), np.concatenate([c, [0.0]])
         basis = np.arange(4, 7)
         for _ in range(6):
-            assert _pivot(t, z, basis, int(np.argmin(z[:-1]))) == 0.0
+            col = int(np.argmin(z[:-1]))
+            rows = (t[:, col] > solvers.PIVOT_TOL).nonzero()[0]
+            ratios = t[rows, -1] / t[rows, col]
+            row = int(rows[ratios.argmin()])
+            t[row] /= t[row, col]
+            t -= np.outer(np.where(np.arange(3) == row, 0.0, t[:, col]), t[row])
+            z -= z[col] * t[row]
+            basis[row] = col
         assert basis.tolist() == [4, 5, 6] and z[-1] == 0.0
+        # _pivot's first choice already differs: it takes row 1, not row 0
+        t, z = np.hstack([a, b[:, None]]), np.concatenate([c, [0.0]])
+        basis = np.arange(4, 7)
+        assert _pivot(t, z, basis, int(np.argmin(z[:-1])))
+        assert basis.tolist() == [4, 0, 6]
 
-    def test_beale_reaches_its_optimum_through_the_hand_off(self, bland_pivots):
-        status, iterations, basis, value = run_from_last_columns(*self.BEALE)
-        assert status == OPTIMAL
-        assert value == pytest.approx(-1.25, abs=1e-12)
-        # the first pivot is degenerate, so Bland's rule takes over at once
-        assert bland_pivots() == 5
-        assert (iterations, basis) == (6, [2, 4, 0])
+    def test_a_tie_goes_on_through_the_inverse_basis_columns(self):
+        # The tableau B^-1 [A | I | b] of A = [[2, 1, 0.5], [0, 0.5, -0.25]],
+        # b = (2, 0), basis [1, 2]: B^-1 = [[0.5, 1], [1, -2]] sits in the two
+        # columns before b.  Column 0 ties rows 0 and 1 at ratio 1, and
+        # B^-1's first column over the coefficients ties them again at 0.5;
+        # its second sends row 1 out, not the lower row or basis index.
+        t = np.array([[1.0, 1.0, 0.0, 0.5, 1.0, 1.0],
+                      [2.0, 0.0, 1.0, 1.0, -2.0, 2.0]])
+        z = np.array([-1.0, 0.0, 0.0, 1.0, 1.0, 0.0])
+        basis = np.array([1, 2])
+        assert _pivot(t, z, basis, 0)
+        assert basis.tolist() == [1, 0]
+        np.testing.assert_allclose(t, [[0.0, 1.0, -0.5, 0.0, 2.0, 0.0],
+                                       [1.0, 0.0, 0.5, 0.5, -1.0, 1.0]])
+        np.testing.assert_allclose(z, [0.0, 0.0, 0.5, 1.5, 0.0, 1.0])
 
-    def test_pivot_cap_counts_both_rules(self, monkeypatch):
-        # one Dantzig pivot and five of Bland's rule finish Beale's LP; a cap
-        # of five per rule would let it finish, a cap on the total does not,
-        # and a run whose last allowed pivot reaches the optimum is optimal
-        monkeypatch.setattr(solvers, "MAX_PIVOTS", 5)
-        assert run_from_last_columns(*self.BEALE)[:2] == (ITERATION_LIMIT, 5)
-        monkeypatch.setattr(solvers, "MAX_PIVOTS", 6)
-        assert run_from_last_columns(*self.BEALE)[:2] == (OPTIMAL, 6)
-        monkeypatch.setattr(solvers, "MAX_PIVOTS", 7)
-        assert run_from_last_columns(*self.BEALE)[:2] == (OPTIMAL, 6)
+    def test_pivot_cap_counts_every_pivot(self, monkeypatch):
+        # two pivots finish Beale's LP: a cap of one stops it, and a run
+        # whose last allowed pivot reaches the optimum is optimal
+        monkeypatch.setattr(solvers, "MAX_PIVOTS", 1)
+        assert run_from_last_columns(*self.BEALE)[:2] == (ITERATION_LIMIT, 1)
+        monkeypatch.setattr(solvers, "MAX_PIVOTS", 2)
+        assert run_from_last_columns(*self.BEALE)[:2] == (OPTIMAL, 2)
+        monkeypatch.setattr(solvers, "MAX_PIVOTS", 3)
+        assert run_from_last_columns(*self.BEALE)[:2] == (OPTIMAL, 2)
 
     def test_solve_lp_reports_the_capped_total(self, monkeypatch):
         rng = np.random.default_rng(95)
