@@ -56,7 +56,6 @@ from .measurement import (
     validate_povm,
 )
 from .numerics import (
-    EigenDecomposition,
     eig_hermitian,
     haar_random_unitary,
     hermitian_basis,
@@ -78,7 +77,6 @@ from .simulability import (
     witness_from_certificate,
 )
 from .solvers import (
-    DominanceProgram,
     LpSolution,
     SdpSolution,
     min_error_guess_value,

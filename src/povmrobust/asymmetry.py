@@ -27,7 +27,7 @@ from .discrimination import Ensemble, check_density_matrix, p_guess_with_measure
 from .errors import DimensionMismatch, InvalidArgument, InvalidGroup, PovmRobustError, SolverFailure
 from .measurement import Povm, validate_povm
 from .numerics import as_complex_matrix, hermitian_basis
-from .solvers import DominanceProgram, solve_dominating
+from .solvers import solve_dominating
 
 UNITARY_TOL = 1e-9
 CLOSURE_TOL = 1e-8
@@ -224,7 +224,7 @@ def roa(rho, g: GroupRepresentation) -> AsymmetryReport:
 def _certified_asymmetry(rho, g: GroupRepresentation, basis) -> AsymmetryReport:
     """``roa`` of a checked state over ``basis``, a basis of the symmetric
     operators of ``g``."""
-    solution = solve_dominating(DominanceProgram(basis, rho[None]))
+    solution = solve_dominating(basis, rho[None])
     sigma = solution.y
     tol = CERTIFICATE_TOL * max(1.0, abs(solution.value))
     asymmetry = np.abs(twirl(sigma, g) - sigma).max()

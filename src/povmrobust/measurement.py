@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatch,
     SizeMismatch,
 )
-from .numerics import PSD_TOL, EigenDecomposition, _check_seeded, as_complex_matrix, eig_hermitian
+from .numerics import PSD_TOL, _check_seeded, as_complex_matrix, eig_hermitian
 
 COMPLETENESS_TOL = 1e-8
 DISTRIBUTION_TOL = 1e-10
@@ -60,7 +60,7 @@ class Povm:
         return self.elements.shape[1]
 
     @functools.cached_property
-    def eig(self) -> EigenDecomposition:
+    def eig(self):
         """Eigendecomposition of every element, computed on first use and
         kept: the elements are immutable, so it never goes stale."""
         return eig_hermitian(self.elements)

@@ -10,7 +10,6 @@ say) in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,25 +54,12 @@ def check_hermitian(a) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues in ascending order with matching orthonormal columns;
-    for a stack, one row of eigenvalues and one column matrix per member."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ _dagger(v)
-
-
-def eig_hermitian(h) -> EigenDecomposition:
+def eig_hermitian(h):
     """Full eigendecomposition of a Hermitian matrix or of each matrix in a
-    stack ``(..., d, d)``, by ``np.linalg.eigh`` on the Hermitian part."""
+    stack ``(..., d, d)``: the ``EighResult`` of ``np.linalg.eigh`` on the
+    Hermitian part, eigenvalues ascending with matching orthonormal columns."""
     a = check_hermitian(h)
-    w, v = np.linalg.eigh(0.5 * (a + _dagger(a)))
-    return EigenDecomposition(w, v)
+    return np.linalg.eigh(0.5 * (a + _dagger(a)))
 
 
 def operator_norm(h) -> float:

@@ -21,6 +21,8 @@ and dual matrix with one stacked Cholesky call and inverts those factors
 with one ``inv`` call, each predictor or corrector stage takes both step
 lengths from one stacked eigensolve, and the lower bound is computed only
 once the complementarity gap is near the tolerance.
+Both take arrays and return a finished solution; bad input raises
+``InvalidArgument``, and a solve that cannot finish ``SolverFailure``.
 The module also instantiates the robustness program of a measurement
 and the optimal guessing probability of a state ensemble.
 """
@@ -29,18 +31,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from typing import ClassVar
 
 import numpy as np
 
 from .discrimination import _require_ensemble
-from .errors import SolverFailure
+from .errors import InvalidArgument, SolverFailure
 from .measurement import Povm, _require_povm
 from .numerics import check_hermitian, hermitian_basis
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-ITERATION_LIMIT = "iteration_limit"
 
 PIVOT_TOL = 1e-10
 FEASIBILITY_TOL = 1e-9
@@ -56,8 +57,8 @@ CERTIFY_WINDOW = 10.0    # certify once the complementarity gap is this many GAP
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Outcome of ``solve_lp``: a point ``x`` when feasible, otherwise a
-    Farkas vector ``farkas``."""
+    """Outcome of ``solve_lp``: ``OPTIMAL`` with a point ``x``, or ``INFEASIBLE``
+    with a Farkas vector ``farkas``."""
 
     status: str
     x: np.ndarray | None
@@ -69,11 +70,12 @@ def _pivot(t, z, basis, col):
     """Enter column ``col`` into ``basis``, updating ``t`` and ``z`` in place.
     Over rows with ``coeff > PIVOT_TOL`` the leaving row has the least ratio
     ``max(rhs, 0) / coeff``, ties going on to the row's last ``m`` entries before
-    ``rhs`` (``B^-1`` in phase one) over ``coeff``.  Returns whether a row qualifies."""
+    ``rhs`` (``B^-1`` in phase one) over ``coeff``.  ``SolverFailure`` if no row
+    qualifies, which phase one rules out unless rounding intervenes."""
     column = t[:, col].copy()
     rows = (column > PIVOT_TOL).nonzero()[0]
-    if rows.size == 0:  # cannot happen in phase one, barring rounding
-        return False
+    if rows.size == 0:
+        raise SolverFailure(f"simplex column {col} has no entry above {PIVOT_TOL:.0e}")
     ratios = np.maximum(t[rows, -1], 0.0) / column[rows]
     rows = rows[ratios == ratios.min()]
     for j in range(-len(t) - 1, -1):
@@ -87,26 +89,26 @@ def _pivot(t, z, basis, col):
     t -= column[:, None] * t[row]
     z -= z[col] * t[row]
     basis[row] = col
-    return True
 
 
 def _simplex(t, z, basis):
     """Simplex on the tableau ``t`` (right-hand side last) with reduced-cost
     row ``z``, in place: the most negative reduced cost enters (Dantzig's
-    rule) and ``_pivot`` picks the leaving row.  Returns the status and the
-    number of pivots, at most ``MAX_PIVOTS``."""
-    for pivots in range(MAX_PIVOTS):
+    rule) and ``_pivot`` picks the leaving row.  Returns the number of pivots to
+    the optimum; ``SolverFailure`` if it needs more than ``MAX_PIVOTS``."""
+    for pivots in range(MAX_PIVOTS + 1):
         col = int(z[:-1].argmin())
         if z[col] >= -PIVOT_TOL:
-            return OPTIMAL, pivots
-        if not _pivot(t, z, basis, col):
-            return UNBOUNDED, pivots
-    return (ITERATION_LIMIT if z[:-1].min() < -PIVOT_TOL else OPTIMAL), MAX_PIVOTS
+            return pivots
+        if pivots == MAX_PIVOTS:
+            raise SolverFailure(f"simplex not optimal after {MAX_PIVOTS} pivots")
+        _pivot(t, z, basis, col)
 
 
 def solve_lp(a, b) -> LpSolution:
-    """Decide whether ``a x = b, x >= 0`` is feasible, by a phase-one
-    simplex (``_simplex``) whose ``iterations`` count every pivot.
+    """Decide whether ``a x = b, x >= 0`` is feasible, by a phase-one simplex
+    (``_simplex``) whose ``iterations`` count every pivot; ``InvalidArgument``
+    for non-finite or mismatched input.
 
     The start is one artificial column per row, with rows flipped so that
     ``b >= 0``; the program minimizes the artificial total.  If at most
@@ -121,8 +123,8 @@ def solve_lp(a, b) -> LpSolution:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     m, n = a.shape
-    if b.shape != (m,):
-        raise ValueError(f"constraint matrix has shape {a.shape}, right-hand side {b.shape}")
+    if b.shape != (m,) or not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InvalidArgument(f"need finite a and b of matching shapes, got {a.shape}, {b.shape}")
     flip = np.where(b < 0.0, -1.0, 1.0)
     t = np.zeros((m, n + m + 1))
     t[:, :n] = a * flip[:, None]
@@ -131,9 +133,7 @@ def solve_lp(a, b) -> LpSolution:
     z = -t.sum(axis=0)
     z[n:-1] += 1.0  # the artificials' unit costs
     basis = np.arange(n, n + m)
-    status, pivots = _simplex(t, z, basis)
-    if status != OPTIMAL:
-        return LpSolution(status, None, pivots)
+    pivots = _simplex(t, z, basis)
     if -z[-1] > FEASIBILITY_TOL:
         return LpSolution(INFEASIBLE, None, pivots, farkas=(1.0 - z[n:-1]) * flip)
     x = np.zeros(n + m)
@@ -142,22 +142,8 @@ def solve_lp(a, b) -> LpSolution:
 
 
 @dataclass(frozen=True)
-class DominanceProgram:
-    """``min tr Y`` over ``Y = sum_j x_j B_j`` subject to ``Y >= K_i``.
-
-    ``basis`` holds Hermitian ``B_j`` (real coefficients), orthonormal in the
-    trace inner product, whose span is a *-algebra containing the identity;
-    ``constraints`` holds the Hermitian ``K_i``, all of one dimension.
-    """
-
-    basis: np.ndarray
-    constraints: np.ndarray
-
-
-@dataclass(frozen=True)
 class SdpSolution:
-    """A finished dominance solve (``status`` ``OPTIMAL``, since one that
-    cannot finish raises): ``lower <= optimum <= value``.
+    """A finished dominance solve: ``lower <= optimum <= value``.
 
     ``y`` is strictly feasible (``min_slack``, the smallest eigenvalue of any
     ``y - K_i``, is positive) and ``value`` is its trace.  ``duals`` are the
@@ -165,15 +151,15 @@ class SdpSolution:
     the identity, and ``lower = sum_i tr[K_i Z_i]``.
     """
 
-    status: str
+    # read by perfbench/tracing.py: a solve that cannot finish raises, and makes no cuts
+    status: ClassVar[str] = OPTIMAL
+    cuts: ClassVar[int] = 0
     y: np.ndarray
     value: float
     lower: float
     duals: np.ndarray
     min_slack: float
-    # perfbench/tracing.py reads this counter; an interior-point solve makes no cuts.
-    cuts: int = 0
-    iterations: int = 0  # interior-point steps on the main path
+    iterations: int  # interior-point steps on the main path
 
 
 def _rows(mats):
@@ -188,21 +174,21 @@ def _span(x, basis):
     return (x @ basis.reshape(len(basis), -1)).reshape(basis.shape[1:])
 
 
-def _validate_program(program: DominanceProgram):
+def _validate_program(basis, constraints):
     """A program's stacks and costs ``tr B_j``, the identity's coordinates;
-    ``ValueError`` unless the basis is orthonormal (so independent) and spans I."""
-    basis = check_hermitian(program.basis)
-    constraints = check_hermitian(program.constraints)
+    ``InvalidArgument`` unless the basis is orthonormal and spans I."""
+    basis = check_hermitian(basis)
+    constraints = check_hermitian(constraints)
     if (basis.ndim != 3 or not len(basis) or not len(constraints)
             or constraints.shape[1:] != basis.shape[1:]):
-        raise ValueError("need nonempty basis and constraint stacks of one dimension")
+        raise InvalidArgument("need nonempty basis and constraint stacks of one dimension")
     off = np.abs(_rows(basis) @ _rows(basis).T - np.eye(len(basis))).max()
     if off > ORTHONORMALITY_TOL:
-        raise ValueError(f"subspace basis is off orthonormal by {off:.3e}")
+        raise InvalidArgument(f"subspace basis is off orthonormal by {off:.3e}")
     c = np.trace(basis, axis1=1, axis2=2).real
     missing = np.abs(_span(c, basis) - np.eye(basis.shape[1])).max()
     if missing > IDENTITY_TOL:
-        raise ValueError(f"the span of the basis misses the identity by {missing:.3e}")
+        raise InvalidArgument(f"the span of the basis misses the identity by {missing:.3e}")
     return basis, constraints, c
 
 
@@ -297,25 +283,26 @@ def _certified_lower(basis, constraints, z):
     return float(np.vdot(constraints, duals).real), duals
 
 
-def solve_dominating(program: DominanceProgram) -> SdpSolution:
-    """Primal-dual interior-point minimization of ``tr Y`` under dominance
-    constraints.
+def solve_dominating(basis, constraints) -> SdpSolution:
+    """``min tr Y`` over ``Y = sum_j x_j B_j`` subject to ``Y >= K_i``, by a
+    primal-dual interior-point method.
 
-    The basis must keep ``DominanceProgram``'s contract (``ValueError``
-    otherwise), so ``lambda I`` with ``lambda`` above every
-    ``lambda_max(K_i)`` is a strictly feasible start.  The path following
-    (HKM direction, Mehrotra predictor-corrector) starts there and from
-    ``Z_i = I / m``, which is dual feasible because ``tr B_j = tr[B_j I]``.
-    After each step the trace of the current ``Y`` is an upper bound.  Once
-    the complementarity gap ``sum_i tr[S_i Z_i]`` is within
+    ``basis`` stacks Hermitian ``B_j`` (real coefficients), orthonormal in the
+    trace inner product, whose span is a *-algebra containing the identity;
+    ``constraints`` stacks the Hermitian ``K_i``, all of one dimension.  Input
+    that breaks this contract raises ``InvalidArgument``.  With it, ``lambda I``
+    with ``lambda`` above every ``lambda_max(K_i)`` is a strictly feasible
+    start, and ``Z_i = I / m`` is dual feasible because ``tr B_j = tr[B_j I]``;
+    the path following (HKM direction, Mehrotra predictor-corrector) starts
+    there.  After each step the trace of the current ``Y`` is an upper bound.
+    Once the complementarity gap ``sum_i tr[S_i Z_i]`` is within
     ``CERTIFY_WINDOW`` times the tolerance, the congruence in
-    ``_certified_lower`` gives a lower bound; the solve stops once the two
-    are within ``GAP_TOL`` (relative to ``max(1, |value|)``) and raises
+    ``_certified_lower`` gives a lower bound; the solve stops once the two are
+    within ``GAP_TOL`` (relative to ``max(1, |value|)``) and raises
     ``SolverFailure``, reporting the gap left, if that takes more than
-    ``MAX_ITERATIONS`` steps, or if the lower bound it stops at lies above
-    the value.
+    ``MAX_ITERATIONS`` steps, or if the lower bound it stops at lies above the value.
     """
-    basis, constraints, c = _validate_program(program)
+    basis, constraints, c = _validate_program(basis, constraints)
     lam = np.linalg.eigvalsh(constraints)[:, -1].max()
     x = (lam + max(1.0, abs(lam))) * c
     z = np.broadcast_to(np.eye(basis.shape[1]) / constraints.shape[0], constraints.shape)
@@ -333,7 +320,7 @@ def solve_dominating(program: DominanceProgram) -> SdpSolution:
                                     f"above value {value!r}")
             min_slack = float(np.linalg.eigvalsh(s)[:, 0].min())
             y = _span(x, basis)
-            return SdpSolution(OPTIMAL, y, value, lower, duals, min_slack, iterations=iterations)
+            return SdpSolution(y, value, lower, duals, min_slack, iterations)
     raise SolverFailure(
         f"dominance solve left a gap of {gap:.3e} after {MAX_ITERATIONS} iterations"
     )
@@ -359,7 +346,7 @@ def _rom_solution(m: Povm) -> SdpSolution:
     o, d = m.outcomes, m.dimension
     basis = np.kron(np.eye(o)[:, :, None] * np.eye(o), np.eye(d) / np.sqrt(d))
     blocks = np.einsum("ab,aij->aibj", np.eye(o), m.elements).reshape(o * d, o * d)
-    return solve_dominating(DominanceProgram(basis, blocks[None]))
+    return solve_dominating(basis, blocks[None])
 
 
 def min_error_guess_value(ensemble) -> float:
@@ -379,4 +366,4 @@ def _guess_solution(ensemble) -> SdpSolution:
     ensemble = _require_ensemble(ensemble)
     d = ensemble.dimension
     constraints = ensemble.priors[:, None, None] * ensemble.states
-    return solve_dominating(DominanceProgram(hermitian_basis(d), constraints))
+    return solve_dominating(hermitian_basis(d), constraints)

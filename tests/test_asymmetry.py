@@ -290,7 +290,7 @@ class TestOrbitGameCertificates:
         import povmrobust.asymmetry as asymmetry
 
         solve = asymmetry.solve_dominating
-        monkeypatch.setattr(asymmetry, "solve_dominating", lambda p: corrupt(solve(p)))
+        monkeypatch.setattr(asymmetry, "solve_dominating", lambda b, k: corrupt(solve(b, k)))
         rho = np.array([[0.7, 0.3], [0.3, 0.3]], dtype=complex)
         with pytest.raises(SolverFailure):
             roa(rho, dephasing_group(2))
@@ -301,8 +301,8 @@ class TestOrbitGameCertificates:
 
         solve = asymmetry.solve_dominating
 
-        def overstated(program):
-            solution = solve(program)
+        def overstated(basis, constraints):
+            solution = solve(basis, constraints)
             return replace(solution, lower=solution.lower + 1e-6)
 
         monkeypatch.setattr(asymmetry, "solve_dominating", overstated)

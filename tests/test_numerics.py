@@ -20,6 +20,12 @@ from conftest import random_hermitian
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
+def reconstruct(dec):
+    """``V diag(w) V^dag`` from an eigendecomposition, for each member of a stack."""
+    v = dec.eigenvectors
+    return (v * dec.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 class TestEigHermitian:
     def test_identity(self):
         dec = eig_hermitian(np.eye(2))
@@ -36,7 +42,7 @@ class TestEigHermitian:
         rng = np.random.default_rng(11)
         h = random_hermitian(4, rng)
         dec = eig_hermitian(h)
-        assert np.abs(dec.reconstruct() - h).max() <= 1e-9 * max(1.0, np.abs(h).max())
+        assert np.abs(reconstruct(dec) - h).max() <= 1e-9 * max(1.0, np.abs(h).max())
 
     def test_matches_numpy(self):
         rng = np.random.default_rng(3)
@@ -57,7 +63,7 @@ class TestEigHermitian:
             # columns agree up to phase for these nondegenerate spectra
             overlaps = np.abs(np.einsum("ik,ik->k", v.conj(), single.eigenvectors))
             np.testing.assert_allclose(overlaps, 1.0, atol=1e-10)
-        np.testing.assert_allclose(dec.reconstruct(), stack, atol=1e-10)
+        np.testing.assert_allclose(reconstruct(dec), stack, atol=1e-10)
 
     def test_stack_rejects_one_non_hermitian_member(self):
         stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
@@ -89,7 +95,7 @@ class TestEigHermitian:
     def test_revaluation_is_stable(self, seed):
         h = random_hermitian(4, np.random.default_rng(seed))
         first = eig_hermitian(h)
-        again = eig_hermitian(first.reconstruct())
+        again = eig_hermitian(reconstruct(first))
         np.testing.assert_allclose(again.eigenvalues, first.eigenvalues, atol=1e-8)
 
 

@@ -14,16 +14,13 @@ from povmrobust.discrimination import (
     random_ensemble,
     validate_ensemble,
 )
-from povmrobust.errors import InvalidEnsemble, SolverFailure
+from povmrobust.errors import InvalidArgument, InvalidEnsemble, PovmRobustError, SolverFailure
 from povmrobust.measurement import Povm, random_povm, trivial_povm
 from povmrobust.numerics import eig_hermitian, hermitian_basis
 from povmrobust.rom import rom
 from povmrobust.solvers import (
     INFEASIBLE,
-    ITERATION_LIMIT,
     OPTIMAL,
-    UNBOUNDED,
-    DominanceProgram,
     _guess_solution,
     _pivot,
     _rows,
@@ -136,7 +133,8 @@ class TestSolveLp:
         # the entering column has no positive entry: the guard stops the run
         t = np.array([[-1.0, 1.0, 1.0]])
         z = np.array([-1.0, 0.0, 0.0])
-        assert _simplex(t, z, np.array([1])) == (UNBOUNDED, 0)
+        with pytest.raises(SolverFailure, match="column 0"):
+            _simplex(t, z, np.array([1]))
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
@@ -145,13 +143,13 @@ class TestSolveLp:
 
 def run_from_last_columns(a, b, c):
     """``_simplex`` on ``min c.x, a x = b, x >= 0`` started from the basis of
-    the last ``len(b)`` columns, whose costs are zero; returns status, pivots,
-    final basis and value."""
+    the last ``len(b)`` columns, whose costs are zero; returns pivots, final
+    basis and value."""
     t = np.hstack([a, b[:, None]])
     z = np.concatenate([c, [0.0]])
     basis = np.arange(c.size - b.size, c.size)
-    status, pivots = _simplex(t, z, basis)
-    return status, pivots, basis.tolist(), -z[-1]
+    pivots = _simplex(t, z, basis)
+    return pivots, basis.tolist(), -z[-1]
 
 
 class TestLexicographicRule:
@@ -168,8 +166,7 @@ class TestLexicographicRule:
     def test_beale_terminates_at_its_optimum(self):
         # the first pivot ties rows 0 and 1 at ratio 0; the slack columns
         # (B^-1 = I) send row 1 out, and the second pivot is optimal
-        status, iterations, basis, value = run_from_last_columns(*self.BEALE)
-        assert status == OPTIMAL
+        iterations, basis, value = run_from_last_columns(*self.BEALE)
         assert value == pytest.approx(-1.25, abs=1e-12)
         assert (iterations, basis) == (2, [4, 0, 2])
         sol = solve_lp(self.BEALE_A, self.BEALE_B)
@@ -195,7 +192,7 @@ class TestLexicographicRule:
         # _pivot's first choice already differs: it takes row 1, not row 0
         t, z = np.hstack([a, b[:, None]]), np.concatenate([c, [0.0]])
         basis = np.arange(4, 7)
-        assert _pivot(t, z, basis, int(np.argmin(z[:-1])))
+        _pivot(t, z, basis, int(np.argmin(z[:-1])))
         assert basis.tolist() == [4, 0, 6]
 
     def test_a_tie_goes_on_through_the_inverse_basis_columns(self):
@@ -208,7 +205,7 @@ class TestLexicographicRule:
                       [2.0, 0.0, 1.0, 1.0, -2.0, 2.0]])
         z = np.array([-1.0, 0.0, 0.0, 1.0, 1.0, 0.0])
         basis = np.array([1, 2])
-        assert _pivot(t, z, basis, 0)
+        _pivot(t, z, basis, 0)
         assert basis.tolist() == [1, 0]
         np.testing.assert_allclose(t, [[0.0, 1.0, -0.5, 0.0, 2.0, 0.0],
                                        [1.0, 0.0, 0.5, 0.5, -1.0, 1.0]])
@@ -218,11 +215,12 @@ class TestLexicographicRule:
         # two pivots finish Beale's LP: a cap of one stops it, and a run
         # whose last allowed pivot reaches the optimum is optimal
         monkeypatch.setattr(solvers, "MAX_PIVOTS", 1)
-        assert run_from_last_columns(*self.BEALE)[:2] == (ITERATION_LIMIT, 1)
+        with pytest.raises(SolverFailure, match="after 1 pivots"):
+            run_from_last_columns(*self.BEALE)
         monkeypatch.setattr(solvers, "MAX_PIVOTS", 2)
-        assert run_from_last_columns(*self.BEALE)[:2] == (OPTIMAL, 2)
+        assert run_from_last_columns(*self.BEALE)[0] == 2
         monkeypatch.setattr(solvers, "MAX_PIVOTS", 3)
-        assert run_from_last_columns(*self.BEALE)[:2] == (OPTIMAL, 2)
+        assert run_from_last_columns(*self.BEALE)[0] == 2
 
     def test_solve_lp_reports_the_capped_total(self, monkeypatch):
         rng = np.random.default_rng(95)
@@ -231,8 +229,8 @@ class TestLexicographicRule:
         pivots = solve_lp(a, b).iterations
         assert pivots >= 2
         monkeypatch.setattr(solvers, "MAX_PIVOTS", pivots - 1)
-        sol = solve_lp(a, b)
-        assert (sol.status, sol.x, sol.iterations) == (ITERATION_LIMIT, None, pivots - 1)
+        with pytest.raises(SolverFailure, match=f"after {pivots - 1} pivots"):
+            solve_lp(a, b)
 
 
 def weighted_pair(d, seed):
@@ -259,11 +257,11 @@ class TestRows:
 class TestSolveDominating:
     def test_scalar_subspace_closed_form(self):
         # min tr(x I) with x I >= diag(0.75, 0.25): x = 0.75, trace 1.5
-        program = DominanceProgram(
+        program = (
             np.eye(2, dtype=complex)[None] / math.sqrt(2.0),
             np.diag([0.75, 0.25]).astype(complex)[None]
         )
-        sol = solve_dominating(program)
+        sol = solve_dominating(*program)
         assert sol.status == OPTIMAL
         assert sol.value == pytest.approx(1.5, abs=1e-9)
         np.testing.assert_allclose(sol.y, 0.75 * np.eye(2), atol=1e-8)
@@ -271,7 +269,7 @@ class TestSolveDominating:
     def test_solution_respects_constraints(self):
         rng = np.random.default_rng(91)
         constraints = np.stack([0.5 * random_density_matrix(3, rng) for _ in range(3)])
-        sol = solve_dominating(DominanceProgram(hermitian_basis(3), constraints))
+        sol = solve_dominating(hermitian_basis(3), constraints)
         assert sol.status == OPTIMAL
         assert sol.min_slack >= -1e-7
         for k in constraints:
@@ -284,7 +282,7 @@ class TestSolveDominating:
         rng = np.random.default_rng(92)
         states = [random_density_matrix(3, rng) for _ in range(2)]
         constraints = np.stack([0.4 * states[0], 0.6 * states[1]])
-        sol = solve_dominating(DominanceProgram(hermitian_basis(3), constraints))
+        sol = solve_dominating(hermitian_basis(3), constraints)
         oracle = 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(constraints[0] - constraints[1])).sum())
         assert sol.status == OPTIMAL
         assert sol.lower <= oracle + 1e-12
@@ -308,7 +306,7 @@ class TestSolveDominating:
             raise AssertionError("the path was started")
         monkeypatch.setattr(solvers, "_central_path", no_steps)
         with pytest.raises(ValueError, match="identity"):
-            solve_dominating(DominanceProgram(basis, 0.5 * np.eye(2, dtype=complex)[None]))
+            solve_dominating(basis, 0.5 * np.eye(2, dtype=complex)[None])
 
     def test_span_containing_an_unlisted_identity(self):
         # a rotation of the two matrix units spans the diagonal matrices, as
@@ -316,7 +314,7 @@ class TestSolveDominating:
         # diagonal Y >= |+><+| is 2, at Y = I
         cos, sin = math.cos(math.pi / 8), math.sin(math.pi / 8)
         basis = np.stack([np.diag([cos, sin]), np.diag([-sin, cos])]).astype(complex)
-        sol = solve_dominating(DominanceProgram(basis, np.full((1, 2, 2), 0.5, dtype=complex)))
+        sol = solve_dominating(basis, np.full((1, 2, 2), 0.5, dtype=complex))
         assert sol.lower - 1e-12 <= 2.0 <= sol.value + 1e-12
         assert sol.value - sol.lower <= 1e-9
         assert sol.min_slack > 0.0
@@ -330,15 +328,15 @@ class TestSolveDominating:
         monkeypatch.setattr(solvers, "_central_path", no_steps)
         basis = np.stack([np.diag([1.0, 2.0]), np.diag([1.0, 0.0])]).astype(complex)
         with pytest.raises(ValueError, match="orthonormal"):
-            solve_dominating(DominanceProgram(basis, np.full((1, 2, 2), 0.5, dtype=complex)))
+            solve_dominating(basis, np.full((1, 2, 2), 0.5, dtype=complex))
 
     def test_step_counts_are_pinned(self):
         # interior-point steps of three fixed programs; each moved by at most
         # two when the contractions became matrix products
-        helstrom = solve_dominating(DominanceProgram(hermitian_basis(3), weighted_pair(3, 92)))
+        helstrom = solve_dominating(hermitian_basis(3), weighted_pair(3, 92))
         assert abs(helstrom.iterations - 11) <= 2
         assert abs(roc(np.full((3, 3), 1.0 / 3.0)).iterations - 10) <= 2
-        pair = solve_dominating(DominanceProgram(hermitian_basis(8), weighted_pair(8, 1)))
+        pair = solve_dominating(hermitian_basis(8), weighted_pair(8, 1))
         assert abs(pair.iterations - 11) <= 2
 
     def test_iteration_limit_reports_a_finite_gap(self, monkeypatch):
@@ -346,7 +344,7 @@ class TestSolveDominating:
         # reports the complementarity gap left
         monkeypatch.setattr(solvers, "MAX_ITERATIONS", 2)
         with pytest.raises(SolverFailure, match="after 2 iterations") as info:
-            solve_dominating(DominanceProgram(hermitian_basis(3), weighted_pair(3, 92)))
+            solve_dominating(hermitian_basis(3), weighted_pair(3, 92))
         gap = float(re.search(r"gap of (\S+) after", str(info.value)).group(1))
         assert math.isfinite(gap) and gap > 0.0
 
@@ -360,7 +358,7 @@ class TestSolveDominating:
     def test_rejects_dependent_basis(self):
         basis = np.stack([np.eye(2, dtype=complex), 2.0 * np.eye(2, dtype=complex)])
         with pytest.raises(ValueError):
-            solve_dominating(DominanceProgram(basis, np.eye(2, dtype=complex)[None]))
+            solve_dominating(basis, np.eye(2, dtype=complex)[None])
 
 
 class TestStepShape:
@@ -392,7 +390,7 @@ class TestStepShape:
 
     @pytest.mark.parametrize("solve", [
         lambda: roc(np.full((3, 3), 1.0 / 3.0)),
-        lambda: solve_dominating(DominanceProgram(hermitian_basis(3), weighted_pair(3, 92))),
+        lambda: solve_dominating(hermitian_basis(3), weighted_pair(3, 92)),
     ], ids=["roc", "guess_d3"])
     def test_dispatch_budget(self, monkeypatch, solve):
         # one stacked factorization and one inverse per step, one step-length
@@ -402,8 +400,8 @@ class TestStepShape:
             assert step == budget
 
     def test_failed_factorization_halves_the_step(self, monkeypatch):
-        program = DominanceProgram(hermitian_basis(3), weighted_pair(3, 92))
-        reference = solve_dominating(program)
+        program = (hermitian_basis(3), weighted_pair(3, 92))
+        reference = solve_dominating(*program)
         calls, cholesky = [], np.linalg.cholesky
 
         def fails_once(a):
@@ -413,7 +411,7 @@ class TestStepShape:
             return cholesky(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", fails_once)
-        halved = solve_dominating(program)
+        halved = solve_dominating(*program)
         assert len(calls) == halved.iterations + 2
         # another path to the same optimum: the two brackets overlap
         assert halved.lower <= reference.value and reference.lower <= halved.value
@@ -429,8 +427,8 @@ class TestStepShape:
 
         monkeypatch.setattr(solvers, "_certified_lower", overstated)
         with pytest.raises(SolverFailure, match="inverted"):
-            solve_dominating(DominanceProgram(np.eye(2, dtype=complex)[None] / math.sqrt(2.0),
-                                              np.diag([0.75, 0.25]).astype(complex)[None]))
+            solve_dominating(np.eye(2, dtype=complex)[None] / math.sqrt(2.0),
+                             np.diag([0.75, 0.25]).astype(complex)[None])
 
 
 class TestRomViaSdp:
@@ -510,3 +508,50 @@ class TestMinErrorGuessValue:
     def test_rejects_non_ensemble(self):
         with pytest.raises(InvalidEnsemble):
             min_error_guess_value([np.eye(2) / 2])
+
+
+def _overstated_lower(monkeypatch):
+    certified = solvers._certified_lower
+
+    def overstated(*args):
+        lower, duals = certified(*args)
+        return lower + 1e-6, duals
+
+    monkeypatch.setattr(solvers, "_certified_lower", overstated)
+
+
+SCALAR_PROGRAM = (np.eye(2, dtype=complex)[None] / math.sqrt(2.0),
+                  np.diag([0.75, 0.25]).astype(complex)[None])
+
+
+@pytest.mark.parametrize("setup, solve, error", [
+    (None, lambda: solve_lp(np.ones((2, 3)), np.ones(3)), InvalidArgument),
+    # non-finite input once returned a point with a NaN entry, leaked numpy's
+    # empty-reduction error, and returned the status "unbounded"
+    (None, lambda: solve_lp([[1.0, 1.0]], [np.inf]), InvalidArgument),
+    (None, lambda: solve_lp([[1.0, 1.0]], [np.nan]), InvalidArgument),
+    (None, lambda: solve_lp([[np.nan, 1.0]], [1.0]), InvalidArgument),
+    (lambda mp: mp.setattr(solvers, "MAX_PIVOTS", 0),
+     lambda: solve_lp([[1.0, 1.0]], [1.0]), SolverFailure),
+    (None, lambda: _simplex(np.array([[-1.0, 1.0, 1.0]]), np.array([-1.0, 0.0, 0.0]),
+                            np.array([1])), SolverFailure),
+    (None, lambda: min_error_guess_value(Ensemble(np.zeros((0, 2, 2)), np.zeros(0))),
+     InvalidArgument),
+    (None, lambda: solve_dominating(np.stack([np.diag([1.0, 2.0]), np.diag([1.0, 0.0])]),
+                                    np.full((1, 2, 2), 0.5)), InvalidArgument),
+    (None, lambda: solve_dominating(hermitian_basis(2)[1:2], np.eye(2)[None] / 2),
+     InvalidArgument),
+    (lambda mp: mp.setattr(solvers, "MAX_ITERATIONS", 1),
+     lambda: solve_dominating(*SCALAR_PROGRAM), SolverFailure),
+    (_overstated_lower, lambda: solve_dominating(*SCALAR_PROGRAM), SolverFailure),
+], ids=["lp-shapes", "lp-inf-rhs", "lp-nan-rhs", "lp-nan-matrix", "lp-pivot-cap",
+        "simplex-no-leaving-row", "dominating-empty-stack", "dominating-not-orthonormal",
+        "dominating-misses-identity", "dominating-iteration-cap", "dominating-inverted-bracket"])
+def test_every_failed_solve_is_a_package_error(monkeypatch, setup, solve, error):
+    # input outside a solver's domain is InvalidArgument, a solve that cannot
+    # finish SolverFailure: both are PovmRobustErrors, never a status to check
+    if setup is not None:
+        setup(monkeypatch)
+    with pytest.raises(PovmRobustError) as info:
+        solve()
+    assert isinstance(info.value, error)

@@ -31,7 +31,6 @@ from povmrobust.solvers import (
     FEASIBILITY_TOL,
     INFEASIBLE,
     OPTIMAL,
-    DominanceProgram,
     solve_dominating,
     solve_lp,
 )
@@ -76,9 +75,9 @@ def test_no_public_callable_takes_a_tolerance():
     # U^dag U - I has largest entry s
     (lambda s: validate_group([np.eye(2), [[1.0, s], [0.0, -1.0]]]), 1e-9, InvalidGroup),
     # the Gram entry of the second element is 1 + s; I is in the span either way
-    (lambda s: solve_dominating(DominanceProgram(
+    (lambda s: solve_dominating(
         np.stack([np.eye(2), math.sqrt(1.0 + s) * np.diag([1.0, -1.0])]) / math.sqrt(2.0),
-        np.diag([0.75, 0.25])[None])), 1e-12, ValueError),
+        np.diag([0.75, 0.25])[None]), 1e-12, ValueError),
 ], ids=["povm-psd", "completeness", "state-trace", "priors", "joint", "unitarity",
         "dominance-basis-orthonormality"])
 def test_gate_holds_at_its_fixed_value(check, tol, error):
