@@ -6,8 +6,9 @@ pseudo-random instances at desk scale (dimension at most 4, at most 6
 outcomes).  The CLI ``selftest`` subcommand runs them all and prints a
 pass/fail table with each criterion's wall time and, where it solves
 dominance programs, their total interior-point steps and the criterion's
-milliseconds per step (simulability LPs: their total pivots and the mean
-milliseconds of a call that ran one); the test suite asserts them one by one.
+milliseconds per step (simulability LPs: the columns their nonnegative
+least squares entered, printed as pivots, and the mean milliseconds of a
+call that ran one); the test suite asserts them one by one.
 ``quick`` mode shrinks the sample counts roughly tenfold for smoke testing.
 """
 
@@ -55,7 +56,7 @@ class CriterionResult:
     detail: str
     seconds: float = 0.0
     steps: int | None = None  # interior-point steps of the criterion's dominance solves
-    pivots: int | None = None  # simplex pivots of the criterion's simulability LPs
+    pivots: int | None = None  # columns entered by the criterion's simulability LPs
     lp_ms: float = 0.0  # mean wall time of the is_simulable calls that ran those LPs
 
 

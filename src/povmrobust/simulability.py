@@ -3,12 +3,13 @@
 One measurement simulates another when the target elements are mixtures
 of the source elements under a stochastic relabeling of outcomes.  That
 is a linear feasibility problem in the span of the source elements, a
-sign check on its only solution when they are independent.  On failure,
-a negative entry of that solution, LP duality or the part of the target
-outside that span produces a separating functional which is converted
-into an explicit discrimination game the target wins strictly.  Every
-negative verdict therefore ships a numerically verified witness, never
-just an infeasibility flag.
+sign check on its only solution when they are independent and a
+nonnegative least-squares problem when they are not.  On failure, a
+negative entry of that solution, the least residual (a Farkas vector) or
+the part of the target outside that span produces a separating functional
+which is converted into an explicit discrimination game the target wins
+strictly.  Every negative verdict therefore ships a numerically verified
+witness, never just an infeasibility flag.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class SimulabilityResult:
     certificate: SimulabilityCertificate | None = None
     witness: Ensemble | None = None
     gap: float | None = None
-    pivots: int | None = None  # simplex pivots of the LP; None when no LP ran
+    pivots: int | None = None  # columns the LP's NNLS entered; None when no LP ran
 
     @property
     def simulable(self) -> bool:
@@ -68,8 +69,9 @@ def is_simulable(m: Povm, target: Povm) -> SimulabilityResult:
     ``r == o`` the solution is unique: a map unless an entry is below minus
     that tolerance, when its negative entries give a certificate with zero
     scalars; otherwise, or if that certificate fails, an LP with ``r`` rows
-    per target outcome decides at that tolerance, its Farkas vector lifted
-    back through the frame.  A positive verdict carries the map and its
+    per target outcome decides at that tolerance (``solve_lp``: feasible when
+    its least residual has 2-norm within it), its Farkas vector lifted back
+    through the frame.  A positive verdict carries the map and its
     residual, at most ``COMPLETENESS_TOL``; a negative one the dual
     certificate plus a verified witness ensemble on which the target beats ``m``.
     """

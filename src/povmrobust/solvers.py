@@ -1,13 +1,11 @@
 """Dense linear and operator-dominance programming.
 
-Two solvers live here.  ``solve_lp`` is a dense phase-one simplex
-deciding feasibility of ``a x = b, x >= 0``: the most negative reduced
-cost enters, and a lexicographic ratio test (Dantzig, Orden and Wolfe,
-Pacific J. Math. 5 (1955)) picks the leaving row, so no basis recurs.
-The tableau is built once and updated in place, each pivot by one
-broadcast rank-1 update, since at these sizes numpy's per-call overhead,
-not the arithmetic, sets the cost; an infeasible system's Farkas vector
-is read off the artificial columns' reduced costs.
+Two solvers live here.  ``solve_lp`` decides feasibility of
+``a x = b, x >= 0`` as nonnegative least squares (Lawson and Hanson's
+active-set method): every step re-solves the least-squares point of the
+columns in use from the original matrix, so rounding cannot accumulate in
+an updated tableau, and an infeasible system's Farkas vector is the least
+residual, projected off those columns again.
 ``solve_dominating`` minimizes the trace of an operator ranging over the
 real span of an orthonormal Hermitian basis of a *-algebra containing the
 identity (so the program always has a strictly feasible point) subject to
@@ -43,7 +41,6 @@ from .numerics import check_hermitian, hermitian_basis
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
-PIVOT_TOL = 1e-10
 FEASIBILITY_TOL = 1e-9
 MAX_PIVOTS = 50_000
 ORTHONORMALITY_TOL = 1e-12  # entrywise: a dominance basis's Gram matrix against I
@@ -66,79 +63,59 @@ class LpSolution:
     farkas: np.ndarray | None = None
 
 
-def _pivot(t, z, basis, col):
-    """Enter column ``col`` into ``basis``, updating ``t`` and ``z`` in place.
-    Over rows with ``coeff > PIVOT_TOL`` the leaving row has the least ratio
-    ``max(rhs, 0) / coeff``, ties going on to the row's last ``m`` entries before
-    ``rhs`` (``B^-1`` in phase one) over ``coeff``.  ``SolverFailure`` if no row
-    qualifies, which phase one rules out unless rounding intervenes."""
-    column = t[:, col].copy()
-    rows = (column > PIVOT_TOL).nonzero()[0]
-    if rows.size == 0:
-        raise SolverFailure(f"simplex column {col} has no entry above {PIVOT_TOL:.0e}")
-    ratios = np.maximum(t[rows, -1], 0.0) / column[rows]
-    rows = rows[ratios == ratios.min()]
-    for j in range(-len(t) - 1, -1):
-        if rows.size == 1:
-            break
-        keys = t[rows, j] / column[rows]
-        rows = rows[keys == keys.min()]
-    row = int(rows[0])
-    t[row] /= column[row]
-    column[row] = 0.0
-    t -= column[:, None] * t[row]
-    z -= z[col] * t[row]
-    basis[row] = col
-
-
-def _simplex(t, z, basis):
-    """Simplex on the tableau ``t`` (right-hand side last) with reduced-cost
-    row ``z``, in place: the most negative reduced cost enters (Dantzig's
-    rule) and ``_pivot`` picks the leaving row.  Returns the number of pivots to
-    the optimum; ``SolverFailure`` if it needs more than ``MAX_PIVOTS``."""
-    for pivots in range(MAX_PIVOTS + 1):
-        col = int(z[:-1].argmin())
-        if z[col] >= -PIVOT_TOL:
-            return pivots
-        if pivots == MAX_PIVOTS:
-            raise SolverFailure(f"simplex not optimal after {MAX_PIVOTS} pivots")
-        _pivot(t, z, basis, col)
+def _least_positive(a, b, x, passive):
+    """The passive columns' least-squares point, re-solved from ``a`` and
+    stepped back from ``x`` towards it while an entry would turn nonpositive;
+    columns whose entries reach zero leave ``passive`` (updated in place)."""
+    while True:
+        z = np.zeros_like(x)
+        z[passive] = np.linalg.lstsq(a[:, passive], b)[0]
+        low = passive & (z <= 0.0)
+        if not low.any():
+            return z
+        ratios = x[low] / (x[low] - z[low])
+        x = x + ratios.min() * (z - x)
+        x[low.nonzero()[0][ratios.argmin()]] = 0.0
+        passive &= x > 0.0
 
 
 def solve_lp(a, b) -> LpSolution:
-    """Decide whether ``a x = b, x >= 0`` is feasible, by a phase-one simplex
-    (``_simplex``) whose ``iterations`` count every pivot; ``InvalidArgument``
-    for non-finite or mismatched input.
+    """Decide whether ``a x = b, x >= 0`` is feasible, by Lawson and Hanson's
+    nonnegative least squares (NNLS; *Solving Least Squares Problems*, 1974,
+    ch. 23); ``InvalidArgument`` for non-finite or mismatched input.
 
-    The start is one artificial column per row, with rows flipped so that
-    ``b >= 0``; the program minimizes the artificial total.  If at most
-    ``FEASIBILITY_TOL`` of it is left, the basic point without the
-    artificials is returned.  Otherwise the phase-one duals of the final
-    basis are a Farkas certificate: ``y`` with ``y . a <= 0`` on every
-    column and ``y . b > 0``.  The pivots keep every reduced cost at
-    ``c_j - y . a'_j`` over the flipped columns ``a'``, and the artificial
-    column of row ``i`` is ``e_i`` with cost 1, so ``y_i`` is 1 minus that
-    column's reduced cost, times the row's flip.
+    With ``r = b - a x``, the column of largest ``r . a_j`` above rounding
+    enters the passive set, whose least-squares point ``_least_positive``
+    re-solves from the original columns (``np.linalg.lstsq`` takes
+    rank-deficient sets).  ``iterations`` counts the entered columns;
+    ``SolverFailure`` once more than ``MAX_PIVOTS`` are needed.  The system
+    is feasible when the least residual has 2-norm at most ``FEASIBILITY_TOL``.
+    Otherwise ``r`` is orthogonal to the passive columns with ``r . a_j <= 0``
+    on the rest, while ``r . b = |r|^2 > 0``: a Farkas certificate ``y``.
+    As ``|r|^2`` can fall below rounding, ``y`` is ``r / max|r|`` with its
+    part in the span of the passive columns projected out again.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     m, n = a.shape
     if b.shape != (m,) or not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise InvalidArgument(f"need finite a and b of matching shapes, got {a.shape}, {b.shape}")
-    flip = np.where(b < 0.0, -1.0, 1.0)
-    t = np.zeros((m, n + m + 1))
-    t[:, :n] = a * flip[:, None]
-    t[:, n:-1].flat[::m + 1] = 1.0
-    t[:, -1] = b * flip
-    z = -t.sum(axis=0)
-    z[n:-1] += 1.0  # the artificials' unit costs
-    basis = np.arange(n, n + m)
-    pivots = _simplex(t, z, basis)
-    if -z[-1] > FEASIBILITY_TOL:
-        return LpSolution(INFEASIBLE, None, pivots, farkas=(1.0 - z[n:-1]) * flip)
-    x = np.zeros(n + m)
-    x[basis] = t[:, -1]
-    return LpSolution(OPTIMAL, x[:n], pivots)
+    noise = max(m, n) * np.finfo(float).eps * np.abs(a).max(initial=0.0) * np.abs(b).sum()
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for entered in range(MAX_PIVOTS + 1):
+        r = b - a @ x
+        if np.linalg.norm(r) <= FEASIBILITY_TOL:
+            return LpSolution(OPTIMAL, x, entered)
+        gain = np.where(passive, -np.inf, r @ a)
+        if not gain.max(initial=-np.inf) > noise:
+            u = r / np.abs(r).max()
+            u -= a[:, passive] @ np.linalg.lstsq(a[:, passive], u)[0]
+            return LpSolution(INFEASIBLE, None, entered, farkas=u)
+        if entered == MAX_PIVOTS:
+            raise SolverFailure(f"NNLS unfinished after {MAX_PIVOTS} entered columns")
+        passive[gain.argmax()] = True
+        x = _least_positive(a, b, x, passive)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from povmrobust.measurement import (
     random_stochastic_map,
     trivial_povm,
 )
+from povmrobust.numerics import haar_random_unitary
 from povmrobust.rom import rom
 from povmrobust.simulability import (
     NOT_SIMULABLE,
@@ -140,9 +141,8 @@ class TestDeskScale:
     # (depolarize_povm(m, 0.3), m) with m = random_povm(d, o, 1): the target
     # lies in the span of the source, whose elements are independent, so the
     # unique map refutes it and no LP runs.  With the source split in halves
-    # the LP decides in 39, 49, 64 and 145 most-negative-cost pivots; the
-    # bounds, twice the LP's pivots on the unsplit pairs (24, 33, 44 and 107),
-    # hold those too.  Bland's rule alone took 18 s on the unsplit 32/20 pair.
+    # the LP decides after 24, 32, 40 and 60 entered columns, inside the
+    # bounds, which a dense simplex once met with 39, 49, 64 and 145 pivots.
     @pytest.mark.parametrize("d, o, max_pivots", [
         (16, 12, 48), (24, 16, 66), (32, 20, 88), (20, 30, 214),
     ])
@@ -170,16 +170,15 @@ class TestDeskScale:
 
 
 @pytest.mark.parametrize("kind, d, o, o_target, verdict, pivots", [
-    ("post-processed", 4, 4, 3, SIMULABLE, 30),
-    ("depolarized", 4, 5, 5, NOT_SIMULABLE, 25),
-    ("post-processed", 3, 5, 4, SIMULABLE, 59),
+    ("post-processed", 4, 4, 3, SIMULABLE, 16),
+    ("depolarized", 4, 5, 5, NOT_SIMULABLE, 12),
+    ("post-processed", 3, 5, 4, SIMULABLE, 25),
 ])
 def test_pivot_counts_are_pinned(kind, d, o, o_target, verdict, pivots):
-    # Exact pivot counts on each path through the LP, from a source split in
-    # halves, to either verdict.  A change to the entering rule or the ratio
-    # test that the bounds of TestDeskScale let through moves at least one of
-    # them.  None of these LPs ties in the ratio test; the first makes one
-    # degenerate pivot and the third two.
+    # Exact counts of the columns the LP enters on each path through it, from
+    # a source split in halves, to either verdict.  A change to the entering
+    # rule or the step back that the bounds of TestDeskScale let through
+    # moves at least one of them.
     m = random_povm(d, o, 1)
     if kind == "post-processed":
         source, target = m, post_process(m, random_stochastic_map(o, o_target, 2))
@@ -198,7 +197,7 @@ class TestRelabelings:
     @pytest.mark.parametrize("seed", [29, 83, 92, 95])
     def test_a_dependent_source_reaches_its_relabeling(self, seed):
         # 19 elements at d = 4, relabeled into 4 outcomes: degenerate LPs on
-        # which the hand-off to Bland's rule hit MAX_PIVOTS (29, 92), returned
+        # which a simplex handing off to Bland's rule hit its cap (29, 92), returned
         # a point 0.35 off the target (83) or one with a zero row (95).
         m = random_povm(4, 19, 7000 + seed)
         labels = np.random.default_rng(seed).integers(0, 4, 19)
@@ -209,12 +208,29 @@ class TestRelabelings:
 
     def test_a_split_desk_source_reaches_its_relabeling(self):
         # 16 elements at d = 24 split into 32 dependent ones, the target 8
-        # outcomes; the hand-off to Bland's rule ended at MAX_PIVOTS after 6 s
+        # outcomes; a simplex handing off to Bland's rule hit its cap after 6 s
         m = random_povm(24, 16, 1)
         labels = np.random.default_rng(2).integers(0, 8, 16)
         result = is_simulable(split_in_halves(m), relabeled(m, labels, 8))
         assert result.simulable and result.pivots is not None
         assert result.residual <= 1e-12
+
+    @pytest.mark.parametrize("seed", [105, 117, 126, 250, 379, 506, 547, 569, 585])
+    def test_a_full_span_source_reaches_a_relabeling_1e_11_away(self, seed):
+        # d*d independent elements relabeled into 2-5 outcomes and mixed at
+        # 1e-11 toward another POVM: the unique map's negative entries give a
+        # witness below WITNESS_GAP_TOL, and so did the simplex's Farkas
+        # vector, where the least residual is at most FEASIBILITY_TOL
+        d = 2 + seed % 2
+        m = random_povm(d, d * d, seed)
+        rng = np.random.default_rng(seed + 1)
+        o_target = int(rng.integers(2, 6))
+        near = relabeled(m, rng.integers(0, o_target, d * d), o_target).elements
+        eps = 1e-11
+        target = Povm((1 - eps) * near + eps * random_povm(d, o_target, seed + 7).elements)
+        result = is_simulable(m, target)
+        assert result.simulable and result.pivots is not None
+        assert result.residual <= 1e-10
 
     @pytest.mark.parametrize("d, o", [(16, 12), (24, 16), (32, 20), (20, 30)])
     def test_independent_elements_are_relabeled_without_the_lp(self, d, o):
@@ -225,6 +241,28 @@ class TestRelabelings:
         result = is_simulable(m, relabeled(m, labels, o // 2))
         assert result.simulable and result.pivots is None
         assert np.abs(result.map.probabilities - np.eye(o // 2)[labels]).max() <= 1e-12
+
+
+def k_basis(d, seed, k):
+    """``{U_j|i><i|U_j^+ / k}`` over ``j < k`` with ``U_j =
+    haar_random_unitary(d, 100 seed + j)``: k d elements with k - 1
+    linear dependencies, as each basis sums to ``I / k``."""
+    frames = np.stack([haar_random_unitary(d, 100 * seed + j) for j in range(k)])
+    columns = frames.transpose(0, 2, 1).reshape(k * d, d)
+    return Povm(columns[:, :, None] * columns[:, None, :].conj() / k)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_a_k_basis_source_simulates_its_depolarized_copy(d, seed, k):
+    # tr[M_a] I/d is a mixture of the elements of a's basis, so the target is
+    # a post-processing; a dense simplex drifted at (4, 0, 3), (5, 0, 3) and
+    # (5, 1, 3) and returned a map 2e-4 to 1e-3 off the target
+    m = k_basis(d, seed, k)
+    result = is_simulable(m, depolarize_povm(m, 0.3))
+    assert result.simulable and result.pivots is not None
+    assert result.residual <= 1e-12
 
 
 @pytest.mark.parametrize("wrong", [np.ones_like, np.zeros_like,
@@ -264,14 +302,14 @@ class TestUniqueMap:
         assert_certificate_separates(result.certificate, source, target)
 
     @pytest.mark.parametrize("d, o, eps, seed, verdict, pivots", [
-        (3, 3, 3e-9, 13, NOT_SIMULABLE, 7),
-        (2, 3, 3e-9, 2, NOT_SIMULABLE, 9),
+        (3, 3, 3e-9, 13, NOT_SIMULABLE, 6),
+        (2, 3, 3e-9, 2, NOT_SIMULABLE, 7),
     ])
     def test_a_witness_below_the_gap_leaves_the_verdict_to_the_lp(self, d, o, eps, seed,
                                                                   verdict, pivots):
         # The negative entries, of order eps, give a witness gap below
-        # WITNESS_GAP_TOL; the LP's verdict and pivots are those it reached
-        # before the unique map existed.
+        # WITNESS_GAP_TOL, and the LP's Farkas witness decides: gaps 1.23e-9
+        # and 1.66e-9.
         source, target = band_pair(d, o, eps, seed)
         result = is_simulable(source, target)
         assert (result.verdict, result.pivots) == (verdict, pivots)
@@ -281,7 +319,7 @@ class TestUniqueMap:
     def test_a_dependent_source_runs_the_lp(self):
         m = random_povm(2, 6, 1)  # six elements in the 4-dimensional span at d = 2
         result = is_simulable(m, post_process(m, random_stochastic_map(6, 4, 2)))
-        assert result.simulable and result.pivots == 35
+        assert result.simulable and result.pivots == 19
 
 
 class TestCertificate:

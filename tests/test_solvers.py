@@ -22,9 +22,7 @@ from povmrobust.solvers import (
     INFEASIBLE,
     OPTIMAL,
     _guess_solution,
-    _pivot,
     _rows,
-    _simplex,
     min_error_guess_value,
     rom_via_sdp,
     solve_dominating,
@@ -98,7 +96,7 @@ class TestSolveLp:
         assert verdicts == {True, False}
 
     def test_single_bound(self):
-        # x >= 3 as -x + s = -3: the row is flipped to make b nonnegative
+        # x >= 3 as -x + s = -3
         sol = solve_lp(np.array([[-1.0, 1.0]]), np.array([-3.0]))
         assert sol.status == OPTIMAL
         np.testing.assert_allclose(sol.x, [3.0, 0.0], atol=1e-12)
@@ -111,125 +109,57 @@ class TestSolveLp:
         assert sol.status == INFEASIBLE
         assert_farkas(sol.farkas, a, b)
 
-    def test_farkas_vector_is_read_off_the_tableau(self, monkeypatch):
-        # the artificials' reduced costs hold the duals, so no linear solve runs
-        def refuse(*args, **kwargs):
-            raise AssertionError("solve_lp ran a dense linear solve")
-
-        monkeypatch.setattr(np.linalg, "solve", refuse)
-        monkeypatch.setattr(np.linalg, "lstsq", refuse)
-        a = np.array([[1.0, -1.0, 0.0], [1.0, 0.0, 1.0]])
-        b = np.array([3.0, 1.0])
-        sol = solve_lp(a, b)
-        assert sol.status == INFEASIBLE
-        assert_farkas(sol.farkas, a, b)
-
     def test_equality_constraints(self):
         sol = solve_lp(np.array([[1.0, 1.0]]), np.array([1.0]))
         assert sol.status == OPTIMAL
         np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-12)
 
-    def test_unbounded(self):
-        # the entering column has no positive entry: the guard stops the run
-        t = np.array([[-1.0, 1.0, 1.0]])
-        z = np.array([-1.0, 0.0, 0.0])
-        with pytest.raises(SolverFailure, match="column 0"):
-            _simplex(t, z, np.array([1]))
-
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
             solve_lp(np.ones((2, 3)), np.ones(3))
 
+    def test_farkas_vector_just_outside_the_cone(self):
+        # b sits 3e-9 off the cone along y, with y . a_j = 0 on the columns
+        # that reach a x0 and y . a_j < 0 on the rest.  The least residual is
+        # 3e-9 y, whose own r . b = |r|^2 ~ 1e-17 certifies nothing; rescaled
+        # and projected off the passive columns it does.
+        rng = np.random.default_rng(96)
+        a = rng.standard_normal((5, 8))
+        a[0, :4] = 0.0
+        a[0, 4:] = -np.abs(a[0, 4:])
+        x0 = np.concatenate([rng.random(4) + 0.1, np.zeros(4)])
+        rotation = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        a, b = rotation @ a, rotation @ (a @ x0 + 3e-9 * np.eye(5)[0])
+        sol = solve_lp(a, b)
+        assert sol.status == INFEASIBLE
+        assert_farkas(sol.farkas, a, b)
 
-def run_from_last_columns(a, b, c):
-    """``_simplex`` on ``min c.x, a x = b, x >= 0`` started from the basis of
-    the last ``len(b)`` columns, whose costs are zero; returns pivots, final
-    basis and value."""
-    t = np.hstack([a, b[:, None]])
-    z = np.concatenate([c, [0.0]])
-    basis = np.arange(c.size - b.size, c.size)
-    pivots = _simplex(t, z, basis)
-    return pivots, basis.tolist(), -z[-1]
-
-
-class TestLexicographicRule:
-    # Beale's LP, columns x4..x7 then the slacks x1..x3 (Bertsimas and
-    # Tsitsiklis, Example 3.6): from the slack basis the largest-coefficient
-    # rule with lowest-row ties returns to that basis after six pivots.
-    BEALE_A = np.array([[0.25, -8.0, -1.0, 9.0, 1.0, 0.0, 0.0],
-                        [0.5, -12.0, -0.5, 3.0, 0.0, 1.0, 0.0],
-                        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]])
-    BEALE_B = np.array([0.0, 0.0, 1.0])
-    BEALE_C = np.array([-0.75, 20.0, -0.5, 6.0, 0.0, 0.0, 0.0])
-    BEALE = (BEALE_A, BEALE_B, BEALE_C)
-
-    def test_beale_terminates_at_its_optimum(self):
-        # the first pivot ties rows 0 and 1 at ratio 0; the slack columns
-        # (B^-1 = I) send row 1 out, and the second pivot is optimal
-        iterations, basis, value = run_from_last_columns(*self.BEALE)
-        assert value == pytest.approx(-1.25, abs=1e-12)
-        assert (iterations, basis) == (2, [4, 0, 2])
-        sol = solve_lp(self.BEALE_A, self.BEALE_B)
-        assert sol.status == OPTIMAL and sol.x.min() >= 0.0
-        assert np.abs(self.BEALE_A @ sol.x - self.BEALE_B).max() <= 1e-12
-
-    def test_lowest_row_ties_cycle_where_the_lexicographic_test_does_not(self):
-        # the same entering columns with ties left to the lowest row: every
-        # pivot degenerate and back at the slack basis after six, the value 0
-        a, b, c = self.BEALE
-        t, z = np.hstack([a, b[:, None]]), np.concatenate([c, [0.0]])
-        basis = np.arange(4, 7)
-        for _ in range(6):
-            col = int(np.argmin(z[:-1]))
-            rows = (t[:, col] > solvers.PIVOT_TOL).nonzero()[0]
-            ratios = t[rows, -1] / t[rows, col]
-            row = int(rows[ratios.argmin()])
-            t[row] /= t[row, col]
-            t -= np.outer(np.where(np.arange(3) == row, 0.0, t[:, col]), t[row])
-            z -= z[col] * t[row]
-            basis[row] = col
-        assert basis.tolist() == [4, 5, 6] and z[-1] == 0.0
-        # _pivot's first choice already differs: it takes row 1, not row 0
-        t, z = np.hstack([a, b[:, None]]), np.concatenate([c, [0.0]])
-        basis = np.arange(4, 7)
-        _pivot(t, z, basis, int(np.argmin(z[:-1])))
-        assert basis.tolist() == [4, 0, 6]
-
-    def test_a_tie_goes_on_through_the_inverse_basis_columns(self):
-        # The tableau B^-1 [A | I | b] of A = [[2, 1, 0.5], [0, 0.5, -0.25]],
-        # b = (2, 0), basis [1, 2]: B^-1 = [[0.5, 1], [1, -2]] sits in the two
-        # columns before b.  Column 0 ties rows 0 and 1 at ratio 1, and
-        # B^-1's first column over the coefficients ties them again at 0.5;
-        # its second sends row 1 out, not the lower row or basis index.
-        t = np.array([[1.0, 1.0, 0.0, 0.5, 1.0, 1.0],
-                      [2.0, 0.0, 1.0, 1.0, -2.0, 2.0]])
-        z = np.array([-1.0, 0.0, 0.0, 1.0, 1.0, 0.0])
-        basis = np.array([1, 2])
-        _pivot(t, z, basis, 0)
-        assert basis.tolist() == [1, 0]
-        np.testing.assert_allclose(t, [[0.0, 1.0, -0.5, 0.0, 2.0, 0.0],
-                                       [1.0, 0.0, 0.5, 0.5, -1.0, 1.0]])
-        np.testing.assert_allclose(z, [0.0, 0.0, 0.5, 1.5, 0.0, 1.0])
-
-    def test_pivot_cap_counts_every_pivot(self, monkeypatch):
-        # two pivots finish Beale's LP: a cap of one stops it, and a run
-        # whose last allowed pivot reaches the optimum is optimal
-        monkeypatch.setattr(solvers, "MAX_PIVOTS", 1)
-        with pytest.raises(SolverFailure, match="after 1 pivots"):
-            run_from_last_columns(*self.BEALE)
+    def test_entry_cap_counts_every_entered_column(self, monkeypatch):
+        # Beale's cycling example of the simplex (Bertsimas and Tsitsiklis,
+        # Example 3.6) as a feasibility system: three columns enter, so a cap
+        # of two stops it, and a run whose last allowed entry reaches the
+        # solution is optimal
+        a = np.array([[0.25, -8.0, -1.0, 9.0, 1.0, 0.0, 0.0],
+                      [0.5, -12.0, -0.5, 3.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]])
+        b = np.array([0.0, 0.0, 1.0])
         monkeypatch.setattr(solvers, "MAX_PIVOTS", 2)
-        assert run_from_last_columns(*self.BEALE)[0] == 2
-        monkeypatch.setattr(solvers, "MAX_PIVOTS", 3)
-        assert run_from_last_columns(*self.BEALE)[0] == 2
+        with pytest.raises(SolverFailure, match="after 2 entered columns"):
+            solve_lp(a, b)
+        for cap in (3, 4):
+            monkeypatch.setattr(solvers, "MAX_PIVOTS", cap)
+            sol = solve_lp(a, b)
+            assert sol.status == OPTIMAL and sol.iterations == 3 and sol.x.min() >= 0.0
+            assert np.abs(a @ sol.x - b).max() <= 1e-12
 
     def test_solve_lp_reports_the_capped_total(self, monkeypatch):
         rng = np.random.default_rng(95)
         a = rng.random((6, 12))
         b = a @ rng.random(12)
-        pivots = solve_lp(a, b).iterations
-        assert pivots >= 2
-        monkeypatch.setattr(solvers, "MAX_PIVOTS", pivots - 1)
-        with pytest.raises(SolverFailure, match=f"after {pivots - 1} pivots"):
+        entered = solve_lp(a, b).iterations
+        assert entered >= 2
+        monkeypatch.setattr(solvers, "MAX_PIVOTS", entered - 1)
+        with pytest.raises(SolverFailure, match=f"after {entered - 1} entered columns"):
             solve_lp(a, b)
 
 
@@ -533,8 +463,6 @@ SCALAR_PROGRAM = (np.eye(2, dtype=complex)[None] / math.sqrt(2.0),
     (None, lambda: solve_lp([[np.nan, 1.0]], [1.0]), InvalidArgument),
     (lambda mp: mp.setattr(solvers, "MAX_PIVOTS", 0),
      lambda: solve_lp([[1.0, 1.0]], [1.0]), SolverFailure),
-    (None, lambda: _simplex(np.array([[-1.0, 1.0, 1.0]]), np.array([-1.0, 0.0, 0.0]),
-                            np.array([1])), SolverFailure),
     (None, lambda: min_error_guess_value(Ensemble(np.zeros((0, 2, 2)), np.zeros(0))),
      InvalidArgument),
     (None, lambda: solve_dominating(np.stack([np.diag([1.0, 2.0]), np.diag([1.0, 0.0])]),
@@ -545,7 +473,7 @@ SCALAR_PROGRAM = (np.eye(2, dtype=complex)[None] / math.sqrt(2.0),
      lambda: solve_dominating(*SCALAR_PROGRAM), SolverFailure),
     (_overstated_lower, lambda: solve_dominating(*SCALAR_PROGRAM), SolverFailure),
 ], ids=["lp-shapes", "lp-inf-rhs", "lp-nan-rhs", "lp-nan-matrix", "lp-pivot-cap",
-        "simplex-no-leaving-row", "dominating-empty-stack", "dominating-not-orthonormal",
+        "dominating-empty-stack", "dominating-not-orthonormal",
         "dominating-misses-identity", "dominating-iteration-cap", "dominating-inverted-bracket"])
 def test_every_failed_solve_is_a_package_error(monkeypatch, setup, solve, error):
     # input outside a solver's domain is InvalidArgument, a solve that cannot

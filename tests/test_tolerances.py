@@ -90,7 +90,7 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 @pytest.mark.parametrize("decide, inside, outside", [
-    # x = -s with x >= 0: phase one ends with s of the artificial left
+    # x = -s with x >= 0: the least residual is s
     (lambda s: solve_lp([[1.0]], [-s]).status, OPTIMAL, INFEASIBLE),
     # the target elements leave the span of the Z basis's elements by s
     (lambda s: is_simulable(projective_povm(np.eye(2)),
