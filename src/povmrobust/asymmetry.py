@@ -26,7 +26,7 @@ import numpy as np
 from .discrimination import Ensemble, check_density_matrix, p_guess_with_measurement
 from .errors import DimensionMismatch, InvalidArgument, InvalidGroup, PovmRobustError, SolverFailure
 from .measurement import Povm, validate_povm
-from .numerics import as_complex_matrix, hermitian_basis
+from .numerics import as_complex_matrix, frozen_copy, hermitian_basis
 from .solvers import solve_dominating
 
 UNITARY_TOL = 1e-9
@@ -39,9 +39,12 @@ CERTIFICATE_TOL = 1e-10  # slack of either orbit-game certificate, relative to m
 @dataclass(frozen=True)
 class GroupRepresentation:
     """A finite list of unitaries closed under multiplication up to global
-    phase, containing the identity."""
+    phase, containing the identity, kept as a read-only copy."""
 
     unitaries: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "unitaries", frozen_copy(self.unitaries, np.complex128))
 
     @property
     def order(self) -> int:
@@ -254,4 +257,4 @@ def roc(rho) -> AsymmetryReport:
     diagonal matrix units."""
     rho = check_density_matrix(rho)
     d = rho.shape[0]
-    return _certified_asymmetry(rho, dephasing_group(d), np.eye(d)[:, :, None] * np.eye(d))
+    return _certified_asymmetry(rho, dephasing_group(d), hermitian_basis(d)[:d])

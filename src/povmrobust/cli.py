@@ -112,8 +112,8 @@ def _cmd_selftest(args):
         status = "PASS" if r.passed else "FAIL"
         solves = "" if r.steps is None else (
             f"{r.steps} IPM steps; {1e3 * r.seconds / max(r.steps, 1):.2f} ms/step; ")
-        if r.pivots is not None:
-            solves = f"{r.pivots} pivots; {r.lp_ms:.2f} ms/LP; "
+        if r.entries is not None:
+            solves = f"{r.entries} NNLS entries; {r.lp_ms:.2f} ms/LP; "
         print(f"{r.index:2d}  {r.name:<{width}}  {status}  {r.seconds:6.2f} s  {solves}{r.detail}")
     n_passed = sum(r.passed for r in results)
     print(f"selftest: {n_passed}/{len(results)} criteria passed")

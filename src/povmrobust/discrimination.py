@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidEnsemble, InvalidState, NotSquare
 from .measurement import Povm, _check_distribution, _require_povm
-from .numerics import _check_seeded, check_hermitian, eig_hermitian
+from .numerics import _check_seeded, check_hermitian, eig_hermitian, frozen_copy
 from .rom import rom_report
 
 STATE_TOL = 1e-9
@@ -31,14 +31,12 @@ class Ensemble:
     priors: np.ndarray
 
     def __post_init__(self):
-        states = np.ascontiguousarray(np.asarray(self.states, dtype=np.complex128))
-        priors = np.ascontiguousarray(np.asarray(self.priors, dtype=float))
+        states = frozen_copy(self.states, np.complex128)
+        priors = frozen_copy(self.priors, float)
         if states.ndim != 3 or states.shape[1] != states.shape[2]:
             raise InvalidEnsemble(f"states must have shape (n, d, d), got {states.shape}")
         if priors.shape != (states.shape[0],):
             raise InvalidEnsemble("need exactly one prior per state")
-        states.setflags(write=False)
-        priors.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "priors", priors)
 

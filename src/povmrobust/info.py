@@ -25,6 +25,7 @@ from .discrimination import (
 )
 from .errors import InvalidJoint
 from .measurement import Povm, _check_distribution, _require_povm
+from .numerics import frozen_copy
 from .rom import rom
 from .solvers import min_error_guess_value
 
@@ -37,8 +38,7 @@ class JointDistribution:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.ascontiguousarray(_check_distribution(self.p, InvalidJoint, ndim=2))
-        p.setflags(write=False)
+        p = _check_distribution(frozen_copy(self.p, float), InvalidJoint, ndim=2)
         object.__setattr__(self, "p", p)
 
     def marginal_x(self) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     CompletenessViolation,
     EtaOutOfRange,
+    InvalidArgument,
     InvalidDistribution,
     InvalidPovm,
     NotOrthonormal,
@@ -24,7 +25,7 @@ from .errors import (
     ShapeMismatch,
     SizeMismatch,
 )
-from .numerics import PSD_TOL, _check_seeded, as_complex_matrix, eig_hermitian
+from .numerics import PSD_TOL, _check_seeded, as_complex_matrix, eig_hermitian, frozen_copy
 
 COMPLETENESS_TOL = 1e-8
 DISTRIBUTION_TOL = 1e-10
@@ -36,19 +37,17 @@ MAX_STACK_BYTES = 2**28  # one (o, d, d) complex stack that random_povm may draw
 class Povm:
     """A positive operator-valued measure as an ``(o, d, d)`` array.
 
-    Instances are immutable.  Use :func:`validate_povm` to build one from
-    untrusted input; the constructors in this module produce valid
-    measurements by construction.
+    Instances are immutable and own a read-only copy of their elements.  Use
+    :func:`validate_povm` to build one from untrusted input; the constructors
+    in this module produce valid measurements by construction.
     """
 
     elements: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.elements, dtype=np.complex128)
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-            raise ShapeMismatch(f"expected shape (o, d, d), got {arr.shape}")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
+        arr = frozen_copy(self.elements, np.complex128)
+        if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or 0 in arr.shape:
+            raise ShapeMismatch(f"expected shape (o, d, d) with o, d >= 1, got {arr.shape}")
         object.__setattr__(self, "elements", arr)
 
     @property
@@ -62,8 +61,11 @@ class Povm:
     @functools.cached_property
     def eig(self):
         """Eigendecomposition of every element, computed on first use and
-        kept: the elements are immutable, so it never goes stale."""
-        return eig_hermitian(self.elements)
+        kept read-only: the elements are immutable, so it never goes stale."""
+        dec = eig_hermitian(self.elements)
+        for arr in dec:
+            arr.setflags(write=False)
+        return dec
 
     def __len__(self) -> int:
         return self.outcomes
@@ -86,7 +88,7 @@ class StochasticMap:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
+        p = frozen_copy(self.probabilities, float)
         if p.ndim != 2:
             raise ShapeMismatch(f"expected a 2-D array, got shape {p.shape}")
         if not np.isfinite(p).all():
@@ -98,8 +100,6 @@ class StochasticMap:
             raise InvalidDistribution(
                 f"output distributions must sum to 1, worst deviation {row_dev:.3e}"
             )
-        p = np.ascontiguousarray(p)
-        p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
 
     @property
@@ -161,8 +161,9 @@ def trivial_povm(q, d: int) -> Povm:
     """Measurement whose outcome distribution ignores the input state:
     elements ``q(a) * I``."""
     q = _check_distribution(q)
-    eye = np.eye(d, dtype=np.complex128)
-    return Povm(np.stack([qa * eye for qa in q]))
+    if d < 1:
+        raise InvalidArgument(f"dimension must be at least 1, got {d}")
+    return Povm(q[:, None, None] * np.eye(d))
 
 
 def projective_povm(basis) -> Povm:
@@ -172,8 +173,8 @@ def projective_povm(basis) -> Povm:
     vectors as the dimension.
     """
     vecs = np.asarray(basis, dtype=np.complex128)
-    if vecs.ndim != 2:
-        raise NotOrthonormal(f"expected a list of vectors, got shape {vecs.shape}")
+    if vecs.ndim != 2 or vecs.size == 0:
+        raise NotOrthonormal(f"expected a nonempty list of vectors, got shape {vecs.shape}")
     n, d = vecs.shape
     if n != d:
         raise NotOrthonormal(f"need {d} vectors for dimension {d}, got {n}")
@@ -192,8 +193,8 @@ def rank_one_povm(weights, states) -> Povm:
     """
     weights = np.asarray(weights, dtype=float)
     states = np.asarray(states, dtype=np.complex128)
-    if states.ndim != 2 or weights.ndim != 1 or len(weights) != len(states):
-        raise ShapeMismatch("need one weight per state vector")
+    if states.ndim != 2 or weights.ndim != 1 or len(weights) != len(states) or not states.size:
+        raise ShapeMismatch("need a nonempty list of state vectors, one weight per vector")
     elements = np.stack([w * np.outer(v, v.conj()) for w, v in zip(weights, states)])
     return validate_povm(elements)
 

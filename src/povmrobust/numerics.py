@@ -1,7 +1,8 @@
 """Dense complex-matrix kernels.
 
-Hermitian eigendecomposition, operator norms, positivity checks and
-Haar-random unitaries, all on plain ``numpy`` arrays of ``complex128``.
+Hermitian eigendecomposition, operator norms, positivity checks,
+Haar-random unitaries and the matrix-unit basis every dominance span is
+cut from, all on plain ``numpy`` arrays of ``complex128``.
 Eigendecompositions are LAPACK's, through ``np.linalg.eigh``, and take a
 single matrix or a whole stack ``(..., d, d)`` (the elements of a POVM,
 say) in one call.
@@ -93,28 +94,26 @@ def haar_random_unitary(d: int, seed: int) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal Hermitian operator basis (identity plus generalized
-    Gell-Mann matrices), shape ``(d*d, d, d)``.
+def frozen_copy(a, dtype) -> np.ndarray:
+    """An owned, read-only, C-ordered copy of ``a`` as ``dtype``."""
+    arr = np.array(a, dtype=dtype, order="C")
+    arr.setflags(write=False)
+    return arr
 
-    The identity component comes first; all other elements are traceless.
-    Orthonormality is under the Hilbert-Schmidt inner product.
-    """
+
+def hermitian_basis(d: int) -> np.ndarray:
+    """The matrix-unit basis of the Hermitian ``d x d`` matrices, shape
+    ``(d*d, d, d)`` and orthonormal in the Hilbert-Schmidt inner product: the
+    ``d`` diagonal units ``E_jj`` (``[:d]`` spans the diagonal matrices), then
+    ``(E_jk + E_kj) / sqrt(2)`` and ``i (E_jk - E_kj) / sqrt(2)`` for each
+    ``j < k`` in row-major order."""
     if d < 1:
         raise InvalidArgument(f"dimension must be at least 1, got {d}")
-    mats = [np.eye(d, dtype=np.complex128) / math.sqrt(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            sym = np.zeros((d, d), dtype=np.complex128)
-            sym[j, k] = sym[k, j] = 1.0 / math.sqrt(2.0)
-            mats.append(sym)
-            anti = np.zeros((d, d), dtype=np.complex128)
-            anti[j, k] = -1j / math.sqrt(2.0)
-            anti[k, j] = 1j / math.sqrt(2.0)
-            mats.append(anti)
-    for l in range(1, d):
-        diag = np.zeros(d)
-        diag[:l] = 1.0
-        diag[l] = -float(l)
-        mats.append(np.diag(diag).astype(np.complex128) / math.sqrt(l * (l + 1)))
-    return np.stack(mats)
+    j, k = np.triu_indices(d, 1)
+    sym = d + 2 * np.arange(len(j))
+    diag = np.arange(d)
+    basis = np.zeros((d * d, d, d), dtype=np.complex128)
+    basis[diag, diag, diag] = 1.0
+    basis[sym, j, k] = basis[sym, k, j] = 1.0 / math.sqrt(2.0)
+    basis[sym + 1, j, k], basis[sym + 1, k, j] = 1j / math.sqrt(2.0), -1j / math.sqrt(2.0)
+    return basis

@@ -7,7 +7,7 @@ outcomes).  The CLI ``selftest`` subcommand runs them all and prints a
 pass/fail table with each criterion's wall time and, where it solves
 dominance programs, their total interior-point steps and the criterion's
 milliseconds per step (simulability LPs: the columns their nonnegative
-least squares entered, printed as pivots, and the mean milliseconds of a
+least squares entered, printed as NNLS entries, and the mean milliseconds of a
 call that ran one); the test suite asserts them one by one.
 ``quick`` mode shrinks the sample counts roughly tenfold for smoke testing.
 """
@@ -56,7 +56,7 @@ class CriterionResult:
     detail: str
     seconds: float = 0.0
     steps: int | None = None  # interior-point steps of the criterion's dominance solves
-    pivots: int | None = None  # columns entered by the criterion's simulability LPs
+    entries: int | None = None  # columns entered by the criterion's simulability LPs
     lp_ms: float = 0.0  # mean wall time of the is_simulable calls that ran those LPs
 
 
@@ -256,7 +256,7 @@ def criterion_accessible_min_info(quick: bool = False) -> CriterionResult:
 def criterion_simulability(quick: bool = False) -> CriterionResult:
     n = 50 if quick else 500
     failures = []
-    decided = []  # the pivots (None without an LP) and seconds of each verdict
+    decided = []  # the NNLS entries (None without an LP) and seconds of each verdict
     for i in range(n):
         d = 2 + i % 3
         o = 2 + i % 5
@@ -269,13 +269,13 @@ def criterion_simulability(quick: bool = False) -> CriterionResult:
         except PovmRobustError as exc:
             failures.append(f"case {i}: {type(exc).__name__}")
             continue
-        decided.append((result.pivots, time.perf_counter() - start))
+        decided.append((result.entries, time.perf_counter() - start))
         if not result.simulable:
             failures.append(f"case {i}: verdict {result.verdict}")
         elif result.residual > 1e-7:
             failures.append(f"case {i}: residual {result.residual:.2e}")
     completeness_ok = len(failures) <= max(0.01 * n, 0)
-    lps = [(pivots, seconds) for pivots, seconds in decided if pivots is not None]
+    lps = [(entries, seconds) for entries, seconds in decided if entries is not None]
 
     z = projective_povm(np.eye(2))
     x = projective_povm(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
@@ -291,7 +291,7 @@ def criterion_simulability(quick: bool = False) -> CriterionResult:
         f"(residual tol 1e-7; {len(decided) - len(lps)} by the unique map, "
         f"{len(lps)} by the LP); Z vs X verdict {zx.verdict} with witness gap "
         f"{zx.gap if zx.gap is not None else float('nan'):.3f}{logged}",
-        pivots=sum(p for p, _ in lps), lp_ms=1e3 * sum(s for _, s in lps) / max(len(lps), 1),
+        entries=sum(e for e, _ in lps), lp_ms=1e3 * sum(s for _, s in lps) / max(len(lps), 1),
     )
 
 

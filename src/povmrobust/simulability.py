@@ -52,7 +52,7 @@ class SimulabilityResult:
     certificate: SimulabilityCertificate | None = None
     witness: Ensemble | None = None
     gap: float | None = None
-    pivots: int | None = None  # columns the LP's NNLS entered; None when no LP ran
+    entries: int | None = None  # columns the LP's NNLS entered; None when no LP ran
 
     @property
     def simulable(self) -> bool:
@@ -118,7 +118,7 @@ def is_simulable(m: Povm, target: Povm) -> SimulabilityResult:
                     y[o_target * r:], sol.iterations)
 
 
-def _simulable(m: Povm, target: Povm, p: np.ndarray, pivots: int | None) -> SimulabilityResult:
+def _simulable(m: Povm, target: Povm, p: np.ndarray, entries: int | None) -> SimulabilityResult:
     """The verdict for a solution ``p``, clipped at 0 and renormalized, if it
     reproduces the target within ``COMPLETENESS_TOL`` entrywise."""
     p = np.clip(p, 0.0, None)
@@ -129,11 +129,11 @@ def _simulable(m: Povm, target: Povm, p: np.ndarray, pivots: int | None) -> Simu
     residual = float(np.abs(post_process(m, simulation).elements - target.elements).max())
     if not residual <= COMPLETENESS_TOL:
         raise SolverFailure(f"the simulating map misses the target by {residual:.3e}")
-    return SimulabilityResult(SIMULABLE, map=simulation, residual=residual, pivots=pivots)
+    return SimulabilityResult(SIMULABLE, map=simulation, residual=residual, entries=entries)
 
 
 def _refuted(m: Povm, target: Povm, coords: np.ndarray, scalars: np.ndarray,
-             pivots: int | None) -> SimulabilityResult:
+             entries: int | None) -> SimulabilityResult:
     """The verdict for a functional in ``_rows`` coordinates, if its witness verifies."""
     d = m.dimension
     operators = np.ascontiguousarray(coords).view(np.complex128).reshape(-1, d, d)
@@ -142,7 +142,7 @@ def _refuted(m: Povm, target: Povm, coords: np.ndarray, scalars: np.ndarray,
     certificate = SimulabilityCertificate(operators / scale, scalars / scale)
     witness, gap = _witness(m, target, certificate)
     return SimulabilityResult(NOT_SIMULABLE, certificate=certificate,
-                              witness=witness, gap=gap, pivots=pivots)
+                              witness=witness, gap=gap, entries=entries)
 
 
 def witness_from_certificate(m: Povm, target: Povm,

@@ -18,7 +18,7 @@ matrices' real and imaginary parts.  Each step factors every primal slack
 and dual matrix with one stacked Cholesky call and inverts those factors
 with one ``inv`` call, each predictor or corrector stage takes both step
 lengths from one stacked eigensolve, and the lower bound is computed only
-once the complementarity gap is near the tolerance.
+once the complementarity gap is within the tolerance.
 Both take arrays and return a finished solution; bad input raises
 ``InvalidArgument``, and a solve that cannot finish ``SolverFailure``.
 The module also instantiates the robustness program of a measurement
@@ -42,14 +42,13 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
 FEASIBILITY_TOL = 1e-9
-MAX_PIVOTS = 50_000
+MAX_ENTRIES = 50_000
 ORTHONORMALITY_TOL = 1e-12  # entrywise: a dominance basis's Gram matrix against I
 GAP_TOL = 1e-11          # relative width of the returned dominance bracket
 IDENTITY_TOL = 1e-12     # the identity counts as lying in the span below this
 MAX_ITERATIONS = 100
 MAX_HALVINGS = 60
 STEP_FRACTION = 0.95     # share of the distance to the cone boundary stepped
-CERTIFY_WINDOW = 10.0    # certify once the complementarity gap is this many GAP_TOLs
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ def solve_lp(a, b) -> LpSolution:
     enters the passive set, whose least-squares point ``_least_positive``
     re-solves from the original columns (``np.linalg.lstsq`` takes
     rank-deficient sets).  ``iterations`` counts the entered columns;
-    ``SolverFailure`` once more than ``MAX_PIVOTS`` are needed.  The system
+    ``SolverFailure`` once more than ``MAX_ENTRIES`` are needed.  The system
     is feasible when the least residual has 2-norm at most ``FEASIBILITY_TOL``.
     Otherwise ``r`` is orthogonal to the passive columns with ``r . a_j <= 0``
     on the rest, while ``r . b = |r|^2 > 0``: a Farkas certificate ``y``.
@@ -103,7 +102,7 @@ def solve_lp(a, b) -> LpSolution:
     noise = max(m, n) * np.finfo(float).eps * np.abs(a).max(initial=0.0) * np.abs(b).sum()
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
-    for entered in range(MAX_PIVOTS + 1):
+    for entered in range(MAX_ENTRIES + 1):
         r = b - a @ x
         if np.linalg.norm(r) <= FEASIBILITY_TOL:
             return LpSolution(OPTIMAL, x, entered)
@@ -112,8 +111,8 @@ def solve_lp(a, b) -> LpSolution:
             u = r / np.abs(r).max()
             u -= a[:, passive] @ np.linalg.lstsq(a[:, passive], u)[0]
             return LpSolution(INFEASIBLE, None, entered, farkas=u)
-        if entered == MAX_PIVOTS:
-            raise SolverFailure(f"NNLS unfinished after {MAX_PIVOTS} entered columns")
+        if entered == MAX_ENTRIES:
+            raise SolverFailure(f"NNLS unfinished after {MAX_ENTRIES} entered columns")
         passive[gain.argmax()] = True
         x = _least_positive(a, b, x, passive)
 
@@ -272,11 +271,10 @@ def solve_dominating(basis, constraints) -> SdpSolution:
     start, and ``Z_i = I / m`` is dual feasible because ``tr B_j = tr[B_j I]``;
     the path following (HKM direction, Mehrotra predictor-corrector) starts
     there.  After each step the trace of the current ``Y`` is an upper bound.
-    Once the complementarity gap ``sum_i tr[S_i Z_i]`` is within
-    ``CERTIFY_WINDOW`` times the tolerance, the congruence in
-    ``_certified_lower`` gives a lower bound; the solve stops once the two are
-    within ``GAP_TOL`` (relative to ``max(1, |value|)``) and raises
-    ``SolverFailure``, reporting the gap left, if that takes more than
+    Once the complementarity gap ``sum_i tr[S_i Z_i]`` is within ``GAP_TOL``
+    (relative to ``max(1, |value|)``), the congruence in ``_certified_lower``
+    gives a lower bound, and the solve stops when that is as close to the value.
+    It raises ``SolverFailure``, reporting the gap left, if that takes more than
     ``MAX_ITERATIONS`` steps, or if the lower bound it stops at lies above the value.
     """
     basis, constraints, c = _validate_program(basis, constraints)
@@ -288,7 +286,7 @@ def solve_dominating(basis, constraints) -> SdpSolution:
         value = float(c @ x)
         tol = GAP_TOL * max(1.0, abs(value))
         gap = np.vdot(s, z).real
-        if gap <= CERTIFY_WINDOW * tol:
+        if gap <= tol:
             lower, duals = _certified_lower(basis, constraints, z)
             gap = value - lower
         if gap <= tol:
@@ -321,7 +319,7 @@ def _rom_solution(m: Povm) -> SdpSolution:
     ``E_aa (x) I / sqrt(d)``, one element per outcome, over ``blockdiag(M_a)``."""
     m = _require_povm(m)
     o, d = m.outcomes, m.dimension
-    basis = np.kron(np.eye(o)[:, :, None] * np.eye(o), np.eye(d) / np.sqrt(d))
+    basis = np.kron(hermitian_basis(o)[:o], np.eye(d) / np.sqrt(d))
     blocks = np.einsum("ab,aij->aibj", np.eye(o), m.elements).reshape(o * d, o * d)
     return solve_dominating(basis, blocks[None])
 

@@ -162,8 +162,8 @@ def test_selftest_quick_exits_zero(capsys):
     for index in (1, 8, 9):
         assert re.search(r"PASS +\d+\.\d{2} s  [1-9]\d* IPM steps; \d+\.\d{2} ms/step; ",
                          criterion_lines[index - 1])
-    # and the simulability criterion its simplex pivots and milliseconds per LP
-    assert re.search(r"PASS +\d+\.\d{2} s  [1-9]\d* pivots; \d+\.\d{2} ms/LP; \d+/\d+ ",
+    # and the simulability criterion its NNLS entries and milliseconds per LP
+    assert re.search(r"PASS +\d+\.\d{2} s  [1-9]\d* NNLS entries; \d+\.\d{2} ms/LP; \d+/\d+ ",
                      criterion_lines[6])
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from povmrobust.discrimination import validate_ensemble
+from povmrobust.asymmetry import GroupRepresentation, roa, validate_group
+from povmrobust.discrimination import Ensemble, validate_ensemble
 from povmrobust.errors import (
     CompletenessViolation,
     EtaOutOfRange,
@@ -14,6 +15,7 @@ from povmrobust.errors import (
     NotOrthonormal,
     NotPsd,
     ResourceLimit,
+    ShapeMismatch,
     SizeMismatch,
 )
 from povmrobust.info import JointDistribution, h_min
@@ -31,6 +33,7 @@ from povmrobust.measurement import (
     validate_povm,
 )
 from povmrobust.numerics import eig_hermitian
+from povmrobust.rom import rom
 
 
 class TestValidatePovm:
@@ -272,5 +275,66 @@ def test_direct_povm_shape_check():
 ], ids=["validate_ensemble", "JointDistribution", "h_min", "trivial_povm", "StochasticMap"])
 def test_non_finite_probabilities_rejected(build, error):
     # every other check is a comparison, which NaN passes
+    with pytest.raises(error):
+        build()
+
+
+def test_a_povm_from_a_slice_keeps_its_elements_when_the_base_changes():
+    # the Povm once kept the slice itself, so writing the base changed its
+    # elements, while rom kept reading the eigendecomposition cached before
+    big = np.concatenate([projective_povm(np.eye(2)).elements, np.zeros((1, 2, 2))])
+    q = Povm(big[:2])
+    value = rom(q)
+    big[0, 0, 0] = 7.0
+    assert q.elements[0, 0, 0] == 1.0
+    assert rom(Povm(q.elements)) == rom(q) == value
+
+
+def _unitary_pair():
+    return np.stack([np.eye(2), np.eye(2)[::-1]]).astype(complex)
+
+
+@pytest.mark.parametrize("given, build, field", [
+    (_unitary_pair, Povm, "elements"),
+    (lambda: np.eye(2), StochasticMap, "probabilities"),
+    (_unitary_pair, lambda a: Ensemble(a, np.full(2, 0.5)), "states"),
+    (lambda: np.eye(2) / 2, JointDistribution, "p"),
+    (_unitary_pair, GroupRepresentation, "unitaries"),
+], ids=["Povm", "StochasticMap", "Ensemble", "JointDistribution", "GroupRepresentation"])
+def test_value_types_keep_a_read_only_copy_and_leave_the_callers_array_writable(
+        given, build, field):
+    a = given()
+    kept = getattr(build(a), field)
+    before = kept.copy()
+    a[...] = 7.0
+    assert not kept.flags.writeable and kept.flags.c_contiguous
+    np.testing.assert_array_equal(kept, before)
+
+
+def test_a_validated_group_and_a_kept_eigendecomposition_refuse_writes():
+    # once writable, g.unitaries[1] = i I made roa of |+><+| under {I, Z}
+    # return a certified 5.9e-12 instead of 1
+    g = validate_group([np.eye(2), np.diag([1.0, -1.0])])
+    with pytest.raises(ValueError):
+        g.unitaries[1] = 1j * np.eye(2)
+    assert roa(np.full((2, 2), 0.5), g).value == pytest.approx(1.0, abs=1e-9)
+    dec = projective_povm(np.eye(2)).eig
+    for arr in dec:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: Povm(np.zeros((0, 2, 2))), ShapeMismatch),
+    (lambda: Povm(np.zeros((2, 0, 0))), ShapeMismatch),
+    (lambda: trivial_povm([1.0], 0), InvalidArgument),
+    (lambda: trivial_povm([1.0], -1), InvalidArgument),
+    (lambda: projective_povm(np.zeros((0, 0))), NotOrthonormal),
+    (lambda: rank_one_povm([], np.zeros((0, 2))), ShapeMismatch),
+], ids=["no-outcomes", "dimension-0", "trivial-d0", "trivial-negative-d",
+        "projective-no-vectors", "rank-one-no-states"])
+def test_an_empty_shape_is_a_package_error(build, error):
+    # these once returned rom -1 for no outcomes, a 0 x 0 measurement, or
+    # leaked numpy's ValueError
     with pytest.raises(error):
         build()

@@ -3,23 +3,35 @@
 Each quantity is compared before and after a transformation that must
 leave it unchanged, within 1e-9 relative to ``max(1, value)`` (1e-12 for
 the closed-form ``advantage``); the two brackets of ``roa`` must overlap.
+Post-processing equivalence is checked on hypothesis draws at d = 2..6.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from povmrobust.asymmetry import dephasing_group, roa, roc, validate_group
 from povmrobust.discrimination import (
     Ensemble,
     advantage,
+    optimal_ensemble,
     random_density_matrix,
     random_ensemble,
 )
-from povmrobust.measurement import depolarize_povm, random_povm, validate_povm
+from povmrobust.info import acc_min_info_measurement
+from povmrobust.measurement import (
+    StochasticMap,
+    depolarize_povm,
+    post_process,
+    random_povm,
+    random_stochastic_map,
+    validate_povm,
+)
 from povmrobust.numerics import haar_random_unitary
 from povmrobust.rom import rom
 from povmrobust.simulability import NOT_SIMULABLE, SIMULABLE, is_simulable
-from povmrobust.solvers import min_error_guess_value
+from povmrobust.solvers import min_error_guess_value, rom_via_sdp
 
 DIMENSIONS = range(2, 8)
 
@@ -124,3 +136,63 @@ def test_roa_of_a_snapped_near_unitary_group_matches_the_exact_group(eps):
     snapped = roa(rho, validate_group([np.eye(2), [[1.0, eps], [0.0, -1.0]]]))
     assert_brackets_overlap(exact, snapped)
     assert_invariant(exact.value, snapped.value, 1e-11)
+
+
+def split(m, a, lam):
+    """``M_a`` split into ``lam M_a`` and ``(1 - lam) M_a``, the second appended."""
+    p = np.eye(m.outcomes, m.outcomes + 1)
+    p[a, a], p[a, -1] = lam, 1.0 - lam
+    return post_process(m, StochasticMap(p))
+
+
+def equivalents(m, a, lam, perm):
+    """Measurements each a post-processing of ``m`` and post-processing back
+    to it: ``M_a`` split, the split pair merged again, a zero element
+    appended, and the outcomes relabeled by ``perm``."""
+    o = m.outcomes
+    halves = split(m, a, lam)
+    merge = np.vstack([np.eye(o), np.eye(o)[a]])
+    return (halves, post_process(halves, StochasticMap(merge)),
+            post_process(m, StochasticMap(np.eye(o, o + 1))),
+            post_process(m, StochasticMap(np.eye(o)[perm])))
+
+
+draws = given(st.integers(2, 6), st.integers(2, 4), st.integers(0, 10**9), st.floats(0.05, 0.95))
+
+
+@settings(max_examples=25, deadline=None)
+@draws
+def test_equivalent_measurements_share_their_robustness_game_and_information(d, o, seed, lam):
+    m = random_povm(d, o, seed)
+    rng = np.random.default_rng(seed)
+    closed = (rom, lambda x: advantage(optimal_ensemble(x), x),
+              lambda x: acc_min_info_measurement(x).bits)
+    values = [f(m) for f in closed]
+    sdp = rom_via_sdp(m)
+    for e in equivalents(m, rng.integers(o), lam, rng.permutation(o)):
+        for f, value in zip(closed, values):
+            assert_invariant(value, f(e), 1e-12)
+        assert_invariant(sdp, rom_via_sdp(e))
+
+
+@settings(max_examples=25, deadline=None)
+@draws
+def test_a_split_measurement_and_its_source_simulate_each_other(d, o, seed, lam):
+    m = random_povm(d, o, seed)
+    halves = split(m, np.random.default_rng(seed).integers(o), lam)
+    assert is_simulable(m, halves).verdict == is_simulable(halves, m).verdict == SIMULABLE
+
+
+@settings(max_examples=25, deadline=None)
+@draws
+def test_splitting_either_side_keeps_the_verdict(d, o, seed, lam):
+    # the split source's dependent elements send its pairs through the NNLS
+    m = random_povm(d, o, seed)
+    rng = np.random.default_rng(seed)
+    t = post_process(m, random_stochastic_map(o, int(rng.integers(1, 5)), seed + 1))
+    verdicts = []
+    for source in (m, depolarize_povm(t, 0.3)):
+        pairs = ((source, t), (split(source, rng.integers(source.outcomes), lam), t),
+                 (source, split(t, rng.integers(t.outcomes), lam)))
+        verdicts.append({is_simulable(*pair).verdict for pair in pairs})
+    assert verdicts[0] == {SIMULABLE} and len(verdicts[1]) == 1

@@ -170,10 +170,15 @@ def test_a_zero_size_matrix_is_an_invalid_argument(call):
 
 
 def test_hermitian_basis_orthonormal():
-    for d in (2, 3, 4):
+    # orthonormal Hermitian matrices spanning every Hermitian matrix, the d
+    # diagonal units first: roc and the robustness SDP slice their spans off it
+    for d in range(1, 7):
         basis = hermitian_basis(d)
         assert basis.shape == (d * d, d, d)
-        gram = np.einsum("aij,bji->ab", basis, basis).real
-        np.testing.assert_allclose(gram, np.eye(d * d), atol=1e-12)
-        for b in basis:
-            assert np.abs(b - b.conj().T).max() < 1e-12
+        np.testing.assert_array_equal(basis[:d], np.eye(d)[:, :, None] * np.eye(d))
+        np.testing.assert_array_equal(basis, basis.conj().swapaxes(1, 2))
+        gram = np.einsum("aij,bji->ab", basis, basis)
+        np.testing.assert_allclose(gram, np.eye(d * d), atol=1e-15)
+        h = random_hermitian(d, np.random.default_rng(d))
+        coords = np.einsum("aij,ji->a", basis, h).real
+        np.testing.assert_allclose(np.einsum("a,aij->ij", coords, basis), h, atol=1e-12)

@@ -143,16 +143,16 @@ class TestDeskScale:
     # unique map refutes it and no LP runs.  With the source split in halves
     # the LP decides after 24, 32, 40 and 60 entered columns, inside the
     # bounds, which a dense simplex once met with 39, 49, 64 and 145 pivots.
-    @pytest.mark.parametrize("d, o, max_pivots", [
+    @pytest.mark.parametrize("d, o, max_entries", [
         (16, 12, 48), (24, 16, 66), (32, 20, 88), (20, 30, 214),
     ])
-    def test_depolarized_copy_is_refuted(self, monkeypatch, d, o, max_pivots):
-        pivots = []
+    def test_depolarized_copy_is_refuted(self, monkeypatch, d, o, max_entries):
+        entries = []
         solve_lp = simulability.solve_lp
 
         def counted(*args, **kwargs):
             sol = solve_lp(*args, **kwargs)
-            pivots.append(sol.iterations)
+            entries.append(sol.iterations)
             return sol
 
         monkeypatch.setattr(simulability, "solve_lp", counted)
@@ -165,16 +165,16 @@ class TestDeskScale:
             gap = (p_guess_with_measurement(result.witness, target)
                    - p_guess_with_measurement(result.witness, source))
             assert gap == pytest.approx(result.gap, rel=1e-12)
-            assert len(pivots) == lps and result.pivots == (pivots[0] if lps else None)
-        assert pivots[0] <= max_pivots
+            assert len(entries) == lps and result.entries == (entries[0] if lps else None)
+        assert entries[0] <= max_entries
 
 
-@pytest.mark.parametrize("kind, d, o, o_target, verdict, pivots", [
+@pytest.mark.parametrize("kind, d, o, o_target, verdict, entries", [
     ("post-processed", 4, 4, 3, SIMULABLE, 16),
     ("depolarized", 4, 5, 5, NOT_SIMULABLE, 12),
     ("post-processed", 3, 5, 4, SIMULABLE, 25),
 ])
-def test_pivot_counts_are_pinned(kind, d, o, o_target, verdict, pivots):
+def test_pivot_counts_are_pinned(kind, d, o, o_target, verdict, entries):
     # Exact counts of the columns the LP enters on each path through it, from
     # a source split in halves, to either verdict.  A change to the entering
     # rule or the step back that the bounds of TestDeskScale let through
@@ -185,7 +185,7 @@ def test_pivot_counts_are_pinned(kind, d, o, o_target, verdict, pivots):
     else:
         source, target = depolarize_povm(m, 0.3), m
     result = is_simulable(split_in_halves(source), target)
-    assert (result.verdict, result.pivots) == (verdict, pivots)
+    assert (result.verdict, result.entries) == (verdict, entries)
 
 
 def relabeled(m, labels, o_target):
@@ -203,7 +203,7 @@ class TestRelabelings:
         labels = np.random.default_rng(seed).integers(0, 4, 19)
         labels[:4] = np.arange(4)
         result = is_simulable(m, relabeled(m, labels, 4))
-        assert result.simulable and result.pivots is not None
+        assert result.simulable and result.entries is not None
         assert result.residual <= 1e-12
 
     def test_a_split_desk_source_reaches_its_relabeling(self):
@@ -212,7 +212,7 @@ class TestRelabelings:
         m = random_povm(24, 16, 1)
         labels = np.random.default_rng(2).integers(0, 8, 16)
         result = is_simulable(split_in_halves(m), relabeled(m, labels, 8))
-        assert result.simulable and result.pivots is not None
+        assert result.simulable and result.entries is not None
         assert result.residual <= 1e-12
 
     @pytest.mark.parametrize("seed", [105, 117, 126, 250, 379, 506, 547, 569, 585])
@@ -229,7 +229,7 @@ class TestRelabelings:
         eps = 1e-11
         target = Povm((1 - eps) * near + eps * random_povm(d, o_target, seed + 7).elements)
         result = is_simulable(m, target)
-        assert result.simulable and result.pivots is not None
+        assert result.simulable and result.entries is not None
         assert result.residual <= 1e-10
 
     @pytest.mark.parametrize("d, o", [(16, 12), (24, 16), (32, 20), (20, 30)])
@@ -239,7 +239,7 @@ class TestRelabelings:
         m = random_povm(d, o, 1)
         labels = np.random.default_rng(2).integers(0, o // 2, o)
         result = is_simulable(m, relabeled(m, labels, o // 2))
-        assert result.simulable and result.pivots is None
+        assert result.simulable and result.entries is None
         assert np.abs(result.map.probabilities - np.eye(o // 2)[labels]).max() <= 1e-12
 
 
@@ -261,7 +261,7 @@ def test_a_k_basis_source_simulates_its_depolarized_copy(d, seed, k):
     # (5, 1, 3) and returned a map 2e-4 to 1e-3 off the target
     m = k_basis(d, seed, k)
     result = is_simulable(m, depolarize_povm(m, 0.3))
-    assert result.simulable and result.pivots is not None
+    assert result.simulable and result.entries is not None
     assert result.residual <= 1e-12
 
 
@@ -290,36 +290,36 @@ class TestUniqueMap:
         m = random_povm(4, 6, 5)
         p = random_stochastic_map(6, 3, 6)
         result = is_simulable(m, post_process(m, p))
-        assert result.simulable and result.pivots is None
+        assert result.simulable and result.entries is None
         assert np.abs(result.map.probabilities - p.probabilities).max() <= 1e-12
 
     def test_negative_entries_certify_with_zero_scalars(self):
         target = random_povm(3, 4, 31)
         source = depolarize_povm(target, 0.3)
         result = is_simulable(source, target)
-        assert result.verdict == NOT_SIMULABLE and result.pivots is None
+        assert result.verdict == NOT_SIMULABLE and result.entries is None
         assert not result.certificate.scalars.any()
         assert_certificate_separates(result.certificate, source, target)
 
-    @pytest.mark.parametrize("d, o, eps, seed, verdict, pivots", [
+    @pytest.mark.parametrize("d, o, eps, seed, verdict, entries", [
         (3, 3, 3e-9, 13, NOT_SIMULABLE, 6),
         (2, 3, 3e-9, 2, NOT_SIMULABLE, 7),
     ])
     def test_a_witness_below_the_gap_leaves_the_verdict_to_the_lp(self, d, o, eps, seed,
-                                                                  verdict, pivots):
+                                                                  verdict, entries):
         # The negative entries, of order eps, give a witness gap below
         # WITNESS_GAP_TOL, and the LP's Farkas witness decides: gaps 1.23e-9
         # and 1.66e-9.
         source, target = band_pair(d, o, eps, seed)
         result = is_simulable(source, target)
-        assert (result.verdict, result.pivots) == (verdict, pivots)
+        assert (result.verdict, result.entries) == (verdict, entries)
         if verdict == NOT_SIMULABLE:
             assert_certificate_separates(result.certificate, source, target)
 
     def test_a_dependent_source_runs_the_lp(self):
         m = random_povm(2, 6, 1)  # six elements in the 4-dimensional span at d = 2
         result = is_simulable(m, post_process(m, random_stochastic_map(6, 4, 2)))
-        assert result.simulable and result.pivots == 19
+        assert result.simulable and result.entries == 19
 
 
 class TestCertificate:

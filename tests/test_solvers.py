@@ -143,11 +143,11 @@ class TestSolveLp:
                       [0.5, -12.0, -0.5, 3.0, 0.0, 1.0, 0.0],
                       [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]])
         b = np.array([0.0, 0.0, 1.0])
-        monkeypatch.setattr(solvers, "MAX_PIVOTS", 2)
+        monkeypatch.setattr(solvers, "MAX_ENTRIES", 2)
         with pytest.raises(SolverFailure, match="after 2 entered columns"):
             solve_lp(a, b)
         for cap in (3, 4):
-            monkeypatch.setattr(solvers, "MAX_PIVOTS", cap)
+            monkeypatch.setattr(solvers, "MAX_ENTRIES", cap)
             sol = solve_lp(a, b)
             assert sol.status == OPTIMAL and sol.iterations == 3 and sol.x.min() >= 0.0
             assert np.abs(a @ sol.x - b).max() <= 1e-12
@@ -158,7 +158,7 @@ class TestSolveLp:
         b = a @ rng.random(12)
         entered = solve_lp(a, b).iterations
         assert entered >= 2
-        monkeypatch.setattr(solvers, "MAX_PIVOTS", entered - 1)
+        monkeypatch.setattr(solvers, "MAX_ENTRIES", entered - 1)
         with pytest.raises(SolverFailure, match=f"after {entered - 1} entered columns"):
             solve_lp(a, b)
 
@@ -226,7 +226,7 @@ class TestSolveDominating:
             np.einsum("iab,iba->", constraints, sol.duals).real, abs=1e-12)
 
     @pytest.mark.parametrize("basis", [
-        hermitian_basis(2)[1:2],  # a single traceless element
+        hermitian_basis(2)[2:3],  # a single traceless element
         np.diag([1.0, 0.0])[None],
         np.diag([1.0, 2.0])[None] / math.sqrt(5.0),
     ], ids=["traceless", "diag_1_0", "diag_1_2"])
@@ -260,14 +260,18 @@ class TestSolveDominating:
         with pytest.raises(ValueError, match="orthonormal"):
             solve_dominating(basis, np.full((1, 2, 2), 0.5, dtype=complex))
 
-    def test_step_counts_are_pinned(self):
+    def test_step_counts_are_pinned(self, count_calls):
         # interior-point steps of three fixed programs; each moved by at most
-        # two when the contractions became matrix products
+        # two when the contractions became matrix products.  The lower bound
+        # is certified once per solve, at the step where the complementarity
+        # gap reaches GAP_TOL: each stops there
+        certified = count_calls(solvers._certified_lower)
         helstrom = solve_dominating(hermitian_basis(3), weighted_pair(3, 92))
-        assert abs(helstrom.iterations - 11) <= 2
+        assert abs(helstrom.iterations - 11) <= 2 and len(certified) == 1
         assert abs(roc(np.full((3, 3), 1.0 / 3.0)).iterations - 10) <= 2
+        assert len(certified) == 2
         pair = solve_dominating(hermitian_basis(8), weighted_pair(8, 1))
-        assert abs(pair.iterations - 11) <= 2
+        assert abs(pair.iterations - 11) <= 2 and len(certified) == 3
 
     def test_iteration_limit_reports_a_finite_gap(self, monkeypatch):
         # two steps are too few to certify anything: the failure still
@@ -359,6 +363,19 @@ class TestStepShape:
         with pytest.raises(SolverFailure, match="inverted"):
             solve_dominating(np.eye(2, dtype=complex)[None] / math.sqrt(2.0),
                              np.diag([0.75, 0.25]).astype(complex)[None])
+
+
+@pytest.mark.parametrize("d, o", [(2, 2), (3, 4), (4, 3)])
+def test_roc_and_rom_sdp_spans_keep_their_diagonal_matrix_units(count_calls, d, o):
+    # both spans are sliced off hermitian_basis; the arrays solve_dominating
+    # receives equal, entry for entry, the diagonal units each once built itself
+    calls = count_calls(solvers.solve_dominating)
+    roc(random_density_matrix(d, np.random.default_rng(d)))
+    rom_via_sdp(random_povm(d, o, 1))
+    (roc_basis, _), (rom_basis, _) = calls
+    np.testing.assert_array_equal(roc_basis, np.eye(d)[:, :, None] * np.eye(d))
+    np.testing.assert_array_equal(
+        rom_basis, np.kron(np.eye(o)[:, :, None] * np.eye(o), np.eye(d) / np.sqrt(d)))
 
 
 class TestRomViaSdp:
@@ -461,13 +478,13 @@ SCALAR_PROGRAM = (np.eye(2, dtype=complex)[None] / math.sqrt(2.0),
     (None, lambda: solve_lp([[1.0, 1.0]], [np.inf]), InvalidArgument),
     (None, lambda: solve_lp([[1.0, 1.0]], [np.nan]), InvalidArgument),
     (None, lambda: solve_lp([[np.nan, 1.0]], [1.0]), InvalidArgument),
-    (lambda mp: mp.setattr(solvers, "MAX_PIVOTS", 0),
+    (lambda mp: mp.setattr(solvers, "MAX_ENTRIES", 0),
      lambda: solve_lp([[1.0, 1.0]], [1.0]), SolverFailure),
     (None, lambda: min_error_guess_value(Ensemble(np.zeros((0, 2, 2)), np.zeros(0))),
      InvalidArgument),
     (None, lambda: solve_dominating(np.stack([np.diag([1.0, 2.0]), np.diag([1.0, 0.0])]),
                                     np.full((1, 2, 2), 0.5)), InvalidArgument),
-    (None, lambda: solve_dominating(hermitian_basis(2)[1:2], np.eye(2)[None] / 2),
+    (None, lambda: solve_dominating(hermitian_basis(2)[2:3], np.eye(2)[None] / 2),
      InvalidArgument),
     (lambda mp: mp.setattr(solvers, "MAX_ITERATIONS", 1),
      lambda: solve_dominating(*SCALAR_PROGRAM), SolverFailure),
