@@ -13,12 +13,13 @@ dominating a list of Hermitian constraints, by a primal-dual interior-point
 method (HKM direction, Mehrotra predictor-corrector; Helmberg, Rendl,
 Vanderbei and Wolkowicz, SIAM J. Optim. 6 (1996); Vandenberghe and Boyd,
 SIAM Rev. 38 (1996)) that returns a strictly feasible point together with a
-certified lower bound.  Its trace pairings are real matrix products of the
-matrices' real and imaginary parts.  Each step factors every primal slack
-and dual matrix with one stacked Cholesky call and inverts those factors
-with one ``inv`` call, each predictor or corrector stage takes both step
-lengths from one stacked eigensolve, and the lower bound is computed only
-once the complementarity gap is within the tolerance.
+certified lower bound.  Over every Hermitian matrix its Newton step is one
+linear solve in vec form (Todd, Toh and Tutuncu, SIAM J. Optim. 8 (1998)),
+over a smaller span a Schur complement in the basis coordinates.  Each step
+factors every primal slack and dual matrix with one stacked Cholesky call
+and inverts those factors with one ``inv`` call, each predictor or corrector
+stage takes both step lengths from one stacked eigensolve, and the lower
+bound is computed only once the complementarity gap is within the tolerance.
 Both take arrays and return a finished solution; bad input raises
 ``InvalidArgument``, and a solve that cannot finish ``SolverFailure``.
 The module also instantiates the robustness program of a measurement
@@ -151,13 +152,15 @@ def _span(x, basis):
 
 
 def _validate_program(basis, constraints):
-    """A program's stacks and costs ``tr B_j``, the identity's coordinates;
-    ``InvalidArgument`` unless the basis is orthonormal and spans I."""
-    basis = check_hermitian(basis)
+    """A program's stacks, with ``None`` for a span of every Hermitian matrix
+    (given or found); ``InvalidArgument`` unless the basis is orthonormal and spans I."""
+    basis = None if basis is None else check_hermitian(basis)
     constraints = check_hermitian(constraints)
-    if (basis.ndim != 3 or not len(basis) or not len(constraints)
-            or constraints.shape[1:] != basis.shape[1:]):
+    if constraints.ndim != 3 or not len(constraints) or basis is not None and (
+            basis.ndim != 3 or not len(basis) or basis.shape[1:] != constraints.shape[1:]):
         raise InvalidArgument("need nonempty basis and constraint stacks of one dimension")
+    if basis is None:
+        return None, constraints
     off = np.abs(_rows(basis) @ _rows(basis).T - np.eye(len(basis))).max()
     if off > ORTHONORMALITY_TOL:
         raise InvalidArgument(f"subspace basis is off orthonormal by {off:.3e}")
@@ -165,7 +168,7 @@ def _validate_program(basis, constraints):
     missing = np.abs(_span(c, basis) - np.eye(basis.shape[1])).max()
     if missing > IDENTITY_TOL:
         raise InvalidArgument(f"the span of the basis misses the identity by {missing:.3e}")
-    return basis, constraints, c
+    return (None if len(basis) == basis.shape[1] ** 2 else basis), constraints
 
 
 def _step_lengths(inv_chols, inv_chols_h, directions, fraction):
@@ -179,78 +182,86 @@ def _step_lengths(inv_chols, inv_chols_h, directions, fraction):
     return tuple(min(1.0, -fraction / v) if v < 0.0 else 1.0 for v in smallest.tolist())
 
 
-def _central_path(basis, constraints, c, x, z):
-    """Iterates ``(x, s, z)`` of a primal-dual path-following method for
-    ``min c.x`` subject to ``S_i = sum_j x_j B_j - K_i >= 0``, whose dual
-    is ``max sum_i tr[K_i Z_i]`` subject to ``sum_i tr[B_j Z_i] = c_j``
-    and ``Z_i >= 0``.
+def _newton_solver(basis, s_inv, z):
+    """Maps ``R`` to the ``dY`` in the span on which the Hermitian parts of ``sum_i
+    S_i^-1 dY Z_i`` and ``R`` project alike.  On the full span, one solve in vec
+    form: with row-major ``vec``, ``vec(A X B) = (A (x) B^T) vec(X)``, so ``G =
+    (H + T conj(H) T) / 2`` for ``H = sum_i S_i^-1 (x) Z_i^T``, ``T`` swapping
+    the indices of ``vec``; ``T conj(H) T = sum_i Z_i (x) S_i^-T`` makes ``2 G``
+    one GEMM over the stack paired both ways, read through a transpose of its
+    four-index view.  Smaller spans solve the Schur complement in coordinates."""
+    m, d = z.shape[0], z.shape[1]
+    if basis is None:
+        u, v = (np.concatenate(p).reshape(2 * m, -1) for p in ([s_inv, z], [z, s_inv]))
+        twice = (u.T @ v).reshape(d, d, d, d).transpose(0, 3, 1, 2).reshape(d * d, d * d)
 
-    The start ``x`` must be strictly feasible and ``z`` positive definite;
-    every iterate stays so.  Each step is the HKM direction with
-    Mehrotra's predictor-corrector: one ``k x k`` Schur complement
-    ``H_jl = sum_i Re tr[B_j S_i^-1 B_l Z_i]`` serves both solves, and all
-    the matrix work is batched over the constraint stack.  Pairings with
-    the basis are real matrix products of ``_rows`` (``H`` is one GEMM), one
-    Cholesky and one ``inv`` call serve the stack of every ``S_i`` over every
-    ``Z_i``, and each stage takes both step lengths from one stacked eigensolve.
-    """
+        def solve(rhs):  # the Hermitian part of G^-1 rhs, as twice is 2 G
+            dy = np.linalg.solve(twice, rhs.reshape(-1)).reshape(d, d)
+            return dy + dy.conj().T
+        return solve
+    rows = _rows(basis)  # schur_jl = sum_i Re tr[B_j S_i^-1 B_l Z_i]
+    schur = rows @ _rows((s_inv[:, None] @ basis[None] @ z[:, None]).sum(axis=0)).T
+    return lambda rhs: _span(np.linalg.solve(schur, rows @ _rows(rhs)), basis)
+
+
+def _central_path(basis, constraints, y, z):
+    """Iterates ``(Y, S, Z)`` of a primal-dual path-following method for
+    ``min tr Y`` over the span subject to ``S_i = Y - K_i >= 0``, whose dual
+    is ``max sum_i tr[K_i Z_i]`` subject to ``sum_i Z_i`` projecting onto I
+    and ``Z_i >= 0``, from a strictly feasible ``y`` and positive definite ``z``.
+    Each step is the HKM direction with Mehrotra's predictor-corrector, both
+    solves from one ``_newton_solver``; one Cholesky and one ``inv`` call serve
+    the stack of every ``S_i`` over every ``Z_i``, each stage takes both step
+    lengths from one stacked eigensolve, and both are halved while rounding
+    near the boundary leaves the new stack without a Cholesky factor."""
     m, d = constraints.shape[0], constraints.shape[1]
-    rows = _rows(basis)
     eye = np.eye(d)
-    pair = np.concatenate([_span(x, basis) - constraints, z])  # every S_i over every Z_i
+    pair = np.concatenate([y - constraints, z])  # every S_i over every Z_i
     chols = np.linalg.cholesky(pair)
-    directions = np.empty(pair.shape, dtype=complex)  # dS (m times) over every dZ_i
+    directions = np.empty(pair.shape, dtype=complex)  # dY (m times) over every dZ_i
     while True:
         s, z = pair[:m], pair[m:]
-        yield x, s, z
+        yield y, s, z
         inv_chols = np.linalg.inv(chols)
         inv_chols_h = inv_chols.conj().swapaxes(-1, -2)
         s_inv = inv_chols_h[:m] @ inv_chols[:m]
         mu = np.vdot(s, z).real / (m * d)
-        # sum_i S_i^-1 B_l Z_i, stacked over l
-        weighted = (s_inv[:, None] @ basis[None] @ z[:, None]).sum(axis=0)
-        schur = rows @ _rows(weighted).T
+        newton = _newton_solver(basis, s_inv, z)
 
-        def direction(dx, dz_rest):  # dS and the Hermitian dZ, written into directions
-            ds = _span(dx, basis)
-            dz = dz_rest - s_inv @ ds @ z
-            directions[:m] = ds
+        def direction(dy, dz_rest):  # dY and the Hermitian dZ, written into directions
+            dz = dz_rest - s_inv @ dy @ z
+            directions[:m] = dy
             directions[m:] = 0.5 * (dz + dz.conj().swapaxes(-1, -2))
-            return ds, directions[m:]
+            return dy, directions[m:]
 
-        # predictor: the affine direction, whose right-hand side is just -c
-        ds, dz = direction(np.linalg.solve(schur, -c), -z)
+        # predictor: the affine direction, whose right-hand side is just -I
+        dy, dz = direction(newton(-eye), -z)
         alpha_p, alpha_d = _step_lengths(inv_chols, inv_chols_h, directions, 1.0)
-        mu_affine = np.vdot(s + alpha_p * ds, z + alpha_d * dz).real / (m * d)
+        mu_affine = np.vdot(s + alpha_p * dy, z + alpha_d * dz).real / (m * d)
         sigma = (mu_affine / mu) ** 3
         # corrector: centring and the second-order term
-        s_inv_target = s_inv @ (sigma * mu * eye - ds @ dz)
-        dx = np.linalg.solve(schur, rows @ _rows(s_inv_target.sum(axis=0)) - c)
-        ds, dz = direction(dx, s_inv_target - z)
+        s_inv_target = s_inv @ (sigma * mu * eye - dy @ dz)
+        dy, dz = direction(newton(s_inv_target.sum(axis=0) - eye), s_inv_target - z)
         alpha_p, alpha_d = _step_lengths(inv_chols, inv_chols_h, directions, STEP_FRACTION)
-        x, pair, chols = _positive_step(x, dx, alpha_p, z, dz, alpha_d, basis, constraints)
-
-
-def _positive_step(x, dx, alpha_p, z, dz, alpha_d, basis, constraints):
-    """The next ``x`` with the stack of every new ``S_i`` over every new
-    ``Z_i`` and its Cholesky factors, halving both step lengths until the
-    stack has them: rounding can undo a step computed near the boundary."""
-    for _ in range(MAX_HALVINGS):
-        new_x = x + alpha_p * dx
-        pair = np.concatenate([_span(new_x, basis) - constraints, z + alpha_d * dz])
-        try:
-            return new_x, pair, np.linalg.cholesky(pair)
-        except np.linalg.LinAlgError:
-            alpha_p, alpha_d = 0.5 * alpha_p, 0.5 * alpha_d
-    raise SolverFailure("interior-point step cannot stay positive definite")
+        for _ in range(MAX_HALVINGS):
+            pair = np.concatenate([y + alpha_p * dy - constraints, z + alpha_d * dz])
+            try:
+                chols = np.linalg.cholesky(pair)
+                break
+            except np.linalg.LinAlgError:
+                alpha_p, alpha_d = 0.5 * alpha_p, 0.5 * alpha_d
+        else:
+            raise SolverFailure("interior-point step cannot stay positive definite")
+        y = y + alpha_p * dy
 
 
 def _certified_lower(basis, constraints, z):
     """A dual objective that bounds the optimum from below, with its duals
-    ``S^-1/2 Z_i S^-1/2``, ``S = P(sum_i Z_i)`` the projection onto the span:
-    over a *-algebra they sum to a projection onto I, so are exactly feasible.
-    A ``S`` that is not positive definite breaks that: ``SolverFailure``."""
-    w, v = np.linalg.eigh(_span(_rows(basis) @ _rows(z.sum(axis=0)), basis))
+    ``S^-1/2 Z_i S^-1/2``, ``S = P(sum_i Z_i)`` the projection onto the span (the
+    Hermitian sum itself on the full span): over a *-algebra they sum to a projection
+    onto I, so are exactly feasible.  ``SolverFailure`` if ``S`` is not positive definite."""
+    total = z.sum(axis=0)
+    w, v = np.linalg.eigh(total if basis is None else _span(_rows(basis) @ _rows(total), basis))
     if w[0] <= 0.0:
         raise SolverFailure(f"projected dual sum is not positive definite "
                             f"(smallest eigenvalue {w[0]:.3e})")
@@ -265,6 +276,7 @@ def solve_dominating(basis, constraints) -> SdpSolution:
 
     ``basis`` stacks Hermitian ``B_j`` (real coefficients), orthonormal in the
     trace inner product, whose span is a *-algebra containing the identity;
+    ``None`` means every Hermitian matrix, with no basis to build or check.
     ``constraints`` stacks the Hermitian ``K_i``, all of one dimension.  Input
     that breaks this contract raises ``InvalidArgument``.  With it, ``lambda I``
     with ``lambda`` above every ``lambda_max(K_i)`` is a strictly feasible
@@ -276,14 +288,20 @@ def solve_dominating(basis, constraints) -> SdpSolution:
     gives a lower bound, and the solve stops when that is as close to the value.
     It raises ``SolverFailure``, reporting the gap left, if that takes more than
     ``MAX_ITERATIONS`` steps, or if the lower bound it stops at lies above the value.
+
+    The full span (``None`` or ``d^2`` elements) takes the Newton step in vec form
+    with a few ``d^2 x d^2`` complex operators per step, ``16 d^4`` bytes each.
+    A span of ``k < d^2`` dimensions solves a ``k x k`` Schur complement, whose
+    products ``S_i^-1 B_l Z_i`` hold ``16 m k d^2`` bytes: far less for ``roc``,
+    ``roa`` and ``rom_via_sdp``, whose vec operator would have ``(o d)^4`` entries.
     """
-    basis, constraints, c = _validate_program(basis, constraints)
+    basis, constraints = _validate_program(basis, constraints)
     lam = np.linalg.eigvalsh(constraints)[:, -1].max()
-    x = (lam + max(1.0, abs(lam))) * c
-    z = np.broadcast_to(np.eye(basis.shape[1]) / constraints.shape[0], constraints.shape)
-    path = islice(_central_path(basis, constraints, c, x, z), MAX_ITERATIONS)
-    for iterations, (x, s, z) in enumerate(path):
-        value = float(c @ x)
+    y = (lam + max(1.0, abs(lam))) * np.eye(constraints.shape[1])
+    z = np.broadcast_to(np.eye(constraints.shape[1]) / constraints.shape[0], constraints.shape)
+    path = islice(_central_path(basis, constraints, y, z), MAX_ITERATIONS)
+    for iterations, (y, s, z) in enumerate(path):
+        value = float(np.trace(y).real)
         tol = GAP_TOL * max(1.0, abs(value))
         gap = np.vdot(s, z).real
         if gap <= tol:
@@ -294,7 +312,6 @@ def solve_dominating(basis, constraints) -> SdpSolution:
                 raise SolverFailure(f"dominance bracket is inverted: lower {lower!r} "
                                     f"above value {value!r}")
             min_slack = float(np.linalg.eigvalsh(s)[:, 0].min())
-            y = _span(x, basis)
             return SdpSolution(y, value, lower, duals, min_slack, iterations)
     raise SolverFailure(
         f"dominance solve left a gap of {gap:.3e} after {MAX_ITERATIONS} iterations"
@@ -339,6 +356,4 @@ def min_error_guess_value(ensemble) -> float:
 def _guess_solution(ensemble) -> SdpSolution:
     """The certified dominance solve behind ``min_error_guess_value``."""
     ensemble = _require_ensemble(ensemble)
-    d = ensemble.dimension
-    constraints = ensemble.priors[:, None, None] * ensemble.states
-    return solve_dominating(hermitian_basis(d), constraints)
+    return solve_dominating(None, ensemble.priors[:, None, None] * ensemble.states)

@@ -381,7 +381,7 @@ class TestRocOracles:
     """Closed forms of the robustness of coherence (Piani et al., PRA 93,
     042107 (2016); Napoli et al., PRL 116, 150502 (2016))."""
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 9, 16])
     def test_pure_state(self, d):
         rng = np.random.default_rng(300 + d)
         for _ in range(3):

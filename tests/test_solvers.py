@@ -15,6 +15,7 @@ from povmrobust.discrimination import (
     validate_ensemble,
 )
 from povmrobust.errors import InvalidArgument, InvalidEnsemble, PovmRobustError, SolverFailure
+from povmrobust.info import acc_min_info_ensemble
 from povmrobust.measurement import Povm, random_povm, trivial_povm
 from povmrobust.numerics import eig_hermitian, hermitian_basis
 from povmrobust.rom import rom
@@ -289,6 +290,23 @@ class TestSolveDominating:
             solvers._certified_lower(basis, np.eye(2, dtype=complex)[None],
                                      np.zeros((1, 2, 2), dtype=complex))
 
+    def test_a_full_basis_takes_the_route_of_the_full_span(self):
+        # d^2 orthonormal elements span every Hermitian matrix: after its
+        # checks the solve is the one without a basis, bit for bit
+        constraints = weighted_pair(4, 3)
+        given = solve_dominating(hermitian_basis(4), constraints)
+        full = solve_dominating(None, constraints)
+        assert given.iterations == full.iterations
+        assert (given.value, given.lower) == (full.value, full.lower)
+        np.testing.assert_array_equal(given.y, full.y)
+        np.testing.assert_array_equal(given.duals, full.duals)
+
+    def test_a_dependent_full_size_basis_is_rejected(self):
+        basis = hermitian_basis(2)
+        basis[3] = basis[2]
+        with pytest.raises(InvalidArgument, match="orthonormal"):
+            solve_dominating(basis, np.eye(2, dtype=complex)[None] / 2)
+
     def test_rejects_dependent_basis(self):
         basis = np.stack([np.eye(2, dtype=complex), 2.0 * np.eye(2, dtype=complex)])
         with pytest.raises(ValueError):
@@ -325,10 +343,12 @@ class TestStepShape:
     @pytest.mark.parametrize("solve", [
         lambda: roc(np.full((3, 3), 1.0 / 3.0)),
         lambda: solve_dominating(hermitian_basis(3), weighted_pair(3, 92)),
-    ], ids=["roc", "guess_d3"])
+        lambda: solve_dominating(hermitian_basis(8), weighted_pair(8, 1)),
+        lambda: _guess_solution(random_ensemble(4, 3, 9600)),
+    ], ids=["roc", "guess_d3", "full_basis_d8", "guess_solution_d4"])
     def test_dispatch_budget(self, monkeypatch, solve):
         # one stacked factorization and one inverse per step, one step-length
-        # eigensolve per stage, one Schur solve per stage
+        # eigensolve per stage, one Newton solve per stage (Schur or vec form)
         budget = {"inv": 1, "cholesky": 1, "eigvalsh": 2, "solve": 2}
         for step in self.per_step_calls(monkeypatch, solve):
             assert step == budget
@@ -455,6 +475,15 @@ class TestMinErrorGuessValue:
     def test_rejects_non_ensemble(self):
         with pytest.raises(InvalidEnsemble):
             min_error_guess_value([np.eye(2) / 2])
+
+    def test_no_basis_is_built(self, count_calls):
+        # the guessing program spans every Hermitian matrix, whose basis
+        # (16 d^4 bytes, with a d^6 Gram check) the vec-form step never needs
+        calls = count_calls(hermitian_basis)
+        e = random_ensemble(5, 3, 9700)
+        assert min_error_guess_value(e) >= e.priors.max() - 1e-9
+        assert acc_min_info_ensemble(e) >= -1e-9
+        assert calls == []
 
 
 def _overstated_lower(monkeypatch):
