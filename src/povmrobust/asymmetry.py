@@ -254,7 +254,7 @@ def _certified_asymmetry(rho, g: GroupRepresentation, basis) -> AsymmetryReport:
 def roc(rho) -> AsymmetryReport:
     """Robustness of coherence: asymmetry under the dephasing group, where
     the symmetric operators are the diagonal matrices, spanned by the d
-    diagonal matrix units."""
+    diagonal matrix units ``E_jj``."""
     rho = check_density_matrix(rho)
     d = rho.shape[0]
-    return _certified_asymmetry(rho, dephasing_group(d), hermitian_basis(d)[:d])
+    return _certified_asymmetry(rho, dephasing_group(d), np.eye(d)[:, :, None] * np.eye(d))

@@ -1,8 +1,8 @@
 """Dense complex-matrix kernels.
 
 Hermitian eigendecomposition, operator norms, positivity checks,
-Haar-random unitaries and the matrix-unit basis every dominance span is
-cut from, all on plain ``numpy`` arrays of ``complex128``.
+Haar-random unitaries and the matrix-unit basis that symmetric spans are
+twirled from, all on plain ``numpy`` arrays of ``complex128``.
 Eigendecompositions are LAPACK's, through ``np.linalg.eigh``, and take a
 single matrix or a whole stack ``(..., d, d)`` (the elements of a POVM,
 say) in one call.

@@ -15,11 +15,12 @@ Vanderbei and Wolkowicz, SIAM J. Optim. 6 (1996); Vandenberghe and Boyd,
 SIAM Rev. 38 (1996)) that returns a strictly feasible point together with a
 certified lower bound.  Over every Hermitian matrix its Newton step is one
 linear solve in vec form (Todd, Toh and Tutuncu, SIAM J. Optim. 8 (1998)),
-over a smaller span a Schur complement in the basis coordinates.  Each step
-factors every primal slack and dual matrix with one stacked Cholesky call
-and inverts those factors with one ``inv`` call, each predictor or corrector
-stage takes both step lengths from one stacked eigensolve, and the lower
-bound is computed only once the complementarity gap is within the tolerance.
+over a smaller span a Schur complement in the basis coordinates.  A block-diagonal
+operator is the stack of its blocks (SDPA's format; Fujisawa, Kojima and Nakata,
+Math. Program. 79 (1997)).  Each step factors every primal slack and dual matrix
+with one stacked Cholesky call and inverts those factors with one ``inv`` call,
+each predictor or corrector stage takes both step lengths from one stacked
+eigensolve, and the lower bound is computed only once the gap is within tolerance.
 Both take arrays and return a finished solution; bad input raises
 ``InvalidArgument``, and a solve that cannot finish ``SolverFailure``.
 The module also instantiates the robustness program of a measurement
@@ -37,7 +38,7 @@ import numpy as np
 from .discrimination import _require_ensemble
 from .errors import InvalidArgument, SolverFailure
 from .measurement import Povm, _require_povm
-from .numerics import check_hermitian, hermitian_basis
+from .numerics import check_hermitian
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -140,10 +141,10 @@ class SdpSolution:
 
 
 def _rows(mats):
-    """Each matrix as one real row of its interleaved real and imaginary
-    parts (a view): ``Re tr[B M] = _rows(B) . _rows(M)`` for Hermitian B."""
-    mats = np.ascontiguousarray(mats, dtype=np.complex128)
-    return mats.view(np.float64).reshape(*mats.shape[:-2], -1)
+    """A matrix, or each matrix or stack of blocks in a stack, as one real row of its interleaved
+    real and imaginary parts (a view): ``Re tr[B M] = _rows(B) . _rows(M)`` for Hermitian B."""
+    mats = np.ascontiguousarray(mats, dtype=np.complex128).view(np.float64)
+    return mats.reshape(len(mats), -1) if mats.ndim > 2 else mats.ravel()
 
 
 def _span(x, basis):
@@ -156,19 +157,20 @@ def _validate_program(basis, constraints):
     (given or found); ``InvalidArgument`` unless the basis is orthonormal and spans I."""
     basis = None if basis is None else check_hermitian(basis)
     constraints = check_hermitian(constraints)
-    if constraints.ndim != 3 or not len(constraints) or basis is not None and (
-            basis.ndim != 3 or not len(basis) or basis.shape[1:] != constraints.shape[1:]):
-        raise InvalidArgument("need nonempty basis and constraint stacks of one dimension")
+    if constraints.ndim not in (3, 4) or not len(constraints) or (
+            constraints.ndim == 4 if basis is None else
+            not len(basis) or basis.shape[1:] != constraints.shape[1:]):
+        raise InvalidArgument("need nonempty stacks of one shape, and a basis for blocks")
     if basis is None:
         return None, constraints
     off = np.abs(_rows(basis) @ _rows(basis).T - np.eye(len(basis))).max()
     if off > ORTHONORMALITY_TOL:
         raise InvalidArgument(f"subspace basis is off orthonormal by {off:.3e}")
-    c = np.trace(basis, axis1=1, axis2=2).real
-    missing = np.abs(_span(c, basis) - np.eye(basis.shape[1])).max()
+    eye = np.broadcast_to(np.eye(basis.shape[-1]), basis.shape[1:])
+    missing = np.abs(_span(_rows(basis) @ _rows(eye).ravel(), basis) - eye).max()
     if missing > IDENTITY_TOL:
         raise InvalidArgument(f"the span of the basis misses the identity by {missing:.3e}")
-    return (None if len(basis) == basis.shape[1] ** 2 else basis), constraints
+    return (None if basis.ndim == 3 and len(basis) == basis.shape[1] ** 2 else basis), constraints
 
 
 def _step_lengths(inv_chols, inv_chols_h, directions, fraction):
@@ -178,7 +180,7 @@ def _step_lengths(inv_chols, inv_chols_h, directions, fraction):
     factors of every ``S_i`` over those of every ``Z_i``, and ``directions``
     ``dS`` (once per ``S_i``) over every ``dZ_i``, so one eigensolve gives both."""
     scaled = inv_chols @ directions @ inv_chols_h
-    smallest = np.linalg.eigvalsh(scaled)[:, 0].reshape(2, -1).min(axis=1)
+    smallest = np.linalg.eigvalsh(scaled)[..., 0].reshape(2, -1).min(axis=1)
     return tuple(min(1.0, -fraction / v) if v < 0.0 else 1.0 for v in smallest.tolist())
 
 
@@ -201,7 +203,7 @@ def _newton_solver(basis, s_inv, z):
         return solve
     rows = _rows(basis)  # schur_jl = sum_i Re tr[B_j S_i^-1 B_l Z_i]
     schur = rows @ _rows((s_inv[:, None] @ basis[None] @ z[:, None]).sum(axis=0)).T
-    return lambda rhs: _span(np.linalg.solve(schur, rows @ _rows(rhs)), basis)
+    return lambda rhs: _span(np.linalg.solve(schur, rows @ _rows(rhs).ravel()), basis)
 
 
 def _central_path(basis, constraints, y, z):
@@ -214,8 +216,8 @@ def _central_path(basis, constraints, y, z):
     the stack of every ``S_i`` over every ``Z_i``, each stage takes both step
     lengths from one stacked eigensolve, and both are halved while rounding
     near the boundary leaves the new stack without a Cholesky factor."""
-    m, d = constraints.shape[0], constraints.shape[1]
-    eye = np.eye(d)
+    m, d = len(constraints), y.shape[-1]
+    eye = np.broadcast_to(np.eye(d), y.shape)  # I, block by block
     pair = np.concatenate([y - constraints, z])  # every S_i over every Z_i
     chols = np.linalg.cholesky(pair)
     directions = np.empty(pair.shape, dtype=complex)  # dY (m times) over every dZ_i
@@ -225,7 +227,7 @@ def _central_path(basis, constraints, y, z):
         inv_chols = np.linalg.inv(chols)
         inv_chols_h = inv_chols.conj().swapaxes(-1, -2)
         s_inv = inv_chols_h[:m] @ inv_chols[:m]
-        mu = np.vdot(s, z).real / (m * d)
+        mu = np.vdot(s, z).real / (s.size // d)  # over m times the total dimension
         newton = _newton_solver(basis, s_inv, z)
 
         def direction(dy, dz_rest):  # dY and the Hermitian dZ, written into directions
@@ -237,7 +239,7 @@ def _central_path(basis, constraints, y, z):
         # predictor: the affine direction, whose right-hand side is just -I
         dy, dz = direction(newton(-eye), -z)
         alpha_p, alpha_d = _step_lengths(inv_chols, inv_chols_h, directions, 1.0)
-        mu_affine = np.vdot(s + alpha_p * dy, z + alpha_d * dz).real / (m * d)
+        mu_affine = np.vdot(s + alpha_p * dy, z + alpha_d * dz).real / (s.size // d)
         sigma = (mu_affine / mu) ** 3
         # corrector: centring and the second-order term
         s_inv_target = s_inv @ (sigma * mu * eye - dy @ dz)
@@ -260,12 +262,12 @@ def _certified_lower(basis, constraints, z):
     ``S^-1/2 Z_i S^-1/2``, ``S = P(sum_i Z_i)`` the projection onto the span (the
     Hermitian sum itself on the full span): over a *-algebra they sum to a projection
     onto I, so are exactly feasible.  ``SolverFailure`` if ``S`` is not positive definite."""
-    total = z.sum(axis=0)
-    w, v = np.linalg.eigh(total if basis is None else _span(_rows(basis) @ _rows(total), basis))
-    if w[0] <= 0.0:
+    s = z.sum(axis=0)
+    w, v = np.linalg.eigh(s if basis is None else _span(_rows(basis) @ _rows(s).ravel(), basis))
+    if w.min() <= 0.0:
         raise SolverFailure(f"projected dual sum is not positive definite "
-                            f"(smallest eigenvalue {w[0]:.3e})")
-    root = (v / np.sqrt(w)) @ v.conj().T
+                            f"(smallest eigenvalue {w.min():.3e})")
+    root = (v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     duals = root @ z @ root
     return float(np.vdot(constraints, duals).real), duals
 
@@ -277,8 +279,9 @@ def solve_dominating(basis, constraints) -> SdpSolution:
     ``basis`` stacks Hermitian ``B_j`` (real coefficients), orthonormal in the
     trace inner product, whose span is a *-algebra containing the identity;
     ``None`` means every Hermitian matrix, with no basis to build or check.
-    ``constraints`` stacks the Hermitian ``K_i``, all of one dimension.  Input
-    that breaks this contract raises ``InvalidArgument``.  With it, ``lambda I``
+    ``constraints`` stacks the Hermitian ``K_i``: ``(m, n, n)``, or ``(m, b, n, n)``
+    for ``b`` blocks with a basis ``(k, b, n, n)``, traces summing over blocks.
+    Input that breaks this contract raises ``InvalidArgument``.  With it, ``lambda I``
     with ``lambda`` above every ``lambda_max(K_i)`` is a strictly feasible
     start, and ``Z_i = I / m`` is dual feasible because ``tr B_j = tr[B_j I]``;
     the path following (HKM direction, Mehrotra predictor-corrector) starts
@@ -289,19 +292,19 @@ def solve_dominating(basis, constraints) -> SdpSolution:
     It raises ``SolverFailure``, reporting the gap left, if that takes more than
     ``MAX_ITERATIONS`` steps, or if the lower bound it stops at lies above the value.
 
-    The full span (``None`` or ``d^2`` elements) takes the Newton step in vec form
-    with a few ``d^2 x d^2`` complex operators per step, ``16 d^4`` bytes each.
-    A span of ``k < d^2`` dimensions solves a ``k x k`` Schur complement, whose
-    products ``S_i^-1 B_l Z_i`` hold ``16 m k d^2`` bytes: far less for ``roc``,
-    ``roa`` and ``rom_via_sdp``, whose vec operator would have ``(o d)^4`` entries.
+    The full span (``None`` or ``n^2`` elements, no blocks) takes the Newton step
+    in vec form with a few ``n^2 x n^2`` complex operators per step, ``16 n^4``
+    bytes each.  Other spans solve a ``k x k`` Schur complement, whose products
+    ``S_i^-1 B_l Z_i`` hold ``16 m k b n^2`` bytes.
     """
     basis, constraints = _validate_program(basis, constraints)
-    lam = np.linalg.eigvalsh(constraints)[:, -1].max()
-    y = (lam + max(1.0, abs(lam))) * np.eye(constraints.shape[1])
-    z = np.broadcast_to(np.eye(constraints.shape[1]) / constraints.shape[0], constraints.shape)
+    lam = np.linalg.eigvalsh(constraints)[..., -1].max()
+    eye = np.broadcast_to(np.eye(constraints.shape[-1]), constraints.shape[1:])
+    y = (lam + max(1.0, abs(lam))) * eye
+    z = np.broadcast_to(eye / len(constraints), constraints.shape)
     path = islice(_central_path(basis, constraints, y, z), MAX_ITERATIONS)
     for iterations, (y, s, z) in enumerate(path):
-        value = float(np.trace(y).real)
+        value = float(np.trace(y, axis1=-2, axis2=-1).sum().real)
         tol = GAP_TOL * max(1.0, abs(value))
         gap = np.vdot(s, z).real
         if gap <= tol:
@@ -311,7 +314,7 @@ def solve_dominating(basis, constraints) -> SdpSolution:
             if lower > value:
                 raise SolverFailure(f"dominance bracket is inverted: lower {lower!r} "
                                     f"above value {value!r}")
-            min_slack = float(np.linalg.eigvalsh(s)[:, 0].min())
+            min_slack = float(np.linalg.eigvalsh(s)[..., 0].min())
             return SdpSolution(y, value, lower, duals, min_slack, iterations)
     raise SolverFailure(
         f"dominance solve left a gap of {gap:.3e} after {MAX_ITERATIONS} iterations"
@@ -322,23 +325,20 @@ def rom_via_sdp(m: Povm) -> float:
     """Robustness of a measurement through its dominance program.
 
     Minimize ``sum_a q~(a)`` subject to ``q~(a) I >= M_a``, posed once
-    over the block-diagonal operators ``blockdiag(q~(a) I)``: their span
-    is a *-algebra containing the identity, and the single constraint is
-    ``blockdiag(M_a)``.  The optimal trace is ``d sum_a q~(a)``, taken at a
-    strictly dominating point, so the value is an upper bound within the
-    solver gap.
+    over the block-diagonal operators ``blockdiag(q~(a) I)`` (stacks of ``o``
+    blocks): their span is a *-algebra containing the identity, and the
+    single constraint is ``blockdiag(M_a)``.  The optimal trace is ``d sum_a
+    q~(a)``, taken at a strictly dominating point, so the value is an upper
+    bound within the solver gap.
     """
     return _rom_solution(m).value / m.dimension - 1.0
 
 
 def _rom_solution(m: Povm) -> SdpSolution:
-    """The certified dominance solve behind ``rom_via_sdp``: the span of
-    ``E_aa (x) I / sqrt(d)``, one element per outcome, over ``blockdiag(M_a)``."""
+    """The certified dominance solve behind ``rom_via_sdp``, one block per outcome."""
     m = _require_povm(m)
-    o, d = m.outcomes, m.dimension
-    basis = np.kron(hermitian_basis(o)[:o], np.eye(d) / np.sqrt(d))
-    blocks = np.einsum("ab,aij->aibj", np.eye(o), m.elements).reshape(o * d, o * d)
-    return solve_dominating(basis, blocks[None])
+    basis = np.eye(m.outcomes)[:, :, None, None] * np.eye(m.dimension) / np.sqrt(m.dimension)
+    return solve_dominating(basis, m.elements[None])
 
 
 def min_error_guess_value(ensemble) -> float:

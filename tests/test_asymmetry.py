@@ -357,6 +357,13 @@ class TestRoc:
         roa(PLUS, dephasing_group(2))
         assert len(calls) == 2
 
+    def test_no_basis_is_built(self, count_calls):
+        # roc's span needs only the d diagonal units, not the (d^2, d, d)
+        # matrix-unit basis, whose memory would grow as d^4
+        calls = count_calls(hermitian_basis)
+        assert roc(np.full((4, 4), 0.25)).value == pytest.approx(3.0, abs=1e-9)
+        assert calls == []
+
 
 def _pure_state(d, rng):
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)

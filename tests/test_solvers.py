@@ -9,6 +9,7 @@ from povmrobust import solvers
 from povmrobust.asymmetry import roc
 from povmrobust.discrimination import (
     Ensemble,
+    advantage,
     p_guess_with_measurement,
     random_density_matrix,
     random_ensemble,
@@ -23,6 +24,7 @@ from povmrobust.solvers import (
     INFEASIBLE,
     OPTIMAL,
     _guess_solution,
+    _rom_solution,
     _rows,
     min_error_guess_value,
     rom_via_sdp,
@@ -183,6 +185,15 @@ class TestRows:
                 expected = np.einsum("jab,lba->jl", b, other).real
                 assert np.abs(_rows(b) @ _rows(other).T - expected).max() <= 1e-13
                 assert np.abs(_rows(b) @ _rows(other[0]) - expected[:, 0]).max() <= 1e-13
+
+    def test_a_stack_of_blocks_is_one_row(self):
+        # Re tr of block-diagonal products: the traces summed over blocks
+        rng = np.random.default_rng(96)
+        b = rng.standard_normal((4, 3, 2, 2)) + 1j * rng.standard_normal((4, 3, 2, 2))
+        b = b + b.conj().swapaxes(-1, -2)
+        expected = np.einsum("jxab,lxba->jl", b, b).real
+        assert np.abs(_rows(b) @ _rows(b).T - expected).max() <= 1e-12
+        assert np.abs(_rows(b) @ _rows(b[0]).ravel() - expected[:, 0]).max() <= 1e-12
 
 
 class TestSolveDominating:
@@ -345,7 +356,8 @@ class TestStepShape:
         lambda: solve_dominating(hermitian_basis(3), weighted_pair(3, 92)),
         lambda: solve_dominating(hermitian_basis(8), weighted_pair(8, 1)),
         lambda: _guess_solution(random_ensemble(4, 3, 9600)),
-    ], ids=["roc", "guess_d3", "full_basis_d8", "guess_solution_d4"])
+        lambda: _rom_solution(random_povm(3, 4, 1)),
+    ], ids=["roc", "guess_d3", "full_basis_d8", "guess_solution_d4", "rom_blocks"])
     def test_dispatch_budget(self, monkeypatch, solve):
         # one stacked factorization and one inverse per step, one step-length
         # eigensolve per stage, one Newton solve per stage (Schur or vec form)
@@ -387,15 +399,18 @@ class TestStepShape:
 
 @pytest.mark.parametrize("d, o", [(2, 2), (3, 4), (4, 3)])
 def test_roc_and_rom_sdp_spans_keep_their_diagonal_matrix_units(count_calls, d, o):
-    # both spans are sliced off hermitian_basis; the arrays solve_dominating
-    # receives equal, entry for entry, the diagonal units each once built itself
+    # roc's span is the d diagonal units; the robustness SDP's is one stack of
+    # o blocks per outcome, I / sqrt(d) in its own block, over the POVM's
+    # elements as one stack of blocks rather than an (o d) x (o d) embedding
     calls = count_calls(solvers.solve_dominating)
     roc(random_density_matrix(d, np.random.default_rng(d)))
-    rom_via_sdp(random_povm(d, o, 1))
-    (roc_basis, _), (rom_basis, _) = calls
+    m = random_povm(d, o, 1)
+    rom_via_sdp(m)
+    (roc_basis, _), (rom_basis, rom_constraints) = calls
     np.testing.assert_array_equal(roc_basis, np.eye(d)[:, :, None] * np.eye(d))
     np.testing.assert_array_equal(
-        rom_basis, np.kron(np.eye(o)[:, :, None] * np.eye(o), np.eye(d) / np.sqrt(d)))
+        rom_basis, np.eye(o)[:, :, None, None] * np.eye(d) / np.sqrt(d))
+    np.testing.assert_array_equal(rom_constraints, m.elements[None])
 
 
 class TestRomViaSdp:
@@ -411,6 +426,25 @@ class TestRomViaSdp:
         for i, (d, o) in enumerate([(2, 3), (3, 4), (4, 2), (2, 6), (3, 6)]):
             m = random_povm(d, o, 9300 + i)
             assert abs(rom_via_sdp(m) - rom(m)) <= 1e-6
+
+    def test_matches_closed_form_at_d16(self):
+        m = random_povm(16, 16, 1)
+        assert abs(rom_via_sdp(m) - rom(m)) <= 1e-9
+
+    @pytest.mark.parametrize("d, o, seed", [(2, 3, 1), (3, 4, 2), (4, 2, 3), (5, 6, 4)])
+    def test_certified_dual_blocks_are_the_optimal_game(self, d, o, seed):
+        # the duals Z_a project onto I block by block, so tr Z_a = d and the
+        # states Z_a / d, sent uniformly, form a game whose advantage with
+        # the measurement lies in [lower / d, value / d], at 1 + R(M)
+        m = random_povm(d, o, seed)
+        sol = _rom_solution(m)
+        assert sol.y.shape == (o, d, d) and sol.duals.shape == (1, o, d, d)
+        z = sol.duals[0]
+        assert np.abs(np.trace(z, axis1=1, axis2=2) - d).max() <= 1e-12
+        assert np.linalg.eigvalsh(z / d)[:, 0].min() >= -1e-12
+        game = advantage(Ensemble(z / d, np.full(o, 1.0 / o)), m)
+        assert sol.lower / d - 1e-12 <= game <= sol.value / d + 1e-12
+        assert abs(game - (1.0 + rom(m))) <= 1e-9
 
 
 class TestMinErrorGuessValue:
@@ -515,12 +549,20 @@ SCALAR_PROGRAM = (np.eye(2, dtype=complex)[None] / math.sqrt(2.0),
                                     np.full((1, 2, 2), 0.5)), InvalidArgument),
     (None, lambda: solve_dominating(hermitian_basis(2)[2:3], np.eye(2)[None] / 2),
      InvalidArgument),
+    # blocks need a basis (the vec form has none), of the constraints' block shape
+    (None, lambda: solve_dominating(None, np.eye(2)[None, None].repeat(3, axis=1) / 2),
+     InvalidArgument),
+    (None, lambda: solve_dominating(np.eye(2)[None, None].repeat(3, axis=1) / math.sqrt(6.0),
+                                    np.eye(2)[None, None].repeat(2, axis=1) / 2),
+     InvalidArgument),
     (lambda mp: mp.setattr(solvers, "MAX_ITERATIONS", 1),
      lambda: solve_dominating(*SCALAR_PROGRAM), SolverFailure),
     (_overstated_lower, lambda: solve_dominating(*SCALAR_PROGRAM), SolverFailure),
 ], ids=["lp-shapes", "lp-inf-rhs", "lp-nan-rhs", "lp-nan-matrix", "lp-pivot-cap",
         "dominating-empty-stack", "dominating-not-orthonormal",
-        "dominating-misses-identity", "dominating-iteration-cap", "dominating-inverted-bracket"])
+        "dominating-misses-identity", "dominating-blocks-without-basis",
+        "dominating-block-shapes-differ", "dominating-iteration-cap",
+        "dominating-inverted-bracket"])
 def test_every_failed_solve_is_a_package_error(monkeypatch, setup, solve, error):
     # input outside a solver's domain is InvalidArgument, a solve that cannot
     # finish SolverFailure: both are PovmRobustErrors, never a status to check
