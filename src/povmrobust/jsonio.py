@@ -2,9 +2,11 @@
 
 A complex scalar is a two-element array ``[re, im]``; a matrix is a row-major
 array of rows of such pairs.  The encoders return plain Python values at full
-precision; ``dumps`` alone rounds reals to 15 significant digits and sorts
-object keys, so identical inputs produce byte-identical output: each real
-prints as ``json.dumps`` prints its 15-digit rounding, formatted once.
+precision, converting each ``(n, d, d)`` stack of matrices in one call; ``dumps``
+alone rounds reals to 15 significant digits and sorts object keys, so identical
+inputs produce byte-identical output: each real prints as ``json.dumps`` prints
+its 15-digit rounding, formatted once, and a rectangular nest of floats fills
+one template of its shape.
 """
 
 from __future__ import annotations
@@ -33,20 +35,18 @@ def _reals(values) -> list:
 
 
 def _flat(items):
-    """``items`` in one pass if a rectangular nest of lists of floats, else None."""
+    """``items`` in one pass if a rectangular nest of lists of floats, else None:
+    the leaves' texts fill the ``%s`` slots of a template built from the nest's shape."""
     shape = [len(items)]
     while (kinds := set(map(type, items))) == {list} and len(widths := set(map(len, items))) == 1:
         shape.append(widths.pop())
         items = list(chain.from_iterable(items))
     if kinds != {float}:
         return None
-    # the separator after a leaf closes and reopens every level that it ends
-    seps, block = [", "] * len(items), 1
-    for depth, width in enumerate(reversed(shape[1:]), 1):
-        block *= width
-        seps[block - 1::block] = ["]" * depth + ", " + "[" * depth] * (len(seps) // block)
-    seps[-1] = "]" * len(shape)
-    return "[" * len(shape) + "".join(chain.from_iterable(zip(_reals(items), seps)))
+    template = "%s"
+    for width in reversed(shape):  # innermost lists first
+        template = "[" + ", ".join([template] * width) + "]"
+    return template % tuple(_reals(items))
 
 
 def _write(obj) -> str:
@@ -69,11 +69,15 @@ def dumps(payload) -> str:
     rounded to 15 significant digits, in one pass that formats each real once.  A
     rounding with a point and no exponent is already the text json prints (15
     digits round-trip); the rest print as json prints ``float(rounding)``: its repr,
-    or ``NaN``/``Infinity``/``-Infinity``."""
+    or ``NaN``/``Infinity``/``-Infinity``.  A rectangular nest of lists of floats,
+    as the encoders build for every array, is written by ``_flat`` in one string
+    operation once its reals are formatted."""
     return _write(payload)
 
 
 def matrix_to_json(m) -> list:
+    """A matrix as rows of ``[re, im]`` pairs, or a stack ``(..., d, d)`` of them as
+    the list of its matrices' encodings, in one ``tolist`` call."""
     m = np.asarray(m, dtype=np.complex128)
     return np.stack([m.real, m.imag], -1).tolist()
 
@@ -127,7 +131,7 @@ def _dimension(obj, kind):
 def povm_to_json(m: Povm) -> dict:
     return {
         "dimension": m.dimension,
-        "elements": [matrix_to_json(el) for el in m],
+        "elements": matrix_to_json(m.elements),
     }
 
 
@@ -159,7 +163,7 @@ def ensemble_to_json(e: Ensemble) -> dict:
     return {
         "dimension": e.dimension,
         "priors": e.priors.tolist(),
-        "states": [matrix_to_json(s) for s in e.states],
+        "states": matrix_to_json(e.states),
     }
 
 
@@ -188,7 +192,7 @@ def state_from_json(obj) -> np.ndarray:
 def group_to_json(g: GroupRepresentation) -> dict:
     return {
         "dimension": g.dimension,
-        "unitaries": [matrix_to_json(u) for u in g.unitaries],
+        "unitaries": matrix_to_json(g.unitaries),
     }
 
 
@@ -220,7 +224,7 @@ def robustness_report_to_json(report: RobustnessReport) -> dict:
     return {
         "rom": report.value,
         "primal_weights": report.primal_weights.tolist(),
-        "dual_states": [matrix_to_json(s) for s in report.dual_states],
+        "dual_states": matrix_to_json(report.dual_states),
         "pseudo_mixture": mixture,
     }
 

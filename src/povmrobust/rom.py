@@ -62,9 +62,18 @@ def rom_report(m: Povm) -> RobustnessReport:
 
     The dual state for each outcome is the projector onto a top-eigenvalue
     eigenvector; under degeneracy the eigenvector of smallest index in the
-    ascending decomposition is taken, for determinism.
+    ascending decomposition is taken, for determinism.  The report is
+    computed on first use and kept on ``m`` with every array read-only, as
+    ``m.eig`` is, so every view of one measurement shares it.
     """
     m = _require_povm(m)
+    kept = vars(m).get("_rom_report")
+    if kept is None:
+        kept = vars(m)["_rom_report"] = _report(m)
+    return kept
+
+
+def _report(m: Povm) -> RobustnessReport:
     d = m.dimension
     dec = m.eig
     weights = dec.eigenvalues[:, -1]
@@ -72,12 +81,14 @@ def rom_report(m: Povm) -> RobustnessReport:
     first = (dec.eigenvalues < cutoff[:, None]).sum(axis=1)
     v = dec.eigenvectors[np.arange(m.outcomes), :, first]
     duals = np.einsum("ai,aj->aij", v, v.conj())
+    duals.setflags(write=False)
     value = float(weights.sum() - 1.0)
     if value <= TRIVIAL_TOL:
         return RobustnessReport(value, weights, duals, None)
     eye = np.eye(d, dtype=np.complex128)
     noise = Povm((weights[:, None, None] * eye - m.elements) / value)
     q = weights / (1.0 + value)
+    q.setflags(write=False)
     return RobustnessReport(value, weights, duals, PseudoMixture(value, noise, q))
 
 

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from povmrobust import jsonio
-from povmrobust.asymmetry import dephasing_group, roc
+from povmrobust.asymmetry import dephasing_group, roc, validate_group
 from povmrobust.discrimination import random_ensemble
 from povmrobust.errors import ParseError
 from povmrobust.info import JointDistribution
-from povmrobust.measurement import random_povm, random_stochastic_map
+from povmrobust.measurement import depolarize_povm, random_povm, random_stochastic_map, trivial_povm
 from povmrobust.rom import rom_report
 from povmrobust.simulability import is_simulable
 from povmrobust.measurement import post_process
@@ -243,3 +243,36 @@ _payloads = st.recursive(
 @given(_payloads)
 def test_dumps_matches_the_reference(payload):
     assert jsonio.dumps(payload) == _reference(payload)
+
+
+def _per_matrix(stack):
+    return [jsonio.matrix_to_json(m) for m in stack]
+
+
+@pytest.mark.parametrize("o", range(1, 6))
+@pytest.mark.parametrize("d", range(1, 5))
+def test_stacks_encode_as_their_matrices_one_by_one(d, o):
+    seed = 10 * d + o
+    shifts = validate_group([np.roll(np.eye(d), k, axis=0) for k in range(d)])
+    for g in (dephasing_group(d), shifts):
+        assert jsonio.group_to_json(g)["unitaries"] == _per_matrix(g.unitaries)
+    e = random_ensemble(d, o, seed)
+    assert jsonio.ensemble_to_json(e)["states"] == _per_matrix(e.states)
+    for m in (random_povm(d, o, seed), trivial_povm(np.full(o, 1.0 / o), d)):
+        assert jsonio.povm_to_json(m)["elements"] == _per_matrix(m.elements)
+        report = rom_report(m)
+        payload = jsonio.robustness_report_to_json(report)
+        assert payload["dual_states"] == _per_matrix(report.dual_states)
+        if report.pseudo_mixture is not None:
+            noise = report.pseudo_mixture.noise.elements
+            assert payload["pseudo_mixture"]["noise"]["elements"] == _per_matrix(noise)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**31),
+       st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]))
+def test_report_and_povm_texts_survive_a_json_round_trip(d, o, seed, eta):
+    m = depolarize_povm(random_povm(d, o, seed), eta)
+    for payload in (jsonio.povm_to_json(m), jsonio.robustness_report_to_json(rom_report(m))):
+        text = jsonio.dumps(payload)
+        assert jsonio.dumps(json.loads(text)) == text

@@ -75,6 +75,49 @@ class TestEigReuse:
         assert m.eig is m.eig
 
 
+class TestKeptReport:
+    MEASUREMENTS = [
+        pytest.param(lambda: random_povm(4, 5, 33), False, id="random"),
+        pytest.param(lambda: trivial_povm([0.2, 0.3, 0.5], 3), True, id="trivial"),
+    ]
+
+    @staticmethod
+    def _arrays(report):
+        arrays = [report.primal_weights, report.dual_states]
+        if report.pseudo_mixture is not None:
+            arrays += [report.pseudo_mixture.q, report.pseudo_mixture.noise.elements]
+        return arrays
+
+    @pytest.mark.parametrize("make, trivial", MEASUREMENTS)
+    def test_every_view_shares_one_report(self, make, trivial):
+        m = validate_povm(list(make().elements))
+        report = rom_report(m)
+        assert report.trivial == trivial
+        assert rom_report(m) is report
+        assert np.array_equal(optimal_ensemble(m).states, report.dual_states)
+        assert np.array_equal(acc_min_info_measurement(m).witness.states, report.dual_states)
+
+    @pytest.mark.parametrize("make, trivial", MEASUREMENTS)
+    def test_kept_arrays_are_read_only(self, make, trivial):
+        for arr in self._arrays(rom_report(make())):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 0.5
+
+    @pytest.mark.parametrize("make, trivial", MEASUREMENTS)
+    def test_kept_report_is_bitwise_a_fresh_one(self, make, trivial):
+        m = make()
+        kept = rom_report(m)
+        fresh = rom_report(validate_povm(list(m.elements)))
+        assert kept is not fresh
+        assert kept.value == fresh.value
+        assert kept.trivial == fresh.trivial
+        for a, b in zip(self._arrays(kept), self._arrays(fresh), strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        if not kept.trivial:
+            assert kept.pseudo_mixture.r == fresh.pseudo_mixture.r
+
+
 class TestRomReport:
     def test_qubit_z_hand_check(self, qubit_z):
         report = rom_report(qubit_z)
