@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrimination import Ensemble, check_density_matrix, p_guess_with_measurement
-from .errors import DimensionMismatch, InvalidArgument, InvalidGroup, PovmRobustError, SolverFailure
+from .errors import (DimensionMismatch, InvalidArgument, InvalidGroup, PovmRobustError,
+                     SolverFailure, type_gate)
 from .measurement import Povm, validate_povm
-from .numerics import as_complex_matrix, frozen_copy, hermitian_basis
+from .numerics import _matrix_stack, as_complex_matrix, frozen_copy, hermitian_basis
 from .solvers import solve_dominating
 
 UNITARY_TOL = 1e-9
@@ -82,13 +83,7 @@ def validate_group(unitaries) -> GroupRepresentation:
     nearest unitary (the polar factor ``W V^dag`` of its SVD), check closure
     up to global phase and the presence of the identity on those (both
     within ``CLOSURE_TOL``), then wrap them: every twirl is then exact."""
-    mats = [as_complex_matrix(u) for u in unitaries]
-    if not mats:
-        raise InvalidGroup("a group needs at least one element")
-    shapes = sorted({u.shape for u in mats})
-    if len(shapes) > 1:
-        raise InvalidGroup(f"need unitaries of one dimension, got shapes {shapes}")
-    mats = np.stack(mats)
+    mats = _matrix_stack(unitaries, InvalidGroup, "unitaries")
     d = mats.shape[1]
     deviations = np.abs(mats.conj().swapaxes(1, 2) @ mats - np.eye(d)).max(axis=(1, 2))
     bad = np.flatnonzero(deviations > UNITARY_TOL)
@@ -102,7 +97,7 @@ def validate_group(unitaries) -> GroupRepresentation:
         raise InvalidGroup("the group list does not contain the identity")
     for i, u in enumerate(mats):
         # best match of U_i U_j over the listed elements, for every j
-        matches = np.abs(np.einsum("kba,jab->jk", mats.conj(), u @ mats)).max(axis=1)
+        matches = np.abs(np.einsum("kab,jab->jk", mats.conj(), u @ mats)).max(axis=1)
         missing = np.flatnonzero(matches < d - CLOSURE_TOL)
         if missing.size:
             raise InvalidGroup(
@@ -119,10 +114,7 @@ def dephasing_group(d: int) -> GroupRepresentation:
     return GroupRepresentation(np.stack([np.diag(row) for row in phases]))
 
 
-def _require_group(g) -> GroupRepresentation:
-    if not isinstance(g, GroupRepresentation):
-        raise InvalidGroup(f"expected a GroupRepresentation, got {type(g).__name__}")
-    return g
+_require_group = type_gate(GroupRepresentation, InvalidGroup)
 
 
 def _conjugates(x, g: GroupRepresentation) -> np.ndarray:
@@ -135,12 +127,7 @@ def twirl(rho, g: GroupRepresentation) -> np.ndarray:
     """Group average ``(1/|H|) sum_h U_h rho U_h^dag``; idempotent, and the
     identity map exactly on symmetric inputs."""
     g = _require_group(g)
-    rho = as_complex_matrix(rho)
-    if rho.shape[0] != g.dimension:
-        raise DimensionMismatch(
-            f"state dimension {rho.shape[0]} vs group dimension {g.dimension}"
-        )
-    return _conjugates(rho, g).mean(axis=0)
+    return _conjugates(_checked_state(rho, g, as_complex_matrix), g).mean(axis=0)
 
 
 def is_symmetric(rho, g: GroupRepresentation) -> bool:
@@ -179,9 +166,9 @@ def symmetric_subspace_basis(g: GroupRepresentation) -> np.ndarray:
     return (kept[:, :d * d] + 1j * kept[:, d * d:]).reshape(-1, d, d)
 
 
-def _checked_state(rho, g: GroupRepresentation) -> np.ndarray:
-    """``rho`` as a checked density matrix of the group's dimension."""
-    rho = check_density_matrix(rho)
+def _checked_state(rho, g: GroupRepresentation, read) -> np.ndarray:
+    """``rho`` as ``read`` returns it, of the group's dimension."""
+    rho = read(rho)
     if rho.shape[0] != g.dimension:
         raise DimensionMismatch(
             f"state dimension {rho.shape[0]} vs group dimension {g.dimension}"
@@ -196,7 +183,7 @@ def _orbit(rho, g: GroupRepresentation) -> Ensemble:
 def orbit_ensemble(rho, g: GroupRepresentation) -> Ensemble:
     """The group orbit of a state, provided uniformly at random."""
     g = _require_group(g)
-    return _orbit(_checked_state(rho, g), g)
+    return _orbit(_checked_state(rho, g, check_density_matrix), g)
 
 
 def roa(rho, g: GroupRepresentation) -> AsymmetryReport:
@@ -221,7 +208,8 @@ def roa(rho, g: GroupRepresentation) -> AsymmetryReport:
     above ``tr(sigma)`` is an inverted bracket, also a ``SolverFailure``.
     """
     g = _require_group(g)
-    return _certified_asymmetry(_checked_state(rho, g), g, symmetric_subspace_basis(g))
+    rho = _checked_state(rho, g, check_density_matrix)
+    return _certified_asymmetry(rho, g, symmetric_subspace_basis(g))
 
 
 def _certified_asymmetry(rho, g: GroupRepresentation, basis) -> AsymmetryReport:

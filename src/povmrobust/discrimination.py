@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidEnsemble, InvalidState, NotSquare
+from .errors import DimensionMismatch, InvalidEnsemble, InvalidState, type_gate
 from .measurement import Povm, _check_distribution, _require_povm
-from .numerics import _check_seeded, check_hermitian, eig_hermitian, frozen_copy
+from .numerics import _check_seeded, _matrix_stack, as_complex_matrix, eig_hermitian, frozen_copy
 from .rom import rom_report
 
 STATE_TOL = 1e-9
@@ -52,9 +52,7 @@ class Ensemble:
 def check_density_matrix(rho) -> np.ndarray:
     """Validate a density matrix: Hermitian, positive semidefinite and of
     unit trace, both within ``STATE_TOL``."""
-    m = check_hermitian(rho)
-    if m.ndim != 2:
-        raise NotSquare(f"expected a square matrix, got shape {m.shape}")
+    m = as_complex_matrix(rho)
     smallest = eig_hermitian(m).eigenvalues[0]
     if smallest < -STATE_TOL:
         raise InvalidState(f"state has eigenvalue {smallest:.3e} below -{STATE_TOL:.1e}")
@@ -67,16 +65,13 @@ def check_density_matrix(rho) -> np.ndarray:
 def validate_ensemble(states, priors) -> Ensemble:
     """Check every member state and the prior distribution, then wrap."""
     priors = _check_distribution(priors, InvalidEnsemble)
+    states = _matrix_stack(states, InvalidEnsemble, "states")
     try:
-        checked = [check_density_matrix(s) for s in states]
+        for state in states:
+            check_density_matrix(state)
     except InvalidState as exc:
         raise InvalidEnsemble(str(exc)) from exc
-    if len(checked) != priors.size:
-        raise InvalidEnsemble("need exactly one prior per state")
-    shapes = sorted({s.shape for s in checked})
-    if len(shapes) > 1:
-        raise InvalidEnsemble(f"need states of one dimension, got shapes {shapes}")
-    return Ensemble(np.stack(checked), priors)
+    return Ensemble(states, priors)
 
 
 def random_density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -101,10 +96,7 @@ def random_ensemble(d: int, size: int, seed: int) -> Ensemble:
     return Ensemble(states, rng.dirichlet(np.ones(size)))
 
 
-def _require_ensemble(e) -> Ensemble:
-    if not isinstance(e, Ensemble):
-        raise InvalidEnsemble(f"expected an Ensemble, got {type(e).__name__}")
-    return e
+_require_ensemble = type_gate(Ensemble, InvalidEnsemble)
 
 
 def p_guess_classical(e: Ensemble) -> float:

@@ -102,3 +102,12 @@ class ParseError(PovmRobustError):
         super().__init__(f"{path}: {detail}")
         self.path = path
         self.detail = detail
+
+
+def type_gate(cls, error):
+    """A check passing on a ``cls`` and raising ``error`` for anything else."""
+    def require(obj):
+        if not isinstance(obj, cls):
+            raise error(f"expected an instance of {cls.__name__}, got {type(obj).__name__}")
+        return obj
+    return require

@@ -23,7 +23,7 @@ from .discrimination import (
     optimal_ensemble,
     p_guess_classical,
 )
-from .errors import InvalidJoint
+from .errors import InvalidJoint, type_gate
 from .measurement import Povm, _check_distribution, _require_povm
 from .numerics import frozen_copy
 from .rom import rom
@@ -45,10 +45,7 @@ class JointDistribution:
         return self.p.sum(axis=1)
 
 
-def _require_joint(j) -> JointDistribution:
-    if not isinstance(j, JointDistribution):
-        raise InvalidJoint(f"expected a JointDistribution, got {type(j).__name__}")
-    return j
+_require_joint = type_gate(JointDistribution, InvalidJoint)
 
 
 def h_min(p) -> float:

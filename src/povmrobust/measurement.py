@@ -24,8 +24,9 @@ from .errors import (
     ResourceLimit,
     ShapeMismatch,
     SizeMismatch,
+    type_gate,
 )
-from .numerics import PSD_TOL, _check_seeded, as_complex_matrix, eig_hermitian, frozen_copy
+from .numerics import PSD_TOL, _check_seeded, _matrix_stack, eig_hermitian, frozen_copy
 
 COMPLETENESS_TOL = 1e-8
 DISTRIBUTION_TOL = 1e-10
@@ -135,13 +136,7 @@ def validate_povm(candidate) -> Povm:
     the identity.  The result keeps, as ``eig``, the decomposition that
     the positivity check took.
     """
-    mats = [as_complex_matrix(m) for m in candidate]
-    if not mats:
-        raise ShapeMismatch("a POVM needs at least one element")
-    d = mats[0].shape[0]
-    if any(m.shape[0] != d for m in mats):
-        raise ShapeMismatch("POVM elements must share one dimension")
-    povm = Povm(np.stack(mats))
+    povm = Povm(_matrix_stack(candidate, ShapeMismatch, "POVM elements"))
     smallest = povm.eig.eigenvalues[:, 0]
     bad = np.flatnonzero(smallest < -PSD_TOL)
     if bad.size:
@@ -149,7 +144,7 @@ def validate_povm(candidate) -> Povm:
         raise NotPsd(
             f"element {a} has eigenvalue {smallest[a]:.3e} below -{PSD_TOL:.1e}", index=a
         )
-    deviation = np.abs(povm.elements.sum(axis=0) - np.eye(d)).max()
+    deviation = np.abs(povm.elements.sum(axis=0) - np.eye(povm.dimension)).max()
     if deviation > COMPLETENESS_TOL:
         raise CompletenessViolation(
             f"elements sum to identity only within {deviation:.3e}", deviation=deviation
@@ -249,7 +244,4 @@ def random_stochastic_map(n_in: int, n_out: int, seed: int) -> StochasticMap:
     return StochasticMap(rng.dirichlet(np.ones(n_out), size=n_in))
 
 
-def _require_povm(m) -> Povm:
-    if not isinstance(m, Povm):
-        raise InvalidPovm(f"expected a Povm, got {type(m).__name__}")
-    return m
+_require_povm = type_gate(Povm, InvalidPovm)

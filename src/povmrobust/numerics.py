@@ -43,6 +43,16 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
+def _matrix_stack(mats, error, noun: str) -> np.ndarray:
+    """A list of square matrices, each read by ``as_complex_matrix``, as one
+    ``(n, d, d)`` stack; ``error`` when the list is empty or the sizes differ."""
+    mats = [as_complex_matrix(m) for m in mats]
+    shapes = sorted({m.shape for m in mats})
+    if len(shapes) != 1:
+        raise error(f"need one or more {noun} of one size, got shapes {shapes}")
+    return np.stack(mats)
+
+
 def check_hermitian(a) -> np.ndarray:
     """Validate Hermiticity of a matrix or a stack ``(..., d, d)`` (max
     entrywise deviation from the conjugate transpose, at most

@@ -6,10 +6,10 @@ active-set method): every step re-solves the least-squares point of the
 columns in use from the original matrix, so rounding cannot accumulate in
 an updated tableau, and an infeasible system's Farkas vector is the least
 residual, projected off those columns again.
-``solve_dominating`` minimizes the trace of an operator ranging over the
-real span of an orthonormal Hermitian basis of a *-algebra containing the
-identity (so the program always has a strictly feasible point) subject to
-dominating a list of Hermitian constraints, by a primal-dual interior-point
+``solve_dominating`` minimizes the trace of an operator in the real span of
+an orthonormal Hermitian basis, a span closed under squares that contains the
+identity (so a strictly feasible point and exactly feasible duals exist),
+subject to dominating Hermitian constraints, by a primal-dual interior-point
 method (HKM direction, Mehrotra predictor-corrector; Helmberg, Rendl,
 Vanderbei and Wolkowicz, SIAM J. Optim. 6 (1996); Vandenberghe and Boyd,
 SIAM Rev. 38 (1996)) that returns a strictly feasible point together with a
@@ -152,9 +152,15 @@ def _span(x, basis):
     return (x @ basis.reshape(len(basis), -1)).reshape(basis.shape[1:])
 
 
+def _project(basis, m):
+    """The orthogonal projection of ``m`` onto the span (``m`` itself on the full span)."""
+    return m if basis is None else _span(_rows(basis) @ _rows(m).ravel(), basis)
+
+
 def _validate_program(basis, constraints):
     """A program's stacks, with ``None`` for a span of every Hermitian matrix
-    (given or found); ``InvalidArgument`` unless the basis is orthonormal and spans I."""
+    (given or found); ``InvalidArgument`` unless the basis is orthonormal and spans I.
+    Closure of the span under squares is checked on the duals, by ``_certified_lower``."""
     basis = None if basis is None else check_hermitian(basis)
     constraints = check_hermitian(constraints)
     if constraints.ndim not in (3, 4) or not len(constraints) or (
@@ -167,7 +173,7 @@ def _validate_program(basis, constraints):
     if off > ORTHONORMALITY_TOL:
         raise InvalidArgument(f"subspace basis is off orthonormal by {off:.3e}")
     eye = np.broadcast_to(np.eye(basis.shape[-1]), basis.shape[1:])
-    missing = np.abs(_span(_rows(basis) @ _rows(eye).ravel(), basis) - eye).max()
+    missing = np.abs(_project(basis, eye) - eye).max()
     if missing > IDENTITY_TOL:
         raise InvalidArgument(f"the span of the basis misses the identity by {missing:.3e}")
     return (None if basis.ndim == 3 and len(basis) == basis.shape[1] ** 2 else basis), constraints
@@ -260,15 +266,18 @@ def _central_path(basis, constraints, y, z):
 def _certified_lower(basis, constraints, z):
     """A dual objective that bounds the optimum from below, with its duals
     ``S^-1/2 Z_i S^-1/2``, ``S = P(sum_i Z_i)`` the projection onto the span (the
-    Hermitian sum itself on the full span): over a *-algebra they sum to a projection
-    onto I, so are exactly feasible.  ``SolverFailure`` if ``S`` is not positive definite."""
-    s = z.sum(axis=0)
-    w, v = np.linalg.eigh(s if basis is None else _span(_rows(basis) @ _rows(s).ravel(), basis))
+    Hermitian sum itself on the full span): over a span closed under squares (a Jordan
+    algebra) they sum to a projection onto I, so are exactly feasible.  ``SolverFailure``
+    if ``S`` is not positive definite or that projection misses I by over ``IDENTITY_TOL``."""
+    w, v = np.linalg.eigh(_project(basis, z.sum(axis=0)))
     if w.min() <= 0.0:
         raise SolverFailure(f"projected dual sum is not positive definite "
                             f"(smallest eigenvalue {w.min():.3e})")
     root = (v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     duals = root @ z @ root
+    miss = np.abs(_project(basis, duals.sum(axis=0)) - np.eye(z.shape[-1])).max()
+    if miss > IDENTITY_TOL:
+        raise SolverFailure(f"duals miss I by {miss:.3e}: the span is not closed under squares")
     return float(np.vdot(constraints, duals).real), duals
 
 
@@ -277,11 +286,12 @@ def solve_dominating(basis, constraints) -> SdpSolution:
     primal-dual interior-point method.
 
     ``basis`` stacks Hermitian ``B_j`` (real coefficients), orthonormal in the
-    trace inner product, whose span is a *-algebra containing the identity;
+    trace inner product, of a span closed under squares that contains the identity;
     ``None`` means every Hermitian matrix, with no basis to build or check.
     ``constraints`` stacks the Hermitian ``K_i``: ``(m, n, n)``, or ``(m, b, n, n)``
     for ``b`` blocks with a basis ``(k, b, n, n)``, traces summing over blocks.
-    Input that breaks this contract raises ``InvalidArgument``.  With it, ``lambda I``
+    Bad input raises ``InvalidArgument``, a span not closed under squares a
+    ``SolverFailure`` once its duals are certified.  With the contract, ``lambda I``
     with ``lambda`` above every ``lambda_max(K_i)`` is a strictly feasible
     start, and ``Z_i = I / m`` is dual feasible because ``tr B_j = tr[B_j I]``;
     the path following (HKM direction, Mehrotra predictor-corrector) starts

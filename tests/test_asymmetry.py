@@ -74,6 +74,19 @@ class TestValidateGroup:
         with pytest.raises(InvalidGroup):
             validate_group(unitaries)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_a_rotated_dephasing_group_closes(self, d):
+        # u D u^dag is complex and not symmetric, so closure must match the
+        # products against the elements, not their transposes
+        u = haar_random_unitary(d, 1)
+        g = validate_group(u @ dephasing_group(d).unitaries @ u.conj().T)
+        rho = random_density_matrix(d, np.random.default_rng(d))
+        assert abs(roa(u @ rho @ u.conj().T, g).value - roc(rho).value) <= 1e-9
+
+    def test_rejects_a_random_unitary_with_the_identity(self):
+        with pytest.raises(InvalidGroup):
+            validate_group([np.eye(2), haar_random_unitary(2, 3)])
+
 
 class TestTwirl:
     def test_symmetric_input_unchanged(self):

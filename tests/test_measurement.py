@@ -3,25 +3,35 @@ import math
 import numpy as np
 import pytest
 
-from povmrobust.asymmetry import GroupRepresentation, roa, validate_group
-from povmrobust.discrimination import Ensemble, validate_ensemble
+from povmrobust.asymmetry import GroupRepresentation, _require_group, roa, validate_group
+from povmrobust.discrimination import (
+    Ensemble,
+    _require_ensemble,
+    check_density_matrix,
+    validate_ensemble,
+)
 from povmrobust.errors import (
     CompletenessViolation,
     EtaOutOfRange,
     InvalidArgument,
     InvalidDistribution,
     InvalidEnsemble,
+    InvalidGroup,
     InvalidJoint,
+    InvalidPovm,
+    NotHermitian,
     NotOrthonormal,
     NotPsd,
+    NotSquare,
     ResourceLimit,
     ShapeMismatch,
     SizeMismatch,
 )
-from povmrobust.info import JointDistribution, h_min
+from povmrobust.info import JointDistribution, _require_joint, h_min
 from povmrobust import measurement
 from povmrobust.measurement import (
     Povm,
+    _require_povm,
     StochasticMap,
     depolarize_povm,
     post_process,
@@ -336,5 +346,43 @@ def test_a_validated_group_and_a_kept_eigendecomposition_refuse_writes():
 def test_an_empty_shape_is_a_package_error(build, error):
     # these once returned rom -1 for no outcomes, a 0 x 0 measurement, or
     # leaked numpy's ValueError
+    with pytest.raises(error):
+        build()
+
+
+_HALF = np.eye(2) / 2
+_NAN = np.full((2, 2), np.nan)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: validate_povm([]), ShapeMismatch),
+    (lambda: validate_povm([_HALF, np.eye(3) / 3]), ShapeMismatch),
+    (lambda: validate_povm([np.ones((2, 3))]), NotSquare),
+    (lambda: validate_povm([_NAN]), InvalidArgument),
+    (lambda: validate_ensemble([], [1.0]), InvalidEnsemble),
+    (lambda: validate_ensemble([_HALF, np.eye(3) / 3], [0.5, 0.5]), InvalidEnsemble),
+    (lambda: validate_ensemble([np.ones((2, 3))], [1.0]), NotSquare),
+    (lambda: validate_ensemble([_NAN], [1.0]), InvalidArgument),
+    (lambda: validate_ensemble([[[0.5, 1.0], [0.0, 0.5]]], [1.0]), NotHermitian),
+    (lambda: validate_ensemble([_HALF], [0.5, 0.5]), InvalidEnsemble),
+    (lambda: validate_ensemble([_HALF, _HALF], [1.0]), InvalidEnsemble),
+    (lambda: check_density_matrix([[0.5, 1.0], [0.0, 0.5]]), NotHermitian),
+    (lambda: check_density_matrix(np.stack([_HALF, _HALF])), NotSquare),
+    (lambda: validate_group([]), InvalidGroup),
+    (lambda: validate_group([np.eye(2), np.eye(3)]), InvalidGroup),
+    (lambda: validate_group([np.ones((2, 3))]), NotSquare),
+    (lambda: validate_group([_NAN]), InvalidArgument),
+    (lambda: _require_povm([_HALF, _HALF]), InvalidPovm),
+    (lambda: _require_ensemble(projective_povm(np.eye(2))), InvalidEnsemble),
+    (lambda: _require_group([np.eye(2)]), InvalidGroup),
+    (lambda: _require_joint(np.eye(2) / 2), InvalidJoint),
+], ids=["povm-empty", "povm-mixed", "povm-not-square", "povm-nan",
+        "ensemble-empty", "ensemble-mixed", "ensemble-not-square", "ensemble-nan",
+        "ensemble-not-hermitian", "ensemble-too-many-priors", "ensemble-too-few-priors",
+        "state-not-hermitian", "state-stack", "group-empty", "group-mixed",
+        "group-not-square", "group-nan", "require-povm", "require-ensemble",
+        "require-group", "require-joint"])
+def test_each_input_gate_keeps_its_exception_type(build, error):
+    # every value type is reached through one stack gate and one type gate
     with pytest.raises(error):
         build()

@@ -272,6 +272,27 @@ class TestSolveDominating:
         with pytest.raises(ValueError, match="orthonormal"):
             solve_dominating(basis, np.full((1, 2, 2), 0.5, dtype=complex))
 
+    def test_a_spin_factor_certifies(self):
+        # {I, X, Z}/sqrt(2) is closed under squares though not a *-algebra:
+        # min tr Y over Y >= diag(0.75, 0.25) is tr diag(0.75, 0.25) = 1
+        basis = np.stack([np.eye(2), [[0, 1], [1, 0]], np.diag([1, -1])]) / math.sqrt(2.0)
+        sol = solve_dominating(basis.astype(complex), np.diag([0.75, 0.25])[None])
+        assert sol.lower - 1e-12 <= 1.0 <= sol.value + 1e-12
+        assert sol.value - sol.lower <= 1e-9
+
+    def test_a_span_not_closed_under_squares_is_a_solver_failure(self):
+        # (E01 + E10)^2 = E00 + E11 leaves this span, so the congruence of
+        # _certified_lower can leave duals whose projected sum misses the
+        # identity: the fourth pair of trace-normalized Wishart constraints
+        # drawn from default_rng(0) misses it by more than IDENTITY_TOL
+        pair = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]) / math.sqrt(2.0)
+        basis = np.stack([np.eye(3) / math.sqrt(3.0), pair, pair[::-1, ::-1]])
+        g = np.random.default_rng(0).standard_normal((4, 2, 2, 3, 3))[3]
+        w = g[:, 0] + 1j * g[:, 1]
+        w = w @ w.conj().swapaxes(-1, -2)
+        with pytest.raises(SolverFailure, match="closed under squares"):
+            solve_dominating(basis.astype(complex), w / np.einsum("xii->", w).real)
+
     def test_step_counts_are_pinned(self, count_calls):
         # interior-point steps of three fixed programs; each moved by at most
         # two when the contractions became matrix products.  The lower bound
