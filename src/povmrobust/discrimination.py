@@ -49,28 +49,36 @@ class Ensemble:
         return self.states.shape[1]
 
 
+def _state_fault(smallest, trace) -> str | None:
+    """Why a Hermitian matrix of this smallest eigenvalue and trace is no
+    state, PSD before trace, or None."""
+    if smallest < -STATE_TOL:
+        return f"state has eigenvalue {smallest:.3e} below -{STATE_TOL:.1e}"
+    if abs(trace - 1.0) > STATE_TOL:
+        return f"state trace is {float(trace)}, not 1"
+    return None
+
+
 def check_density_matrix(rho) -> np.ndarray:
     """Validate a density matrix: Hermitian, positive semidefinite and of
     unit trace, both within ``STATE_TOL``."""
     m = as_complex_matrix(rho)
-    smallest = eig_hermitian(m).eigenvalues[0]
-    if smallest < -STATE_TOL:
-        raise InvalidState(f"state has eigenvalue {smallest:.3e} below -{STATE_TOL:.1e}")
-    trace = np.trace(m).real
-    if abs(trace - 1.0) > STATE_TOL:
-        raise InvalidState(f"state trace is {float(trace)}, not 1")
+    fault = _state_fault(eig_hermitian(m).eigenvalues[0], np.trace(m).real)
+    if fault is not None:
+        raise InvalidState(fault)
     return m
 
 
 def validate_ensemble(states, priors) -> Ensemble:
-    """Check every member state and the prior distribution, then wrap."""
+    """Check the prior distribution and every member state, in one stacked
+    eigendecomposition and one stacked trace, then wrap; the first state that
+    fails ``check_density_matrix``'s PSD or trace gate names the error."""
     priors = _check_distribution(priors, InvalidEnsemble)
     states = _matrix_stack(states, InvalidEnsemble, "states")
-    try:
-        for state in states:
-            check_density_matrix(state)
-    except InvalidState as exc:
-        raise InvalidEnsemble(str(exc)) from exc
+    fault = next(filter(None, map(_state_fault, eig_hermitian(states).eigenvalues[:, 0],
+                                  np.trace(states, axis1=1, axis2=2).real)), None)
+    if fault is not None:
+        raise InvalidEnsemble(fault)
     return Ensemble(states, priors)
 
 

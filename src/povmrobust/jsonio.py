@@ -5,8 +5,9 @@ array of rows of such pairs.  The encoders return plain Python values at full
 precision, converting each ``(n, d, d)`` stack of matrices in one call; ``dumps``
 alone rounds reals to 15 significant digits and sorts object keys, so identical
 inputs produce byte-identical output: each real prints as ``json.dumps`` prints
-its 15-digit rounding, formatted once, and a rectangular nest of floats fills
-one template of its shape.
+its 15-digit rounding.  A rectangular nest of floats fills the ``{:.15}`` slots
+of one template of its shape in one ``str.format`` call; only the tokens with an
+exponent or a non-finite value are spelled again.
 """
 
 from __future__ import annotations
@@ -28,32 +29,41 @@ from .simulability import SimulabilityResult
 _SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _reals(values) -> list:
-    # json prints a finite float as its repr; the rounding may overflow to inf
-    return [s if "." in (s := f"{v:.15g}") and "e" not in s
-            else _SPECIAL.get(r := repr(float(s)), r) for v in values]
+def _spell(piece: str) -> str:
+    """A ``{:.15}`` token, perhaps among brackets, as json prints its float: the
+    repr of ``float(token)``, whose rounding may overflow to inf, or
+    ``NaN``/``Infinity``/``-Infinity``."""
+    token = piece.strip("[]")
+    return piece.replace(token, _SPECIAL.get(r := repr(float(token)), r))
 
 
 def _flat(items):
     """``items`` in one pass if a rectangular nest of lists of floats, else None:
-    the leaves' texts fill the ``%s`` slots of a template built from the nest's shape."""
+    the leaves fill the ``{:.15}`` slots of a template built from the nest's shape
+    in one ``str.format`` call; the text is then split into its pieces, one real
+    each, only if it holds an exponent or a non-finite value, and ``_spell``
+    spells again just the pieces that hold one."""
     shape = [len(items)]
     while (kinds := set(map(type, items))) == {list} and len(widths := set(map(len, items))) == 1:
         shape.append(widths.pop())
         items = list(chain.from_iterable(items))
     if kinds != {float}:
         return None
-    template = "%s"
+    template = "{:.15}"
     for width in reversed(shape):  # innermost lists first
         template = "[" + ", ".join([template] * width) + "]"
-    return template % tuple(_reals(items))
+    text = template.format(*items)
+    if "e" in text or "n" in text:  # ``{:.15}`` keeps a point in fixed notation
+        text = ", ".join([p if "e" not in p and "n" not in p else _spell(p)
+                          for p in text.split(", ")])
+    return text
 
 
 def _write(obj) -> str:
     if isinstance(obj, (int, str, np.integer)) or obj is None:
         return json.dumps(int(obj) if isinstance(obj, np.integer) else obj)
     if isinstance(obj, (float, np.floating)):
-        return _reals([obj])[0]
+        return _spell(f"{obj:.15}")
     if isinstance(obj, dict):  # sorted, and non-string keys converted, as json does it
         return "{" + ", ".join(
             (json.dumps(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]) + ": " + _write(v)
@@ -66,12 +76,12 @@ def _write(obj) -> str:
 
 def dumps(payload) -> str:
     """Deterministic JSON text: ``json.dumps(payload, sort_keys=True)`` with reals
-    rounded to 15 significant digits, in one pass that formats each real once.  A
-    rounding with a point and no exponent is already the text json prints (15
-    digits round-trip); the rest print as json prints ``float(rounding)``: its repr,
-    or ``NaN``/``Infinity``/``-Infinity``.  A rectangular nest of lists of floats,
-    as the encoders build for every array, is written by ``_flat`` in one string
-    operation once its reals are formatted."""
+    rounded to 15 significant digits, each formatted once with the ``{:.15}`` spec.
+    A token in fixed notation is already the text json prints (15 digits
+    round-trip); a token with an exponent, ``nan`` or ``inf`` prints as json prints
+    ``float(token)``: its repr, or ``NaN``/``Infinity``/``-Infinity``.  A rectangular
+    nest of lists of floats, as the encoders build for every array, is written by
+    ``_flat`` in one ``str.format`` call, re-spelling only those tokens."""
     return _write(payload)
 
 

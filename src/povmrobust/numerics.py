@@ -68,9 +68,10 @@ def check_hermitian(a) -> np.ndarray:
 def eig_hermitian(h):
     """Full eigendecomposition of a Hermitian matrix or of each matrix in a
     stack ``(..., d, d)``: the ``EighResult`` of ``np.linalg.eigh`` on the
-    Hermitian part, eigenvalues ascending with matching orthonormal columns."""
-    a = check_hermitian(h)
-    return np.linalg.eigh(0.5 * (a + _dagger(a)))
+    Hermitian part, eigenvalues ascending with matching orthonormal columns.
+    The halves are taken before the sum, which cannot then overflow."""
+    half = 0.5 * check_hermitian(h)
+    return np.linalg.eigh(half + _dagger(half))
 
 
 def operator_norm(h) -> float:

@@ -35,6 +35,14 @@ class TestValidateEnsemble:
         with pytest.raises(InvalidEnsemble):
             validate_ensemble([np.diag([2.0, -1.0])], [1.0])
 
+    def test_names_the_first_failing_state(self):
+        # the second state fails PSD and the third fails trace: the second is reported
+        states = [np.eye(2) / 2, np.diag([1.5, -0.5]), np.eye(2)]
+        with pytest.raises(InvalidEnsemble, match=r"eigenvalue -5\.000e-01 below"):
+            validate_ensemble(states, [0.25, 0.25, 0.5])
+        with pytest.raises(InvalidEnsemble, match=r"^state trace is 2\.0, not 1$"):
+            validate_ensemble([states[0], states[2]], [0.5, 0.5])
+
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(InvalidEnsemble):
             validate_ensemble([np.eye(2) / 2, np.eye(3) / 3], [0.5, 0.5])

@@ -179,7 +179,8 @@ EDGE_REALS = [0.0, -0.0, 1.0, -1.0, 100.0, 1e14, 1e15, 1.5e15, 9.999999999999999
               1e-4, 1e-5, 0.1, 1.0 / 3.0, 0.9999999999999999, 123456789012345.6, 5e-324,
               1e-310, 2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
               float("nan"), float("inf"), float("-inf"), 2.0000000000000004, 123.00000000000001,
-              999999999999999.4, 9.999999999999999e-05, -7e-17]
+              999999999999999.4, 9.999999999999999e-05, -7e-17, 99999999999999.99,
+              99999999999999.9, 12345678901234.0, 9.999999999999995e-05]
 
 
 @pytest.mark.parametrize("value", EDGE_REALS, ids=repr)
@@ -187,6 +188,26 @@ def test_dumps_edge_reals_match_the_reference(value):
     for payload in (value, np.float64(value), [value, 0.5, value], [[value], [value]],
                     np.array([[value, 0.25]]), {"x": value}):
         assert jsonio.dumps(payload) == _reference(payload)
+
+
+ODD_REALS = [1e-5, float("nan"), float("inf"), 5e-324, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("d", [2, 6, 24])
+def test_dumps_of_stack_nests_with_odd_reals_matches_the_reference(d):
+    # (o, d, d, 2) nests as the encoders build them: odd reals (an exponent or a
+    # non-finite value) are spelled again piece by piece, the rest stay as formatted
+    o = 3
+    plain = np.random.default_rng(d).uniform(-1.0, 1.0, (o, d, d, 2))
+    assert jsonio.dumps(plain.tolist()) == _reference(plain.tolist())
+    for odd in ODD_REALS:
+        for position in (0, plain.size // 2, plain.size - 1):
+            nest = plain.copy()
+            nest.flat[position] = odd
+            assert jsonio.dumps(nest.tolist()) == _reference(nest.tolist())
+        every = np.full_like(plain, odd)
+        every.flat[::2] = -odd
+        assert jsonio.dumps(every.tolist()) == _reference(every.tolist())
 
 
 def test_dumps_keeps_the_nesting_of_a_tuple_of_array_and_list():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,13 @@ class TestEigHermitian:
         stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
         with pytest.raises(NotHermitian):
             eig_hermitian(stack)
+
+    def test_entries_near_the_largest_float_do_not_overflow(self):
+        # halving after the sum would overflow 1e308 + 1e308 to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            dec = eig_hermitian(np.diag([1e308, -1e308]))
+        np.testing.assert_array_equal(dec.eigenvalues, [-1e308, 1e308])
 
     def test_rejects_non_square(self):
         with pytest.raises(NotSquare):
