@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrimination import Ensemble, check_density_matrix, p_guess_with_measurement
-from .errors import (DimensionMismatch, InvalidArgument, InvalidGroup, PovmRobustError,
-                     SolverFailure, type_gate)
+from .errors import (InvalidArgument, InvalidGroup, PovmRobustError, SolverFailure,
+                     dimension_gate, type_gate)
 from .measurement import Povm, validate_povm
 from .numerics import _matrix_stack, as_complex_matrix, frozen_copy, hermitian_basis
 from .solvers import solve_dominating
@@ -169,10 +169,7 @@ def symmetric_subspace_basis(g: GroupRepresentation) -> np.ndarray:
 def _checked_state(rho, g: GroupRepresentation, read) -> np.ndarray:
     """``rho`` as ``read`` returns it, of the group's dimension."""
     rho = read(rho)
-    if rho.shape[0] != g.dimension:
-        raise DimensionMismatch(
-            f"state dimension {rho.shape[0]} vs group dimension {g.dimension}"
-        )
+    dimension_gate("state", rho.shape[0], "group", g.dimension)
     return rho
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidEnsemble, InvalidState, type_gate
+from .errors import InvalidEnsemble, InvalidState, dimension_gate, type_gate
 from .measurement import Povm, _check_distribution, _require_povm
 from .numerics import _check_seeded, _matrix_stack, as_complex_matrix, eig_hermitian, frozen_copy
 from .rom import rom_report
@@ -63,7 +63,9 @@ def check_density_matrix(rho) -> np.ndarray:
     """Validate a density matrix: Hermitian, positive semidefinite and of
     unit trace, both within ``STATE_TOL``."""
     m = as_complex_matrix(rho)
-    fault = _state_fault(eig_hermitian(m).eigenvalues[0], np.trace(m).real)
+    with np.errstate(over="ignore"):  # finite entries whose trace overflows: trace inf
+        trace = np.trace(m).real
+    fault = _state_fault(eig_hermitian(m).eigenvalues[0], trace)
     if fault is not None:
         raise InvalidState(fault)
     return m
@@ -75,8 +77,10 @@ def validate_ensemble(states, priors) -> Ensemble:
     fails ``check_density_matrix``'s PSD or trace gate names the error."""
     priors = _check_distribution(priors, InvalidEnsemble)
     states = _matrix_stack(states, InvalidEnsemble, "states")
+    with np.errstate(over="ignore"):  # finite entries whose trace overflows: trace inf
+        traces = np.trace(states, axis1=1, axis2=2).real
     fault = next(filter(None, map(_state_fault, eig_hermitian(states).eigenvalues[:, 0],
-                                  np.trace(states, axis1=1, axis2=2).real)), None)
+                                  traces)), None)
     if fault is not None:
         raise InvalidEnsemble(fault)
     return Ensemble(states, priors)
@@ -118,10 +122,7 @@ def _joint(e: Ensemble, m: Povm) -> np.ndarray:
     ``a``, as an ``(n, o)`` array, unclipped."""
     e = _require_ensemble(e)
     m = _require_povm(m)
-    if e.dimension != m.dimension:
-        raise DimensionMismatch(
-            f"ensemble dimension {e.dimension} vs measurement dimension {m.dimension}"
-        )
+    dimension_gate("ensemble", e.dimension, "measurement", m.dimension)
     return np.einsum("x,xij,aji->xa", e.priors, e.states, m.elements).real
 
 

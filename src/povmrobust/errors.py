@@ -111,3 +111,10 @@ def type_gate(cls, error):
             raise error(f"expected an instance of {cls.__name__}, got {type(obj).__name__}")
         return obj
     return require
+
+
+def dimension_gate(first: str, a: int, second: str, b: int) -> None:
+    """``DimensionMismatch`` unless the ``first`` operand's dimension ``a``
+    equals the ``second`` operand's dimension ``b``."""
+    if a != b:
+        raise DimensionMismatch(f"{first} dimension {a} vs {second} dimension {b}")

@@ -130,12 +130,16 @@ def _list(obj, key, kind) -> list:
     return items
 
 
-def _dimension(obj, kind):
+def _declared(obj, kind, decode, dimension=lambda value: value.dimension):
+    """``decode()``, called once ``obj`` declares an integer ``dimension``,
+    which must then be the ``dimension`` of the decoded value."""
     d = _require(obj, "dimension", kind)
     if isinstance(d, bool) or not isinstance(d, int):
-        raise ParseError("<data>",
-                         f"{kind} dimension must be an integer, got {json.dumps(d)}")
-    return d
+        raise ParseError("<data>", f"{kind} dimension must be an integer, got {json.dumps(d)}")
+    value = decode()
+    if dimension(value) != d:
+        raise ParseError("<data>", f"declared dimension {d}, the {kind} has {dimension(value)}")
+    return value
 
 
 def povm_to_json(m: Povm) -> dict:
@@ -146,12 +150,8 @@ def povm_to_json(m: Povm) -> dict:
 
 
 def povm_from_json(obj) -> Povm:
-    d = _dimension(obj, "POVM")
-    elements = [matrix_from_json(el) for el in _list(obj, "elements", "POVM")]
-    povm = validate_povm(elements)
-    if povm.dimension != d:
-        raise ParseError("<data>", f"declared dimension {d}, elements have {povm.dimension}")
-    return povm
+    return _declared(obj, "POVM", lambda: validate_povm(
+        [matrix_from_json(el) for el in _list(obj, "elements", "POVM")]))
 
 
 def stochastic_map_to_json(s: StochasticMap) -> dict:
@@ -178,13 +178,9 @@ def ensemble_to_json(e: Ensemble) -> dict:
 
 
 def ensemble_from_json(obj) -> Ensemble:
-    d = _dimension(obj, "ensemble")
-    states = [matrix_from_json(s) for s in _list(obj, "states", "ensemble")]
-    ensemble = validate_ensemble(states, _numbers(_require(obj, "priors", "ensemble"),
-                                                  "ensemble priors"))
-    if ensemble.dimension != d:
-        raise ParseError("<data>", f"declared dimension {d}, states have {ensemble.dimension}")
-    return ensemble
+    return _declared(obj, "ensemble", lambda: validate_ensemble(
+        [matrix_from_json(s) for s in _list(obj, "states", "ensemble")],
+        _numbers(_require(obj, "priors", "ensemble"), "ensemble priors")))
 
 
 def state_to_json(rho) -> dict:
@@ -193,10 +189,7 @@ def state_to_json(rho) -> dict:
 
 
 def state_from_json(obj) -> np.ndarray:
-    rho = matrix_from_json(_require(obj, "state", "state"))
-    if rho.shape[0] != _dimension(obj, "state"):
-        raise ParseError("<data>", "declared dimension disagrees with the state matrix")
-    return rho
+    return _declared(obj, "state", lambda: matrix_from_json(_require(obj, "state", "state")), len)
 
 
 def group_to_json(g: GroupRepresentation) -> dict:
@@ -207,11 +200,8 @@ def group_to_json(g: GroupRepresentation) -> dict:
 
 
 def group_from_json(obj) -> GroupRepresentation:
-    unitaries = [matrix_from_json(u) for u in _list(obj, "unitaries", "group")]
-    group = validate_group(unitaries)
-    if group.dimension != _dimension(obj, "group"):
-        raise ParseError("<data>", "declared dimension disagrees with the unitaries")
-    return group
+    return _declared(obj, "group", lambda: validate_group(
+        [matrix_from_json(u) for u in _list(obj, "unitaries", "group")]))
 
 
 def joint_to_json(j: JointDistribution) -> dict:

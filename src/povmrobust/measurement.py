@@ -82,8 +82,8 @@ class Povm:
 class StochasticMap:
     """Conditional probabilities ``p(out | in)`` with shape (inputs, outputs).
 
-    Each row is a distribution over outputs; validation happens on
-    construction since it only involves sums.
+    Each row is a distribution over outputs, checked on construction by
+    ``_check_distribution`` row by row.
     """
 
     probabilities: np.ndarray
@@ -92,16 +92,7 @@ class StochasticMap:
         p = frozen_copy(self.probabilities, float)
         if p.ndim != 2:
             raise ShapeMismatch(f"expected a 2-D array, got shape {p.shape}")
-        if not np.isfinite(p).all():
-            raise InvalidDistribution("conditional probabilities must be finite")
-        if p.min(initial=0.0) < -DISTRIBUTION_TOL:
-            raise InvalidDistribution("negative conditional probability")
-        row_dev = np.abs(p.sum(axis=1) - 1.0).max(initial=0.0)
-        if row_dev > DISTRIBUTION_TOL:
-            raise InvalidDistribution(
-                f"output distributions must sum to 1, worst deviation {row_dev:.3e}"
-            )
-        object.__setattr__(self, "probabilities", p)
+        object.__setattr__(self, "probabilities", _check_distribution(p, ndim=2, axis=1))
 
     @property
     def n_inputs(self) -> int:
@@ -112,10 +103,10 @@ class StochasticMap:
         return self.probabilities.shape[1]
 
 
-def _check_distribution(p, error=InvalidDistribution, ndim: int = 1) -> np.ndarray:
+def _check_distribution(p, error=InvalidDistribution, ndim: int = 1, axis=None) -> np.ndarray:
     """Probabilities as a nonempty float array with ``ndim`` axes, finite,
-    nonnegative and summing to 1 within ``DISTRIBUTION_TOL``; raises
-    ``error`` otherwise."""
+    nonnegative and summing to 1 within ``DISTRIBUTION_TOL``, in total or
+    along ``axis``; raises ``error`` otherwise, naming the worst sum."""
     p = np.asarray(p, dtype=float)
     if p.ndim != ndim or p.size == 0:
         raise error(f"expected a nonempty {ndim}-D array of probabilities, got shape {p.shape}")
@@ -123,8 +114,11 @@ def _check_distribution(p, error=InvalidDistribution, ndim: int = 1) -> np.ndarr
         raise error("probabilities must be finite")
     if p.min() < -DISTRIBUTION_TOL:
         raise error(f"negative probability {p.min():.3e}")
-    if abs(p.sum() - 1.0) > DISTRIBUTION_TOL:
-        raise error(f"probabilities sum to {float(p.sum())}, not 1")
+    with np.errstate(over="ignore"):  # finite entries whose sum overflows: sum inf
+        sums = np.atleast_1d(p.sum(axis=axis))
+    worst = float(sums[np.abs(sums - 1.0).argmax()])
+    if abs(worst - 1.0) > DISTRIBUTION_TOL:
+        raise error(f"probabilities sum to {worst}, not 1")
     return p
 
 
@@ -144,7 +138,8 @@ def validate_povm(candidate) -> Povm:
         raise NotPsd(
             f"element {a} has eigenvalue {smallest[a]:.3e} below -{PSD_TOL:.1e}", index=a
         )
-    deviation = np.abs(povm.elements.sum(axis=0) - np.eye(povm.dimension)).max()
+    with np.errstate(over="ignore"):  # finite elements whose sum overflows deviate by inf
+        deviation = np.abs(povm.elements.sum(axis=0) - np.eye(povm.dimension)).max()
     if deviation > COMPLETENESS_TOL:
         raise CompletenessViolation(
             f"elements sum to identity only within {deviation:.3e}", deviation=deviation

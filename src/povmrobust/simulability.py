@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrimination import Ensemble, p_guess_with_measurement
-from .errors import DimensionMismatch, SolverFailure
+from .errors import SolverFailure, dimension_gate
 from .measurement import COMPLETENESS_TOL, Povm, StochasticMap, _require_povm, post_process
 from .numerics import eig_hermitian
 from .solvers import FEASIBILITY_TOL, OPTIMAL, _rows, solve_lp
@@ -77,10 +77,7 @@ def is_simulable(m: Povm, target: Povm) -> SimulabilityResult:
     """
     m = _require_povm(m)
     target = _require_povm(target)
-    if m.dimension != target.dimension:
-        raise DimensionMismatch(
-            f"source dimension {m.dimension} vs target dimension {target.dimension}"
-        )
+    dimension_gate("source", m.dimension, "target", target.dimension)
     d = m.dimension
     o, o_target = m.outcomes, target.outcomes
     source_coords = _rows(m.elements)       # (o, 2*d*d); tr[A B] = _rows(A) . _rows(B)

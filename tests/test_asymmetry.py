@@ -83,6 +83,10 @@ class TestValidateGroup:
         rho = random_density_matrix(d, np.random.default_rng(d))
         assert abs(roa(u @ rho @ u.conj().T, g).value - roc(rho).value) <= 1e-9
 
+    def test_rejects_a_group_without_the_identity(self):
+        with pytest.raises(InvalidGroup, match="does not contain the identity"):
+            validate_group([np.diag([1.0, -1.0])])
+
     def test_rejects_a_random_unitary_with_the_identity(self):
         with pytest.raises(InvalidGroup):
             validate_group([np.eye(2), haar_random_unitary(2, 3)])

@@ -168,8 +168,11 @@ def test_selftest_quick_exits_zero(capsys):
 
 
 def _assert_error_contract(capsys, code):
+    """The error document of a failed run, which is all it printed."""
     assert code != 0
-    payload = _json_out(capsys)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
     assert set(payload) == {"error", "detail"}
     return payload
 
@@ -222,10 +225,8 @@ def test_random_povm_over_the_memory_budget_is_a_resource_limit(capsys, monkeypa
         raise AssertionError("the generator was reached")
     monkeypatch.setattr(np.random, "default_rng", no_draws)
     code = run(["random-povm", "--dim", "200000", "--outcomes", "2", "--seed", "1"])
-    captured = capsys.readouterr()
-    assert (code, captured.err) == (1, "")
-    payload = json.loads(captured.out)
-    assert set(payload) == {"error", "detail"} and payload["error"] == "ResourceLimit"
+    assert code == 1
+    assert _assert_error_contract(capsys, code)["error"] == "ResourceLimit"
 
 
 def test_memory_error_is_a_resource_limit_and_nothing_else_is_mapped(capsys, monkeypatch):
@@ -246,10 +247,8 @@ def test_memory_error_is_a_resource_limit_and_nothing_else_is_mapped(capsys, mon
 
 def test_selftest_with_a_bad_flag_is_a_usage_error(capsys):
     code = run(["selftest", "--no-such-flag"])
-    captured = capsys.readouterr()
-    assert (code, captured.err) == (2, "")
-    payload = json.loads(captured.out)
-    assert set(payload) == {"error", "detail"} and payload["error"] == "UsageError"
+    assert code == 2
+    assert _assert_error_contract(capsys, code)["error"] == "UsageError"
 
 
 def test_random_povm_rejects_negative_seed(capsys):
@@ -304,6 +303,8 @@ def test_ensemble_of_mixed_dimensions_is_an_error(z_file, tmp_path, capsys, comm
 
 _PLUS_STATE = jsonio.state_to_json(np.full((2, 2), 0.5))
 _HALF = jsonio.matrix_to_json(np.eye(2) / 2)
+_EYE = jsonio.matrix_to_json(np.eye(2))
+_NOT_UNITARY = jsonio.matrix_to_json(np.diag([1.0, 2.0]))
 
 
 @pytest.mark.parametrize("command, files, detail", [
@@ -322,6 +323,21 @@ _HALF = jsonio.matrix_to_json(np.eye(2) / 2)
     ("rom {0}", [{"dimension": 2, "elements": [[[[True, 0], [0, 0]], [[0, 0], [0, 0]]],
                                                [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]}],
      "matrix must hold only numbers"),
+    ("accinfo-ensemble {0}", [{"dimension": 3, "priors": [0.5, 0.5], "states": [_HALF, _HALF]}],
+     "declared dimension"),
+    ("roc --state {0}", [{**_PLUS_STATE, "dimension": 3}], "declared dimension"),
+    ("roa --state {0} --group {1}", [_PLUS_STATE, {"dimension": 3, "unitaries": [_EYE]}],
+     "declared dimension"),
+    # the second unitary is not unitary, yet the missing or non-integer
+    # dimension is named first
+    ("roa --state {0} --group {1}", [_PLUS_STATE, {"unitaries": [_EYE, _NOT_UNITARY]}],
+     "needs the key 'dimension'"),
+    ("roa --state {0} --group {1}",
+     [_PLUS_STATE, {"dimension": "2", "unitaries": [_EYE, _NOT_UNITARY]}],
+     "group dimension must be an integer"),
+    ("roa --state {0} --group {1}",
+     [_PLUS_STATE, {"dimension": 2.0, "unitaries": [_EYE, _NOT_UNITARY]}],
+     "group dimension must be an integer"),
 ])
 def test_malformed_container_is_a_parse_error(tmp_path, capsys, command, files, detail):
     paths = [_write_json(tmp_path, f"in{i}.json", obj) for i, obj in enumerate(files)]
@@ -330,6 +346,29 @@ def test_malformed_container_is_a_parse_error(tmp_path, capsys, command, files, 
     assert code == 2
     assert payload["error"] == "ParseError"
     assert detail in payload["detail"]
+
+
+_HUGE = jsonio.matrix_to_json(np.diag([1e308, 1e308]))
+
+
+@pytest.mark.parametrize("command, files, error", [
+    ("rom {0}", [{"dimension": 2, "elements": [jsonio.matrix_to_json(np.diag([1e308, 0.0])),
+                                               jsonio.matrix_to_json(np.diag([1e308, 1.0]))]}],
+     "CompletenessViolation"),
+    ("roc --state {0}", [{"dimension": 2, "state": _HUGE}], "InvalidState"),
+    ("accinfo-ensemble {0}", [{"dimension": 2, "priors": [0.5, 0.5], "states": [_HUGE, _HUGE]}],
+     "InvalidEnsemble"),
+    ("accinfo-ensemble {0}", [{"dimension": 2, "priors": [1e308, 1e308],
+                               "states": [_HALF, _HALF]}], "InvalidEnsemble"),
+], ids=["povm", "state", "ensemble", "priors"])
+def test_sums_that_overflow_are_rejected_without_a_warning(tmp_path, capsys, command, files,
+                                                           error):
+    # finite entries whose sum or trace is infinite: the gate names inf, and nothing else prints
+    paths = [_write_json(tmp_path, f"in{i}.json", obj) for i, obj in enumerate(files)]
+    code = run([arg.format(*paths) for arg in command.split()])
+    payload = _assert_error_contract(capsys, code)
+    assert (code, payload["error"]) == (1, error)
+    assert "inf" in payload["detail"]
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-11, 1e-10, 5e-10, 9e-10])

@@ -47,6 +47,10 @@ class TestValidateEnsemble:
         with pytest.raises(InvalidEnsemble):
             validate_ensemble([np.eye(2) / 2, np.eye(3) / 3], [0.5, 0.5])
 
+    def test_an_ensemble_of_non_square_states_is_invalid(self):
+        with pytest.raises(InvalidEnsemble, match=r"shape \(n, d, d\)"):
+            Ensemble(np.zeros((2, 2, 3)), [0.5, 0.5])
+
     def test_random_ensembles_are_valid(self):
         for i in range(5):
             e = random_ensemble(3, 4, 880 + i)

@@ -116,6 +116,9 @@ def test_asymmetry_report_schema():
         [[[True, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]}),
     (jsonio.ensemble_from_json, {"dimension": 2, "priors": [0.5, False, 0.5],
                                  "states": [[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]] * 3}),
+    # a valid table whose shape disagrees with the declared rows and cols
+    (jsonio.stochastic_map_from_json, {"rows": 2, "cols": 2, "p": [[0.5, 0.5]]}),
+    (jsonio.stochastic_map_from_json, {"rows": 1, "cols": 3, "p": [[0.5, 0.5]]}),
 ])
 def test_decoders_reject_non_arrays_and_non_numbers(decoder, payload):
     with pytest.raises(ParseError):

@@ -245,6 +245,16 @@ class TestStochasticMap:
         with pytest.raises(InvalidDistribution):
             StochasticMap(np.array([[1.1, -0.1]]))
 
+    def test_a_table_that_is_not_two_dimensional_is_a_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            StochasticMap(np.ones(3))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_an_empty_map_is_an_invalid_distribution(self, shape):
+        # a map with no inputs or no outputs maps no distribution to one
+        with pytest.raises(InvalidDistribution):
+            StochasticMap(np.zeros(shape))
+
     def test_random_is_valid_and_deterministic(self):
         a = random_stochastic_map(4, 3, 6)
         b = random_stochastic_map(4, 3, 6)

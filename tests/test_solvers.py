@@ -405,6 +405,20 @@ class TestStepShape:
         assert abs(halved.value - reference.value) <= solvers.GAP_TOL
         assert halved.min_slack > 0.0
 
+    def test_a_step_that_never_factors_is_a_solver_failure(self, monkeypatch):
+        calls, cholesky = [], np.linalg.cholesky
+
+        def fails_after_the_start(a):
+            calls.append(a)
+            if len(calls) > 1:
+                raise np.linalg.LinAlgError("forced")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", fails_after_the_start)
+        with pytest.raises(SolverFailure, match="cannot stay positive definite"):
+            solve_dominating(hermitian_basis(3), weighted_pair(3, 92))
+        assert len(calls) == 1 + solvers.MAX_HALVINGS
+
     def test_inverted_bracket_is_a_solver_failure(self, monkeypatch):
         certified = solvers._certified_lower
 
