@@ -85,8 +85,9 @@ def validate_group(unitaries) -> GroupRepresentation:
     within ``CLOSURE_TOL``), then wrap them: every twirl is then exact."""
     mats = _matrix_stack(unitaries, InvalidGroup, "unitaries")
     d = mats.shape[1]
-    deviations = np.abs(mats.conj().swapaxes(1, 2) @ mats - np.eye(d)).max(axis=(1, 2))
-    bad = np.flatnonzero(deviations > UNITARY_TOL)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: inf - inf is NaN
+        deviations = np.abs(mats.conj().swapaxes(1, 2) @ mats - np.eye(d)).max(axis=(1, 2))
+    bad = np.flatnonzero(~(deviations <= UNITARY_TOL))
     if bad.size:
         raise InvalidGroup(f"element {bad[0]} fails unitarity by {deviations[bad[0]]:.3e}")
     w, _, vh = np.linalg.svd(mats)

@@ -51,18 +51,7 @@ def _load(path: str, decoder):
         raise ParseError(path, exc.detail) from exc
 
 
-def _cmd_rom(args):
-    return {"rom": rom(_load(args.povm, jsonio.povm_from_json))}
-
-
-def _cmd_rom_report(args):
-    report = rom_report(_load(args.povm, jsonio.povm_from_json))
-    return jsonio.robustness_report_to_json(report)
-
-
-def _cmd_discriminate(args):
-    ensemble = _load(args.ensemble, jsonio.ensemble_from_json)
-    povm = _load(args.povm, jsonio.povm_from_json)
+def _discriminate(ensemble, povm):
     return {
         "p_guess_classical": p_guess_classical(ensemble),
         "p_guess_quantum": p_guess_with_measurement(ensemble, povm),
@@ -70,33 +59,40 @@ def _cmd_discriminate(args):
     }
 
 
-def _cmd_optimal_ensemble(args):
-    return jsonio.ensemble_to_json(optimal_ensemble(_load(args.povm, jsonio.povm_from_json)))
-
-
-def _cmd_accinfo_measurement(args):
-    bits, witness = acc_min_info_measurement(_load(args.povm, jsonio.povm_from_json))
+def _accinfo_measurement(povm):
+    bits, witness = acc_min_info_measurement(povm)
     return {"bits": bits, "witness": jsonio.ensemble_to_json(witness)}
 
 
-def _cmd_accinfo_ensemble(args):
-    return {"bits": acc_min_info_ensemble(_load(args.ensemble, jsonio.ensemble_from_json))}
+_POVM, _ENSEMBLE, _STATE = jsonio.povm_from_json, jsonio.ensemble_from_json, jsonio.state_from_json
+
+# Each file-reading command: its help, its file arguments in the order they
+# are read, each with its decoder (a flag is a required option, a bare name
+# positional), and the document made from the decoded values.
+_FILE_COMMANDS = {
+    "rom": ("robustness of a measurement", [("povm", _POVM)], lambda m: {"rom": rom(m)}),
+    "rom-report": ("robustness with certificates", [("povm", _POVM)],
+                   lambda m: jsonio.robustness_report_to_json(rom_report(m))),
+    "discriminate": ("guessing probabilities of a game",
+                     [("--ensemble", _ENSEMBLE), ("--povm", _POVM)], _discriminate),
+    "optimal-ensemble": ("the game a measurement is best at", [("povm", _POVM)],
+                         lambda m: jsonio.ensemble_to_json(optimal_ensemble(m))),
+    "accinfo-measurement": ("accessible min-information of a measurement", [("povm", _POVM)],
+                            _accinfo_measurement),
+    "accinfo-ensemble": ("accessible min-information of an ensemble",
+                         [("ensemble", _ENSEMBLE)], lambda e: {"bits": acc_min_info_ensemble(e)}),
+    "simulable": ("decide post-processing simulability", [("--from", _POVM), ("--to", _POVM)],
+                  lambda m, target: jsonio.simulability_result_to_json(is_simulable(m, target))),
+    "roa": ("robustness of asymmetry", [("--state", _STATE), ("--group", jsonio.group_from_json)],
+            lambda rho, g: jsonio.asymmetry_report_to_json(roa(rho, g))),
+    "roc": ("robustness of coherence", [("--state", _STATE)],
+            lambda rho: jsonio.asymmetry_report_to_json(roc(rho))),
+}
 
 
-def _cmd_simulable(args):
-    result = is_simulable(_load(args.source, jsonio.povm_from_json),
-                          _load(args.target, jsonio.povm_from_json))
-    return jsonio.simulability_result_to_json(result)
-
-
-def _cmd_roa(args):
-    report = roa(_load(args.state, jsonio.state_from_json),
-                 _load(args.group, jsonio.group_from_json))
-    return jsonio.asymmetry_report_to_json(report)
-
-
-def _cmd_roc(args):
-    return jsonio.asymmetry_report_to_json(roc(_load(args.state, jsonio.state_from_json)))
+def _run_file_command(args):
+    _, files, document = _FILE_COMMANDS[args.command]
+    return document(*(_load(getattr(args, flag.lstrip("-")), decoder) for flag, decoder in files))
 
 
 def _cmd_random_povm(args):
@@ -124,48 +120,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="povmrobust", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sub = commands.add_parser("rom", help="robustness of a measurement")
-    sub.add_argument("povm")
-    sub.set_defaults(handler=_cmd_rom)
-
-    sub = commands.add_parser("rom-report", help="robustness with certificates")
-    sub.add_argument("povm")
-    sub.set_defaults(handler=_cmd_rom_report)
-
-    sub = commands.add_parser("discriminate", help="guessing probabilities of a game")
-    sub.add_argument("--ensemble", required=True)
-    sub.add_argument("--povm", required=True)
-    sub.set_defaults(handler=_cmd_discriminate)
-
-    sub = commands.add_parser("optimal-ensemble",
-                              help="the game a measurement is best at")
-    sub.add_argument("povm")
-    sub.set_defaults(handler=_cmd_optimal_ensemble)
-
-    sub = commands.add_parser("accinfo-measurement",
-                              help="accessible min-information of a measurement")
-    sub.add_argument("povm")
-    sub.set_defaults(handler=_cmd_accinfo_measurement)
-
-    sub = commands.add_parser("accinfo-ensemble",
-                              help="accessible min-information of an ensemble")
-    sub.add_argument("ensemble")
-    sub.set_defaults(handler=_cmd_accinfo_ensemble)
-
-    sub = commands.add_parser("simulable",
-                              help="decide post-processing simulability")
-    sub.add_argument("--from", dest="source", required=True)
-    sub.add_argument("--to", dest="target", required=True)
-    sub.set_defaults(handler=_cmd_simulable)
-
-    sub = commands.add_parser("roa", help="robustness of asymmetry")
-    sub.add_argument("--state", required=True)
-    sub.add_argument("--group", required=True)
-    sub.set_defaults(handler=_cmd_roa)
-
-    sub = commands.add_parser("roc", help="robustness of coherence")
-    sub.add_argument("--state", required=True)
-    sub.set_defaults(handler=_cmd_roc)
+    for name, (help_text, files, _) in _FILE_COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        for flag, _ in files:
+            sub.add_argument(flag, **({"required": True} if flag.startswith("--") else {}))
+        sub.set_defaults(handler=_run_file_command)
 
     sub = commands.add_parser("random-povm", help="seeded random measurement")
     sub.add_argument("--dim", type=int, required=True)
@@ -181,30 +140,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit_error(exc: PovmRobustError) -> None:
-    payload = {"error": type(exc).__name__, "detail": str(exc)}
-    print(jsonio.dumps(payload))
-
-
 def run(argv=None) -> int:
     """Dispatch one command; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        _emit_error(exc)
-        return 2
-    try:
+        args = _build_parser().parse_args(argv)
         outcome = args.handler(args)
-    except ParseError as exc:
-        _emit_error(exc)
-        return 2
-    except PovmRobustError as exc:
-        _emit_error(exc)
-        return 1
-    except MemoryError as exc:
-        _emit_error(ResourceLimit(str(exc) or "out of memory"))
-        return 1
+    except (PovmRobustError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):
+            exc = ResourceLimit(str(exc) or "out of memory")
+        print(jsonio.dumps({"error": type(exc).__name__, "detail": str(exc)}))
+        return 2 if isinstance(exc, (UsageError, ParseError)) else 1
     if isinstance(outcome, int):
         return outcome
     print(jsonio.dumps(outcome))

@@ -130,12 +130,18 @@ def _list(obj, key, kind) -> list:
     return items
 
 
+def _integer(obj, key, kind) -> int:
+    """``obj[key]``, which must be a JSON integer: a boolean or a float is a ParseError."""
+    n = _require(obj, key, kind)
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ParseError("<data>", f"{kind} {key} must be an integer, got {json.dumps(n)}")
+    return n
+
+
 def _declared(obj, kind, decode, dimension=lambda value: value.dimension):
     """``decode()``, called once ``obj`` declares an integer ``dimension``,
     which must then be the ``dimension`` of the decoded value."""
-    d = _require(obj, "dimension", kind)
-    if isinstance(d, bool) or not isinstance(d, int):
-        raise ParseError("<data>", f"{kind} dimension must be an integer, got {json.dumps(d)}")
+    d = _integer(obj, "dimension", kind)
     value = decode()
     if dimension(value) != d:
         raise ParseError("<data>", f"declared dimension {d}, the {kind} has {dimension(value)}")
@@ -164,7 +170,7 @@ def stochastic_map_to_json(s: StochasticMap) -> dict:
 
 def stochastic_map_from_json(obj) -> StochasticMap:
     p = _numbers(_require(obj, "p", "stochastic map"), "stochastic map p")
-    if p.shape != (_require(obj, "rows", "stochastic map"), _require(obj, "cols", "stochastic map")):
+    if p.shape != (_integer(obj, "rows", "stochastic map"), _integer(obj, "cols", "stochastic map")):
         raise ParseError("<data>", "stochastic map shape disagrees with rows/cols")
     return StochasticMap(p)
 

@@ -191,6 +191,7 @@ def rank_one_povm(weights, states) -> Povm:
 
 def post_process(m: Povm, stochastic: StochasticMap) -> Povm:
     """Classically relabel outcomes: ``M'_b = sum_a p(b|a) M_a``."""
+    m, stochastic = _require_povm(m), _require_map(stochastic)
     if stochastic.n_inputs != m.outcomes:
         raise SizeMismatch(
             f"map expects {stochastic.n_inputs} inputs, measurement has {m.outcomes} outcomes"
@@ -202,6 +203,7 @@ def post_process(m: Povm, stochastic: StochasticMap) -> Povm:
 def depolarize_povm(m: Povm, eta: float) -> Povm:
     """Mix each element with white noise of the same weight:
     ``(1 - eta) M_a + eta tr[M_a] I / d``."""
+    m = _require_povm(m)
     if not 0.0 <= eta <= 1.0:
         raise EtaOutOfRange(f"eta must lie in [0, 1], got {eta}")
     d = m.dimension
@@ -240,3 +242,4 @@ def random_stochastic_map(n_in: int, n_out: int, seed: int) -> StochasticMap:
 
 
 _require_povm = type_gate(Povm, InvalidPovm)
+_require_map = type_gate(StochasticMap, InvalidDistribution)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionOne, ShapeMismatch
+from .errors import DimensionOne, InvalidArgument, ShapeMismatch
 from .measurement import Povm, _require_povm
 
 TRIVIAL_TOL = 1e-9
@@ -110,7 +110,9 @@ def uniform_noise_mixture(m: Povm) -> tuple[Povm, np.ndarray, float]:
 
 def verify_pseudo_mixture(m: Povm, noise: Povm, q, r: float) -> bool:
     """Check ``(M_a + r N_a) / (1 + r) = q(a) I`` entrywise within
-    ``PSEUDO_MIXTURE_TOL``."""
+    ``PSEUDO_MIXTURE_TOL``; ``r`` must be finite and nonnegative."""
+    if not 0.0 <= r < np.inf:
+        raise InvalidArgument(f"r must be finite and nonnegative, got {r}")
     m = _require_povm(m)
     noise = _require_povm(noise)
     q = np.asarray(q, dtype=float)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrimination import Ensemble, p_guess_with_measurement
-from .errors import SolverFailure, dimension_gate
+from .errors import InvalidArgument, SolverFailure, dimension_gate, type_gate
 from .measurement import COMPLETENESS_TOL, Povm, StochasticMap, _require_povm, post_process
 from .numerics import eig_hermitian
 from .solvers import FEASIBILITY_TOL, OPTIMAL, _rows, solve_lp
@@ -42,6 +42,9 @@ class SimulabilityCertificate:
 
     operators: np.ndarray
     scalars: np.ndarray
+
+
+_require_certificate = type_gate(SimulabilityCertificate, InvalidArgument)
 
 
 @dataclass(frozen=True)
@@ -155,7 +158,7 @@ def witness_from_certificate(m: Povm, target: Povm,
     the tolerance means the certificate itself did not verify, and
     ``SolverFailure`` is raised.
     """
-    return _witness(_require_povm(m), _require_povm(target), certificate)[0]
+    return _witness(_require_povm(m), _require_povm(target), _require_certificate(certificate))[0]
 
 
 def _witness(m: Povm, target: Povm,

@@ -98,9 +98,10 @@ def solve_lp(a, b) -> LpSolution:
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    m, n = a.shape
-    if b.shape != (m,) or not (np.isfinite(a).all() and np.isfinite(b).all()):
+    if (a.ndim != 2 or b.shape != a.shape[:1]
+            or not (np.isfinite(a).all() and np.isfinite(b).all())):
         raise InvalidArgument(f"need finite a and b of matching shapes, got {a.shape}, {b.shape}")
+    m, n = a.shape
     noise = max(m, n) * np.finfo(float).eps * np.abs(a).max(initial=0.0) * np.abs(b).sum()
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)

@@ -91,6 +91,13 @@ class TestValidateGroup:
         with pytest.raises(InvalidGroup):
             validate_group([np.eye(2), haar_random_unitary(2, 3)])
 
+    @pytest.mark.parametrize("scale", [1e308, 1e200])
+    def test_rejects_entries_whose_products_overflow_without_a_warning(self, scale):
+        # U^dag U overflows, and inf - inf is NaN; the suite turns numpy's
+        # RuntimeWarning into an error
+        with pytest.raises(InvalidGroup, match="element 1 fails unitarity"):
+            validate_group([np.eye(2), scale * np.array([[1.0, 1.0], [1.0, -1.0]])])
+
 
 class TestTwirl:
     def test_symmetric_input_unchanged(self):

@@ -352,6 +352,10 @@ _HUGE = jsonio.matrix_to_json(np.diag([1e308, 1e308]))
 
 
 @pytest.mark.parametrize("command, files, error", [
+    ("roa --state {0} --group {1}",
+     [_PLUS_STATE, {"dimension": 2, "unitaries": [
+         _EYE, jsonio.matrix_to_json(1e308 * np.array([[1.0, 1.0], [1.0, -1.0]]))]}],
+     "InvalidGroup"),
     ("rom {0}", [{"dimension": 2, "elements": [jsonio.matrix_to_json(np.diag([1e308, 0.0])),
                                                jsonio.matrix_to_json(np.diag([1e308, 1.0]))]}],
      "CompletenessViolation"),
@@ -360,7 +364,7 @@ _HUGE = jsonio.matrix_to_json(np.diag([1e308, 1e308]))
      "InvalidEnsemble"),
     ("accinfo-ensemble {0}", [{"dimension": 2, "priors": [1e308, 1e308],
                                "states": [_HALF, _HALF]}], "InvalidEnsemble"),
-], ids=["povm", "state", "ensemble", "priors"])
+], ids=["group", "povm", "state", "ensemble", "priors"])
 def test_sums_that_overflow_are_rejected_without_a_warning(tmp_path, capsys, command, files,
                                                            error):
     # finite entries whose sum or trace is infinite: the gate names inf, and nothing else prints
@@ -454,17 +458,20 @@ def _group_doc(draw):
                 | _JUNK)
 
 
+# every file-reading command, with the kind of each of its files in the order they are read
 _COMMANDS = {
-    "rom": ("rom {0}", [_povm_doc()]),
-    "rom-report": ("rom-report {0}", [_povm_doc()]),
-    "discriminate": ("discriminate --ensemble {0} --povm {1}", [_ensemble_doc(), _povm_doc()]),
-    "optimal-ensemble": ("optimal-ensemble {0}", [_povm_doc()]),
-    "accinfo-measurement": ("accinfo-measurement {0}", [_povm_doc()]),
-    "accinfo-ensemble": ("accinfo-ensemble {0}", [_ensemble_doc()]),
-    "simulable": ("simulable --from {0} --to {1}", [_povm_doc(), _povm_doc()]),
-    "roc": ("roc --state {0}", [_state_doc()]),
-    "roa": ("roa --state {0} --group {1}", [_state_doc(), _group_doc()]),
+    "rom": ("rom {0}", ["povm"]),
+    "rom-report": ("rom-report {0}", ["povm"]),
+    "discriminate": ("discriminate --ensemble {0} --povm {1}", ["ensemble", "povm"]),
+    "optimal-ensemble": ("optimal-ensemble {0}", ["povm"]),
+    "accinfo-measurement": ("accinfo-measurement {0}", ["povm"]),
+    "accinfo-ensemble": ("accinfo-ensemble {0}", ["ensemble"]),
+    "simulable": ("simulable --from {0} --to {1}", ["povm", "povm"]),
+    "roc": ("roc --state {0}", ["state"]),
+    "roa": ("roa --state {0} --group {1}", ["state", "group"]),
 }
+_DOCS = {"povm": _povm_doc(), "ensemble": _ensemble_doc(), "state": _state_doc(),
+         "group": _group_doc()}
 
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
@@ -472,12 +479,37 @@ _COMMANDS = {
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(data=st.data())
 def test_any_input_keeps_the_contract(tmp_path, capsys, command, data):
-    template, documents = _COMMANDS[command]
-    paths = [_write_json(tmp_path, f"in{i}.json", data.draw(doc, label=f"file {i}"))
-             for i, doc in enumerate(documents)]
+    template, kinds = _COMMANDS[command]
+    paths = [_write_json(tmp_path, f"in{i}.json", data.draw(_DOCS[kind], label=f"file {i}"))
+             for i, kind in enumerate(kinds)]
     code = run([arg.format(*paths) for arg in template.split()])
     payload = _json_out(capsys)
     if code:
         assert set(payload) == {"error", "detail"}
     else:
         assert "error" not in payload
+
+
+_VALID = {"povm": jsonio.povm_to_json(projective_povm(np.eye(2))),
+          "ensemble": jsonio.ensemble_to_json(validate_ensemble([np.eye(2) / 2] * 2, [0.5, 0.5])),
+          "state": _PLUS_STATE,
+          "group": jsonio.group_to_json(dephasing_group(2))}
+# a valid document that is not of the kind the slot reads
+_OTHER_KIND = {"povm": "state", "ensemble": "povm", "state": "povm", "group": "state"}
+
+
+@pytest.mark.parametrize("fault", ["missing", "other-kind"])
+@pytest.mark.parametrize("command, slot", [(c, i) for c in _COMMANDS
+                                           for i in range(len(_COMMANDS[c][1]))])
+def test_each_file_slot_reads_its_own_kind_and_names_its_path(tmp_path, capsys, command, slot,
+                                                               fault):
+    template, kinds = _COMMANDS[command]
+    paths = [_write_json(tmp_path, f"in{i}.json", _VALID[kind]) for i, kind in enumerate(kinds)]
+    if fault == "missing":
+        paths[slot] = str(tmp_path / "missing.json")
+    else:
+        paths[slot] = _write_json(tmp_path, "other.json", _VALID[_OTHER_KIND[kinds[slot]]])
+    code = run([arg.format(*paths) for arg in template.split()])
+    payload = _assert_error_contract(capsys, code)
+    assert (code, payload["error"]) == (2, "ParseError")
+    assert payload["detail"].startswith(paths[slot] + ": ")

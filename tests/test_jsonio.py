@@ -119,6 +119,9 @@ def test_asymmetry_report_schema():
     # a valid table whose shape disagrees with the declared rows and cols
     (jsonio.stochastic_map_from_json, {"rows": 2, "cols": 2, "p": [[0.5, 0.5]]}),
     (jsonio.stochastic_map_from_json, {"rows": 1, "cols": 3, "p": [[0.5, 0.5]]}),
+    # a boolean or a float equal to the row count is still not an integer
+    (jsonio.stochastic_map_from_json, {"rows": True, "cols": 2, "p": [[0.5, 0.5]]}),
+    (jsonio.stochastic_map_from_json, {"rows": 1.0, "cols": 2, "p": [[0.5, 0.5]]}),
 ])
 def test_decoders_reject_non_arrays_and_non_numbers(decoder, payload):
     with pytest.raises(ParseError):

@@ -44,6 +44,7 @@ from povmrobust.measurement import (
 )
 from povmrobust.numerics import eig_hermitian
 from povmrobust.rom import rom
+from povmrobust.simulability import witness_from_certificate
 
 
 class TestValidatePovm:
@@ -386,12 +387,18 @@ _NAN = np.full((2, 2), np.nan)
     (lambda: _require_ensemble(projective_povm(np.eye(2))), InvalidEnsemble),
     (lambda: _require_group([np.eye(2)]), InvalidGroup),
     (lambda: _require_joint(np.eye(2) / 2), InvalidJoint),
+    (lambda: depolarize_povm([_HALF, _HALF], 0.1), InvalidPovm),
+    (lambda: post_process([_HALF, _HALF], StochasticMap(np.eye(2))), InvalidPovm),
+    (lambda: post_process(projective_povm(np.eye(2)), np.eye(2)), InvalidDistribution),
+    (lambda: witness_from_certificate(projective_povm(np.eye(2)), projective_povm(np.eye(2)),
+                                      [np.eye(2)]), InvalidArgument),
 ], ids=["povm-empty", "povm-mixed", "povm-not-square", "povm-nan",
         "ensemble-empty", "ensemble-mixed", "ensemble-not-square", "ensemble-nan",
         "ensemble-not-hermitian", "ensemble-too-many-priors", "ensemble-too-few-priors",
         "state-not-hermitian", "state-stack", "group-empty", "group-mixed",
         "group-not-square", "group-nan", "require-povm", "require-ensemble",
-        "require-group", "require-joint"])
+        "require-group", "require-joint", "depolarize-list", "post-process-list",
+        "post-process-array", "witness-list"])
 def test_each_input_gate_keeps_its_exception_type(build, error):
     # every value type is reached through one stack gate and one type gate
     with pytest.raises(error):

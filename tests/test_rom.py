@@ -3,7 +3,8 @@ import pytest
 
 from povmrobust import numerics
 from povmrobust.discrimination import advantage, optimal_ensemble
-from povmrobust.errors import DimensionOne, InvalidPovm, NotHermitian, ShapeMismatch
+from povmrobust.errors import (DimensionOne, InvalidArgument, InvalidPovm, NotHermitian,
+                               ShapeMismatch)
 from povmrobust.info import acc_min_info_measurement
 from povmrobust.measurement import (
     Povm,
@@ -218,6 +219,12 @@ class TestVerifyPseudoMixture:
         noise, q, r = uniform_noise_mixture(trine)
         with pytest.raises(ShapeMismatch):
             verify_pseudo_mixture(qubit_z, noise, q, r)
+
+    @pytest.mark.parametrize("r", [-1.0, -0.5, np.inf, np.nan])
+    def test_weight_must_be_finite_and_nonnegative(self, qubit_z, r):
+        # r = -1 once divided by 1 + r = 0
+        with pytest.raises(InvalidArgument, match="finite and nonnegative"):
+            verify_pseudo_mixture(qubit_z, qubit_z, [0.5, 0.5], r)
 
 
 class TestRobustnessProperties:

@@ -571,6 +571,7 @@ SCALAR_PROGRAM = (np.eye(2, dtype=complex)[None] / math.sqrt(2.0),
 
 @pytest.mark.parametrize("setup, solve, error", [
     (None, lambda: solve_lp(np.ones((2, 3)), np.ones(3)), InvalidArgument),
+    (None, lambda: solve_lp(np.zeros((2, 2, 2)), np.zeros(2)), InvalidArgument),
     # non-finite input once returned a point with a NaN entry, leaked numpy's
     # empty-reduction error, and returned the status "unbounded"
     (None, lambda: solve_lp([[1.0, 1.0]], [np.inf]), InvalidArgument),
@@ -593,7 +594,7 @@ SCALAR_PROGRAM = (np.eye(2, dtype=complex)[None] / math.sqrt(2.0),
     (lambda mp: mp.setattr(solvers, "MAX_ITERATIONS", 1),
      lambda: solve_dominating(*SCALAR_PROGRAM), SolverFailure),
     (_overstated_lower, lambda: solve_dominating(*SCALAR_PROGRAM), SolverFailure),
-], ids=["lp-shapes", "lp-inf-rhs", "lp-nan-rhs", "lp-nan-matrix", "lp-pivot-cap",
+], ids=["lp-shapes", "lp-3d-matrix", "lp-inf-rhs", "lp-nan-rhs", "lp-nan-matrix", "lp-pivot-cap",
         "dominating-empty-stack", "dominating-not-orthonormal",
         "dominating-misses-identity", "dominating-blocks-without-basis",
         "dominating-block-shapes-differ", "dominating-iteration-cap",
