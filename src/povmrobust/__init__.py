@@ -59,8 +59,6 @@ from .numerics import (
     eig_hermitian,
     haar_random_unitary,
     hermitian_basis,
-    is_psd,
-    operator_norm,
 )
 from .rom import (
     PseudoMixture,
@@ -77,7 +75,6 @@ from .simulability import (
     witness_from_certificate,
 )
 from .solvers import (
-    LpSolution,
     SdpSolution,
     min_error_guess_value,
     rom_via_sdp,

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrimination import Ensemble, check_density_matrix, p_guess_with_measurement
-from .errors import (InvalidArgument, InvalidGroup, PovmRobustError, SolverFailure,
-                     dimension_gate, type_gate)
+from .errors import InvalidGroup, PovmRobustError, SolverFailure, dimension_gate, type_gate
 from .measurement import Povm, validate_povm
-from .numerics import _matrix_stack, as_complex_matrix, frozen_copy, hermitian_basis
+from .numerics import _matrix_stack, _read_integer, as_complex_matrix, frozen_copy, hermitian_basis
 from .solvers import solve_dominating
 
 UNITARY_TOL = 1e-9
@@ -109,8 +108,7 @@ def validate_group(unitaries) -> GroupRepresentation:
 def dephasing_group(d: int) -> GroupRepresentation:
     """Cyclic group of the d diagonal unitaries with d-th root-of-unity
     phases; averaging over it removes every off-diagonal entry."""
-    if d < 1:
-        raise InvalidArgument(f"dimension must be at least 1, got {d}")
+    d = _read_integer(d, "dimension")
     phases = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
     return GroupRepresentation(np.stack([np.diag(row) for row in phases]))
 
@@ -126,9 +124,10 @@ def _conjugates(x, g: GroupRepresentation) -> np.ndarray:
 
 def twirl(rho, g: GroupRepresentation) -> np.ndarray:
     """Group average ``(1/|H|) sum_h U_h rho U_h^dag``; idempotent, and the
-    identity map exactly on symmetric inputs."""
+    identity map exactly on symmetric inputs.  Each conjugate is divided by
+    ``|H|`` before the sum, which cannot then overflow."""
     g = _require_group(g)
-    return _conjugates(_checked_state(rho, g, as_complex_matrix), g).mean(axis=0)
+    return (_conjugates(_checked_state(rho, g, as_complex_matrix), g) / g.order).sum(axis=0)
 
 
 def is_symmetric(rho, g: GroupRepresentation) -> bool:

@@ -81,8 +81,8 @@ class InvalidGroup(PovmRobustError):
 
 
 class InvalidArgument(PovmRobustError, ValueError):
-    """An argument outside its domain: a matrix entry that is not finite,
-    a size below one, a negative seed."""
+    """An argument of the wrong kind or outside its domain: a string for an
+    array, a float for a size, a matrix entry that is not finite, a negative seed."""
 
 
 class SolverFailure(PovmRobustError):

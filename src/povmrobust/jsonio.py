@@ -22,6 +22,7 @@ from .discrimination import Ensemble, validate_ensemble
 from .errors import ParseError
 from .info import JointDistribution
 from .measurement import Povm, StochasticMap, validate_povm
+from .numerics import _read_array
 from .rom import RobustnessReport
 from .simulability import SimulabilityResult
 
@@ -97,10 +98,7 @@ def _numbers(obj, what) -> np.ndarray:
     array; anything else, strings and booleans included, is a ParseError."""
     if not isinstance(obj, list):
         raise ParseError("<data>", f"{what} must be an array, got {type(obj).__name__}")
-    try:
-        arr = np.asarray(obj)
-    except ValueError as exc:  # ragged nesting
-        raise ParseError("<data>", f"malformed {what}: {exc}") from exc
+    arr = _read_array(obj, None, lambda detail: ParseError("<data>", f"malformed {what}: {detail}"))
     # numpy reads a boolean among numbers as 0 or 1, so the leaves' types are checked
     leaves = obj
     for _ in range(arr.ndim - 1):

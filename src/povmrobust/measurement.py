@@ -16,7 +16,6 @@ import numpy as np
 from .errors import (
     CompletenessViolation,
     EtaOutOfRange,
-    InvalidArgument,
     InvalidDistribution,
     InvalidPovm,
     NotOrthonormal,
@@ -26,12 +25,13 @@ from .errors import (
     SizeMismatch,
     type_gate,
 )
-from .numerics import PSD_TOL, _check_seeded, _matrix_stack, eig_hermitian, frozen_copy
+from .numerics import _matrix_stack, _read_array, _read_integer, _read_real, eig_hermitian, frozen_copy
 
+PSD_TOL = 1e-9
 COMPLETENESS_TOL = 1e-8
 DISTRIBUTION_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-9
-MAX_STACK_BYTES = 2**28  # one (o, d, d) complex stack that random_povm may draw
+MAX_STACK_BYTES = 2**28  # one (o, d, d) complex stack that random_povm or trivial_povm builds
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def _check_distribution(p, error=InvalidDistribution, ndim: int = 1, axis=None) 
     """Probabilities as a nonempty float array with ``ndim`` axes, finite,
     nonnegative and summing to 1 within ``DISTRIBUTION_TOL``, in total or
     along ``axis``; raises ``error`` otherwise, naming the worst sum."""
-    p = np.asarray(p, dtype=float)
+    p = _read_array(p, float, error)
     if p.ndim != ndim or p.size == 0:
         raise error(f"expected a nonempty {ndim}-D array of probabilities, got shape {p.shape}")
     if not np.isfinite(p).all():
@@ -150,9 +150,8 @@ def validate_povm(candidate) -> Povm:
 def trivial_povm(q, d: int) -> Povm:
     """Measurement whose outcome distribution ignores the input state:
     elements ``q(a) * I``."""
-    q = _check_distribution(q)
-    if d < 1:
-        raise InvalidArgument(f"dimension must be at least 1, got {d}")
+    q, d = _check_distribution(q), _read_integer(d, "dimension")
+    _check_stack_bytes(len(q), d)
     return Povm(q[:, None, None] * np.eye(d))
 
 
@@ -162,15 +161,12 @@ def projective_povm(basis) -> Povm:
     ``basis`` holds the vectors as rows; there must be exactly as many
     vectors as the dimension.
     """
-    vecs = np.asarray(basis, dtype=np.complex128)
-    if vecs.ndim != 2 or vecs.size == 0:
-        raise NotOrthonormal(f"expected a nonempty list of vectors, got shape {vecs.shape}")
-    n, d = vecs.shape
-    if n != d:
-        raise NotOrthonormal(f"need {d} vectors for dimension {d}, got {n}")
-    gram = vecs.conj() @ vecs.T
-    deviation = np.abs(gram - np.eye(n)).max()
-    if deviation > ORTHONORMAL_TOL:
+    vecs = _read_array(basis, np.complex128)
+    if vecs.ndim != 2 or vecs.size == 0 or len(vecs) != vecs.shape[1]:
+        raise NotOrthonormal(f"need d vectors of dimension d >= 1, got shape {vecs.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or NaN entries deviate by inf or NaN
+        deviation = np.abs(vecs.conj() @ vecs.T - np.eye(len(vecs))).max()
+    if not deviation <= ORTHONORMAL_TOL:
         raise NotOrthonormal(f"basis fails orthonormality by {deviation:.3e}")
     return Povm(np.stack([np.outer(v, v.conj()) for v in vecs]))
 
@@ -181,11 +177,11 @@ def rank_one_povm(weights, states) -> Povm:
     Completeness is checked, not enforced: the weighted projectors must
     already sum to the identity.
     """
-    weights = np.asarray(weights, dtype=float)
-    states = np.asarray(states, dtype=np.complex128)
+    weights, states = _read_array(weights, float), _read_array(states, np.complex128)
     if states.ndim != 2 or weights.ndim != 1 or len(weights) != len(states) or not states.size:
         raise ShapeMismatch("need a nonempty list of state vectors, one weight per vector")
-    elements = np.stack([w * np.outer(v, v.conj()) for w, v in zip(weights, states)])
+    with np.errstate(over="ignore", invalid="ignore"):  # validate_povm refuses what overflows
+        elements = np.stack([w * np.outer(v, v.conj()) for w, v in zip(weights, states)])
     return validate_povm(elements)
 
 
@@ -203,9 +199,7 @@ def post_process(m: Povm, stochastic: StochasticMap) -> Povm:
 def depolarize_povm(m: Povm, eta: float) -> Povm:
     """Mix each element with white noise of the same weight:
     ``(1 - eta) M_a + eta tr[M_a] I / d``."""
-    m = _require_povm(m)
-    if not 0.0 <= eta <= 1.0:
-        raise EtaOutOfRange(f"eta must lie in [0, 1], got {eta}")
+    m, eta = _require_povm(m), _read_real(eta, "eta", 1, EtaOutOfRange)
     d = m.dimension
     traces = np.einsum("aii->a", m.elements).real
     eye = np.eye(d, dtype=np.complex128)
@@ -220,10 +214,9 @@ def random_povm(d: int, o: int, seed: int) -> Povm:
     square root of their sum, which is complete by construction.  A complex
     ``(o, d, d)`` stack above ``MAX_STACK_BYTES`` is a ``ResourceLimit``.
     """
-    _check_seeded(seed, d, o)
-    if 16 * o * d * d > MAX_STACK_BYTES:
-        raise ResourceLimit(f"{o} outcomes at dimension {d} need over {MAX_STACK_BYTES} bytes")
-    rng = np.random.default_rng(seed)
+    d, o = _read_integer(d, "dimension"), _read_integer(o, "outcomes")
+    _check_stack_bytes(o, d)
+    rng = np.random.default_rng(_read_integer(seed, "seed", 0))
     g = (rng.standard_normal((o, d, d)) + 1j * rng.standard_normal((o, d, d))) / math.sqrt(2.0)
     w = np.einsum("aij,akj->aik", g, g.conj())
     total = w.sum(axis=0)
@@ -236,9 +229,15 @@ def random_povm(d: int, o: int, seed: int) -> Povm:
 
 def random_stochastic_map(n_in: int, n_out: int, seed: int) -> StochasticMap:
     """Random conditional distribution, rows drawn from a flat Dirichlet."""
-    _check_seeded(seed, n_in, n_out)
-    rng = np.random.default_rng(seed)
+    n_in, n_out = _read_integer(n_in, "inputs"), _read_integer(n_out, "outputs")
+    rng = np.random.default_rng(_read_integer(seed, "seed", 0))
     return StochasticMap(rng.dirichlet(np.ones(n_out), size=n_in))
+
+
+def _check_stack_bytes(o: int, d: int) -> None:
+    """``ResourceLimit`` if a complex ``(o, d, d)`` stack needs over ``MAX_STACK_BYTES``."""
+    if 16 * o * d * d > MAX_STACK_BYTES:
+        raise ResourceLimit(f"{o} outcomes at dimension {d} need over {MAX_STACK_BYTES} bytes")
 
 
 _require_povm = type_gate(Povm, InvalidPovm)

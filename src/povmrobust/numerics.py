@@ -1,31 +1,56 @@
-"""Dense complex-matrix kernels.
+"""Dense complex-matrix kernels, and one reader per kind of argument.
 
-Hermitian eigendecomposition, operator norms, positivity checks,
-Haar-random unitaries and the matrix-unit basis that symmetric spans are
-twirled from, all on plain ``numpy`` arrays of ``complex128``.
-Eigendecompositions are LAPACK's, through ``np.linalg.eigh``, and take a
-single matrix or a whole stack ``(..., d, d)`` (the elements of a POVM,
-say) in one call.
+Hermitian eigendecomposition (LAPACK's, through ``np.linalg.eigh``, on a matrix
+or a whole stack ``(..., d, d)`` in one call), Haar-random unitaries and the
+matrix-unit basis that symmetric spans are twirled from, on ``complex128``
+arrays.  The array, integer and real readers refuse a wrong kind with a package error.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 from .errors import InvalidArgument, NotHermitian, NotSquare
 
 HERMITIAN_TOL = 1e-10
-PSD_TOL = 1e-9
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def _read_array(a, dtype, error=InvalidArgument) -> np.ndarray:
+    """``np.asarray(a, dtype)``, with numpy's ``TypeError`` or ``ValueError``
+    (a string, a ragged nest) raised as ``error``."""
+    try:
+        return np.asarray(a, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise error(f"cannot read {type(a).__name__} as an array: {exc}") from exc
+
+
+def _read_integer(value, name: str, least: int = 1) -> int:
+    """``value`` as an int of at least ``least``: an integer or a numpy integer,
+    never a bool, a float or a string; ``InvalidArgument`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidArgument(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def _read_real(value, name: str, high: float = math.inf, error=InvalidArgument) -> float:
+    """``value`` as a finite float in ``[0, high]``; ``error`` for anything
+    else, a bool or a string included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            0.0 <= value <= high and math.isfinite(value)):
+        bound = "" if high == math.inf else f" and at most {high}"
+        raise error(f"{name} must be finite and nonnegative{bound}, got {value!r}")
+    return float(value)
+
+
 def _complex_stack(a) -> np.ndarray:
-    m = np.asarray(a, dtype=np.complex128)
+    m = _read_array(a, np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotSquare(f"expected a square matrix or a stack of them, got shape {m.shape}")
     if m.shape[-1] == 0:
@@ -45,8 +70,8 @@ def as_complex_matrix(a) -> np.ndarray:
 
 def _matrix_stack(mats, error, noun: str) -> np.ndarray:
     """A list of square matrices, each read by ``as_complex_matrix``, as one
-    ``(n, d, d)`` stack; ``error`` when the list is empty or the sizes differ."""
-    mats = [as_complex_matrix(m) for m in mats]
+    ``(n, d, d)`` stack; ``error`` when it is empty, no list, or the sizes differ."""
+    mats = [as_complex_matrix(m) for m in (mats if np.iterable(mats) else ())]
     shapes = sorted({m.shape for m in mats})
     if len(shapes) != 1:
         raise error(f"need one or more {noun} of one size, got shapes {shapes}")
@@ -58,7 +83,8 @@ def check_hermitian(a) -> np.ndarray:
     entrywise deviation from the conjugate transpose, at most
     ``HERMITIAN_TOL``) and return it as complex128."""
     m = _complex_stack(a)
-    deviation = np.abs(m - _dagger(m)).max() if m.size else 0.0
+    with np.errstate(over="ignore"):  # finite entries whose difference overflows deviate by inf
+        deviation = np.abs(m - _dagger(m)).max(initial=0.0)
     if deviation > HERMITIAN_TOL:
         raise NotHermitian(f"matrix deviates from Hermitian symmetry by {deviation:.3e} "
                            f"(tol {HERMITIAN_TOL:.1e})")
@@ -74,30 +100,13 @@ def eig_hermitian(h):
     return np.linalg.eigh(half + _dagger(half))
 
 
-def operator_norm(h) -> float:
-    """Largest absolute eigenvalue of a Hermitian matrix."""
-    return float(np.abs(eig_hermitian(h).eigenvalues).max())
-
-
-def is_psd(h) -> bool:
-    """True when the smallest eigenvalue is at least ``-PSD_TOL``."""
-    return bool(eig_hermitian(h).eigenvalues[0] >= -PSD_TOL)
-
-
-def _check_seeded(seed: int, *sizes: int) -> None:
-    """``InvalidArgument`` unless each size is at least 1 and the seed nonnegative."""
-    if min(sizes) < 1 or seed < 0:
-        raise InvalidArgument(f"sizes must be at least 1 and the seed nonnegative, "
-                              f"got sizes {sizes} and seed {seed}")
-
-
 def haar_random_unitary(d: int, seed: int) -> np.ndarray:
     """Haar-distributed random unitary, deterministic in the seed.
 
     QR decomposition of a complex Gaussian matrix, with the phases of the
     R diagonal folded into Q so the distribution is exactly Haar.
     """
-    _check_seeded(seed, d)
+    d, seed = _read_integer(d, "dimension"), _read_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -107,7 +116,7 @@ def haar_random_unitary(d: int, seed: int) -> np.ndarray:
 
 def frozen_copy(a, dtype) -> np.ndarray:
     """An owned, read-only, C-ordered copy of ``a`` as ``dtype``."""
-    arr = np.array(a, dtype=dtype, order="C")
+    arr = _read_array(a, dtype).copy()
     arr.setflags(write=False)
     return arr
 
@@ -118,8 +127,7 @@ def hermitian_basis(d: int) -> np.ndarray:
     ``d`` diagonal units ``E_jj`` (``[:d]`` spans the diagonal matrices), then
     ``(E_jk + E_kj) / sqrt(2)`` and ``i (E_jk - E_kj) / sqrt(2)`` for each
     ``j < k`` in row-major order."""
-    if d < 1:
-        raise InvalidArgument(f"dimension must be at least 1, got {d}")
+    d = _read_integer(d, "dimension")
     j, k = np.triu_indices(d, 1)
     sym = d + 2 * np.arange(len(j))
     diag = np.arange(d)

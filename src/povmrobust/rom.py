@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionOne, InvalidArgument, ShapeMismatch
+from .errors import DimensionOne, ShapeMismatch
 from .measurement import Povm, _require_povm
+from .numerics import _read_array, _read_real
 
 TRIVIAL_TOL = 1e-9
 PSEUDO_MIXTURE_TOL = 1e-8
@@ -111,11 +112,8 @@ def uniform_noise_mixture(m: Povm) -> tuple[Povm, np.ndarray, float]:
 def verify_pseudo_mixture(m: Povm, noise: Povm, q, r: float) -> bool:
     """Check ``(M_a + r N_a) / (1 + r) = q(a) I`` entrywise within
     ``PSEUDO_MIXTURE_TOL``; ``r`` must be finite and nonnegative."""
-    if not 0.0 <= r < np.inf:
-        raise InvalidArgument(f"r must be finite and nonnegative, got {r}")
-    m = _require_povm(m)
-    noise = _require_povm(noise)
-    q = np.asarray(q, dtype=float)
+    r, m, noise = _read_real(r, "r"), _require_povm(m), _require_povm(noise)
+    q = _read_array(q, float)
     if noise.elements.shape != m.elements.shape or q.shape != (m.outcomes,):
         raise ShapeMismatch("measurement, noise and distribution shapes disagree")
     eye = np.eye(m.dimension, dtype=np.complex128)

@@ -38,7 +38,7 @@ import numpy as np
 from .discrimination import _require_ensemble
 from .errors import InvalidArgument, SolverFailure
 from .measurement import Povm, _require_povm
-from .numerics import check_hermitian
+from .numerics import _read_array, check_hermitian
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -96,8 +96,7 @@ def solve_lp(a, b) -> LpSolution:
     As ``|r|^2`` can fall below rounding, ``y`` is ``r / max|r|`` with its
     part in the span of the passive columns projected out again.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    a, b = np.atleast_2d(_read_array(a, float)), np.atleast_1d(_read_array(b, float))
     if (a.ndim != 2 or b.shape != a.shape[:1]
             or not (np.isfinite(a).all() and np.isfinite(b).all())):
         raise InvalidArgument(f"need finite a and b of matching shapes, got {a.shape}, {b.shape}")
@@ -293,10 +292,10 @@ def solve_dominating(basis, constraints) -> SdpSolution:
     for ``b`` blocks with a basis ``(k, b, n, n)``, traces summing over blocks.
     Bad input raises ``InvalidArgument``, a span not closed under squares a
     ``SolverFailure`` once its duals are certified.  With the contract, ``lambda I``
-    with ``lambda`` above every ``lambda_max(K_i)`` is a strictly feasible
-    start, and ``Z_i = I / m`` is dual feasible because ``tr B_j = tr[B_j I]``;
-    the path following (HKM direction, Mehrotra predictor-corrector) starts
-    there.  After each step the trace of the current ``Y`` is an upper bound.
+    with ``lambda`` above every ``lambda_max(K_i)`` is a strictly feasible start
+    (``SolverFailure`` if it overflows), and ``Z_i = I / m`` is dual feasible
+    because ``tr B_j = tr[B_j I]``; the path following (HKM direction, Mehrotra
+    predictor-corrector) starts there.  After each step the trace of ``Y`` is an upper bound.
     Once the complementarity gap ``sum_i tr[S_i Z_i]`` is within ``GAP_TOL``
     (relative to ``max(1, |value|)``), the congruence in ``_certified_lower``
     gives a lower bound, and the solve stops when that is as close to the value.
@@ -309,9 +308,11 @@ def solve_dominating(basis, constraints) -> SdpSolution:
     ``S_i^-1 B_l Z_i`` hold ``16 m k b n^2`` bytes.
     """
     basis, constraints = _validate_program(basis, constraints)
-    lam = np.linalg.eigvalsh(constraints)[..., -1].max()
+    lam = float(np.linalg.eigvalsh(constraints)[..., -1].max())
+    if (start := lam + max(1.0, abs(lam))) == np.inf:  # a float: no overflow warning
+        raise SolverFailure(f"the strictly feasible start 2 * {lam!r} overflows")
     eye = np.broadcast_to(np.eye(constraints.shape[-1]), constraints.shape[1:])
-    y = (lam + max(1.0, abs(lam))) * eye
+    y = start * eye
     z = np.broadcast_to(eye / len(constraints), constraints.shape)
     path = islice(_central_path(basis, constraints, y, z), MAX_ITERATIONS)
     for iterations, (y, s, z) in enumerate(path):

@@ -119,6 +119,18 @@ class TestTwirl:
         with pytest.raises(DimensionMismatch):
             twirl(np.eye(3) / 3, dephasing_group(2))
 
+    @pytest.mark.parametrize("group, expected, symmetric", [
+        (dephasing_group(2), [1e308, 1.0], True),
+        (validate_group([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]]), [0.5e308 + 0.5] * 2, False),
+    ], ids=["dephasing", "bit-flip"])
+    def test_entries_near_the_largest_float_average_without_overflow(self, group, expected,
+                                                                     symmetric):
+        # the conjugates were once summed before the division: inf+nanj at (0, 0),
+        # and this diagonal, so dephasing-symmetric, matrix was called asymmetric
+        rho = np.diag([1e308, 1.0])
+        np.testing.assert_array_equal(twirl(rho, group), np.diag(expected))
+        assert is_symmetric(rho, group) == symmetric
+
 
 def _asymmetry(rho, g):
     """Largest entrywise deviation of a state from its twirl."""

@@ -364,10 +364,15 @@ _HUGE = jsonio.matrix_to_json(np.diag([1e308, 1e308]))
      "InvalidEnsemble"),
     ("accinfo-ensemble {0}", [{"dimension": 2, "priors": [1e308, 1e308],
                                "states": [_HALF, _HALF]}], "InvalidEnsemble"),
-], ids=["group", "povm", "state", "ensemble", "priors"])
+    # 1 + 1e308i at (0, 0): M - M^dag is 2e308i there
+    ("rom {0}", [{"dimension": 2, "elements": [[[[1, 1e308], [0, 0]], [[0, 0], [0, 0]]],
+                                               [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]}],
+     "NotHermitian"),
+], ids=["group", "povm", "state", "ensemble", "priors", "hermitian-part"])
 def test_sums_that_overflow_are_rejected_without_a_warning(tmp_path, capsys, command, files,
                                                            error):
-    # finite entries whose sum or trace is infinite: the gate names inf, and nothing else prints
+    # finite entries whose sum, trace or difference is infinite: the gate names inf, and
+    # nothing else prints
     paths = [_write_json(tmp_path, f"in{i}.json", obj) for i, obj in enumerate(files)]
     code = run([arg.format(*paths) for arg in command.split()])
     payload = _assert_error_contract(capsys, code)

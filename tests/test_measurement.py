@@ -1,13 +1,22 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from povmrobust.asymmetry import GroupRepresentation, _require_group, roa, validate_group
+from povmrobust.asymmetry import (
+    GroupRepresentation,
+    _require_group,
+    dephasing_group,
+    roa,
+    roc,
+    validate_group,
+)
 from povmrobust.discrimination import (
     Ensemble,
     _require_ensemble,
     check_density_matrix,
+    random_ensemble,
     validate_ensemble,
 )
 from povmrobust.errors import (
@@ -42,8 +51,9 @@ from povmrobust.measurement import (
     trivial_povm,
     validate_povm,
 )
-from povmrobust.numerics import eig_hermitian
-from povmrobust.rom import rom
+from povmrobust.numerics import eig_hermitian, haar_random_unitary, hermitian_basis
+from povmrobust.rom import rom, verify_pseudo_mixture
+from povmrobust.solvers import solve_lp
 from povmrobust.simulability import witness_from_certificate
 
 
@@ -365,41 +375,108 @@ _HALF = np.eye(2) / 2
 _NAN = np.full((2, 2), np.nan)
 
 
-@pytest.mark.parametrize("build, error", [
-    (lambda: validate_povm([]), ShapeMismatch),
-    (lambda: validate_povm([_HALF, np.eye(3) / 3]), ShapeMismatch),
-    (lambda: validate_povm([np.ones((2, 3))]), NotSquare),
-    (lambda: validate_povm([_NAN]), InvalidArgument),
-    (lambda: validate_ensemble([], [1.0]), InvalidEnsemble),
-    (lambda: validate_ensemble([_HALF, np.eye(3) / 3], [0.5, 0.5]), InvalidEnsemble),
-    (lambda: validate_ensemble([np.ones((2, 3))], [1.0]), NotSquare),
-    (lambda: validate_ensemble([_NAN], [1.0]), InvalidArgument),
-    (lambda: validate_ensemble([[[0.5, 1.0], [0.0, 0.5]]], [1.0]), NotHermitian),
-    (lambda: validate_ensemble([_HALF], [0.5, 0.5]), InvalidEnsemble),
-    (lambda: validate_ensemble([_HALF, _HALF], [1.0]), InvalidEnsemble),
-    (lambda: check_density_matrix([[0.5, 1.0], [0.0, 0.5]]), NotHermitian),
-    (lambda: check_density_matrix(np.stack([_HALF, _HALF])), NotSquare),
-    (lambda: validate_group([]), InvalidGroup),
-    (lambda: validate_group([np.eye(2), np.eye(3)]), InvalidGroup),
-    (lambda: validate_group([np.ones((2, 3))]), NotSquare),
-    (lambda: validate_group([_NAN]), InvalidArgument),
-    (lambda: _require_povm([_HALF, _HALF]), InvalidPovm),
-    (lambda: _require_ensemble(projective_povm(np.eye(2))), InvalidEnsemble),
-    (lambda: _require_group([np.eye(2)]), InvalidGroup),
-    (lambda: _require_joint(np.eye(2) / 2), InvalidJoint),
-    (lambda: depolarize_povm([_HALF, _HALF], 0.1), InvalidPovm),
-    (lambda: post_process([_HALF, _HALF], StochasticMap(np.eye(2))), InvalidPovm),
-    (lambda: post_process(projective_povm(np.eye(2)), np.eye(2)), InvalidDistribution),
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: validate_povm([]), ShapeMismatch, None),
+    (lambda: validate_povm([_HALF, np.eye(3) / 3]), ShapeMismatch, None),
+    (lambda: validate_povm([np.ones((2, 3))]), NotSquare, None),
+    (lambda: validate_povm([_NAN]), InvalidArgument, None),
+    (lambda: validate_ensemble([], [1.0]), InvalidEnsemble, None),
+    (lambda: validate_ensemble([_HALF, np.eye(3) / 3], [0.5, 0.5]), InvalidEnsemble, None),
+    (lambda: validate_ensemble([np.ones((2, 3))], [1.0]), NotSquare, None),
+    (lambda: validate_ensemble([_NAN], [1.0]), InvalidArgument, None),
+    (lambda: validate_ensemble([[[0.5, 1.0], [0.0, 0.5]]], [1.0]), NotHermitian, None),
+    (lambda: validate_ensemble([_HALF], [0.5, 0.5]), InvalidEnsemble, None),
+    (lambda: validate_ensemble([_HALF, _HALF], [1.0]), InvalidEnsemble, None),
+    (lambda: check_density_matrix([[0.5, 1.0], [0.0, 0.5]]), NotHermitian, None),
+    (lambda: check_density_matrix(np.stack([_HALF, _HALF])), NotSquare, None),
+    (lambda: validate_group([]), InvalidGroup, None),
+    (lambda: validate_group([np.eye(2), np.eye(3)]), InvalidGroup, None),
+    (lambda: validate_group([np.ones((2, 3))]), NotSquare, None),
+    (lambda: validate_group([_NAN]), InvalidArgument, None),
+    (lambda: _require_povm([_HALF, _HALF]), InvalidPovm, None),
+    (lambda: _require_ensemble(projective_povm(np.eye(2))), InvalidEnsemble, None),
+    (lambda: _require_group([np.eye(2)]), InvalidGroup, None),
+    (lambda: _require_joint(np.eye(2) / 2), InvalidJoint, None),
+    (lambda: depolarize_povm([_HALF, _HALF], 0.1), InvalidPovm, None),
+    (lambda: post_process([_HALF, _HALF], StochasticMap(np.eye(2))), InvalidPovm, None),
+    (lambda: post_process(projective_povm(np.eye(2)), np.eye(2)), InvalidDistribution, None),
     (lambda: witness_from_certificate(projective_povm(np.eye(2)), projective_povm(np.eye(2)),
-                                      [np.eye(2)]), InvalidArgument),
+                                      [np.eye(2)]), InvalidArgument, None),
+    (lambda: trivial_povm([1.0], 0), InvalidArgument,
+     "dimension must be an integer of at least 1, got 0"),
+    (lambda: dephasing_group(0), InvalidArgument,
+     "dimension must be an integer of at least 1, got 0"),
+    (lambda: hermitian_basis(-1), InvalidArgument,
+     "dimension must be an integer of at least 1, got -1"),
+    (lambda: random_povm(0, 2, 1), InvalidArgument,
+     "dimension must be an integer of at least 1, got 0"),
+    (lambda: random_stochastic_map(2, 3, -1), InvalidArgument,
+     "seed must be an integer of at least 0, got -1"),
+    (lambda: random_ensemble(2, 0, 1), InvalidArgument,
+     "size must be an integer of at least 1, got 0"),
+    (lambda: haar_random_unitary(0, 1), InvalidArgument,
+     "dimension must be an integer of at least 1, got 0"),
+    (lambda: depolarize_povm(projective_povm(np.eye(2)), 1.5), EtaOutOfRange,
+     "eta must be finite and nonnegative and at most 1, got 1.5"),
+    (lambda: depolarize_povm(projective_povm(np.eye(2)), -0.5), EtaOutOfRange,
+     "eta must be finite and nonnegative and at most 1, got -0.5"),
+    (lambda: verify_pseudo_mixture(*[projective_povm(np.eye(2))] * 2, [0.5, 0.5], -1.0),
+     InvalidArgument, "r must be finite and nonnegative, got -1.0"),
+    (lambda: verify_pseudo_mixture(*[projective_povm(np.eye(2))] * 2, [0.5, 0.5], math.inf),
+     InvalidArgument, "r must be finite and nonnegative, got inf"),
+    (lambda: projective_povm([[1.0, 0.0]]), NotOrthonormal,
+     "need d vectors of dimension d >= 1, got shape (1, 2)"),
+    (lambda: projective_povm(np.zeros((0, 2))), NotOrthonormal,
+     "need d vectors of dimension d >= 1, got shape (0, 2)"),
+    (lambda: h_min([0.5, 0.25]), InvalidDistribution, "probabilities sum to 0.75, not 1"),
+    (lambda: trivial_povm([[1.0]], 2), InvalidDistribution,
+     "expected a nonempty 1-D array of probabilities, got shape (1, 1)"),
+    (lambda: validate_povm([]), ShapeMismatch,
+     "need one or more POVM elements of one size, got shapes []"),
+    (lambda: solve_lp([[1.0, 2.0]], [1.0, 2.0]), InvalidArgument,
+     "need finite a and b of matching shapes, got (1, 2), (2,)"),
+    (lambda: roc([[1.0, 0.0]]), NotSquare,
+     "expected a square matrix or a stack of them, got shape (1, 2)"),
+    (lambda: check_density_matrix(_NAN), InvalidArgument, "matrix entries must be finite"),
+    (lambda: dephasing_group(2.5), InvalidArgument,
+     "dimension must be an integer of at least 1, got 2.5"),
+    (lambda: hermitian_basis(True), InvalidArgument,
+     "dimension must be an integer of at least 1, got True"),
+    (lambda: random_povm(2, 2, "1"), InvalidArgument,
+     "seed must be an integer of at least 0, got '1'"),
+    (lambda: depolarize_povm(projective_povm(np.eye(2)), "x"), EtaOutOfRange,
+     "eta must be finite and nonnegative and at most 1, got 'x'"),
+    (lambda: verify_pseudo_mixture(*[projective_povm(np.eye(2))] * 2, [0.5, 0.5], None),
+     InvalidArgument, "r must be finite and nonnegative, got None"),
+    (lambda: roc("x"), InvalidArgument, "cannot read str as an array"),
+    (lambda: h_min("x"), InvalidDistribution, "cannot read str as an array"),
+    (lambda: trivial_povm(["a"], 2), InvalidDistribution, "cannot read list as an array"),
+    (lambda: validate_povm(None), ShapeMismatch,
+     "need one or more POVM elements of one size, got shapes []"),
+    (lambda: validate_group(2.5), InvalidGroup, "need one or more unitaries of one size"),
+    (lambda: projective_povm(_NAN), NotOrthonormal, "basis fails orthonormality by nan"),
+    (lambda: trivial_povm([1.0], 10**6), ResourceLimit,
+     f"1 outcomes at dimension 1000000 need over {measurement.MAX_STACK_BYTES} bytes"),
+    (lambda: rank_one_povm([1e300, 1.0], [[1e200, 0.0], [0.0, 1.0]]), InvalidArgument,
+     "matrix entries must be finite"),
 ], ids=["povm-empty", "povm-mixed", "povm-not-square", "povm-nan",
         "ensemble-empty", "ensemble-mixed", "ensemble-not-square", "ensemble-nan",
         "ensemble-not-hermitian", "ensemble-too-many-priors", "ensemble-too-few-priors",
         "state-not-hermitian", "state-stack", "group-empty", "group-mixed",
         "group-not-square", "group-nan", "require-povm", "require-ensemble",
         "require-group", "require-joint", "depolarize-list", "post-process-list",
-        "post-process-array", "witness-list"])
-def test_each_input_gate_keeps_its_exception_type(build, error):
-    # every value type is reached through one stack gate and one type gate
-    with pytest.raises(error):
+        "post-process-array", "witness-list",
+        "trivial-d0-message", "dephasing-d0-message", "hermitian-basis-message",
+        "random-povm-message", "random-map-message", "random-ensemble-message",
+        "haar-message", "eta-above-message", "eta-below-message", "r-negative-message",
+        "r-infinite-message", "projective-short-message", "projective-empty-message",
+        "h-min-sum-message", "trivial-q-shape-message", "povm-empty-message",
+        "lp-shape-message", "roc-not-square-message", "state-nan-message",
+        "dephasing-float", "hermitian-basis-bool", "seed-string", "eta-string", "r-none",
+        "roc-string", "h-min-string", "trivial-q-strings", "povm-none", "group-float",
+        "projective-nan", "trivial-over-budget", "rank-one-overflow"])
+def test_each_input_gate_keeps_its_exception_type(build, error, message):
+    # every value type is reached through one stack gate and one type gate;
+    # a message, where given, is pinned in full
+    with pytest.raises(error, match=None if message is None else re.escape(message)):
         build()

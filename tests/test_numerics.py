@@ -6,20 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmrobust.asymmetry import roc
+from povmrobust.discrimination import check_density_matrix, validate_ensemble
 from povmrobust.errors import InvalidArgument, NotHermitian, NotSquare
-from povmrobust.measurement import validate_povm
+from povmrobust.measurement import Povm, validate_povm
 from povmrobust.numerics import (
     check_hermitian,
     eig_hermitian,
     haar_random_unitary,
     hermitian_basis,
-    is_psd,
-    operator_norm,
 )
+from povmrobust.rom import rom
 
 from conftest import random_hermitian
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def reconstruct(dec):
@@ -108,43 +106,6 @@ class TestEigHermitian:
         np.testing.assert_allclose(again.eigenvalues, first.eigenvalues, atol=1e-8)
 
 
-class TestOperatorNorm:
-    def test_diagonal(self):
-        assert operator_norm(np.diag([0.75, 0.25])) == pytest.approx(0.75)
-
-    def test_projector(self):
-        v = np.array([1.0, 1j, -1.0]) / np.sqrt(3.0)
-        assert operator_norm(np.outer(v, v.conj())) == pytest.approx(1.0)
-
-    def test_shifted_pauli(self):
-        # Eigenvalues (1 +- 0.6) / 2, largest 0.8.
-        h = 0.5 * (np.eye(2) + 0.6 * SIGMA_X)
-        assert operator_norm(h) == pytest.approx(0.8, abs=1e-12)
-
-    def test_unitary_invariance(self):
-        rng = np.random.default_rng(5)
-        h = random_hermitian(4, rng)
-        u = haar_random_unitary(4, 99)
-        assert operator_norm(u @ h @ u.conj().T) == pytest.approx(
-            operator_norm(h), abs=1e-9
-        )
-
-
-class TestIsPsd:
-    def test_zero_matrix(self):
-        assert is_psd(np.zeros((3, 3)))
-
-    def test_tiny_negative_within_floor(self):
-        assert is_psd(np.diag([1.0, -1e-12]))
-
-    def test_clearly_negative(self):
-        assert not is_psd(np.diag([1.0, -0.1]))
-
-    def test_gate_at_1e_9(self):
-        assert is_psd(np.diag([1.0, -5e-10]))
-        assert not is_psd(np.diag([1.0, -2e-9]))
-
-
 class TestHaarRandomUnitary:
     def test_scalar_case(self):
         u = haar_random_unitary(1, 0)
@@ -166,6 +127,24 @@ class TestHaarRandomUnitary:
     def test_rejects_a_negative_seed(self):
         with pytest.raises(InvalidArgument):
             haar_random_unitary(2, -1)
+
+
+# a qubit POVM whose first element holds 1 + 1e308i at (0, 0): M - M^dag overflows
+_HUGE_IMAGINARY = np.array([[[1.0 + 1e308j, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_hermitian(_HUGE_IMAGINARY),
+    lambda: eig_hermitian(_HUGE_IMAGINARY),
+    lambda: check_density_matrix(_HUGE_IMAGINARY[0]),
+    lambda: roc(_HUGE_IMAGINARY[0]),
+    lambda: validate_ensemble(_HUGE_IMAGINARY, [0.5, 0.5]),
+    lambda: rom(Povm(_HUGE_IMAGINARY)),
+], ids=["check-hermitian", "eig-hermitian", "density-matrix", "roc", "ensemble", "povm-rom"])
+def test_a_deviation_past_the_largest_float_is_not_hermitian(call):
+    # the suite turns numpy's overflow warning into an error
+    with pytest.raises(NotHermitian, match="by inf"):
+        call()
 
 
 @pytest.mark.parametrize("call", [

@@ -594,11 +594,15 @@ SCALAR_PROGRAM = (np.eye(2, dtype=complex)[None] / math.sqrt(2.0),
     (lambda mp: mp.setattr(solvers, "MAX_ITERATIONS", 1),
      lambda: solve_dominating(*SCALAR_PROGRAM), SolverFailure),
     (_overstated_lower, lambda: solve_dominating(*SCALAR_PROGRAM), SolverFailure),
+    # the start twice the largest eigenvalue overflows: once a warning and numpy's
+    # LinAlgError("Singular matrix")
+    (None, lambda: solve_dominating(None, np.stack([np.diag([1e308, 0.0]), np.eye(2) / 2])),
+     SolverFailure),
 ], ids=["lp-shapes", "lp-3d-matrix", "lp-inf-rhs", "lp-nan-rhs", "lp-nan-matrix", "lp-pivot-cap",
         "dominating-empty-stack", "dominating-not-orthonormal",
         "dominating-misses-identity", "dominating-blocks-without-basis",
         "dominating-block-shapes-differ", "dominating-iteration-cap",
-        "dominating-inverted-bracket"])
+        "dominating-inverted-bracket", "dominating-start-overflows"])
 def test_every_failed_solve_is_a_package_error(monkeypatch, setup, solve, error):
     # input outside a solver's domain is InvalidArgument, a solve that cannot
     # finish SolverFailure: both are PovmRobustErrors, never a status to check
