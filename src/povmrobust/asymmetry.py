@@ -26,7 +26,8 @@ import numpy as np
 from .discrimination import Ensemble, check_density_matrix, p_guess_with_measurement
 from .errors import InvalidGroup, PovmRobustError, SolverFailure, dimension_gate, type_gate
 from .measurement import Povm, validate_povm
-from .numerics import _matrix_stack, _read_integer, as_complex_matrix, frozen_copy, hermitian_basis
+from .numerics import (_check_stack_bytes, _matrix_stack, _read_integer, as_complex_matrix,
+                       frozen_copy, hermitian_basis)
 from .solvers import solve_dominating
 
 UNITARY_TOL = 1e-9
@@ -44,7 +45,10 @@ class GroupRepresentation:
     unitaries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "unitaries", frozen_copy(self.unitaries, np.complex128))
+        arr = frozen_copy(self.unitaries, np.complex128)
+        if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or 0 in arr.shape:
+            raise InvalidGroup(f"expected shape (n, d, d) with n, d >= 1, got {arr.shape}")
+        object.__setattr__(self, "unitaries", arr)
 
     @property
     def order(self) -> int:
@@ -109,6 +113,7 @@ def dephasing_group(d: int) -> GroupRepresentation:
     """Cyclic group of the d diagonal unitaries with d-th root-of-unity
     phases; averaging over it removes every off-diagonal entry."""
     d = _read_integer(d, "dimension")
+    _check_stack_bytes(d, d)
     phases = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
     return GroupRepresentation(np.stack([np.diag(row) for row in phases]))
 
@@ -149,11 +154,12 @@ def symmetric_subspace_basis(g: GroupRepresentation) -> np.ndarray:
     """
     g = _require_group(g)
     d = g.dimension
+    basis = hermitian_basis(d).reshape(d * d, d * d)  # over the budget, refused before the twirl
     flat = g.unitaries.reshape(g.order, d * d)
     # vec(U X U^dag) = (U kron conj U) vec(X) in row-major order: the twirl
     # has entries mean_h U_ij conj(U_kl) at row (i, k) and column (j, l)
     superop = (flat.T @ flat.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3) / g.order
-    twirled = hermitian_basis(d).reshape(d * d, d * d) @ superop.reshape(d * d, d * d).T
+    twirled = basis @ superop.reshape(d * d, d * d).T
     rows = np.hstack([twirled.real, twirled.imag])
     # the identity is set apart, so the basis starts with exactly I/sqrt(d)
     ident = np.concatenate([np.eye(d).ravel(), np.zeros(d * d)]) / np.sqrt(d)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import InvalidEnsemble, InvalidState, dimension_gate, type_gate
 from .measurement import Povm, _check_distribution, _require_povm
-from .numerics import _matrix_stack, _read_integer, as_complex_matrix, eig_hermitian, frozen_copy
+from .numerics import (_check_stack_bytes, _matrix_stack, _read_integer, as_complex_matrix,
+                       eig_hermitian, frozen_copy)
 from .rom import rom_report
 
 STATE_TOL = 1e-9
@@ -103,6 +104,7 @@ def random_ensemble(d: int, size: int, seed: int) -> Ensemble:
     """Random full-rank states with flat-Dirichlet priors, deterministic in
     the seed.  Valid by construction."""
     d, size = _read_integer(d, "dimension"), _read_integer(size, "size")
+    _check_stack_bytes(size, d)
     rng = np.random.default_rng(_read_integer(seed, "seed", 0))
     states = _random_states(rng, (size,), d)
     return Ensemble(states, rng.dirichlet(np.ones(size)))

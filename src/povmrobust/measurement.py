@@ -20,18 +20,18 @@ from .errors import (
     InvalidPovm,
     NotOrthonormal,
     NotPsd,
-    ResourceLimit,
     ShapeMismatch,
     SizeMismatch,
     type_gate,
 )
-from .numerics import _matrix_stack, _read_array, _read_integer, _read_real, eig_hermitian, frozen_copy
+# MAX_STACK_BYTES is imported for its old name measurement.MAX_STACK_BYTES too
+from .numerics import (MAX_STACK_BYTES, _check_stack_bytes, _matrix_stack, _read_array,
+                       _read_integer, _read_real, eig_hermitian, frozen_copy)
 
 PSD_TOL = 1e-9
 COMPLETENESS_TOL = 1e-8
 DISTRIBUTION_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-9
-MAX_STACK_BYTES = 2**28  # one (o, d, d) complex stack that random_povm or trivial_povm builds
 
 
 @dataclass(frozen=True)
@@ -232,12 +232,6 @@ def random_stochastic_map(n_in: int, n_out: int, seed: int) -> StochasticMap:
     n_in, n_out = _read_integer(n_in, "inputs"), _read_integer(n_out, "outputs")
     rng = np.random.default_rng(_read_integer(seed, "seed", 0))
     return StochasticMap(rng.dirichlet(np.ones(n_out), size=n_in))
-
-
-def _check_stack_bytes(o: int, d: int) -> None:
-    """``ResourceLimit`` if a complex ``(o, d, d)`` stack needs over ``MAX_STACK_BYTES``."""
-    if 16 * o * d * d > MAX_STACK_BYTES:
-        raise ResourceLimit(f"{o} outcomes at dimension {d} need over {MAX_STACK_BYTES} bytes")
 
 
 _require_povm = type_gate(Povm, InvalidPovm)

@@ -3,7 +3,8 @@
 Hermitian eigendecomposition (LAPACK's, through ``np.linalg.eigh``, on a matrix
 or a whole stack ``(..., d, d)`` in one call), Haar-random unitaries and the
 matrix-unit basis that symmetric spans are twirled from, on ``complex128``
-arrays.  The array, integer and real readers refuse a wrong kind with a package error.
+arrays.  The array, integer and real readers refuse a wrong kind with a package error,
+and every builder of a complex ``(n, d, d)`` stack checks it against one memory budget.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import numbers
 
 import numpy as np
 
-from .errors import InvalidArgument, NotHermitian, NotSquare
+from .errors import InvalidArgument, NotHermitian, NotSquare, ResourceLimit
 
 HERMITIAN_TOL = 1e-10
+MAX_STACK_BYTES = 2**28  # one complex (n, d, d) stack that a builder makes
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -47,6 +49,12 @@ def _read_real(value, name: str, high: float = math.inf, error=InvalidArgument) 
         bound = "" if high == math.inf else f" and at most {high}"
         raise error(f"{name} must be finite and nonnegative{bound}, got {value!r}")
     return float(value)
+
+
+def _check_stack_bytes(n: int, d: int) -> None:
+    """``ResourceLimit`` if a complex ``(n, d, d)`` stack needs over ``MAX_STACK_BYTES``."""
+    if 16 * n * d * d > MAX_STACK_BYTES:
+        raise ResourceLimit(f"{n} matrices at dimension {d} need over {MAX_STACK_BYTES} bytes")
 
 
 def _complex_stack(a) -> np.ndarray:
@@ -107,6 +115,7 @@ def haar_random_unitary(d: int, seed: int) -> np.ndarray:
     R diagonal folded into Q so the distribution is exactly Haar.
     """
     d, seed = _read_integer(d, "dimension"), _read_integer(seed, "seed", 0)
+    _check_stack_bytes(1, d)
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -128,6 +137,7 @@ def hermitian_basis(d: int) -> np.ndarray:
     ``(E_jk + E_kj) / sqrt(2)`` and ``i (E_jk - E_kj) / sqrt(2)`` for each
     ``j < k`` in row-major order."""
     d = _read_integer(d, "dimension")
+    _check_stack_bytes(d * d, d)
     j, k = np.triu_indices(d, 1)
     sym = d + 2 * np.arange(len(j))
     diag = np.arange(d)

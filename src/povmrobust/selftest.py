@@ -3,12 +3,16 @@
 Each criterion below checks one of the identities or properties the
 package is built around, at a fixed tolerance, over deterministic
 pseudo-random instances at desk scale (dimension at most 4, at most 6
-outcomes).  The CLI ``selftest`` subcommand runs them all and prints a
-pass/fail table with each criterion's wall time and, where it solves
-dominance programs, their total interior-point steps and the criterion's
-milliseconds per step (simulability LPs: the columns their nonnegative
-least squares entered, printed as NNLS entries, and the mean milliseconds of a
-call that ran one); the test suite asserts them one by one.
+outcomes).  A criterion records every value it checks in one ``Checks``,
+which keeps each check's worst value, count and bound and decides
+pass/fail: a NaN is kept as the worst value, so it fails its check.  The
+CLI ``selftest`` subcommand runs them all and prints a pass/fail table
+with each criterion's wall time, each check's worst value, count and bound
+and, where it solves dominance programs, their total interior-point steps
+and the criterion's milliseconds per step (simulability LPs: the columns
+their nonnegative least squares entered, printed as NNLS entries, and the
+mean milliseconds of a call that ran one); the test suite asserts them one
+by one.
 ``quick`` mode shrinks the sample counts roughly tenfold for smoke testing.
 """
 
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,6 +64,35 @@ class CriterionResult:
     lp_ms: float = 0.0  # mean wall time of the is_simulable calls that ran those LPs
 
 
+class Checks:
+    """The checks one criterion records: for each name, the worst value
+    recorded, how many values were recorded and the bound.  A check passes
+    when its worst value is at most its bound, and a NaN, once recorded,
+    stays the worst value; a criterion passes when it recorded at least one
+    check and every check passes.  ``notes`` are printed before the checks."""
+
+    def __init__(self):
+        self.notes: list[str] = []
+        self._checks: dict[str, list] = {}  # name -> [worst, count, bound]
+
+    def at_most(self, name: str, value: float, bound: float) -> None:
+        check = self._checks.setdefault(name, [value, 0, bound])
+        if math.isnan(value) or value > check[0]:  # plain floats: called per game
+            check[0] = value
+        check[1] += 1
+
+    @property
+    def passed(self) -> bool:
+        return bool(self._checks) and all(
+            worst <= bound for worst, _, bound in self._checks.values())
+
+    @property
+    def detail(self) -> str:
+        return "; ".join(self.notes + [
+            f"max {name} = {worst:.4g} over {count} (tol {bound:g})"
+            for name, (worst, count, bound) in self._checks.items()])
+
+
 def _suite(n_total: int, seed_base: int) -> list[Povm]:
     return [random_povm(*GRID[i % len(GRID)], seed_base + i) for i in range(n_total)]
 
@@ -87,59 +120,40 @@ def qubit_sic() -> Povm:
     return rank_one_povm(np.full(4, 0.5), np.stack(kets))
 
 
-def criterion_closed_form_vs_sdp(quick: bool = False) -> CriterionResult:
-    n = 30 if quick else 200
-    worst = 0.0
+def criterion_closed_form_vs_sdp(checks: Checks, quick: bool) -> dict:
     steps = 0
-    for m in _suite(n, 11000):
+    for m in _suite(30 if quick else 200, 11000):
         solution = _rom_solution(m)
-        worst = max(worst, abs(rom(m) - (solution.value / m.dimension - 1.0)))
+        checks.at_most("|closed - sdp|", abs(rom(m) - (solution.value / m.dimension - 1.0)), 1e-9)
         steps += solution.iterations
-    return CriterionResult(
-        1, "closed form vs SDP", worst <= 1e-9,
-        f"max |closed - sdp| = {worst:.3e} over {n} POVMs (tol 1e-9)", steps=steps,
-    )
+    return {"steps": steps}
 
 
-def criterion_strong_duality(quick: bool = False) -> CriterionResult:
-    n = 30 if quick else 200
-    worst = 0.0
-    for m in _suite(n, 11000):
+def criterion_strong_duality(checks: Checks, quick: bool) -> dict:
+    for m in _suite(30 if quick else 200, 11000):
         report = rom_report(m)
         dual_value = sum(
             np.einsum("ij,ji->", state, element).real
             for state, element in zip(report.dual_states, m.elements)
         ) - 1.0
-        worst = max(worst, abs(dual_value - report.value))
-    return CriterionResult(
-        2, "strong duality", worst <= 1e-8,
-        f"max |dual - primal| = {worst:.3e} over {n} POVMs (tol 1e-8)",
-    )
+        checks.at_most("|dual - primal|", abs(dual_value - report.value), 1e-8)
+    return {}
 
 
-def criterion_exact_values(quick: bool = False) -> CriterionResult:
+def criterion_exact_values(checks: Checks, quick: bool) -> dict:
     del quick
-    cases = [
-        ("qubit projective", projective_povm(np.eye(2)), 1.0),
-        ("qutrit projective", projective_povm(np.eye(3)), 2.0),
-        ("qubit trine", qubit_trine(), 1.0),
-        ("qubit SIC", qubit_sic(), 1.0),
-        ("trivial d=2", trivial_povm([0.2, 0.3, 0.5], 2), 0.0),
-        ("trivial d=3", trivial_povm([1.0], 3), 0.0),
-    ]
-    worst = max(abs(rom(m) - expected) for _, m, expected in cases)
-    return CriterionResult(
-        3, "exact robustness values", worst <= 1e-10,
-        f"max deviation = {worst:.3e} over {len(cases)} exact cases (tol 1e-10)",
-    )
+    cases = [(projective_povm(np.eye(2)), 1.0), (projective_povm(np.eye(3)), 2.0),
+             (qubit_trine(), 1.0), (qubit_sic(), 1.0),
+             (trivial_povm([0.2, 0.3, 0.5], 2), 0.0), (trivial_povm([1.0], 3), 0.0)]
+    for m, exact in cases:
+        checks.at_most("|R - exact|", abs(rom(m) - exact), 1e-10)
+    return {}
 
 
-def criterion_advantage(quick: bool = False) -> CriterionResult:
+def criterion_advantage(checks: Checks, quick: bool) -> dict:
     n = 20 if quick else 200
     per_m = 20 if quick else 200
     suite = _suite(n, 11000)
-    worst_identity = 0.0
-    worst_excess = -np.inf
     for c, (d, _) in enumerate(GRID):
         # all games of the cell in one draw: six states per game, of which a
         # game of k members keeps the first k, with flat-Dirichlet priors
@@ -150,35 +164,26 @@ def criterion_advantage(quick: bool = False) -> CriterionResult:
         for row, i in enumerate(cell):
             m = suite[i]
             bound = 1.0 + rom(m)
-            worst_identity = max(worst_identity, abs(advantage(optimal_ensemble(m), m) - bound))
+            checks.at_most("|advantage - (1+R)|",
+                           abs(advantage(optimal_ensemble(m), m) - bound), 1e-7)
             for j in range(per_m):
                 w = weights[row, j, :1 + (i + j) % 6]
                 e = Ensemble(states[row, j, :w.size], w / w.sum())
-                worst_excess = max(worst_excess, advantage(e, m) - bound)
-    passed = worst_identity <= 1e-7 and worst_excess <= 1e-8
-    return CriterionResult(
-        4, "discrimination advantage", passed,
-        f"max |advantage - (1+R)| = {worst_identity:.3e} (tol 1e-7); "
-        f"max excess over bound = {worst_excess:.3e} across {n}x{per_m} games (tol 1e-8)",
-    )
+                checks.at_most("advantage - (1+R)", advantage(e, m) - bound, 1e-8)
+    return {}
 
 
-def criterion_robustness_properties(quick: bool = False) -> CriterionResult:
+def criterion_robustness_properties(checks: Checks, quick: bool) -> dict:
     rng = np.random.default_rng(52000)
-    problems = []
-
-    worst_trivial = 0.0
     near_trivial = []
     for i in range(6 if quick else 20):
         d = 2 + i % 3
         q = rng.dirichlet(np.ones(1 + i % 5))
-        worst_trivial = max(worst_trivial, abs(rom(trivial_povm(q, d))))
+        checks.at_most("|R(trivial)|", abs(rom(trivial_povm(q, d))), 1e-10)
         near_trivial.append(trivial_povm(q, d))
         near_trivial.append(depolarize_povm(random_povm(d, 2 + i % 4, 53000 + i), 1.0))
-    if worst_trivial > 1e-10:
-        problems.append(f"trivial robustness reached {worst_trivial:.3e} (tol 1e-10)")
 
-    worst_deviation = 0.0
+    # converse faithfulness, which needs at least one case with R = 0
     checked = 0
     for m in near_trivial:
         if rom(m) <= 1e-9:
@@ -188,26 +193,18 @@ def criterion_robustness_properties(quick: bool = False) -> CriterionResult:
             deviation = np.abs(
                 m.elements - traces[:, None, None] * eye / m.dimension
             ).max()
-            worst_deviation = max(worst_deviation, deviation)
-    if checked == 0 or worst_deviation > 1e-6:
-        problems.append(
-            f"converse faithfulness: deviation {worst_deviation:.3e} on {checked} cases (tol 1e-6)"
-        )
+            checks.at_most("deviation from trivial at R = 0", deviation, 1e-6)
+    checks.at_most("1 - cases at R = 0", 1 - checked, 0)
 
-    worst_convexity = -np.inf
     for i in range(10 if quick else 50):
         d, o = GRID[i % len(GRID)]
         m1 = random_povm(d, o, 54000 + i)
         m2 = random_povm(d, o, 55000 + i)
         p = rng.random()
         mixed = Povm(p * m1.elements + (1.0 - p) * m2.elements)
-        worst_convexity = max(
-            worst_convexity, rom(mixed) - (p * rom(m1) + (1.0 - p) * rom(m2))
-        )
-    if worst_convexity > 1e-9:
-        problems.append(f"convexity violated by {worst_convexity:.3e} (tol 1e-9)")
+        checks.at_most("convexity excess",
+                       rom(mixed) - (p * rom(m1) + (1.0 - p) * rom(m2)), 1e-9)
 
-    worst_monotone = -np.inf
     per_m = 10 if quick else 100
     for i, (d, o) in enumerate(GRID):
         m = random_povm(d, o, 56000 + i)
@@ -215,28 +212,16 @@ def criterion_robustness_properties(quick: bool = False) -> CriterionResult:
         for j in range(per_m):
             o_out = 1 + (i + j) % (o + 2)
             mapped = post_process(m, random_stochastic_map(o, o_out, 57000 + 100 * i + j))
-            worst_monotone = max(worst_monotone, rom(mapped) - base)
-    if worst_monotone > 1e-9:
-        problems.append(f"monotonicity violated by {worst_monotone:.3e} (tol 1e-9)")
-
-    detail = "; ".join(problems) if problems else (
-        f"faithfulness (both directions), convexity, monotonicity hold; "
-        f"worst slacks {worst_trivial:.1e} / {worst_deviation:.1e} / "
-        f"{worst_convexity:.1e} / {worst_monotone:.1e}"
-    )
-    return CriterionResult(5, "robustness properties", not problems, detail)
+            checks.at_most("monotonicity excess", rom(mapped) - base, 1e-9)
+    return {}
 
 
-def criterion_accessible_min_info(quick: bool = False) -> CriterionResult:
-    n = 20 if quick else 200
-    worst_identity = 0.0
-    for m in _suite(n, 11000):
+def criterion_accessible_min_info(checks: Checks, quick: bool) -> dict:
+    for m in _suite(20 if quick else 200, 11000):
         bits, witness = acc_min_info_measurement(m)
-        worst_identity = max(
-            worst_identity, abs(i_min(joint_from_game(witness, m)) - bits)
-        )
+        checks.at_most("|i_min(witness) - log2(1+R)|",
+                       abs(i_min(joint_from_game(witness, m)) - bits), 1e-7)
 
-    worst_excess = -np.inf
     per_m = 20 if quick else 200
     combos = [(d, o) for d in (2, 3) for o in (2, 3, 4)]
     for i, (d, o) in enumerate(combos):
@@ -244,16 +229,11 @@ def criterion_accessible_min_info(quick: bool = False) -> CriterionResult:
         bits, _ = acc_min_info_measurement(m)
         for j in range(per_m):
             e = random_ensemble(d, 1 + (i + j) % 5, 59000 + 1000 * i + j)
-            worst_excess = max(worst_excess, i_min(joint_from_game(e, m)) - bits)
-    passed = worst_identity <= 1e-7 and worst_excess <= 1e-7
-    return CriterionResult(
-        6, "accessible min-information", passed,
-        f"max |i_min(witness) - log2(1+R)| = {worst_identity:.3e}; "
-        f"max sweep excess = {worst_excess:.3e} (tol 1e-7)",
-    )
+            checks.at_most("sweep excess", i_min(joint_from_game(e, m)) - bits, 1e-7)
+    return {}
 
 
-def criterion_simulability(quick: bool = False) -> CriterionResult:
+def criterion_simulability(checks: Checks, quick: bool) -> dict:
     n = 50 if quick else 500
     failures = []
     decided = []  # the NNLS entries (None without an LP) and seconds of each verdict
@@ -274,32 +254,24 @@ def criterion_simulability(quick: bool = False) -> CriterionResult:
             failures.append(f"case {i}: verdict {result.verdict}")
         elif result.residual > 1e-7:
             failures.append(f"case {i}: residual {result.residual:.2e}")
-    completeness_ok = len(failures) <= max(0.01 * n, 0)
     lps = [(entries, seconds) for entries, seconds in decided if entries is not None]
+    checks.notes.append(
+        f"{n - len(failures)}/{n} post-processed targets verified simulable "
+        f"(residual tol 1e-7; {len(decided) - len(lps)} by the unique map, "
+        f"{len(lps)} by the LP)" + (f"; logged failures: {failures}" if failures else ""))
+    checks.at_most("failed targets", len(failures), 0.01 * n)
 
     z = projective_povm(np.eye(2))
     x = projective_povm(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
     zx = is_simulable(z, x)  # decided outside the span: no LP
-    zx_ok = (zx.verdict == NOT_SIMULABLE and zx.gap is not None
-             and zx.gap >= 0.05 and zx.gap >= 1e-9)
-
-    passed = completeness_ok and zx_ok
-    logged = f"; logged failures: {failures}" if failures else ""
-    return CriterionResult(
-        7, "simulability", passed,
-        f"{n - len(failures)}/{n} post-processed targets verified simulable "
-        f"(residual tol 1e-7; {len(decided) - len(lps)} by the unique map, "
-        f"{len(lps)} by the LP); Z vs X verdict {zx.verdict} with witness gap "
-        f"{zx.gap if zx.gap is not None else float('nan'):.3f}{logged}",
-        entries=sum(e for e, _ in lps), lp_ms=1e3 * sum(s for _, s in lps) / max(len(lps), 1),
-    )
+    checks.notes.append(f"Z vs X verdict {zx.verdict}")
+    checks.at_most("0.05 - Z vs X witness gap",
+                   0.05 - zx.gap if zx.verdict == NOT_SIMULABLE else math.nan, 0.0)
+    return {"entries": sum(e for e, _ in lps),
+            "lp_ms": 1e3 * sum(s for _, s in lps) / max(len(lps), 1)}
 
 
-def criterion_roa_roc(quick: bool = False) -> CriterionResult:
-    problems = []
-    worst_game = 0.0
-    worst_info = 0.0
-    worst_overlap = math.inf  # of the two brackets on the game's advantage
+def criterion_roa_roc(checks: Checks, quick: bool) -> dict:
     steps = 0
     cases = [(2, 20 if quick else 100, 70000), (3, 10 if quick else 50, 71000)]
     for d, count, seed_base in cases:
@@ -311,38 +283,24 @@ def criterion_roa_roc(quick: bool = False) -> CriterionResult:
             orbit = _guess_solution(orbit_ensemble(rho, group))
             game = group.order * orbit.value
             steps += report.iterations + orbit.iterations
-            worst_game = max(worst_game, abs(game - (1.0 + report.value)))
-            worst_info = max(worst_info, abs(math.log2(game) - math.log2(1.0 + report.value)))
-            worst_overlap = min(worst_overlap, min(game, 1.0 + report.value)
-                                - max(group.order * orbit.lower, 1.0 + report.lower))
-    if worst_overlap < 0.0:
-        problems.append(f"game brackets are disjoint by {-worst_overlap:.3e}")
-    if worst_game > 1e-9:
-        problems.append(f"game identity off by {worst_game:.3e} (tol 1e-9)")
-    if worst_info > 1e-9:
-        problems.append(f"min-information identity off by {worst_info:.3e} (tol 1e-9)")
+            checks.at_most("|game - (1+R)|", abs(game - (1.0 + report.value)), 1e-9)
+            checks.at_most("|log2 game - log2(1+R)|",
+                           abs(math.log2(game) - math.log2(1.0 + report.value)), 1e-9)
+            # the two brackets on the game's advantage overlap
+            checks.at_most("bracket separation",
+                           max(group.order * orbit.lower, 1.0 + report.lower)
+                           - min(game, 1.0 + report.value), 0.0)
 
     plus, qutrit = roc(np.full((2, 2), 0.5)), roc(np.full((3, 3), 1.0 / 3.0))
     steps += plus.iterations + qutrit.iterations
-    if abs(plus.value - 1.0) > 1e-9:
-        problems.append(f"qubit maximal coherence gave {plus.value!r} (tol 1e-9)")
-    if abs(qutrit.value - 2.0) > 1e-9:
-        problems.append(f"qutrit maximal coherence gave {qutrit.value!r} (tol 1e-9)")
-
-    detail = "; ".join(problems) if problems else (
-        f"identities within {max(worst_game, worst_info):.3e}; "
-        f"game brackets overlap by at least {worst_overlap:.3e}; "
-        f"maximal coherence values {plus.value:.12f} / {qutrit.value:.12f}"
-    )
-    return CriterionResult(8, "asymmetry and coherence identities", not problems, detail,
-                           steps=steps)
+    checks.at_most("|R - maximal coherence|", abs(plus.value - 1.0), 1e-9)
+    checks.at_most("|R - maximal coherence|", abs(qutrit.value - 2.0), 1e-9)
+    return {"steps": steps}
 
 
-def criterion_helstrom(quick: bool = False) -> CriterionResult:
-    n = 20 if quick else 100
-    worst = 0.0
+def criterion_helstrom(checks: Checks, quick: bool) -> dict:
     steps = 0
-    for i in range(n):
+    for i in range(20 if quick else 100):
         rng = np.random.default_rng(72000 + i)
         states = [random_density_matrix(2, rng) for _ in range(2)]
         p0 = rng.random()
@@ -352,34 +310,31 @@ def criterion_helstrom(quick: bool = False) -> CriterionResult:
             np.linalg.eigvalsh(priors[0] * states[0] - priors[1] * states[1])
         ).sum())
         solution = _guess_solution(ensemble)
-        worst = max(worst, abs(solution.value - helstrom))
+        checks.at_most("|solver - formula|", abs(solution.value - helstrom), 1e-9)
         steps += solution.iterations
-    return CriterionResult(
-        9, "binary discrimination against the trace-norm formula",
-        worst <= 1e-9,
-        f"max |solver - formula| = {worst:.3e} over {n} ensembles (tol 1e-9)", steps=steps,
-    )
+    return {"steps": steps}
 
 
 CRITERIA = [
-    criterion_closed_form_vs_sdp,
-    criterion_strong_duality,
-    criterion_exact_values,
-    criterion_advantage,
-    criterion_robustness_properties,
-    criterion_accessible_min_info,
-    criterion_simulability,
-    criterion_roa_roc,
-    criterion_helstrom,
+    ("closed form vs SDP", criterion_closed_form_vs_sdp),
+    ("strong duality", criterion_strong_duality),
+    ("exact robustness values", criterion_exact_values),
+    ("discrimination advantage", criterion_advantage),
+    ("robustness properties", criterion_robustness_properties),
+    ("accessible min-information", criterion_accessible_min_info),
+    ("simulability", criterion_simulability),
+    ("asymmetry and coherence identities", criterion_roa_roc),
+    ("binary discrimination against the trace-norm formula", criterion_helstrom),
 ]
 
 
-def _timed(criterion, quick: bool) -> CriterionResult:
-    start = time.perf_counter()
-    result = criterion(quick=quick)
-    return replace(result, seconds=time.perf_counter() - start)
-
-
 def run_all(quick: bool = False) -> list[CriterionResult]:
-    """Every criterion in order, each with its wall time in ``seconds``."""
-    return [_timed(criterion, quick) for criterion in CRITERIA]
+    """Every criterion in order, each with its wall time in ``seconds`` and
+    its pass/fail and detail from the checks it recorded."""
+    results = []
+    for index, (name, criterion) in enumerate(CRITERIA, 1):
+        checks, start = Checks(), time.perf_counter()
+        counters = criterion(checks, quick)
+        results.append(CriterionResult(index, name, checks.passed, checks.detail,
+                                       time.perf_counter() - start, **counters))
+    return results

@@ -293,7 +293,7 @@ def solve_dominating(basis, constraints) -> SdpSolution:
     Bad input raises ``InvalidArgument``, a span not closed under squares a
     ``SolverFailure`` once its duals are certified.  With the contract, ``lambda I``
     with ``lambda`` above every ``lambda_max(K_i)`` is a strictly feasible start
-    (``SolverFailure`` if it overflows), and ``Z_i = I / m`` is dual feasible
+    (``SolverFailure`` if it or its trace overflows), and ``Z_i = I / m`` is dual feasible
     because ``tr B_j = tr[B_j I]``; the path following (HKM direction, Mehrotra
     predictor-corrector) starts there.  After each step the trace of ``Y`` is an upper bound.
     Once the complementarity gap ``sum_i tr[S_i Z_i]`` is within ``GAP_TOL``
@@ -309,9 +309,10 @@ def solve_dominating(basis, constraints) -> SdpSolution:
     """
     basis, constraints = _validate_program(basis, constraints)
     lam = float(np.linalg.eigvalsh(constraints)[..., -1].max())
-    if (start := lam + max(1.0, abs(lam))) == np.inf:  # a float: no overflow warning
-        raise SolverFailure(f"the strictly feasible start 2 * {lam!r} overflows")
     eye = np.broadcast_to(np.eye(constraints.shape[-1]), constraints.shape[1:])
+    start = lam + max(1.0, abs(lam))
+    if start * (eye.size // eye.shape[-1]) == np.inf:  # its trace, a float: no overflow warning
+        raise SolverFailure(f"the trace of the strictly feasible start 2 * {lam!r} overflows")
     y = start * eye
     z = np.broadcast_to(eye / len(constraints), constraints.shape)
     path = islice(_central_path(basis, constraints, y, z), MAX_ITERATIONS)

@@ -22,6 +22,7 @@ from povmrobust.errors import (
     InvalidArgument,
     InvalidGroup,
     PovmRobustError,
+    ResourceLimit,
     SolverFailure,
 )
 from povmrobust.info import acc_min_info_ensemble
@@ -42,6 +43,13 @@ class TestValidateGroup:
     def test_a_dephasing_group_of_dimension_zero_is_an_invalid_argument(self):
         with pytest.raises(InvalidArgument):
             dephasing_group(0)
+
+    def test_the_stack_budget_bounds_roc_and_roa(self):
+        # roc builds d dephasing unitaries, roa a basis of d^2 Hermitian matrices
+        with pytest.raises(ResourceLimit):
+            roc(np.eye(257) / 257)
+        with pytest.raises(ResourceLimit):
+            roa(np.eye(65) / 65, dephasing_group(65))
 
     def test_rejects_non_unitary(self):
         with pytest.raises(InvalidGroup):

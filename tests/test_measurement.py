@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,23 @@ class TestRandomPovm:
             random_povm(d, 2, 1)  # at the budget: it draws
 
 
+@pytest.mark.parametrize("build", [
+    lambda: hermitian_basis(2000),  # d^2 matrices: np.triu_indices alone would take 32 MB
+    lambda: dephasing_group(10**7),  # d matrices
+    lambda: haar_random_unitary(10**7, 0),  # one matrix
+    lambda: random_ensemble(2, 10**13, 0),  # one matrix per state
+], ids=["hermitian-basis", "dephasing-group", "haar-unitary", "random-ensemble"])
+def test_every_stack_builder_refuses_over_the_budget_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match="need over"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
 class TestStochasticMap:
     def test_row_sums_enforced(self):
         with pytest.raises(InvalidDistribution):
@@ -456,9 +474,16 @@ _NAN = np.full((2, 2), np.nan)
     (lambda: validate_group(2.5), InvalidGroup, "need one or more unitaries of one size"),
     (lambda: projective_povm(_NAN), NotOrthonormal, "basis fails orthonormality by nan"),
     (lambda: trivial_povm([1.0], 10**6), ResourceLimit,
-     f"1 outcomes at dimension 1000000 need over {measurement.MAX_STACK_BYTES} bytes"),
+     f"1 matrices at dimension 1000000 need over {measurement.MAX_STACK_BYTES} bytes"),
     (lambda: rank_one_povm([1e300, 1.0], [[1e200, 0.0], [0.0, 1.0]]), InvalidArgument,
      "matrix entries must be finite"),
+    # a group is a nonempty square (n, d, d) stack, as a Povm is
+    (lambda: GroupRepresentation(None), InvalidGroup,
+     "expected shape (n, d, d) with n, d >= 1, got ()"),
+    (lambda: GroupRepresentation(2.5), InvalidGroup,
+     "expected shape (n, d, d) with n, d >= 1, got ()"),
+    (lambda: GroupRepresentation(np.zeros((0, 2, 2))), InvalidGroup,
+     "expected shape (n, d, d) with n, d >= 1, got (0, 2, 2)"),
 ], ids=["povm-empty", "povm-mixed", "povm-not-square", "povm-nan",
         "ensemble-empty", "ensemble-mixed", "ensemble-not-square", "ensemble-nan",
         "ensemble-not-hermitian", "ensemble-too-many-priors", "ensemble-too-few-priors",
@@ -474,7 +499,8 @@ _NAN = np.full((2, 2), np.nan)
         "lp-shape-message", "roc-not-square-message", "state-nan-message",
         "dephasing-float", "hermitian-basis-bool", "seed-string", "eta-string", "r-none",
         "roc-string", "h-min-string", "trivial-q-strings", "povm-none", "group-float",
-        "projective-nan", "trivial-over-budget", "rank-one-overflow"])
+        "projective-nan", "trivial-over-budget", "rank-one-overflow",
+        "group-none", "group-scalar", "group-empty-stack"])
 def test_each_input_gate_keeps_its_exception_type(build, error, message):
     # every value type is reached through one stack gate and one type gate;
     # a message, where given, is pinned in full

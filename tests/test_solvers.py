@@ -598,11 +598,16 @@ SCALAR_PROGRAM = (np.eye(2, dtype=complex)[None] / math.sqrt(2.0),
     # LinAlgError("Singular matrix")
     (None, lambda: solve_dominating(None, np.stack([np.diag([1e308, 0.0]), np.eye(2) / 2])),
      SolverFailure),
+    # the start 1e308 is finite, its trace over the dimension 2 is not: once numpy's
+    # "overflow encountered in reduce" warning
+    (None, lambda: solve_dominating(None, np.stack([np.diag([5e307, 0.0]), np.eye(2) / 2])),
+     SolverFailure),
 ], ids=["lp-shapes", "lp-3d-matrix", "lp-inf-rhs", "lp-nan-rhs", "lp-nan-matrix", "lp-pivot-cap",
         "dominating-empty-stack", "dominating-not-orthonormal",
         "dominating-misses-identity", "dominating-blocks-without-basis",
         "dominating-block-shapes-differ", "dominating-iteration-cap",
-        "dominating-inverted-bracket", "dominating-start-overflows"])
+        "dominating-inverted-bracket", "dominating-start-overflows",
+        "dominating-start-trace-overflows"])
 def test_every_failed_solve_is_a_package_error(monkeypatch, setup, solve, error):
     # input outside a solver's domain is InvalidArgument, a solve that cannot
     # finish SolverFailure: both are PovmRobustErrors, never a status to check
