@@ -27,7 +27,7 @@ from .discrimination import Ensemble, check_density_matrix, p_guess_with_measure
 from .errors import InvalidGroup, PovmRobustError, SolverFailure, dimension_gate, type_gate
 from .measurement import Povm, validate_povm
 from .numerics import (_check_stack_bytes, _matrix_stack, _read_integer, as_complex_matrix,
-                       frozen_copy, hermitian_basis)
+                       frozen_stack, hermitian_basis)
 from .solvers import solve_dominating
 
 UNITARY_TOL = 1e-9
@@ -37,7 +37,7 @@ SUBSPACE_DROP_TOL = 1e-9
 CERTIFICATE_TOL = 1e-10  # slack of either orbit-game certificate, relative to max(1, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupRepresentation:
     """A finite list of unitaries closed under multiplication up to global
     phase, containing the identity, kept as a read-only copy."""
@@ -45,10 +45,7 @@ class GroupRepresentation:
     unitaries: np.ndarray
 
     def __post_init__(self):
-        arr = frozen_copy(self.unitaries, np.complex128)
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or 0 in arr.shape:
-            raise InvalidGroup(f"expected shape (n, d, d) with n, d >= 1, got {arr.shape}")
-        object.__setattr__(self, "unitaries", arr)
+        object.__setattr__(self, "unitaries", frozen_stack(self.unitaries, InvalidGroup))
 
     @property
     def order(self) -> int:
@@ -59,7 +56,7 @@ class GroupRepresentation:
         return self.unitaries.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AsymmetryReport:
     """Robustness value with its optimal dominating symmetric operator and
     the orbit game it certifies.

@@ -17,13 +17,13 @@ import numpy as np
 from .errors import InvalidEnsemble, InvalidState, dimension_gate, type_gate
 from .measurement import Povm, _check_distribution, _require_povm
 from .numerics import (_check_stack_bytes, _matrix_stack, _read_integer, as_complex_matrix,
-                       eig_hermitian, frozen_copy)
+                       eig_hermitian, frozen_copy, frozen_stack)
 from .rom import rom_report
 
 STATE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """States ``sigma_x`` with priors ``p(x)``, as arrays of shape
     ``(n, d, d)`` and ``(n,)``."""
@@ -32,10 +32,8 @@ class Ensemble:
     priors: np.ndarray
 
     def __post_init__(self):
-        states = frozen_copy(self.states, np.complex128)
+        states = frozen_stack(self.states, InvalidEnsemble)
         priors = frozen_copy(self.priors, float)
-        if states.ndim != 3 or states.shape[1] != states.shape[2]:
-            raise InvalidEnsemble(f"states must have shape (n, d, d), got {states.shape}")
         if priors.shape != (states.shape[0],):
             raise InvalidEnsemble("need exactly one prior per state")
         object.__setattr__(self, "states", states)

@@ -30,7 +30,7 @@ from .rom import rom
 from .solvers import min_error_guess_value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Joint probabilities ``p(x, g)`` over an input symbol and an output
     symbol, as a nonnegative matrix summing to 1."""

@@ -26,7 +26,8 @@ from .errors import (
 )
 # MAX_STACK_BYTES is imported for its old name measurement.MAX_STACK_BYTES too
 from .numerics import (MAX_STACK_BYTES, _check_stack_bytes, _matrix_stack, _read_array,
-                       _read_integer, _read_real, eig_hermitian, frozen_copy)
+                       _read_integer, _read_real, eig_hermitian, frozen_copy,
+                       frozen_stack)
 
 PSD_TOL = 1e-9
 COMPLETENESS_TOL = 1e-8
@@ -34,7 +35,7 @@ DISTRIBUTION_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """A positive operator-valued measure as an ``(o, d, d)`` array.
 
@@ -46,10 +47,7 @@ class Povm:
     elements: np.ndarray
 
     def __post_init__(self):
-        arr = frozen_copy(self.elements, np.complex128)
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or 0 in arr.shape:
-            raise ShapeMismatch(f"expected shape (o, d, d) with o, d >= 1, got {arr.shape}")
-        object.__setattr__(self, "elements", arr)
+        object.__setattr__(self, "elements", frozen_stack(self.elements, ShapeMismatch))
 
     @property
     def outcomes(self) -> int:
@@ -78,7 +76,7 @@ class Povm:
         return iter(self.elements)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StochasticMap:
     """Conditional probabilities ``p(out | in)`` with shape (inputs, outputs).
 
@@ -210,7 +208,7 @@ def depolarize_povm(m: Povm, eta: float) -> Povm:
 def random_povm(d: int, o: int, seed: int) -> Povm:
     """Full-rank random measurement, deterministic in the seed.
 
-    Wishart blocks ``W_a = G_a G_a^dag`` are normalized by the inverse
+    Wishart matrices ``W_a = G_a G_a^dag`` are normalized by the inverse
     square root of their sum, which is complete by construction.  A complex
     ``(o, d, d)`` stack above ``MAX_STACK_BYTES`` is a ``ResourceLimit``.
     """

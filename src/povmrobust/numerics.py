@@ -130,6 +130,15 @@ def frozen_copy(a, dtype) -> np.ndarray:
     return arr
 
 
+def frozen_stack(a, error) -> np.ndarray:
+    """``frozen_copy`` of ``a`` as complex128, refused with ``error`` unless it
+    is a nonempty ``(n, d, d)`` stack of square matrices."""
+    arr = frozen_copy(a, np.complex128)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or 0 in arr.shape:
+        raise error(f"expected shape (n, d, d) with n, d >= 1, got {arr.shape}")
+    return arr
+
+
 def hermitian_basis(d: int) -> np.ndarray:
     """The matrix-unit basis of the Hermitian ``d x d`` matrices, shape
     ``(d*d, d, d)`` and orthonormal in the Hilbert-Schmidt inner product: the

@@ -23,7 +23,7 @@ PSEUDO_MIXTURE_TOL = 1e-8
 _DEGENERACY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoMixture:
     """Decomposition ``(M_a + r N_a) / (1 + r) = q(a) I`` certifying the
     robustness value ``r``."""
@@ -33,7 +33,7 @@ class PseudoMixture:
     q: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RobustnessReport:
     """Robustness value with primal and dual certificates.
 

@@ -22,7 +22,7 @@ import numpy as np
 from .discrimination import Ensemble, p_guess_with_measurement
 from .errors import InvalidArgument, SolverFailure, dimension_gate, type_gate
 from .measurement import COMPLETENESS_TOL, Povm, StochasticMap, _require_povm, post_process
-from .numerics import eig_hermitian
+from .numerics import eig_hermitian, frozen_copy, frozen_stack
 from .solvers import FEASIBILITY_TOL, OPTIMAL, _rows, solve_lp
 
 SIMULABLE = "Simulable"
@@ -31,17 +31,26 @@ NOT_SIMULABLE = "NotSimulable"
 WITNESS_GAP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulabilityCertificate:
     """Dual separating functional: one Hermitian ``Z_b`` per target
     outcome plus one scalar per source outcome.
 
     Validity means ``tr[Z_b M_a] + z_a <= 0`` for every outcome pair while
     ``sum_b tr[Z_b M'_b] + sum_a z_a > 0``: the target scores strictly
-    higher, which no post-processing of the source could."""
+    higher, which no post-processing of the source could.  Both are kept as
+    read-only copies: the operators a nonempty ``(n, d, d)`` stack, the scalars
+    a 1-D float array (``InvalidArgument`` otherwise)."""
 
     operators: np.ndarray
     scalars: np.ndarray
+
+    def __post_init__(self):
+        scalars = frozen_copy(self.scalars, float)
+        if scalars.ndim != 1:
+            raise InvalidArgument(f"scalars must be a 1-D array, got shape {scalars.shape}")
+        object.__setattr__(self, "operators", frozen_stack(self.operators, InvalidArgument))
+        object.__setattr__(self, "scalars", scalars)
 
 
 _require_certificate = type_gate(SimulabilityCertificate, InvalidArgument)
@@ -156,16 +165,20 @@ def witness_from_certificate(m: Povm, target: Povm,
     ensemble is checked numerically; in exact arithmetic it is at least
     the certificate's Farkas value over the total trace, so a gap below
     the tolerance means the certificate itself did not verify, and
-    ``SolverFailure`` is raised.
+    ``SolverFailure`` is raised.  Operators of another dimension than the
+    source's are a ``DimensionMismatch``.
     """
-    return _witness(_require_povm(m), _require_povm(target), _require_certificate(certificate))[0]
+    m, target = _require_povm(m), _require_povm(target)
+    certificate = _require_certificate(certificate)
+    dimension_gate("certificate", certificate.operators.shape[1], "source", m.dimension)
+    return _witness(m, target, certificate)[0]
 
 
 def _witness(m: Povm, target: Povm,
              certificate: SimulabilityCertificate) -> tuple[Ensemble, float]:
     """``witness_from_certificate`` together with the verified gap."""
     d = m.dimension
-    z_ops = np.asarray(certificate.operators, dtype=np.complex128)
+    z_ops = certificate.operators
     shift = max(0.0, -eig_hermitian(z_ops).eigenvalues[:, 0].min())
     eye = np.eye(d, dtype=np.complex128)
 

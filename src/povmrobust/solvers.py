@@ -15,12 +15,11 @@ Vanderbei and Wolkowicz, SIAM J. Optim. 6 (1996); Vandenberghe and Boyd,
 SIAM Rev. 38 (1996)) that returns a strictly feasible point together with a
 certified lower bound.  Over every Hermitian matrix its Newton step is one
 linear solve in vec form (Todd, Toh and Tutuncu, SIAM J. Optim. 8 (1998)),
-over a smaller span a Schur complement in the basis coordinates.  A block-diagonal
-operator is the stack of its blocks (SDPA's format; Fujisawa, Kojima and Nakata,
-Math. Program. 79 (1997)).  Each step factors every primal slack and dual matrix
-with one stacked Cholesky call and inverts those factors with one ``inv`` call,
-each predictor or corrector stage takes both step lengths from one stacked
-eigensolve, and the lower bound is computed only once the gap is within tolerance.
+over a smaller span a Schur complement in the basis coordinates.  Each step factors
+every primal slack and dual matrix with one stacked Cholesky call and inverts those
+factors with one ``inv`` call, each predictor or corrector stage takes both step lengths
+from one stacked eigensolve, and the lower bound is computed only once the gap is within
+tolerance.
 Both take arrays and return a finished solution; bad input raises
 ``InvalidArgument``, and a solve that cannot finish ``SolverFailure``.
 The module also instantiates the robustness program of a measurement
@@ -53,7 +52,7 @@ MAX_HALVINGS = 60
 STEP_FRACTION = 0.95     # share of the distance to the cone boundary stepped
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     """Outcome of ``solve_lp``: ``OPTIMAL`` with a point ``x``, or ``INFEASIBLE``
     with a Farkas vector ``farkas``."""
@@ -119,7 +118,7 @@ def solve_lp(a, b) -> LpSolution:
         x = _least_positive(a, b, x, passive)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SdpSolution:
     """A finished dominance solve: ``lower <= optimum <= value``.
 
@@ -141,8 +140,8 @@ class SdpSolution:
 
 
 def _rows(mats):
-    """A matrix, or each matrix or stack of blocks in a stack, as one real row of its interleaved
-    real and imaginary parts (a view): ``Re tr[B M] = _rows(B) . _rows(M)`` for Hermitian B."""
+    """A matrix, or each matrix in a stack, as one real row of its interleaved real and
+    imaginary parts (a view): ``Re tr[B M] = _rows(B) . _rows(M)`` for Hermitian B."""
     mats = np.ascontiguousarray(mats, dtype=np.complex128).view(np.float64)
     return mats.reshape(len(mats), -1) if mats.ndim > 2 else mats.ravel()
 
@@ -154,7 +153,7 @@ def _span(x, basis):
 
 def _project(basis, m):
     """The orthogonal projection of ``m`` onto the span (``m`` itself on the full span)."""
-    return m if basis is None else _span(_rows(basis) @ _rows(m).ravel(), basis)
+    return m if basis is None else _span(_rows(basis) @ _rows(m), basis)
 
 
 def _validate_program(basis, constraints):
@@ -163,20 +162,19 @@ def _validate_program(basis, constraints):
     Closure of the span under squares is checked on the duals, by ``_certified_lower``."""
     basis = None if basis is None else check_hermitian(basis)
     constraints = check_hermitian(constraints)
-    if constraints.ndim not in (3, 4) or not len(constraints) or (
-            constraints.ndim == 4 if basis is None else
-            not len(basis) or basis.shape[1:] != constraints.shape[1:]):
-        raise InvalidArgument("need nonempty stacks of one shape, and a basis for blocks")
+    if constraints.ndim != 3 or not len(constraints) or basis is not None and (
+            basis.ndim != 3 or not len(basis) or basis.shape[1:] != constraints.shape[1:]):
+        raise InvalidArgument("need nonempty (m, n, n) constraints and a (k, n, n) basis")
     if basis is None:
         return None, constraints
     off = np.abs(_rows(basis) @ _rows(basis).T - np.eye(len(basis))).max()
     if off > ORTHONORMALITY_TOL:
         raise InvalidArgument(f"subspace basis is off orthonormal by {off:.3e}")
-    eye = np.broadcast_to(np.eye(basis.shape[-1]), basis.shape[1:])
+    eye = np.eye(basis.shape[-1])
     missing = np.abs(_project(basis, eye) - eye).max()
     if missing > IDENTITY_TOL:
         raise InvalidArgument(f"the span of the basis misses the identity by {missing:.3e}")
-    return (None if basis.ndim == 3 and len(basis) == basis.shape[1] ** 2 else basis), constraints
+    return (None if len(basis) == basis.shape[1] ** 2 else basis), constraints
 
 
 def _step_lengths(inv_chols, inv_chols_h, directions, fraction):
@@ -186,7 +184,7 @@ def _step_lengths(inv_chols, inv_chols_h, directions, fraction):
     factors of every ``S_i`` over those of every ``Z_i``, and ``directions``
     ``dS`` (once per ``S_i``) over every ``dZ_i``, so one eigensolve gives both."""
     scaled = inv_chols @ directions @ inv_chols_h
-    smallest = np.linalg.eigvalsh(scaled)[..., 0].reshape(2, -1).min(axis=1)
+    smallest = np.linalg.eigvalsh(scaled)[:, 0].reshape(2, -1).min(axis=1)
     return tuple(min(1.0, -fraction / v) if v < 0.0 else 1.0 for v in smallest.tolist())
 
 
@@ -209,7 +207,7 @@ def _newton_solver(basis, s_inv, z):
         return solve
     rows = _rows(basis)  # schur_jl = sum_i Re tr[B_j S_i^-1 B_l Z_i]
     schur = rows @ _rows((s_inv[:, None] @ basis[None] @ z[:, None]).sum(axis=0)).T
-    return lambda rhs: _span(np.linalg.solve(schur, rows @ _rows(rhs).ravel()), basis)
+    return lambda rhs: _span(np.linalg.solve(schur, rows @ _rows(rhs)), basis)
 
 
 def _central_path(basis, constraints, y, z):
@@ -223,7 +221,7 @@ def _central_path(basis, constraints, y, z):
     lengths from one stacked eigensolve, and both are halved while rounding
     near the boundary leaves the new stack without a Cholesky factor."""
     m, d = len(constraints), y.shape[-1]
-    eye = np.broadcast_to(np.eye(d), y.shape)  # I, block by block
+    eye = np.eye(d)
     pair = np.concatenate([y - constraints, z])  # every S_i over every Z_i
     chols = np.linalg.cholesky(pair)
     directions = np.empty(pair.shape, dtype=complex)  # dY (m times) over every dZ_i
@@ -233,7 +231,7 @@ def _central_path(basis, constraints, y, z):
         inv_chols = np.linalg.inv(chols)
         inv_chols_h = inv_chols.conj().swapaxes(-1, -2)
         s_inv = inv_chols_h[:m] @ inv_chols[:m]
-        mu = np.vdot(s, z).real / (s.size // d)  # over m times the total dimension
+        mu = np.vdot(s, z).real / (m * d)
         newton = _newton_solver(basis, s_inv, z)
 
         def direction(dy, dz_rest):  # dY and the Hermitian dZ, written into directions
@@ -245,7 +243,7 @@ def _central_path(basis, constraints, y, z):
         # predictor: the affine direction, whose right-hand side is just -I
         dy, dz = direction(newton(-eye), -z)
         alpha_p, alpha_d = _step_lengths(inv_chols, inv_chols_h, directions, 1.0)
-        mu_affine = np.vdot(s + alpha_p * dy, z + alpha_d * dz).real / (s.size // d)
+        mu_affine = np.vdot(s + alpha_p * dy, z + alpha_d * dz).real / (m * d)
         sigma = (mu_affine / mu) ** 3
         # corrector: centring and the second-order term
         s_inv_target = s_inv @ (sigma * mu * eye - dy @ dz)
@@ -273,7 +271,7 @@ def _certified_lower(basis, constraints, z):
     if w.min() <= 0.0:
         raise SolverFailure(f"projected dual sum is not positive definite "
                             f"(smallest eigenvalue {w.min():.3e})")
-    root = (v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    root = (v / np.sqrt(w)) @ v.conj().T
     duals = root @ z @ root
     miss = np.abs(_project(basis, duals.sum(axis=0)) - np.eye(z.shape[-1])).max()
     if miss > IDENTITY_TOL:
@@ -288,8 +286,7 @@ def solve_dominating(basis, constraints) -> SdpSolution:
     ``basis`` stacks Hermitian ``B_j`` (real coefficients), orthonormal in the
     trace inner product, of a span closed under squares that contains the identity;
     ``None`` means every Hermitian matrix, with no basis to build or check.
-    ``constraints`` stacks the Hermitian ``K_i``: ``(m, n, n)``, or ``(m, b, n, n)``
-    for ``b`` blocks with a basis ``(k, b, n, n)``, traces summing over blocks.
+    ``constraints`` stacks the Hermitian ``K_i``: ``(m, n, n)``, with a basis ``(k, n, n)``.
     Bad input raises ``InvalidArgument``, a span not closed under squares a
     ``SolverFailure`` once its duals are certified.  With the contract, ``lambda I``
     with ``lambda`` above every ``lambda_max(K_i)`` is a strictly feasible start
@@ -302,22 +299,22 @@ def solve_dominating(basis, constraints) -> SdpSolution:
     It raises ``SolverFailure``, reporting the gap left, if that takes more than
     ``MAX_ITERATIONS`` steps, or if the lower bound it stops at lies above the value.
 
-    The full span (``None`` or ``n^2`` elements, no blocks) takes the Newton step
-    in vec form with a few ``n^2 x n^2`` complex operators per step, ``16 n^4``
-    bytes each.  Other spans solve a ``k x k`` Schur complement, whose products
-    ``S_i^-1 B_l Z_i`` hold ``16 m k b n^2`` bytes.
+    The full span (``None`` or ``n^2`` elements) takes the Newton step in vec
+    form with a few ``n^2 x n^2`` complex operators per step, ``16 n^4`` bytes
+    each.  Other spans solve a ``k x k`` Schur complement, whose products
+    ``S_i^-1 B_l Z_i`` hold ``16 m k n^2`` bytes.
     """
     basis, constraints = _validate_program(basis, constraints)
-    lam = float(np.linalg.eigvalsh(constraints)[..., -1].max())
-    eye = np.broadcast_to(np.eye(constraints.shape[-1]), constraints.shape[1:])
+    lam = float(np.linalg.eigvalsh(constraints)[:, -1].max())
+    eye = np.eye(constraints.shape[-1])
     start = lam + max(1.0, abs(lam))
-    if start * (eye.size // eye.shape[-1]) == np.inf:  # its trace, a float: no overflow warning
+    if start * len(eye) == np.inf:  # its trace, a float: no overflow warning
         raise SolverFailure(f"the trace of the strictly feasible start 2 * {lam!r} overflows")
     y = start * eye
     z = np.broadcast_to(eye / len(constraints), constraints.shape)
     path = islice(_central_path(basis, constraints, y, z), MAX_ITERATIONS)
     for iterations, (y, s, z) in enumerate(path):
-        value = float(np.trace(y, axis1=-2, axis2=-1).sum().real)
+        value = float(np.trace(y).real)
         tol = GAP_TOL * max(1.0, abs(value))
         gap = np.vdot(s, z).real
         if gap <= tol:
@@ -327,7 +324,7 @@ def solve_dominating(basis, constraints) -> SdpSolution:
             if lower > value:
                 raise SolverFailure(f"dominance bracket is inverted: lower {lower!r} "
                                     f"above value {value!r}")
-            min_slack = float(np.linalg.eigvalsh(s)[..., 0].min())
+            min_slack = float(np.linalg.eigvalsh(s)[:, 0].min())
             return SdpSolution(y, value, lower, duals, min_slack, iterations)
     raise SolverFailure(
         f"dominance solve left a gap of {gap:.3e} after {MAX_ITERATIONS} iterations"
@@ -337,21 +334,20 @@ def solve_dominating(basis, constraints) -> SdpSolution:
 def rom_via_sdp(m: Povm) -> float:
     """Robustness of a measurement through its dominance program.
 
-    Minimize ``sum_a q~(a)`` subject to ``q~(a) I >= M_a``, posed once
-    over the block-diagonal operators ``blockdiag(q~(a) I)`` (stacks of ``o``
-    blocks): their span is a *-algebra containing the identity, and the
-    single constraint is ``blockdiag(M_a)``.  The optimal trace is ``d sum_a
-    q~(a)``, taken at a strictly dominating point, so the value is an upper
-    bound within the solver gap.
+    Minimize ``sum_a q~(a)`` subject to ``q~(a) I >= M_a``.  No two
+    constraints share a variable, so the program is one dominance solve per
+    outcome over the span ``{I / sqrt(d)}``, whose optimal trace is ``d
+    q~(a)``, each taken at a strictly dominating point: the value is an
+    upper bound within the solver gap.
     """
-    return _rom_solution(m).value / m.dimension - 1.0
+    return sum(s.value for s in _rom_solution(m)) / m.dimension - 1.0
 
 
-def _rom_solution(m: Povm) -> SdpSolution:
-    """The certified dominance solve behind ``rom_via_sdp``, one block per outcome."""
+def _rom_solution(m: Povm) -> list[SdpSolution]:
+    """The certified dominance solves behind ``rom_via_sdp``, one per outcome."""
     m = _require_povm(m)
-    basis = np.eye(m.outcomes)[:, :, None, None] * np.eye(m.dimension) / np.sqrt(m.dimension)
-    return solve_dominating(basis, m.elements[None])
+    basis = np.eye(m.dimension)[None] / np.sqrt(m.dimension)
+    return [solve_dominating(basis, element[None]) for element in m.elements]
 
 
 def min_error_guess_value(ensemble) -> float:

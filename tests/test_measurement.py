@@ -380,11 +380,13 @@ def test_a_validated_group_and_a_kept_eigendecomposition_refuse_writes():
     (lambda: trivial_povm([1.0], -1), InvalidArgument),
     (lambda: projective_povm(np.zeros((0, 0))), NotOrthonormal),
     (lambda: rank_one_povm([], np.zeros((0, 2))), ShapeMismatch),
+    (lambda: Ensemble(np.zeros((0, 2, 2)), np.zeros(0)), InvalidEnsemble),
 ], ids=["no-outcomes", "dimension-0", "trivial-d0", "trivial-negative-d",
-        "projective-no-vectors", "rank-one-no-states"])
+        "projective-no-vectors", "rank-one-no-states", "ensemble-no-states"])
 def test_an_empty_shape_is_a_package_error(build, error):
     # these once returned rom -1 for no outcomes, a 0 x 0 measurement, or
-    # leaked numpy's ValueError
+    # leaked numpy's ValueError (an ensemble of no states from p_guess_classical,
+    # p_guess_with_measurement and advantage)
     with pytest.raises(error):
         build()
 

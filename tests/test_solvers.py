@@ -377,7 +377,8 @@ class TestStepShape:
         lambda: solve_dominating(hermitian_basis(3), weighted_pair(3, 92)),
         lambda: solve_dominating(hermitian_basis(8), weighted_pair(8, 1)),
         lambda: _guess_solution(random_ensemble(4, 3, 9600)),
-        lambda: _rom_solution(random_povm(3, 4, 1)),
+        # one outcome's robustness solve: the span {I / sqrt(d)}, one constraint M_a
+        lambda: solve_dominating(np.eye(3)[None] / np.sqrt(3), random_povm(3, 4, 1).elements[:1]),
     ], ids=["roc", "guess_d3", "full_basis_d8", "guess_solution_d4", "rom_blocks"])
     def test_dispatch_budget(self, monkeypatch, solve):
         # one stacked factorization and one inverse per step, one step-length
@@ -434,18 +435,18 @@ class TestStepShape:
 
 @pytest.mark.parametrize("d, o", [(2, 2), (3, 4), (4, 3)])
 def test_roc_and_rom_sdp_spans_keep_their_diagonal_matrix_units(count_calls, d, o):
-    # roc's span is the d diagonal units; the robustness SDP's is one stack of
-    # o blocks per outcome, I / sqrt(d) in its own block, over the POVM's
-    # elements as one stack of blocks rather than an (o d) x (o d) embedding
+    # roc's span is the d diagonal units; the robustness SDP is one solve per
+    # outcome, over the span {I / sqrt(d)} with the single constraint M_a
     calls = count_calls(solvers.solve_dominating)
     roc(random_density_matrix(d, np.random.default_rng(d)))
     m = random_povm(d, o, 1)
     rom_via_sdp(m)
-    (roc_basis, _), (rom_basis, rom_constraints) = calls
+    (roc_basis, _), *rom_calls = calls
     np.testing.assert_array_equal(roc_basis, np.eye(d)[:, :, None] * np.eye(d))
-    np.testing.assert_array_equal(
-        rom_basis, np.eye(o)[:, :, None, None] * np.eye(d) / np.sqrt(d))
-    np.testing.assert_array_equal(rom_constraints, m.elements[None])
+    assert len(rom_calls) == o
+    for (rom_basis, rom_constraints), element in zip(rom_calls, m.elements):
+        np.testing.assert_array_equal(rom_basis, np.eye(d)[None] / np.sqrt(d))
+        np.testing.assert_array_equal(rom_constraints, element[None])
 
 
 class TestRomViaSdp:
@@ -466,19 +467,26 @@ class TestRomViaSdp:
         m = random_povm(16, 16, 1)
         assert abs(rom_via_sdp(m) - rom(m)) <= 1e-9
 
+    def test_matches_closed_form_at_d32(self):
+        m = random_povm(32, 32, 1)
+        assert abs(rom_via_sdp(m) - rom(m)) <= 1e-9
+
     @pytest.mark.parametrize("d, o, seed", [(2, 3, 1), (3, 4, 2), (4, 2, 3), (5, 6, 4)])
     def test_certified_dual_blocks_are_the_optimal_game(self, d, o, seed):
-        # the duals Z_a project onto I block by block, so tr Z_a = d and the
-        # states Z_a / d, sent uniformly, form a game whose advantage with
-        # the measurement lies in [lower / d, value / d], at 1 + R(M)
+        # each outcome's dual Z_a projects onto I, so tr Z_a = d and the
+        # states Z_a / d, sent uniformly, form a game whose advantage with the
+        # measurement lies in [sum_a lower_a / d, sum_a value_a / d], at 1 + R(M)
         m = random_povm(d, o, seed)
-        sol = _rom_solution(m)
-        assert sol.y.shape == (o, d, d) and sol.duals.shape == (1, o, d, d)
-        z = sol.duals[0]
+        solutions = _rom_solution(m)
+        assert len(solutions) == o
+        assert all(s.y.shape == (d, d) and s.duals.shape == (1, d, d) for s in solutions)
+        z = np.stack([s.duals[0] for s in solutions])
         assert np.abs(np.trace(z, axis1=1, axis2=2) - d).max() <= 1e-12
         assert np.linalg.eigvalsh(z / d)[:, 0].min() >= -1e-12
         game = advantage(Ensemble(z / d, np.full(o, 1.0 / o)), m)
-        assert sol.lower / d - 1e-12 <= game <= sol.value / d + 1e-12
+        lower, value = (sum(getattr(s, bound) for s in solutions) / d
+                        for bound in ("lower", "value"))
+        assert lower - 1e-12 <= game <= value + 1e-12
         assert abs(game - (1.0 + rom(m))) <= 1e-9
 
 
@@ -579,17 +587,19 @@ SCALAR_PROGRAM = (np.eye(2, dtype=complex)[None] / math.sqrt(2.0),
     (None, lambda: solve_lp([[np.nan, 1.0]], [1.0]), InvalidArgument),
     (lambda mp: mp.setattr(solvers, "MAX_ENTRIES", 0),
      lambda: solve_lp([[1.0, 1.0]], [1.0]), SolverFailure),
-    (None, lambda: min_error_guess_value(Ensemble(np.zeros((0, 2, 2)), np.zeros(0))),
-     InvalidArgument),
+    (None, lambda: solve_dominating(None, np.zeros((0, 2, 2))), InvalidArgument),
     (None, lambda: solve_dominating(np.stack([np.diag([1.0, 2.0]), np.diag([1.0, 0.0])]),
                                     np.full((1, 2, 2), 0.5)), InvalidArgument),
     (None, lambda: solve_dominating(hermitian_basis(2)[2:3], np.eye(2)[None] / 2),
      InvalidArgument),
-    # blocks need a basis (the vec form has none), of the constraints' block shape
+    # a stack of blocks (4-D) is no program, with or without a basis of its shape
     (None, lambda: solve_dominating(None, np.eye(2)[None, None].repeat(3, axis=1) / 2),
      InvalidArgument),
     (None, lambda: solve_dominating(np.eye(2)[None, None].repeat(3, axis=1) / math.sqrt(6.0),
                                     np.eye(2)[None, None].repeat(2, axis=1) / 2),
+     InvalidArgument),
+    (None, lambda: solve_dominating(np.eye(2)[None, None].repeat(3, axis=1) / math.sqrt(6.0),
+                                    np.eye(2)[None, None].repeat(3, axis=1) / 2),
      InvalidArgument),
     (lambda mp: mp.setattr(solvers, "MAX_ITERATIONS", 1),
      lambda: solve_dominating(*SCALAR_PROGRAM), SolverFailure),
@@ -605,7 +615,8 @@ SCALAR_PROGRAM = (np.eye(2, dtype=complex)[None] / math.sqrt(2.0),
 ], ids=["lp-shapes", "lp-3d-matrix", "lp-inf-rhs", "lp-nan-rhs", "lp-nan-matrix", "lp-pivot-cap",
         "dominating-empty-stack", "dominating-not-orthonormal",
         "dominating-misses-identity", "dominating-blocks-without-basis",
-        "dominating-block-shapes-differ", "dominating-iteration-cap",
+        "dominating-block-shapes-differ", "dominating-blocks-with-their-basis",
+        "dominating-iteration-cap",
         "dominating-inverted-bracket", "dominating-start-overflows",
         "dominating-start-trace-overflows"])
 def test_every_failed_solve_is_a_package_error(monkeypatch, setup, solve, error):

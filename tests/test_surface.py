@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import povmrobust as pr
-from povmrobust.errors import PovmRobustError
+from povmrobust.errors import DimensionMismatch, InvalidArgument, PovmRobustError
+from povmrobust.solvers import solve_dominating
 
 Z = pr.projective_povm(np.eye(2))
 X = pr.projective_povm(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
@@ -35,6 +36,7 @@ CALLS = {
     "GroupRepresentation": ((GROUP.unitaries,), ()),
     "JointDistribution": (([[0.5, 0.0], [0.0, 0.5]],), ()),
     "Povm": ((Z.elements,), ()),
+    "SimulabilityCertificate": ((CERTIFICATE.operators, CERTIFICATE.scalars), ()),
     "StochasticMap": ((np.eye(2),), ()),
     "acc_min_info_ensemble": ((ENSEMBLE,), ()),
     "acc_min_info_measurement": ((Z,), ()),
@@ -82,7 +84,7 @@ CALLS = {
 
 # plain records that the package returns and never reads from a caller
 EXEMPT = {"AccessibleMinInfo", "AsymmetryReport", "PseudoMixture", "RobustnessReport",
-          "SdpSolution", "SimulabilityCertificate", "SimulabilityResult"}
+          "SdpSolution", "SimulabilityResult"}
 
 WRONG_KIND = ["x", None, 2.5, True, [[[1]]], np.full((2, 2), np.nan)]
 
@@ -115,3 +117,46 @@ def test_a_wrong_kind_argument_is_a_package_error(name, data):
         except PovmRobustError:
             return
     assert position not in counts, f"{name} took {value!r} as a size or seed"
+
+
+REFUTED = pr.is_simulable(Z, X).certificate
+
+
+@pytest.mark.parametrize("operators, scalars, error", [
+    (np.eye(2), REFUTED.scalars, InvalidArgument),
+    (np.zeros((0, 2, 2)), REFUTED.scalars, InvalidArgument),
+    (np.zeros((2, 3, 3)), REFUTED.scalars, DimensionMismatch),
+    ("x", REFUTED.scalars, InvalidArgument),
+    (REFUTED.operators, "x", InvalidArgument),
+    (REFUTED.operators, REFUTED.scalars[:, None], InvalidArgument),
+], ids=["operators-2d", "operators-empty", "operators-3x3", "operators-string",
+        "scalars-string", "scalars-2d"])
+def test_a_malformed_certificate_is_a_package_error(operators, scalars, error):
+    # the qubit pair Z -> X is refuted; each malformed certificate once raised a
+    # raw numpy error, or a SolverFailure for scalars that are no numbers
+    with pytest.raises(error):
+        pr.witness_from_certificate(Z, X, pr.SimulabilityCertificate(operators, scalars))
+
+
+def test_a_certificate_keeps_read_only_copies():
+    operators, scalars = REFUTED.operators.copy(), REFUTED.scalars.copy()
+    certificate = pr.SimulabilityCertificate(operators, scalars)
+    operators[:] = 0.0
+    assert not certificate.operators.flags.writeable and not certificate.scalars.flags.writeable
+    assert np.abs(certificate.operators).max() > 0.0
+    assert pr.witness_from_certificate(Z, X, certificate).size == 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pr.Povm(Z.elements),
+    lambda: pr.Ensemble(np.stack(STATES), [0.5, 0.5]),
+    lambda: pr.GroupRepresentation(GROUP.unitaries),
+    lambda: pr.rom_report(pr.random_povm(2, 3, 1)),
+    lambda: solve_dominating(None, RHO[None]),
+], ids=["Povm", "Ensemble", "GroupRepresentation", "RobustnessReport", "SdpSolution"])
+def test_a_value_holding_arrays_compares_by_identity_and_hashes(build):
+    # tuples of arrays once made == raise numpy's ambiguous-truth ValueError,
+    # and hash() a TypeError
+    value, twin = build(), build()
+    assert value == value and value != twin
+    assert hash(value) == hash(value) and len({value, twin}) == 2
