@@ -26,11 +26,10 @@ import numpy as np
 from .discrimination import Ensemble, check_density_matrix, p_guess_with_measurement
 from .errors import InvalidGroup, PovmRobustError, SolverFailure, dimension_gate, type_gate
 from .measurement import Povm, validate_povm
-from .numerics import (_check_stack_bytes, _matrix_stack, _read_integer, as_complex_matrix,
-                       frozen_stack, hermitian_basis)
+from .numerics import (UNITARY_TOL, _check_bytes, _check_stack_bytes, _matrix_stack,
+                       _read_integer, as_complex_matrix, frozen_stack, hermitian_basis)
 from .solvers import solve_dominating
 
-UNITARY_TOL = 1e-9
 CLOSURE_TOL = 1e-8
 SYMMETRY_TOL = 1e-8
 SUBSPACE_DROP_TOL = 1e-9
@@ -82,7 +81,9 @@ def validate_group(unitaries) -> GroupRepresentation:
     """Check unitarity (within ``UNITARY_TOL``), replace each element by its
     nearest unitary (the polar factor ``W V^dag`` of its SVD), check closure
     up to global phase and the presence of the identity on those (both
-    within ``CLOSURE_TOL``), then wrap them: every twirl is then exact."""
+    within ``CLOSURE_TOL``), then wrap them: every twirl is then exact.  The
+    closure check builds a complex ``(|G|, |G|)`` table per element, so an order
+    whose table exceeds ``MAX_STACK_BYTES`` (above 4096) is a ``ResourceLimit``."""
     mats = _matrix_stack(unitaries, InvalidGroup, "unitaries")
     d = mats.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries: inf - inf is NaN
@@ -96,6 +97,7 @@ def validate_group(unitaries) -> GroupRepresentation:
     overlaps = np.abs(np.trace(mats, axis1=1, axis2=2))
     if overlaps.max() < d - CLOSURE_TOL:
         raise InvalidGroup("the group list does not contain the identity")
+    _check_bytes(16 * len(mats) ** 2, f"closure tables of order {len(mats)}")
     for i, u in enumerate(mats):
         # best match of U_i U_j over the listed elements, for every j
         matches = np.abs(np.einsum("kab,jab->jk", mats.conj(), u @ mats)).max(axis=1)

@@ -3,7 +3,8 @@
 Every subcommand reads JSON in the schemas of :mod:`povmrobust.jsonio`,
 validates before computing, and writes one JSON document to standard
 output.  Failures exit nonzero with a machine-readable error object.
-Output is deterministic: sorted keys, 15 significant digits.
+Output is deterministic for a fixed BLAS build and thread count (ROADMAP
+item 5): sorted keys, 15 significant digits.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidEnsemble, InvalidState, dimension_gate, type_gate
+from .errors import InvalidArgument, InvalidEnsemble, InvalidState, dimension_gate, type_gate
 from .measurement import Povm, _check_distribution, _require_povm
 from .numerics import (_check_stack_bytes, _matrix_stack, _read_integer, as_complex_matrix,
                        eig_hermitian, frozen_copy, frozen_stack)
@@ -48,44 +48,42 @@ class Ensemble:
         return self.states.shape[1]
 
 
-def _state_fault(smallest, trace) -> str | None:
-    """Why a Hermitian matrix of this smallest eigenvalue and trace is no
-    state, PSD before trace, or None."""
-    if smallest < -STATE_TOL:
-        return f"state has eigenvalue {smallest:.3e} below -{STATE_TOL:.1e}"
-    if abs(trace - 1.0) > STATE_TOL:
-        return f"state trace is {float(trace)}, not 1"
-    return None
+def _check_states(states, error) -> None:
+    """Check every matrix of a Hermitian ``(n, d, d)`` stack for a state, in one
+    stacked eigendecomposition and one stacked trace; the first that fails names
+    ``error``, PSD before trace, both within ``STATE_TOL``."""
+    with np.errstate(over="ignore"):  # finite entries whose trace overflows: trace inf
+        traces = np.trace(states, axis1=1, axis2=2).real
+    for smallest, trace in zip(eig_hermitian(states).eigenvalues[:, 0], traces):
+        if smallest < -STATE_TOL:
+            raise error(f"state has eigenvalue {smallest:.3e} below -{STATE_TOL:.1e}")
+        if abs(trace - 1.0) > STATE_TOL:
+            raise error(f"state trace is {float(trace)}, not 1")
 
 
 def check_density_matrix(rho) -> np.ndarray:
     """Validate a density matrix: Hermitian, positive semidefinite and of
     unit trace, both within ``STATE_TOL``."""
     m = as_complex_matrix(rho)
-    with np.errstate(over="ignore"):  # finite entries whose trace overflows: trace inf
-        trace = np.trace(m).real
-    fault = _state_fault(eig_hermitian(m).eigenvalues[0], trace)
-    if fault is not None:
-        raise InvalidState(fault)
+    _check_states(m[None], InvalidState)
     return m
 
 
 def validate_ensemble(states, priors) -> Ensemble:
-    """Check the prior distribution and every member state, in one stacked
-    eigendecomposition and one stacked trace, then wrap; the first state that
-    fails ``check_density_matrix``'s PSD or trace gate names the error."""
+    """Check the prior distribution and every member state, as
+    ``check_density_matrix`` does one, then wrap."""
     priors = _check_distribution(priors, InvalidEnsemble)
     states = _matrix_stack(states, InvalidEnsemble, "states")
-    with np.errstate(over="ignore"):  # finite entries whose trace overflows: trace inf
-        traces = np.trace(states, axis1=1, axis2=2).real
-    fault = next(filter(None, map(_state_fault, eig_hermitian(states).eigenvalues[:, 0],
-                                  traces)), None)
-    if fault is not None:
-        raise InvalidEnsemble(fault)
+    _check_states(states, InvalidEnsemble)
     return Ensemble(states, priors)
 
 
 def random_density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
+    """One random full-rank state drawn from ``rng``, a numpy ``Generator``."""
+    d = _read_integer(d, "dimension")
+    _check_stack_bytes(1, d)
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidArgument(f"rng must be a numpy Generator, got {type(rng).__name__}")
     return _random_states(rng, (), d)
 
 

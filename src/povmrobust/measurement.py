@@ -24,15 +24,13 @@ from .errors import (
     SizeMismatch,
     type_gate,
 )
-# MAX_STACK_BYTES is imported for its old name measurement.MAX_STACK_BYTES too
-from .numerics import (MAX_STACK_BYTES, _check_stack_bytes, _matrix_stack, _read_array,
-                       _read_integer, _read_real, eig_hermitian, frozen_copy,
+from .numerics import (UNITARY_TOL, _check_bytes, _check_stack_bytes, _matrix_stack,
+                       _read_array, _read_integer, _read_real, eig_hermitian, frozen_copy,
                        frozen_stack)
 
 PSD_TOL = 1e-9
 COMPLETENESS_TOL = 1e-8
 DISTRIBUTION_TOL = 1e-10
-ORTHONORMAL_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +162,7 @@ def projective_povm(basis) -> Povm:
         raise NotOrthonormal(f"need d vectors of dimension d >= 1, got shape {vecs.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # huge or NaN entries deviate by inf or NaN
         deviation = np.abs(vecs.conj() @ vecs.T - np.eye(len(vecs))).max()
-    if not deviation <= ORTHONORMAL_TOL:
+    if not deviation <= UNITARY_TOL:
         raise NotOrthonormal(f"basis fails orthonormality by {deviation:.3e}")
     return Povm(np.stack([np.outer(v, v.conj()) for v in vecs]))
 
@@ -226,8 +224,10 @@ def random_povm(d: int, o: int, seed: int) -> Povm:
 
 
 def random_stochastic_map(n_in: int, n_out: int, seed: int) -> StochasticMap:
-    """Random conditional distribution, rows drawn from a flat Dirichlet."""
+    """Random conditional distribution, rows drawn from a flat Dirichlet; a
+    table above ``MAX_STACK_BYTES`` is a ``ResourceLimit``."""
     n_in, n_out = _read_integer(n_in, "inputs"), _read_integer(n_out, "outputs")
+    _check_bytes(8 * n_in * n_out, f"{n_in} x {n_out} probabilities")
     rng = np.random.default_rng(_read_integer(seed, "seed", 0))
     return StochasticMap(rng.dirichlet(np.ones(n_out), size=n_in))
 

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import InvalidArgument, NotHermitian, NotSquare, ResourceLimit
 
 HERMITIAN_TOL = 1e-10
-MAX_STACK_BYTES = 2**28  # one complex (n, d, d) stack that a builder makes
+UNITARY_TOL = 1e-9  # entrywise: U^dag U against I, for a basis or a group element
+MAX_STACK_BYTES = 2**28  # one array that a builder makes, such as a complex (n, d, d) stack
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -51,10 +52,15 @@ def _read_real(value, name: str, high: float = math.inf, error=InvalidArgument) 
     return float(value)
 
 
+def _check_bytes(nbytes: int, what: str) -> None:
+    """``ResourceLimit``, naming ``what``, if ``nbytes`` is over ``MAX_STACK_BYTES``."""
+    if nbytes > MAX_STACK_BYTES:
+        raise ResourceLimit(f"{what} need over {MAX_STACK_BYTES} bytes")
+
+
 def _check_stack_bytes(n: int, d: int) -> None:
     """``ResourceLimit`` if a complex ``(n, d, d)`` stack needs over ``MAX_STACK_BYTES``."""
-    if 16 * n * d * d > MAX_STACK_BYTES:
-        raise ResourceLimit(f"{n} matrices at dimension {d} need over {MAX_STACK_BYTES} bytes")
+    _check_bytes(16 * n * d * d, f"{n} matrices at dimension {d}")
 
 
 def _complex_stack(a) -> np.ndarray:

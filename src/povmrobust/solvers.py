@@ -13,9 +13,9 @@ subject to dominating Hermitian constraints, by a primal-dual interior-point
 method (HKM direction, Mehrotra predictor-corrector; Helmberg, Rendl,
 Vanderbei and Wolkowicz, SIAM J. Optim. 6 (1996); Vandenberghe and Boyd,
 SIAM Rev. 38 (1996)) that returns a strictly feasible point together with a
-certified lower bound.  Over every Hermitian matrix its Newton step is one
-linear solve in vec form (Todd, Toh and Tutuncu, SIAM J. Optim. 8 (1998)),
-over a smaller span a Schur complement in the basis coordinates.  Each step factors
+certified lower bound.  Without a basis (every Hermitian matrix) its Newton step is
+one linear solve in vec form (Todd, Toh and Tutuncu, SIAM J. Optim. 8 (1998)),
+over a basis a Schur complement in its coordinates.  Each step factors
 every primal slack and dual matrix with one stacked Cholesky call and inverts those
 factors with one ``inv`` call, each predictor or corrector stage takes both step lengths
 from one stacked eigensolve, and the lower bound is computed only once the gap is within
@@ -152,13 +152,13 @@ def _span(x, basis):
 
 
 def _project(basis, m):
-    """The orthogonal projection of ``m`` onto the span (``m`` itself on the full span)."""
+    """The orthogonal projection of ``m`` onto the span (``m`` itself without a basis)."""
     return m if basis is None else _span(_rows(basis) @ _rows(m), basis)
 
 
 def _validate_program(basis, constraints):
-    """A program's stacks, with ``None`` for a span of every Hermitian matrix
-    (given or found); ``InvalidArgument`` unless the basis is orthonormal and spans I.
+    """A program's stacks, ``None`` for the span of every Hermitian matrix;
+    ``InvalidArgument`` unless the basis is orthonormal and spans I.
     Closure of the span under squares is checked on the duals, by ``_certified_lower``."""
     basis = None if basis is None else check_hermitian(basis)
     constraints = check_hermitian(constraints)
@@ -174,7 +174,7 @@ def _validate_program(basis, constraints):
     missing = np.abs(_project(basis, eye) - eye).max()
     if missing > IDENTITY_TOL:
         raise InvalidArgument(f"the span of the basis misses the identity by {missing:.3e}")
-    return (None if len(basis) == basis.shape[1] ** 2 else basis), constraints
+    return basis, constraints
 
 
 def _step_lengths(inv_chols, inv_chols_h, directions, fraction):
@@ -190,12 +190,12 @@ def _step_lengths(inv_chols, inv_chols_h, directions, fraction):
 
 def _newton_solver(basis, s_inv, z):
     """Maps ``R`` to the ``dY`` in the span on which the Hermitian parts of ``sum_i
-    S_i^-1 dY Z_i`` and ``R`` project alike.  On the full span, one solve in vec
+    S_i^-1 dY Z_i`` and ``R`` project alike.  Without a basis, one solve in vec
     form: with row-major ``vec``, ``vec(A X B) = (A (x) B^T) vec(X)``, so ``G =
     (H + T conj(H) T) / 2`` for ``H = sum_i S_i^-1 (x) Z_i^T``, ``T`` swapping
     the indices of ``vec``; ``T conj(H) T = sum_i Z_i (x) S_i^-T`` makes ``2 G``
     one GEMM over the stack paired both ways, read through a transpose of its
-    four-index view.  Smaller spans solve the Schur complement in coordinates."""
+    four-index view.  A basis solves the Schur complement in its coordinates."""
     m, d = z.shape[0], z.shape[1]
     if basis is None:
         u, v = (np.concatenate(p).reshape(2 * m, -1) for p in ([s_inv, z], [z, s_inv]))
@@ -264,7 +264,7 @@ def _central_path(basis, constraints, y, z):
 def _certified_lower(basis, constraints, z):
     """A dual objective that bounds the optimum from below, with its duals
     ``S^-1/2 Z_i S^-1/2``, ``S = P(sum_i Z_i)`` the projection onto the span (the
-    Hermitian sum itself on the full span): over a span closed under squares (a Jordan
+    Hermitian sum itself without a basis): over a span closed under squares (a Jordan
     algebra) they sum to a projection onto I, so are exactly feasible.  ``SolverFailure``
     if ``S`` is not positive definite or that projection misses I by over ``IDENTITY_TOL``."""
     w, v = np.linalg.eigh(_project(basis, z.sum(axis=0)))
@@ -299,10 +299,10 @@ def solve_dominating(basis, constraints) -> SdpSolution:
     It raises ``SolverFailure``, reporting the gap left, if that takes more than
     ``MAX_ITERATIONS`` steps, or if the lower bound it stops at lies above the value.
 
-    The full span (``None`` or ``n^2`` elements) takes the Newton step in vec
-    form with a few ``n^2 x n^2`` complex operators per step, ``16 n^4`` bytes
-    each.  Other spans solve a ``k x k`` Schur complement, whose products
-    ``S_i^-1 B_l Z_i`` hold ``16 m k n^2`` bytes.
+    ``None`` takes the Newton step in vec form with a few ``n^2 x n^2`` complex
+    operators per step, ``16 n^4`` bytes each.  A basis, even a full one of ``n^2``
+    elements, solves a ``k x k`` Schur complement, whose products ``S_i^-1 B_l Z_i``
+    hold ``16 m k n^2`` bytes.
     """
     basis, constraints = _validate_program(basis, constraints)
     lam = float(np.linalg.eigvalsh(constraints)[:, -1].max())

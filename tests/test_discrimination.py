@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from povmrobust.discrimination import (
     Ensemble,
     advantage,
+    check_density_matrix,
     optimal_ensemble,
     p_guess_classical,
     p_guess_with_measurement,
@@ -11,7 +14,7 @@ from povmrobust.discrimination import (
     random_ensemble,
     validate_ensemble,
 )
-from povmrobust.errors import DimensionMismatch, InvalidArgument, InvalidEnsemble
+from povmrobust.errors import DimensionMismatch, InvalidArgument, InvalidEnsemble, InvalidState
 from povmrobust.measurement import (
     post_process,
     random_povm,
@@ -65,6 +68,34 @@ class TestValidateEnsemble:
             states = np.stack([random_density_matrix(d, rng) for _ in range(size)])
             assert np.abs(e.states - states).max() <= 1e-15
             np.testing.assert_array_equal(e.priors, rng.dirichlet(np.ones(size)))
+
+    @pytest.mark.parametrize("state, one, stacked, message", [
+        (np.diag([1.2, -0.2]), InvalidState, InvalidEnsemble,
+         "state has eigenvalue -2.000e-01 below -1.0e-09"),
+        (np.diag([0.5, 0.6]), InvalidState, InvalidEnsemble, "state trace is 1.1, not 1"),
+        (np.diag([1e308, 1e308]), InvalidState, InvalidEnsemble, "state trace is inf, not 1"),
+        # a NaN entry is refused by the matrix reader both calls share
+        (np.diag([np.nan, 1.0]), InvalidArgument, InvalidArgument,
+         "matrix entries must be finite"),
+    ], ids=["not-psd", "trace", "trace-overflows", "nan"])
+    def test_one_state_fails_alone_as_in_an_ensemble(self, state, one, stacked, message):
+        # check_density_matrix is the one-state case of the ensemble's state gate
+        with pytest.raises(one, match=f"^{re.escape(message)}$"):
+            check_density_matrix(state)
+        with pytest.raises(stacked, match=f"^{re.escape(message)}$"):
+            validate_ensemble([state], [1.0])
+
+
+class TestRandomDensityMatrix:
+    @pytest.mark.parametrize("d, rng, message", [
+        (2.5, np.random.default_rng(0), "dimension must be an integer of at least 1, got 2.5"),
+        (0, np.random.default_rng(0), "dimension must be an integer of at least 1, got 0"),
+        (2, 5, "rng must be a numpy Generator, got int"),
+    ], ids=["float-dimension", "zero-dimension", "seed-for-generator"])
+    def test_refuses_a_bad_argument(self, d, rng, message):
+        # a draw over the budget is refused in test_measurement, with the other builders
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+            random_density_matrix(d, rng)
 
 
 class TestPGuessClassical:

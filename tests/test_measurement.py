@@ -17,6 +17,7 @@ from povmrobust.discrimination import (
     Ensemble,
     _require_ensemble,
     check_density_matrix,
+    random_density_matrix,
     random_ensemble,
     validate_ensemble,
 )
@@ -38,7 +39,7 @@ from povmrobust.errors import (
     SizeMismatch,
 )
 from povmrobust.info import JointDistribution, _require_joint, h_min
-from povmrobust import measurement
+from povmrobust import numerics
 from povmrobust.measurement import (
     Povm,
     _require_povm,
@@ -240,7 +241,7 @@ class TestRandomPovm:
         def no_draws(*args, **kwargs):
             raise AssertionError("the generator was reached")
         monkeypatch.setattr(np.random, "default_rng", no_draws)
-        d = math.isqrt(measurement.MAX_STACK_BYTES // 32)  # two outcomes: 32 d^2 bytes
+        d = math.isqrt(numerics.MAX_STACK_BYTES // 32)  # two outcomes: 32 d^2 bytes
         for dim in (d + 1, 200_000):
             with pytest.raises(ResourceLimit, match="need over"):
                 random_povm(dim, 2, 1)
@@ -253,7 +254,10 @@ class TestRandomPovm:
     lambda: dephasing_group(10**7),  # d matrices
     lambda: haar_random_unitary(10**7, 0),  # one matrix
     lambda: random_ensemble(2, 10**13, 0),  # one matrix per state
-], ids=["hermitian-basis", "dephasing-group", "haar-unitary", "random-ensemble"])
+    lambda: random_density_matrix(10**6, np.random.default_rng(0)),  # one matrix
+    lambda: random_stochastic_map(10**7, 10**7, 0),  # one float table: numpy's 728 TiB
+], ids=["hermitian-basis", "dephasing-group", "haar-unitary", "random-ensemble",
+        "random-density-matrix", "random-stochastic-map"])
 def test_every_stack_builder_refuses_over_the_budget_before_allocating(build):
     tracemalloc.start()
     try:
@@ -263,6 +267,19 @@ def test_every_stack_builder_refuses_over_the_budget_before_allocating(build):
     finally:
         tracemalloc.stop()
     assert peak < 2**16
+
+
+def test_a_group_over_the_closure_budget_is_refused_before_its_tables():
+    # the stack of 4,097 copies of [[1]] is small, but each complex (|G|, |G|)
+    # table of the closure check would take 268 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match="closure tables of order 4097 need over"):
+            validate_group(np.ones((4097, 1, 1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
 
 
 class TestStochasticMap:
@@ -476,7 +493,7 @@ _NAN = np.full((2, 2), np.nan)
     (lambda: validate_group(2.5), InvalidGroup, "need one or more unitaries of one size"),
     (lambda: projective_povm(_NAN), NotOrthonormal, "basis fails orthonormality by nan"),
     (lambda: trivial_povm([1.0], 10**6), ResourceLimit,
-     f"1 matrices at dimension 1000000 need over {measurement.MAX_STACK_BYTES} bytes"),
+     f"1 matrices at dimension 1000000 need over {numerics.MAX_STACK_BYTES} bytes"),
     (lambda: rank_one_povm([1e300, 1.0], [[1e200, 0.0], [0.0, 1.0]]), InvalidArgument,
      "matrix entries must be finite"),
     # a group is a nonempty square (n, d, d) stack, as a Povm is

@@ -322,16 +322,14 @@ class TestSolveDominating:
             solvers._certified_lower(basis, np.eye(2, dtype=complex)[None],
                                      np.zeros((1, 2, 2), dtype=complex))
 
-    def test_a_full_basis_takes_the_route_of_the_full_span(self):
-        # d^2 orthonormal elements span every Hermitian matrix: after its
-        # checks the solve is the one without a basis, bit for bit
+    def test_a_full_basis_reaches_the_optimum_of_the_full_span(self):
+        # d^2 orthonormal elements span every Hermitian matrix: the Schur route
+        # over them and the vec form without a basis certify the same optimum
         constraints = weighted_pair(4, 3)
         given = solve_dominating(hermitian_basis(4), constraints)
         full = solve_dominating(None, constraints)
-        assert given.iterations == full.iterations
-        assert (given.value, given.lower) == (full.value, full.lower)
-        np.testing.assert_array_equal(given.y, full.y)
-        np.testing.assert_array_equal(given.duals, full.duals)
+        assert max(given.lower, full.lower) <= min(given.value, full.value)
+        assert abs(given.value - full.value) <= solvers.GAP_TOL
 
     def test_a_dependent_full_size_basis_is_rejected(self):
         basis = hermitian_basis(2)
