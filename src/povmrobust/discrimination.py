@@ -116,12 +116,16 @@ def p_guess_classical(e: Ensemble) -> float:
 
 
 def _joint(e: Ensemble, m: Povm) -> np.ndarray:
-    """``p(x) tr[sigma_x M_a]`` for every state label ``x`` and outcome
-    ``a``, as an ``(n, o)`` array, unclipped."""
+    """``_table`` of ``e`` and the elements of ``m``, after their gates."""
     e = _require_ensemble(e)
     m = _require_povm(m)
     dimension_gate("ensemble", e.dimension, "measurement", m.dimension)
-    return np.einsum("x,xij,aji->xa", e.priors, e.states, m.elements).real
+    return _table(e, m.elements)
+
+
+def _table(e: Ensemble, elements: np.ndarray) -> np.ndarray:
+    """``p(x) tr[sigma_x M_a]`` for every ``x`` and each ``M_a`` of a stack: an ``(n, o)`` array."""
+    return np.einsum("x,xij,aji->xa", e.priors, e.states, elements).real
 
 
 def p_guess_with_measurement(e: Ensemble, m: Povm) -> float:

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import Ensemble, p_guess_with_measurement
+from .discrimination import Ensemble, _table
 from .errors import InvalidArgument, SolverFailure, dimension_gate, type_gate
-from .measurement import COMPLETENESS_TOL, Povm, StochasticMap, _require_povm, post_process
-from .numerics import eig_hermitian, frozen_copy, frozen_stack
+from .measurement import COMPLETENESS_TOL, Povm, StochasticMap, _require_povm
+from .numerics import _dagger, check_hermitian, frozen_copy, frozen_stack
 from .solvers import FEASIBILITY_TOL, OPTIMAL, _rows, solve_lp
 
 SIMULABLE = "Simulable"
@@ -96,14 +96,15 @@ def is_simulable(m: Povm, target: Povm) -> SimulabilityResult:
     target_coords = _rows(target.elements)  # (o', 2*d*d)
     _, sing, vt = np.linalg.svd(source_coords, full_matrices=False)
     frame = vt[sing > sing[0] * max(o, d * d) * np.finfo(float).eps]      # (r, 2*d*d)
-    outside = target_coords - target_coords @ frame.T @ frame
+    target_in = target_coords @ frame.T                                    # (o', r)
+    outside = target_coords - target_in @ frame
 
     if np.abs(outside).max() > FEASIBILITY_TOL:
         # Z_b = the part of M'_b outside the span: tr[Z_b M_a] = 0 for every
         # a, while the target scores sum_b |Z_b|^2 > 0.
         return _refuted(m, target, outside, np.zeros(o), None)
     r = frame.shape[0]
-    source_in, target_in = source_coords @ frame.T, target_coords @ frame.T  # (o, r), (o', r)
+    source_in = source_coords @ frame.T  # (o, r)
     if r == o:
         # Independent elements: q is unique, and the dual frame D = C^-T frame
         # (C = source_in, tr[D_a M_c] = delta_ac) turns q(b|a) < 0 into Z_b = -D_a.
@@ -130,12 +131,13 @@ def is_simulable(m: Povm, target: Povm) -> SimulabilityResult:
 def _simulable(m: Povm, target: Povm, p: np.ndarray, entries: int | None) -> SimulabilityResult:
     """The verdict for a solution ``p``, clipped at 0 and renormalized, if it
     reproduces the target within ``COMPLETENESS_TOL`` entrywise."""
-    p = np.clip(p, 0.0, None)
+    p = np.maximum(p, 0.0)
     sums = p.sum(axis=1, keepdims=True)
     if not sums.min() > 0.0:
         raise SolverFailure(f"the simulating map has a row summing to {sums.min():.3e}")
     simulation = StochasticMap(p / sums)
-    residual = float(np.abs(post_process(m, simulation).elements - target.elements).max())
+    rebuilt = np.einsum("ab,aij->bij", simulation.probabilities, m.elements)  # as post_process
+    residual = float(np.abs(rebuilt - target.elements).max())
     if not residual <= COMPLETENESS_TOL:
         raise SolverFailure(f"the simulating map misses the target by {residual:.3e}")
     return SimulabilityResult(SIMULABLE, map=simulation, residual=residual, entries=entries)
@@ -146,12 +148,18 @@ def _refuted(m: Povm, target: Povm, coords: np.ndarray, scalars: np.ndarray,
     """The verdict for a functional in ``_rows`` coordinates, if its witness verifies."""
     d = m.dimension
     operators = np.ascontiguousarray(coords).view(np.complex128).reshape(-1, d, d)
-    operators = (operators + operators.conj().transpose(0, 2, 1)) / 2
-    scale = max(np.abs(operators).max(), np.abs(scalars).max(initial=0.0), 1e-300)
-    certificate = SimulabilityCertificate(operators / scale, scalars / scale)
+    certificate = _normalized(operators, scalars)
     witness, gap = _witness(m, target, certificate)
     return SimulabilityResult(NOT_SIMULABLE, certificate=certificate,
                               witness=witness, gap=gap, entries=entries)
+
+
+def _normalized(operators: np.ndarray, scalars: np.ndarray) -> SimulabilityCertificate:
+    """Hermitian parts and scalars over their largest modulus, from quarters: no overflow."""
+    quarter = 0.25 * operators
+    halves = quarter + _dagger(quarter)
+    scale = max(np.abs(halves).max(), 0.5 * max(np.abs(scalars).max(initial=0.0), 1e-300))
+    return SimulabilityCertificate(halves / scale, 0.5 * scalars / scale)
 
 
 def witness_from_certificate(m: Povm, target: Povm,
@@ -159,27 +167,31 @@ def witness_from_certificate(m: Povm, target: Povm,
     """Turn a separating functional into a discrimination game the target
     wins by at least ``WITNESS_GAP_TOL``.
 
-    The certificate operators are shifted by a common multiple of the
-    identity until all are positive semidefinite, then normalized: traces
-    become priors, the shifted operators become states.  The gap of this
-    ensemble is checked numerically; in exact arithmetic it is at least
-    the certificate's Farkas value over the total trace, so a gap below
-    the tolerance means the certificate itself did not verify, and
-    ``SolverFailure`` is raised.  Operators of another dimension than the
-    source's are a ``DimensionMismatch``.
+    The operators, Hermitian within ``HERMITIAN_TOL`` (``NotHermitian``) and
+    finite (``InvalidArgument``), and the scalars are divided by their largest
+    modulus as ``is_simulable`` does its own, so every positive multiple gives
+    one game.  They are shifted by a common multiple of the identity until
+    all are positive semidefinite, then normalized: traces become priors, the
+    shifted operators become states.  The gap of this ensemble is checked
+    numerically; in exact arithmetic it is at least the certificate's Farkas
+    value over the total trace, so a gap below the tolerance means the
+    certificate itself did not verify, and ``SolverFailure`` is raised.
+    Operators of another dimension than the source's are a ``DimensionMismatch``.
     """
     m, target = _require_povm(m), _require_povm(target)
     certificate = _require_certificate(certificate)
     dimension_gate("certificate", certificate.operators.shape[1], "source", m.dimension)
-    return _witness(m, target, certificate)[0]
+    operators = check_hermitian(certificate.operators)
+    return _witness(m, target, _normalized(operators, certificate.scalars))[0]
 
 
 def _witness(m: Povm, target: Povm,
              certificate: SimulabilityCertificate) -> tuple[Ensemble, float]:
-    """``witness_from_certificate`` together with the verified gap."""
+    """``witness_from_certificate`` and its gap for a ``_normalized`` certificate: exactly
+    Hermitian, and 1 the largest modulus of its operators and scalars."""
     d = m.dimension
     z_ops = certificate.operators
-    shift = max(0.0, -eig_hermitian(z_ops).eigenvalues[:, 0].min())
+    shift = max(0.0, -np.linalg.eigh(z_ops).eigenvalues[:, 0].min())
     eye = np.eye(d, dtype=np.complex128)
 
     shifted = z_ops + shift * eye
@@ -193,12 +205,11 @@ def _witness(m: Povm, target: Povm,
             eye / d,
         )
         candidate = Ensemble(states, weights / total)
-        gap = (p_guess_with_measurement(candidate, target)
-               - p_guess_with_measurement(candidate, m))
+        best = _table(candidate, np.concatenate([target.elements, m.elements])).max(axis=0)
+        gap = best[:target.outcomes].sum() - best[target.outcomes:].sum()
         if gap >= WITNESS_GAP_TOL:
             return candidate, float(gap)
     raise SolverFailure(
         "the LP's infeasibility certificate did not verify: its witness game "
         f"has gap {gap:.3e}, below {WITNESS_GAP_TOL:.1e}"
     )
-

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from povmrobust import simulability
 from povmrobust.discrimination import p_guess_with_measurement, random_ensemble
-from povmrobust.errors import DimensionMismatch, SolverFailure
+from povmrobust.errors import DimensionMismatch, InvalidArgument, NotHermitian, SolverFailure
 from povmrobust.info import h_min_cond, joint_from_game
 from povmrobust.measurement import (
     Povm,
@@ -18,11 +18,12 @@ from povmrobust.measurement import (
     random_stochastic_map,
     trivial_povm,
 )
-from povmrobust.numerics import haar_random_unitary
+from povmrobust.numerics import eig_hermitian, haar_random_unitary
 from povmrobust.rom import rom
 from povmrobust.simulability import (
     NOT_SIMULABLE,
     SIMULABLE,
+    WITNESS_GAP_TOL,
     SimulabilityCertificate,
     is_simulable,
     witness_from_certificate,
@@ -344,6 +345,92 @@ class TestCertificate:
         blank = SimulabilityCertificate(np.zeros((2, 2, 2), dtype=complex), np.zeros(2))
         with pytest.raises(SolverFailure, match="did not verify"):
             witness_from_certificate(qubit_z, qubit_x, blank)
+
+    @pytest.mark.parametrize("entry, error", [(1e-6, NotHermitian), (np.nan, InvalidArgument)])
+    def test_operators_from_outside_are_gated(self, qubit_z, qubit_x, entry, error):
+        operators = is_simulable(qubit_z, qubit_x).certificate.operators.copy()
+        operators[0, 0, 1] += entry
+        with pytest.raises(error):
+            witness_from_certificate(qubit_z, qubit_x,
+                                     SimulabilityCertificate(operators, np.zeros(2)))
+
+    @pytest.mark.parametrize("factor", [1e-20, 1e-13, 1e100, 1e300])
+    def test_a_positive_multiple_gives_the_same_witness(self, qubit_z, qubit_x, factor):
+        # a certificate is a cone element: every positive multiple separates alike
+        cert = is_simulable(qubit_z, qubit_x).certificate
+        reference = witness_from_certificate(qubit_z, qubit_x, cert)
+        scaled = SimulabilityCertificate(factor * cert.operators, factor * cert.scalars)
+        witness = witness_from_certificate(qubit_z, qubit_x, scaled)
+        assert np.abs(witness.states - reference.states).max() <= 1e-15
+        assert np.abs(witness.priors - reference.priors).max() <= 1e-15
+
+    @pytest.mark.parametrize("operators, verifies", [
+        ([np.diag([1e308, 1e308]), np.diag([1e308, -1e308])], False),
+        ([np.diag([-1e308, -1e308]), np.diag([1.0, 0.0])], False),
+        ([np.full((2, 2), 1e308), np.eye(2)], False),
+        ([[[0.0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0.0]], np.eye(2)], True),
+        ([[[0.0, 1.7e308], [1.7e308, 0.0]], [[0.0, -1.7e308], [-1.7e308, 0.0]]], True),
+    ], ids=["diagonal", "negative", "all-entries", "complex", "z-vs-x"])
+    def test_entries_near_the_largest_float_do_not_overflow(self, qubit_z, qubit_x,
+                                                            operators, verifies):
+        # RuntimeWarnings are errors in this suite: no sum, modulus or
+        # eigenvalue may overflow on the way to the verdict
+        cert = SimulabilityCertificate(np.array(operators, dtype=complex), np.zeros(2))
+        if not verifies:
+            with pytest.raises(SolverFailure, match="did not verify"):
+                witness_from_certificate(qubit_z, qubit_x, cert)
+            return
+        witness = witness_from_certificate(qubit_z, qubit_x, cert)
+        gap = (p_guess_with_measurement(witness, qubit_x)
+               - p_guess_with_measurement(witness, qubit_z))
+        assert gap >= WITNESS_GAP_TOL
+
+
+class TestVerdictArithmetic:
+    # Each verdict's numbers are, bit for bit, the package's own guessing
+    # values and post-processing, while the route through is_simulable
+    # makes each factorization once and calls none of those helpers.
+    @pytest.mark.parametrize("pair", ["z-vs-x", "depolarized"])
+    def test_the_gap_is_the_difference_of_two_guessing_values(self, qubit_z, qubit_x, pair):
+        target = random_povm(3, 4, 31)
+        m, target = {"z-vs-x": (qubit_z, qubit_x),
+                     "depolarized": (depolarize_povm(target, 0.3), target)}[pair]
+        result = is_simulable(m, target)
+        assert result.verdict == NOT_SIMULABLE and result.entries is None
+        assert result.gap == (p_guess_with_measurement(result.witness, target)
+                              - p_guess_with_measurement(result.witness, m))
+
+    def test_the_residual_is_the_post_processing_error(self):
+        m = random_povm(4, 6, 5)
+        target = post_process(m, random_stochastic_map(6, 3, 6))
+        result = is_simulable(m, target)
+        assert result.simulable
+        assert result.residual == np.abs(post_process(m, result.map).elements
+                                         - target.elements).max()
+
+    @pytest.mark.parametrize("pair, budget", [
+        ("independent", {"svd": 1, "solve": 1}),
+        ("z-vs-x", {"svd": 1, "eigh": 1}),
+        ("depolarized", {"svd": 1, "solve": 2, "eigh": 1}),
+    ])
+    def test_route_budget(self, monkeypatch, count_calls, qubit_z, qubit_x, pair, budget):
+        m, target = random_povm(4, 6, 5), random_povm(3, 4, 31)
+        m, target = {"independent": (m, post_process(m, random_stochastic_map(6, 3, 6))),
+                     "z-vs-x": (qubit_z, qubit_x),
+                     "depolarized": (depolarize_povm(target, 0.3), target)}[pair]
+        counts = {}
+        for name in np.linalg.__all__:
+            original = getattr(np.linalg, name)
+            if callable(original) and not isinstance(original, type):
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    counts[_name] = counts.get(_name, 0) + 1
+                    return _original(*args, **kwargs)
+                monkeypatch.setattr(np.linalg, name, counted)
+        helpers = [count_calls(f) for f in (eig_hermitian, post_process,
+                                            p_guess_with_measurement)]
+        is_simulable(m, target)
+        assert counts == budget
+        assert [len(calls) for calls in helpers] == [0, 0, 0]
 
 
 class TestInvariants:
